@@ -10,13 +10,13 @@ m still covers m + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .oracle import CountingOracle, GroupTestOracle, QueryLedger
+from .oracle import GroupTestOracle, QueryLedger, counted
 from .ranktest import rank_at_most
 
 
@@ -60,9 +60,10 @@ def approximate_rank(oracle: GroupTestOracle, x: int, delta: float, epsilon: flo
         raise InvalidParameterError(f"delta must lie in (0,1), got {delta}")
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError(f"epsilon must lie in (0,1), got {epsilon}")
-    counting = CountingOracle(oracle)
     if n == 1:
-        return RankEstimate(rank=1, calls=0, ledger=counting.ledger)
+        return RankEstimate(rank=1, calls=0, ledger=QueryLedger())
+    counting, ledger = counted(oracle)
+    start = replace(ledger)
     levels = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
     per_call_epsilon = epsilon / levels
 
@@ -70,4 +71,4 @@ def approximate_rank(oracle: GroupTestOracle, x: int, delta: float, epsilon: flo
         return rank_at_most(counting, x, m, delta, per_call_epsilon, rng).answer
 
     rank, calls = binary_rank_search(n, decide)
-    return RankEstimate(rank=rank, calls=calls, ledger=counting.ledger)
+    return RankEstimate(rank=rank, calls=calls, ledger=ledger.since(start))

@@ -15,7 +15,10 @@ Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises InvalidParameterError, any other unexpected
 reply raises OracleProtocolError, a missing reply raises
 OracleTimeoutError, and a command that cannot be started raises
-OracleSpawnError.
+OracleSpawnError.  After a timeout or a protocol error the stream can no
+longer be matched to its queries (a late reply would answer the next
+one), so every later query raises OracleProtocolError; an ``ERR`` reply
+leaves the session usable.
 
 The companion entry point (``python -m gtorder.oracle_server --n N
 --seed S``) serves the protocol for a seeded builtin instance, which is the
@@ -36,6 +39,7 @@ import numpy as np
 
 from .errors import (
     InvalidParameterError,
+    OracleError,
     OracleProtocolError,
     OracleSpawnError,
     OracleTimeoutError,
@@ -58,6 +62,7 @@ class ExternalOracle(GroupTestOracle):
         self.size = n
         self._timeout = timeout
         self._buffer = b""
+        self._failure: OracleError | None = None
         try:
             self._proc = subprocess.Popen(
                 args,
@@ -67,10 +72,14 @@ class ExternalOracle(GroupTestOracle):
             )
         except OSError as exc:
             raise OracleSpawnError(f"could not start oracle command {args!r}: {exc}") from exc
-        reply = self._exchange(f"INIT {n}")
-        if reply != "OK":
+        try:
+            reply = self._exchange(f"INIT {n}")
+            if reply != "OK":
+                raise OracleProtocolError(f"expected OK to INIT, got {reply!r}")
+        except OracleError:
+            self._proc.kill()
             self.close()
-            raise OracleProtocolError(f"expected OK to INIT, got {reply!r}")
+            raise
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
@@ -86,6 +95,7 @@ class ExternalOracle(GroupTestOracle):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
 
     def __enter__(self) -> "ExternalOracle":
         return self
@@ -94,15 +104,22 @@ class ExternalOracle(GroupTestOracle):
         self.close()
 
     def _exchange(self, line: str) -> str:
+        if self._failure is not None:
+            raise OracleProtocolError(
+                f"oracle session unusable after an earlier failure: {self._failure}")
         proc = self._proc
-        if proc.poll() is not None:
-            raise OracleProtocolError("oracle process has exited")
         try:
-            proc.stdin.write((line + "\n").encode("ascii"))
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise OracleProtocolError(f"oracle process closed its input: {exc}") from exc
-        return self._read_line()
+            if proc.poll() is not None:
+                raise OracleProtocolError("oracle process has exited")
+            try:
+                proc.stdin.write((line + "\n").encode("ascii"))
+                proc.stdin.flush()
+            except (BrokenPipeError, OSError) as exc:
+                raise OracleProtocolError(f"oracle process closed its input: {exc}") from exc
+            return self._read_line()
+        except OracleError as exc:
+            self._failure = exc
+            raise
 
     def _read_line(self) -> str:
         fd = self._proc.stdout.fileno()
@@ -134,7 +151,8 @@ class ExternalOracle(GroupTestOracle):
             return False
         if reply.startswith("ERR"):
             raise InvalidParameterError(f"oracle rejected query: {reply[3:].strip()}")
-        raise OracleProtocolError(f"malformed oracle reply {reply!r}")
+        self._failure = OracleProtocolError(f"malformed oracle reply {reply!r}")
+        raise self._failure
 
     def left_test(self, u: int, V: IdSet) -> bool:
         return self._query("L", u, V)

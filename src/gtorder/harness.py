@@ -23,7 +23,7 @@ from .apxrank import approximate_rank
 from .errors import InvalidParameterError, OracleError
 from .external import ExternalOracle
 from .minfind import max_find, min_find
-from .oracle import InstanceOracle
+from .oracle import GroupTestOracle, InstanceOracle
 from .order import exact_rank, make_instance
 from .ranktest import rank_at_most
 from .selection import approximate_select
@@ -113,124 +113,62 @@ def _instance_seed(config: ExperimentConfig, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _testle_success(answer: bool, true_rank: int, r: float, delta: float, n: int) -> bool:
-    band = delta * min(r, n - r)
-    if abs(true_rank - r) < band:
-        return True  # inside the band either answer is acceptable
-    return answer == (true_rank <= r)
-
-
-def _run_builtin_trial(config: ExperimentConfig, trial: int) -> TrialReport:
-    rng = _trial_rng(config.seed, trial)
-    instance = make_instance(config.n, _instance_seed(config, trial))
-    oracle = InstanceOracle(instance)
-    n = config.n
-
-    if config.algorithm in ("minfind", "maxfind"):
-        find = min_find if config.algorithm == "minfind" else max_find
-        outcome = find(oracle, n, rng)
-        true_rank = exact_rank(instance, outcome.element)
-        wanted = 1 if config.algorithm == "minfind" else n
-        return TrialReport(
-            trial=trial,
-            result_id=outcome.element,
-            est_rank=None,
-            true_rank=true_rank,
-            success=true_rank == wanted,
-            queries_left=outcome.ledger.left_count,
-            queries_right=outcome.ledger.right_count,
-            rounds=None,
-        )
-
+def _success(config: ExperimentConfig, outcome, true_rank: int) -> bool:
+    """Score a trial's result against its ground-truth rank."""
+    n, delta = config.n, config.delta
+    if config.algorithm == "minfind":
+        return true_rank == 1
+    if config.algorithm == "maxfind":
+        return true_rank == n
     if config.algorithm == "testle":
-        x = (instance.element_with_rank(config.x_rank) if config.x_rank is not None
-             else int(rng.integers(0, n)))
-        outcome = rank_at_most(oracle, x, config.r, config.delta, config.epsilon, rng)
-        true_rank = exact_rank(instance, x)
-        return TrialReport(
-            trial=trial,
-            result_id=x,
-            est_rank=None,
-            true_rank=true_rank,
-            success=_testle_success(outcome.answer, true_rank, config.r,
-                                    config.delta, n),
-            queries_left=outcome.ledger.left_count,
-            queries_right=outcome.ledger.right_count,
-            rounds=None,
-        )
-
+        r = config.r
+        if abs(true_rank - r) < delta * min(r, n - r):
+            return True  # inside the band either answer is acceptable
+        return outcome.answer == (true_rank <= r)
     if config.algorithm == "rank":
-        x = (instance.element_with_rank(config.x_rank) if config.x_rank is not None
-             else int(rng.integers(0, n)))
-        estimate = approximate_rank(oracle, x, config.delta, config.epsilon, rng)
-        true_rank = exact_rank(instance, x)
-        band = config.delta * min(estimate.rank, n - estimate.rank)
-        return TrialReport(
-            trial=trial,
-            result_id=x,
-            est_rank=estimate.rank,
-            true_rank=true_rank,
-            success=abs(true_rank - estimate.rank) <= band,
-            queries_left=estimate.ledger.left_count,
-            queries_right=estimate.ledger.right_count,
-            rounds=None,
-        )
-
-    # select
-    outcome = approximate_select(oracle, n, config.k, config.delta, config.epsilon, rng)
-    if outcome.found:
-        true_rank = exact_rank(instance, outcome.element)
-        band = config.delta * min(config.k, n - config.k)
-        success = abs(true_rank - config.k) <= band
-    else:
-        true_rank = None
-        success = None
-    return TrialReport(
-        trial=trial,
-        result_id=outcome.element,
-        est_rank=None,
-        true_rank=true_rank,
-        success=success,
-        queries_left=outcome.ledger.left_count,
-        queries_right=outcome.ledger.right_count,
-        rounds=outcome.rounds_used,
-    )
+        return abs(true_rank - outcome.rank) <= delta * min(outcome.rank, n - outcome.rank)
+    return abs(true_rank - config.k) <= delta * min(config.k, n - config.k)
 
 
-def _run_external_trial(config: ExperimentConfig, trial: int,
-                        oracle: ExternalOracle) -> TrialReport:
-    # the hidden order lives in the server, so true ranks and success
-    # flags cannot be computed on this side
+def _run_trial(config: ExperimentConfig, trial: int,
+               oracle: Optional[GroupTestOracle] = None) -> TrialReport:
+    """Run one trial on the given oracle, or on a fresh builtin instance
+    that also scores the result.  Behind an external oracle the hidden
+    order lives in the server, so true ranks and success flags stay empty.
+    """
     rng = _trial_rng(config.seed, trial)
-    n = config.n
+    instance = None
+    if oracle is None:
+        instance = make_instance(config.n, _instance_seed(config, trial))
+        oracle = InstanceOracle(instance)
+    algorithm, n = config.algorithm, config.n
+    est_rank = rounds = None
     try:
-        if config.algorithm in ("minfind", "maxfind"):
-            find = min_find if config.algorithm == "minfind" else max_find
+        if algorithm in ("minfind", "maxfind"):
+            find = min_find if algorithm == "minfind" else max_find
             outcome = find(oracle, n, rng)
-            return TrialReport(trial, outcome.element, None, None, None,
-                               outcome.ledger.left_count,
-                               outcome.ledger.right_count, None)
-        if config.algorithm == "testle":
-            x = int(rng.integers(0, n))
-            outcome = rank_at_most(oracle, x, config.r, config.delta,
-                                   config.epsilon, rng)
-            return TrialReport(trial, x, None, None, None,
-                               outcome.ledger.left_count,
-                               outcome.ledger.right_count, None)
-        if config.algorithm == "rank":
-            x = int(rng.integers(0, n))
-            estimate = approximate_rank(oracle, x, config.delta, config.epsilon, rng)
-            return TrialReport(trial, x, estimate.rank, None, None,
-                               estimate.ledger.left_count,
-                               estimate.ledger.right_count, None)
-        outcome = approximate_select(oracle, n, config.k, config.delta,
-                                     config.epsilon, rng)
-        return TrialReport(trial, outcome.element, None, None, None,
-                           outcome.ledger.left_count,
-                           outcome.ledger.right_count, outcome.rounds_used)
+            element = outcome.element
+        elif algorithm in ("testle", "rank"):
+            element = (instance.element_with_rank(config.x_rank) if config.x_rank is not None
+                       else int(rng.integers(0, n)))
+            if algorithm == "testle":
+                outcome = rank_at_most(oracle, element, config.r, config.delta,
+                                       config.epsilon, rng)
+            else:
+                outcome = approximate_rank(oracle, element, config.delta, config.epsilon, rng)
+                est_rank = outcome.rank
+        else:
+            outcome = approximate_select(oracle, n, config.k, config.delta,
+                                         config.epsilon, rng)
+            element, rounds = outcome.element, outcome.rounds_used
     except OracleError as exc:
-        return TrialReport(trial, None, None, None, None, 0, 0, None,
-                           error=str(exc))
+        return TrialReport(trial, None, None, None, None, 0, 0, None, error=str(exc))
+    true_rank = success = None
+    if instance is not None and element is not None:
+        true_rank = exact_rank(instance, element)
+        success = _success(config, outcome, true_rank)
+    return TrialReport(trial, element, est_rank, true_rank, success,
+                       outcome.ledger.left_count, outcome.ledger.right_count, rounds)
 
 
 def summarize(config: ExperimentConfig, reports: Sequence[TrialReport]) -> dict:
@@ -255,26 +193,20 @@ def summarize(config: ExperimentConfig, reports: Sequence[TrialReport]) -> dict:
     return summary
 
 
-def _worker(args: tuple) -> TrialReport:
-    config, trial = args
-    return _run_builtin_trial(config, trial)
-
-
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialReport], dict]:
     """Execute all trials of a config and aggregate the results."""
     validate_config(config)
     if config.oracle.startswith("cmd:"):
         # exclusive-use oracle: one worker, one shared server process
         with ExternalOracle(config.oracle[4:], config.n) as oracle:
-            reports = [_run_external_trial(config, t, oracle)
-                       for t in range(config.trials)]
+            reports = [_run_trial(config, t, oracle) for t in range(config.trials)]
     elif config.workers > 1 and config.trials > 1:
         with multiprocessing.Pool(config.workers) as pool:
             chunk = max(1, config.trials // (config.workers * 4))
             args = [(config, t) for t in range(config.trials)]
-            reports = list(pool.imap(_worker, args, chunksize=chunk))
+            reports = pool.starmap(_run_trial, args, chunksize=chunk)
     else:
-        reports = [_run_builtin_trial(config, t) for t in range(config.trials)]
+        reports = [_run_trial(config, t) for t in range(config.trials)]
     return reports, summarize(config, reports)
 
 

@@ -16,12 +16,12 @@ shuffled position among those below x, which is uniform over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .oracle import CountingOracle, GroupTestOracle, QueryLedger, reversed_view
+from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
     arr = np.asarray(elements, dtype=np.int64)
     if arr.size == 0:
         raise InvalidParameterError("cannot take the minimum of an empty collection")
-    counting = CountingOracle(oracle)
+    counting, ledger = counted(oracle)
+    start = replace(ledger)
     idx = int(rng.integers(arr.size))
     x = int(arr[idx])
     iterations = 0
@@ -78,7 +79,7 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
             # consistent oracle can never sustain this many swaps
             raise RuntimeError("oracle answers are inconsistent with a total order")
         idx = int(np.nonzero(arr == x)[0][0])
-    return MinFindOutcome(element=x, iterations=iterations, ledger=counting.ledger)
+    return MinFindOutcome(element=x, iterations=iterations, ledger=ledger.since(start))
 
 
 def min_find(oracle: GroupTestOracle, n: int, rng: np.random.Generator) -> MinFindOutcome:
@@ -96,5 +97,9 @@ def min_find(oracle: GroupTestOracle, n: int, rng: np.random.Generator) -> MinFi
 
 
 def max_find(oracle: GroupTestOracle, n: int, rng: np.random.Generator) -> MinFindOutcome:
-    """Find the element of rank n: min-finding with every test reversed."""
-    return min_find(reversed_view(oracle), n, rng)
+    """Find the element of rank n: min-finding with every test reversed.
+
+    The reversal sits above the ledger, so the ledger counts left and
+    right tests as ``oracle`` sees them.
+    """
+    return min_find(reversed_view(counted(oracle)[0]), n, rng)

@@ -17,7 +17,12 @@ Adapters compose around a base oracle:
   a divisor divides the universe size.
 
 All oracles are immutable after construction; only the counting adapter's
-ledger mutates, which is why ledgers are per-run and never shared.
+ledger mutates.  Each run keeps one ledger: :func:`counted` gives an
+algorithm the caller's :class:`CountingOracle` when there is one, so
+nested calls share it, and each call reports its own queries as the
+ledger's growth over the call.  An algorithm that reverses the order does
+so above the ledger, so the ledger counts in the frame of the oracle the
+caller passed.
 """
 
 from __future__ import annotations
@@ -62,10 +67,28 @@ class QueryLedger:
     def total(self) -> int:
         return self.left_count + self.right_count
 
+    def since(self, start: QueryLedger) -> QueryLedger:
+        """Queries counted after ``start``, an earlier copy of this ledger."""
+        return QueryLedger(self.left_count - start.left_count,
+                           self.right_count - start.right_count)
 
-def _check_id(u: int, size: int) -> None:
-    if not 0 <= u < size:
-        raise InvalidParameterError(f"element id {u} outside universe of size {size}")
+
+def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
+    """Check that u and every id of V lie in 0..size-1.
+
+    Returns V itself when it is a numpy array long enough for the vector
+    path, and V as a Python sequence otherwise.
+    """
+    vector = isinstance(V, np.ndarray)
+    if vector and V.size <= _VECTOR_THRESHOLD:
+        V, vector = V.tolist(), False
+    if vector:
+        inside = 0 <= V.min() and V.max() < size
+    else:
+        inside = not V or (0 <= min(V) and max(V) < size)
+    if not (inside and 0 <= u < size):
+        raise InvalidParameterError(f"element id outside universe of size {size}")
+    return V
 
 
 class InstanceOracle(GroupTestOracle):
@@ -81,41 +104,32 @@ class InstanceOracle(GroupTestOracle):
     def instance(self) -> TotalOrderInstance:
         return self._instance
 
-    def right_test(self, u: int, V: IdSet) -> bool:
-        rl = self._rank_list
-        _check_id(u, self.size)
-        ru = rl[u]
-        if isinstance(V, np.ndarray) and V.size > _VECTOR_THRESHOLD:
-            if int(V.min()) < 0 or int(V.max()) >= self.size:
-                raise InvalidParameterError("element id in V outside universe")
-            return bool((self._ranks[V] <= ru).any())
-        ids = V.tolist() if isinstance(V, np.ndarray) else V
-        if not len(ids):
+    # Both tests come from one body with the direction bound when the
+    # class is built, so a query pays no extra call.  The short-row loop
+    # keeps its comparison inline in each direction: a direction test per
+    # element would slow the short rows that selection sends.
+    def _direction(left: bool):
+        def test(self, u: int, V: IdSet) -> bool:
+            ids = _checked_ids(u, V, self.size)
+            rl = self._rank_list
+            ru = rl[u]
+            if isinstance(ids, np.ndarray):
+                ranks = self._ranks[ids]
+                return bool((ranks >= ru).any() if left else (ranks <= ru).any())
+            if left:
+                for v in ids:
+                    if rl[v] >= ru:
+                        return True
+            else:
+                for v in ids:
+                    if rl[v] <= ru:
+                        return True
             return False
-        if min(ids) < 0 or max(ids) >= self.size:
-            raise InvalidParameterError("element id in V outside universe")
-        for v in ids:
-            if rl[v] <= ru:
-                return True
-        return False
+        return test
 
-    def left_test(self, u: int, V: IdSet) -> bool:
-        rl = self._rank_list
-        _check_id(u, self.size)
-        ru = rl[u]
-        if isinstance(V, np.ndarray) and V.size > _VECTOR_THRESHOLD:
-            if int(V.min()) < 0 or int(V.max()) >= self.size:
-                raise InvalidParameterError("element id in V outside universe")
-            return bool((self._ranks[V] >= ru).any())
-        ids = V.tolist() if isinstance(V, np.ndarray) else V
-        if not len(ids):
-            return False
-        if min(ids) < 0 or max(ids) >= self.size:
-            raise InvalidParameterError("element id in V outside universe")
-        for v in ids:
-            if rl[v] >= ru:
-                return True
-        return False
+    left_test = _direction(True)
+    right_test = _direction(False)
+    del _direction
 
 
 class CountingOracle(GroupTestOracle):
@@ -159,6 +173,20 @@ def reversed_view(oracle: GroupTestOracle) -> GroupTestOracle:
     return _ReversedOracle(oracle)
 
 
+def counted(oracle: GroupTestOracle) -> tuple[GroupTestOracle, QueryLedger]:
+    """The oracle an algorithm should query, and the ledger that counts it.
+
+    A :class:`CountingOracle`, passed bare or under one reversed view, is
+    reused as it is, so nested calls count into one ledger; any other
+    oracle gets exactly one new counting adapter.
+    """
+    below = oracle._inner if isinstance(oracle, _ReversedOracle) else oracle
+    if isinstance(below, CountingOracle):
+        return oracle, below.ledger
+    counting = CountingOracle(oracle)
+    return counting, counting.ledger
+
+
 class _PaddedOracle(GroupTestOracle):
     """Universe extended with dummy ids that sit above every real element.
 
@@ -172,44 +200,25 @@ class _PaddedOracle(GroupTestOracle):
         self._n_real = inner.size
         self.size = size
 
-    def right_test(self, u: int, V: IdSet) -> bool:
-        nr = self._n_real
-        _check_id(u, self.size)
-        ids = V.tolist() if isinstance(V, np.ndarray) else V
-        if not len(ids):
-            return False
-        if min(ids) < 0 or max(ids) >= self.size:
-            raise InvalidParameterError("element id in V outside universe")
-        if u < nr:
-            # dummies are above every real element, so they never satisfy v <= u
+    def _direction(left: bool):
+        def test(self, u: int, V: IdSet) -> bool:
+            ids = _checked_ids(u, V, self.size)
+            nr = self._n_real
+            if u >= nr:
+                # u is a dummy: reals are strictly below it, dummies compare by id
+                return any(v >= u for v in ids) if left else any(v <= u for v in ids)
             reals = [v for v in ids if v < nr]
-            return self._inner.right_test(u, reals) if reals else False
-        # u is a dummy: all reals are below it, dummies compare by id
-        for v in ids:
-            if v < nr or v <= u:
-                return True
-        return False
+            if left and len(reals) < len(ids):
+                return True  # every dummy is above every real u
+            if not reals:
+                return False
+            inner = self._inner
+            return inner.left_test(u, reals) if left else inner.right_test(u, reals)
+        return test
 
-    def left_test(self, u: int, V: IdSet) -> bool:
-        nr = self._n_real
-        _check_id(u, self.size)
-        ids = V.tolist() if isinstance(V, np.ndarray) else V
-        if not len(ids):
-            return False
-        if min(ids) < 0 or max(ids) >= self.size:
-            raise InvalidParameterError("element id in V outside universe")
-        if u < nr:
-            reals = []
-            for v in ids:
-                if v >= nr:
-                    return True  # every dummy is above every real u
-                reals.append(v)
-            return self._inner.left_test(u, reals)
-        # u is a dummy: reals are strictly below it, dummies compare by id
-        for v in ids:
-            if v >= u:
-                return True
-        return False
+    left_test = _direction(True)
+    right_test = _direction(False)
+    del _direction
 
 
 def padded_view(oracle: GroupTestOracle, divisor: int) -> GroupTestOracle:

@@ -23,12 +23,12 @@ targets keep an exact decision boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .oracle import CountingOracle, GroupTestOracle, QueryLedger, reversed_view
+from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
         raise InvalidParameterError(f"element id {x} outside universe of size {n}")
     if not 0 < r < n:
         raise InvalidParameterError(f"target rank {r} outside (0, n) for n={n}")
-    counting = CountingOracle(oracle)
+    counting, ledger = counted(oracle)
+    start = replace(ledger)
     if r >= n / 2 + 0.5:
         # rank(x) <= r iff not (reversed rank(x) <= n - r + 1/2): the half
         # step centers the reversed target between the integer ranks on
@@ -138,4 +139,4 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
         answer, positives, params = _run_trials(counting, x, min(r, n / 2),
                                                 delta, epsilon, rng)
     return RankTestOutcome(answer=answer, positives=positives, params=params,
-                           ledger=counting.ledger)
+                           ledger=ledger.since(start))

@@ -13,14 +13,14 @@ legitimate outcome, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .minfind import min_find_among
-from .oracle import CountingOracle, GroupTestOracle, QueryLedger, reversed_view
+from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
 from .ranktest import rank_at_most
 
 
@@ -105,30 +105,30 @@ def approximate_select(oracle: GroupTestOracle, n: int, k: int, delta: float,
     Returns an element with probability at least 1/2; conditioned on
     returning one, it satisfies the band with probability at least
     1 - epsilon.  Targets above n/2 run under the reversed order with
-    k replaced by n - k + 1.
+    k replaced by n - k + 1; the reversal sits above the ledger.
     """
     if n < 1 or n > oracle.size:
         raise InvalidParameterError(f"universe size {n} invalid for oracle of size {oracle.size}")
     if not 1 <= k <= n:
         raise InvalidParameterError(f"target rank {k} outside 1..{n}")
-    work = oracle
+    work, ledger = counted(oracle)
+    start = replace(ledger)
     if k > n / 2:
-        work = reversed_view(oracle)
+        work = reversed_view(work)
         k = n - k + 1
     params = select_params(k, delta, epsilon)
-    counting = CountingOracle(work)
     upper_target = k + 0.75 * delta * k
     lower_target = k - 0.75 * delta * k
     for round_index in range(1, params.max_rounds + 1):
-        x = draw_candidate(counting, n, k, delta / 2.0, rng)
-        below_upper = rank_at_most(counting, x, upper_target, params.delta_upper,
+        x = draw_candidate(work, n, k, delta / 2.0, rng)
+        below_upper = rank_at_most(work, x, upper_target, params.delta_upper,
                                    params.epsilon_round, rng)
         if not below_upper.answer:
             continue
-        below_lower = rank_at_most(counting, x, lower_target, params.delta_lower,
+        below_lower = rank_at_most(work, x, lower_target, params.delta_lower,
                                    params.epsilon_round, rng)
         if not below_lower.answer:
             return SelectOutcome(found=True, element=x, rounds_used=round_index,
-                                 ledger=counting.ledger)
+                                 ledger=ledger.since(start))
     return SelectOutcome(found=False, element=None, rounds_used=params.max_rounds,
-                         ledger=counting.ledger)
+                         ledger=ledger.since(start))

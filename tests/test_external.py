@@ -1,5 +1,6 @@
 """Tests for the external-process oracle and its wire protocol."""
 
+import os
 import sys
 
 import numpy as np
@@ -65,10 +66,15 @@ class TestProtocolFailures:
             tmp_path,
             "import sys\n"
             "print('OK', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "print('MAYBE', flush=True)\n"
             "for line in sys.stdin:\n"
-            "    print('MAYBE', flush=True)\n",
+            "    print('Y', flush=True)\n",
         )
         with ExternalOracle(command, 8) as remote:
+            with pytest.raises(OracleProtocolError):
+                remote.left_test(0, [1])
+            # the session is over: a later well-formed reply is not trusted
             with pytest.raises(OracleProtocolError):
                 remote.left_test(0, [1])
 
@@ -94,3 +100,44 @@ class TestProtocolFailures:
         with ExternalOracle(command, 8) as remote:
             with pytest.raises(OracleProtocolError):
                 remote.right_test(0, [1])
+
+    def test_late_reply_never_answers_a_later_query(self, tmp_path):
+        # the first reply arrives after the client gave up on it; answering
+        # the next query with that stale N would be a false answer
+        command = script_command(
+            tmp_path,
+            "import sys, time\n"
+            "print('OK', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "time.sleep(0.6)\n"
+            "print('N', flush=True)\n"
+            "for line in sys.stdin:\n"
+            "    print('Y', flush=True)\n",
+        )
+        with ExternalOracle(command, 8, timeout=0.3) as remote:
+            with pytest.raises(OracleTimeoutError):
+                remote.left_test(0, [1])
+            with pytest.raises(OracleProtocolError):
+                remote.left_test(0, [1])
+            with pytest.raises(OracleProtocolError):
+                remote.right_test(0, [1])
+
+    def test_init_timeout_reaps_the_child(self, tmp_path):
+        pid_file = tmp_path / "server.pid"
+        command = script_command(
+            tmp_path,
+            "import os, time\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "time.sleep(60)\n",
+        )
+        with pytest.raises(OracleTimeoutError):
+            ExternalOracle(command, 8, timeout=1.0)
+        pid = int(pid_file.read_text())
+        try:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        finally:
+            try:
+                os.kill(pid, 9)
+            except ProcessLookupError:
+                pass

@@ -1,5 +1,6 @@
 """Tests for the experiment runner and report emission."""
 
+import hashlib
 import json
 import sys
 
@@ -93,6 +94,44 @@ class TestRunExperiment:
         a, _ = run_experiment(config)
         b, _ = run_experiment(config)
         assert render_csv(config, a) == render_csv(config, b)
+
+
+def reference_server(n, seed):
+    return f"cmd:{sys.executable} -m gtorder.oracle_server --n {n} --seed {seed}"
+
+
+# sha256 of render_csv at seed 0.  Reports must stay byte-identical from
+# one change to the next unless the change says why; the values also
+# depend on numpy's Generator streams (permutation, integers), so a numpy
+# release that changes those streams changes them too.
+GOLDEN_CSV_SHA256 = {
+    "minfind": (dict(algorithm="minfind", n=64, trials=20),
+                "34c6e872d768c8f4803a799212f16a2dea2bd363b323bd52a6e6511d18243013"),
+    "maxfind": (dict(algorithm="maxfind", n=64, trials=20),
+                "d7463a1f41c9f9264745b594340e916fbb109c03b240d22d123ab79c8fa2ac58"),
+    "testle_high_target": (dict(algorithm="testle", n=200, trials=10, r=170,
+                                delta=0.5, epsilon=0.2),
+                           "911eea40ae3294fa999ffd385a61d1c7f948691ebba4e2d698b76fc79377e255"),
+    "rank": (dict(algorithm="rank", n=64, trials=5, delta=0.4, epsilon=0.2),
+             "113d076572cc0b0cbd7d182e750b6516fc060773f298ac6f890f4b7b8631a70a"),
+    "select_low_target": (dict(algorithm="select", n=150, trials=3, k=30,
+                               delta=0.8, epsilon=0.3),
+                          "a04d91dbe2226fb7aa9c73d1e740f84820aa48307df7a544e2f87865b9a255f5"),
+    "select_high_target": (dict(algorithm="select", n=150, trials=3, k=120,
+                                delta=0.8, epsilon=0.3),
+                           "151da4d2853a8a2e683cb47077b4ede796aefc3af33084e37fb7cc7d6650d2d0"),
+    "external_maxfind": (dict(algorithm="maxfind", n=32, trials=5, fixed_instance=True,
+                              oracle=reference_server(32, 0)),
+                         "5fac91b14a633ddf01ea919a1843a8ae6839dab98e15f463debab80c8b187859"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_fixed_seed_reports_match_golden_digests(name):
+    fields, digest = GOLDEN_CSV_SHA256[name]
+    config = ExperimentConfig(seed=0, **fields)
+    reports, _ = run_experiment(config)
+    assert hashlib.sha256(render_csv(config, reports).encode("ascii")).hexdigest() == digest
 
 
 class TestValidation:

@@ -11,9 +11,14 @@ from gtorder import (
     CountingOracle,
     InstanceOracle,
     InvalidParameterError,
+    approximate_rank,
+    approximate_select,
     exact_rank,
     make_instance,
+    max_find,
+    min_find,
     padded_view,
+    rank_at_most,
     reversed_view,
 )
 
@@ -115,6 +120,56 @@ class TestCountingAdapter:
         assert counting.ledger.left_count == lefts
         assert counting.ledger.right_count == rights
         assert counting.ledger.total == Recorder.calls == 200
+
+
+# each run takes an oracle and a generator and returns an outcome with a ledger
+LEDGER_RUNS = {
+    "minfind": lambda o, rng: min_find(o, 32, rng),
+    "maxfind": lambda o, rng: max_find(o, 32, rng),
+    "testle_low_target": lambda o, rng: rank_at_most(o, 5, 8, 0.5, 0.2, rng),
+    "testle_high_target": lambda o, rng: rank_at_most(o, 5, 28, 0.5, 0.2, rng),
+    "rank": lambda o, rng: approximate_rank(o, 5, 0.5, 0.3, rng),
+    "select_low_target": lambda o, rng: approximate_select(o, 150, 30, 0.8, 0.3, rng),
+    "select_high_target": lambda o, rng: approximate_select(o, 150, 120, 0.8, 0.3, rng),
+}
+
+
+class TestOneLedger:
+    @pytest.mark.parametrize("name", sorted(LEDGER_RUNS))
+    def test_ledger_counts_in_the_frame_of_the_given_oracle(self, name, monkeypatch):
+        n = 150 if name.startswith("select") else 32
+        outer = CountingOracle(oracle_of(n, seed=0))
+        built = []
+        original_init = CountingOracle.__init__
+
+        def recording_init(self, inner):
+            built.append(inner)
+            original_init(self, inner)
+
+        monkeypatch.setattr(CountingOracle, "__init__", recording_init)
+        outcome = LEDGER_RUNS[name](outer, np.random.default_rng(0))
+        assert outer.ledger.total > 0
+        assert (outcome.ledger.left_count, outcome.ledger.right_count) == (
+            outer.ledger.left_count, outer.ledger.right_count)
+        assert built == []  # the caller's counting adapter is the only one
+
+    def test_counted_reuses_an_adapter_under_one_reversal(self):
+        from gtorder.oracle import counted
+
+        counting = CountingOracle(oracle_of(8))
+        assert counted(counting) == (counting, counting.ledger)
+        flipped = reversed_view(counting)
+        assert counted(flipped) == (flipped, counting.ledger)
+        fresh, ledger = counted(reversed_view(oracle_of(8)))
+        assert isinstance(fresh, CountingOracle) and ledger is fresh.ledger
+
+    def test_each_call_reports_only_its_own_queries(self):
+        outer = CountingOracle(oracle_of(32))
+        rng = np.random.default_rng(1)
+        first = min_find(outer, 32, rng)
+        second = max_find(outer, 32, rng)
+        assert first.ledger.total + second.ledger.total == outer.ledger.total
+        assert first.ledger.left_count == second.ledger.right_count == 0
 
 
 class TestReversedView:
