@@ -8,6 +8,7 @@ from .errors import (
     InvalidParameterError,
     OracleError,
     OracleProtocolError,
+    OracleRejectedError,
     OracleSpawnError,
     OracleTimeoutError,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "MinFindOutcome",
     "OracleError",
     "OracleProtocolError",
+    "OracleRejectedError",
     "OracleSpawnError",
     "OracleTimeoutError",
     "QueryLedger",

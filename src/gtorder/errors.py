@@ -19,3 +19,12 @@ class OracleProtocolError(OracleError):
 
 class OracleTimeoutError(OracleError):
     """The oracle subprocess did not reply within the deadline."""
+
+
+class OracleRejectedError(OracleError, InvalidParameterError):
+    """The oracle subprocess answered a query with ``ERR``.
+
+    It is an :class:`OracleError`, so the harness records the trial as an
+    error row and goes on, and an :class:`InvalidParameterError`, so a
+    direct caller can treat the rejected query as invalid input.
+    """

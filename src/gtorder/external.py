@@ -12,13 +12,15 @@ standard input/output, one query in flight at a time:
 server replies ``ERR <message>`` to any invalid input.
 
 Protocol violations surface as exceptions, never as false answers:
-a reply of ``ERR`` raises InvalidParameterError, any other unexpected
-reply raises OracleProtocolError, a missing reply raises
+a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
+InvalidParameterError), any other unexpected reply raises
+OracleProtocolError, a missing reply raises
 OracleTimeoutError, and a command that cannot be started raises
 OracleSpawnError.  After a timeout or a protocol error the stream can no
 longer be matched to its queries (a late reply would answer the next
 one), so every later query raises OracleProtocolError; an ``ERR`` reply
-leaves the session usable.
+leaves the session usable, and the harness records only the trial that
+received it as an error row.
 
 The companion entry point (``python -m gtorder.oracle_server --n N
 --seed S``) serves the protocol for a seeded builtin instance, which is the
@@ -41,6 +43,7 @@ from .errors import (
     InvalidParameterError,
     OracleError,
     OracleProtocolError,
+    OracleRejectedError,
     OracleSpawnError,
     OracleTimeoutError,
 )
@@ -150,7 +153,7 @@ class ExternalOracle(GroupTestOracle):
         if reply == "N":
             return False
         if reply.startswith("ERR"):
-            raise InvalidParameterError(f"oracle rejected query: {reply[3:].strip()}")
+            raise OracleRejectedError(f"oracle rejected query: {reply[3:].strip()}")
         self._failure = OracleProtocolError(f"malformed oracle reply {reply!r}")
         raise self._failure
 

@@ -9,6 +9,12 @@ A group test is a one-to-many order query against a hidden total order:
 against u itself are always true.  An empty V answers false (an empty
 existential).  Answers are noiseless functions of the hidden order.
 
+``left_test_batch``/``right_test_batch`` ask one test per row of a 2-D id
+array, for non-adaptive tests whose sets are all drawn before any answer
+is read.  Ids in size..n_eff-1 are dummy slots that satisfy neither test.
+The base class answers row by row through the single tests;
+:class:`InstanceOracle` answers the whole batch with one gather.
+
 Adapters compose around a base oracle:
 
 * :class:`CountingOracle` records how many queries of each kind were made,
@@ -55,6 +61,19 @@ class GroupTestOracle(ABC):
     def right_test(self, u: int, V: IdSet) -> bool:
         """True iff some v in V satisfies v <= u."""
 
+    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        """One left test per row of ``rows``, as a boolean array.
+
+        ``rows`` is a 2-D array of ids in 0..n_eff-1; ids from ``size`` on
+        are dummy slots that satisfy neither test.  Each row costs one
+        group test.
+        """
+        return _per_row(self.left_test, u, rows, n_eff, self.size)
+
+    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        """One right test per row of ``rows``; see :meth:`left_test_batch`."""
+        return _per_row(self.right_test, u, rows, n_eff, self.size)
+
 
 @dataclass(slots=True)
 class QueryLedger:
@@ -89,6 +108,29 @@ def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
     if not (inside and 0 <= u < size):
         raise InvalidParameterError(f"element id outside universe of size {size}")
     return V
+
+
+def _checked_rows(u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray:
+    """Check a batch: u in 0..size-1, n_eff >= size, and ``rows`` a 2-D
+    integer array of ids in 0..n_eff-1."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):
+        raise InvalidParameterError(f"a batch needs a 2-D integer id array, got shape {rows.shape}")
+    if n_eff < size:
+        raise InvalidParameterError(f"padded size {n_eff} below universe size {size}")
+    if not 0 <= u < size:
+        raise InvalidParameterError(f"element id outside universe of size {size}")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_eff):
+        raise InvalidParameterError(f"batch id outside padded universe of size {n_eff}")
+    return rows
+
+
+def _per_row(test, u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray:
+    """Answer a batch with one call of ``test`` per row, dummies left out."""
+    rows = _checked_rows(u, rows, n_eff, size).tolist()
+    if n_eff > size:
+        rows = [[v for v in row if v < size] for row in rows]
+    return np.fromiter((test(u, row) for row in rows), dtype=bool, count=len(rows))
 
 
 class InstanceOracle(GroupTestOracle):
@@ -131,6 +173,24 @@ class InstanceOracle(GroupTestOracle):
     right_test = _direction(False)
     del _direction
 
+    def _batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
+        # dummy slots get a sentinel rank that fails the comparison: 0 is
+        # below every u for a left test, n + 1 above every u for a right one
+        rows = _checked_rows(u, rows, n_eff, self.size)
+        ranks = self._ranks
+        if n_eff > self.size:
+            sentinel = 0 if left else self.size + 1
+            ranks = np.concatenate((ranks, np.full(n_eff - self.size, sentinel, ranks.dtype)))
+        ru = ranks[u]
+        gathered = ranks[rows]
+        return (gathered >= ru if left else gathered <= ru).any(axis=1)
+
+    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        return self._batch(u, rows, n_eff, True)
+
+    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        return self._batch(u, rows, n_eff, False)
+
 
 class CountingOracle(GroupTestOracle):
     """Pass-through adapter that counts every query in a fresh ledger."""
@@ -148,6 +208,14 @@ class CountingOracle(GroupTestOracle):
         self.ledger.right_count += 1
         return self._inner.right_test(u, V)
 
+    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        self.ledger.left_count += len(rows)
+        return self._inner.left_test_batch(u, rows, n_eff)
+
+    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        self.ledger.right_count += len(rows)
+        return self._inner.right_test_batch(u, rows, n_eff)
+
 
 class _ReversedOracle(GroupTestOracle):
     """View of an oracle under the reversed order: left and right swap."""
@@ -161,6 +229,12 @@ class _ReversedOracle(GroupTestOracle):
 
     def right_test(self, u: int, V: IdSet) -> bool:
         return self._inner.left_test(u, V)
+
+    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        return self._inner.right_test_batch(u, rows, n_eff)
+
+    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        return self._inner.left_test_batch(u, rows, n_eff)
 
 
 def reversed_view(oracle: GroupTestOracle) -> GroupTestOracle:

@@ -14,6 +14,10 @@ closed-form bounds p_low and p_high; the trial count is chosen so a
 Hoeffding bound caps the error probability at epsilon whenever the true
 rank is outside the band r +- delta * min(r, n - r).
 
+Every trial's sample is drawn before any answer is read, so the trials
+are non-adaptive: all of a test's trials go to the oracle as one batch
+(``right_test_batch``), one row and one group test per trial.
+
 Targets above n/2 are handled by running the test under the reversed
 order, where the rank of x becomes n - rank(x) + 1, and negating the
 answer; the reversed target sits half a step past n - r so that integer
@@ -92,19 +96,10 @@ def derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPar
 def _run_trials(oracle: GroupTestOracle, x: int, r: float, delta: float,
                 epsilon: float, rng: np.random.Generator) -> tuple[bool, int, RankTestParams]:
     params = derive_params(oracle.size, r, delta, epsilon)
-    n = oracle.size
     samples = rng.integers(0, params.n_eff, size=(params.trials, params.sample_size))
-    rows = samples.tolist()
-    if params.n_eff > n:
-        # sampled dummy ids can never lie below the real element x, so
-        # dropping them up front leaves every trial's answer (and its
-        # single group test) unchanged
-        rows = [[v for v in row if v < n] for row in rows]
-    right_test = oracle.right_test
-    positives = 0
-    for row in rows:
-        if right_test(x, row):
-            positives += 1
+    # sampled dummy ids can never lie below the real element x, which is
+    # what a dummy slot of the batch answers
+    positives = int(np.count_nonzero(oracle.right_test_batch(x, samples, params.n_eff)))
     return positives <= params.p_mid * params.trials, positives, params
 
 

@@ -232,3 +232,38 @@ class TestExternalOracleTrials:
         assert summary["errors"] >= 1
         failed = [r for r in reports if r.error is not None]
         assert failed and all(r.result_id is None for r in failed)
+
+    def test_rejected_query_becomes_one_error_row(self, tmp_path):
+        # the server answers for the identity order (rank of id i is i + 1)
+        # and rejects its query number argv[1]; every trial asks one test
+        script = tmp_path / "busy.py"
+        script.write_text(
+            "import sys\n"
+            "reject = int(sys.argv[1])\n"
+            "count = 0\n"
+            "for line in sys.stdin:\n"
+            "    op, *args = line.split()\n"
+            "    if op == 'INIT':\n"
+            "        print('OK', flush=True)\n"
+            "        continue\n"
+            "    count += 1\n"
+            "    if count == reject:\n"
+            "        print('ERR busy', flush=True)\n"
+            "        continue\n"
+            "    u, ids = int(args[0]), [int(v) for v in args[2:]]\n"
+            "    hit = any(v >= u for v in ids) if op == 'L' else any(v <= u for v in ids)\n"
+            "    print('Y' if hit else 'N', flush=True)\n"
+        )
+
+        def run(reject):
+            config = small_config(algorithm="testle", n=24, trials=5, r=6, delta=0.5,
+                                  epsilon=0.999999, fixed_instance=True,
+                                  oracle=f"cmd:{sys.executable} {script} {reject}")
+            return run_experiment(config)
+
+        clean, _ = run(0)
+        reports, summary = run(3)
+        assert summary["errors"] == 1
+        assert "busy" in reports[2].error
+        assert all(r.error is None for r in clean)
+        assert reports[:2] + reports[3:] == clean[:2] + clean[3:]

@@ -1,6 +1,7 @@
 """Tests for group-test semantics and the oracle adapters."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from gtorder import (
     CountingOracle,
+    ExternalOracle,
+    GroupTestOracle,
     InstanceOracle,
     InvalidParameterError,
     approximate_rank,
@@ -278,3 +281,118 @@ def test_adapters_agree_with_definitions(n, data):
     ru = rank_in_view(u)
     assert padded.right_test(u, V) == any(rank_in_view(v) <= ru for v in V)
     assert padded.left_test(u, V) == any(rank_in_view(v) >= ru for v in V)
+
+
+class PerRowOracle(GroupTestOracle):
+    """A user oracle that defines only the single tests, so batches take
+    the base class's per-row path."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.size = inner.size
+
+    def left_test(self, u, V):
+        return self._inner.left_test(u, V)
+
+    def right_test(self, u, V):
+        return self._inner.right_test(u, V)
+
+
+@st.composite
+def batches(draw, n):
+    """(u, rows, n_eff): a subject, a 2-D id array and a padded size."""
+    n_eff = n + draw(st.integers(0, 6))
+    trials = draw(st.integers(0, 6))
+    width = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(0, n_eff - 1), min_size=trials * width,
+                        max_size=trials * width))
+    u = draw(st.integers(0, n - 1))
+    return u, np.array(ids, dtype=np.int64).reshape(trials, width), n_eff
+
+
+def per_row(test, u, rows, n):
+    """The reference answer: one single test per row, dummy ids dropped."""
+    return [test(u, [v for v in row if v < n]) for row in rows.tolist()]
+
+
+class TestBatches:
+    @pytest.mark.parametrize("view", ["instance", "reversed", "per_row", "per_row_reversed"])
+    @given(n=st.integers(1, 24), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_per_row_tests(self, view, n, data):
+        oracle = oracle_of(n, seed=n)
+        if view.startswith("per_row"):
+            oracle = PerRowOracle(oracle)
+        if view.endswith("reversed"):
+            oracle = reversed_view(oracle)
+        u, rows, n_eff = data.draw(batches(n))
+        left = oracle.left_test_batch(u, rows, n_eff)
+        right = oracle.right_test_batch(u, rows, n_eff)
+        assert left.dtype == right.dtype == bool
+        assert left.tolist() == per_row(oracle.left_test, u, rows, n)
+        assert right.tolist() == per_row(oracle.right_test, u, rows, n)
+
+    @given(n=st.integers(1, 24), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counting_adds_one_query_per_row(self, n, data):
+        counting = CountingOracle(oracle_of(n, seed=n))
+        u, rows, n_eff = data.draw(batches(n))
+        left = counting.left_test_batch(u, rows, n_eff)
+        assert (counting.ledger.left_count, counting.ledger.right_count) == (len(rows), 0)
+        right = counting.right_test_batch(u, rows, n_eff)
+        assert (counting.ledger.left_count, counting.ledger.right_count) == (len(rows),) * 2
+        assert left.tolist() == per_row(counting.left_test, u, rows, n)
+        assert right.tolist() == per_row(counting.right_test, u, rows, n)
+
+    @given(n=st.integers(1, 24), divisor=st.integers(1, 7), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dummy_slots_follow_the_padding_law(self, n, divisor, data):
+        # the threshold test asks right tests, directly or under reversal;
+        # its dummy slots answer as padded_view's maximal dummies do
+        n_eff = divisor * ((n + divisor - 1) // divisor)
+        u, rows, _ = data.draw(batches(n))
+        rows = rows % n_eff
+        for view in (oracle_of(n, seed=n), reversed_view(oracle_of(n, seed=n))):
+            padded = padded_view(view, divisor)
+            assert view.right_test_batch(u, rows, n_eff).tolist() == [
+                padded.right_test(u, row) for row in rows.tolist()]
+
+
+@pytest.fixture(scope="module")
+def remote24():
+    command = [sys.executable, "-m", "gtorder.oracle_server", "--n", "24", "--seed", "24"]
+    with ExternalOracle(command, 24) as remote:
+        yield remote
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_external_batch_matches_builtin_per_row(remote24, data):
+    builtin = oracle_of(24, seed=24)
+    u, rows, n_eff = data.draw(batches(24))
+    assert remote24.left_test_batch(u, rows, n_eff).tolist() == per_row(
+        builtin.left_test, u, rows, 24)
+    assert remote24.right_test_batch(u, rows, n_eff).tolist() == per_row(
+        builtin.right_test, u, rows, 24)
+
+
+BAD_BATCHES = {
+    "negative_id": (1, [[0, -1]], 10),
+    "id_at_n_eff": (1, [[0, 10]], 10),
+    "u_negative": (-1, [[0, 1]], 10),
+    "u_at_size": (8, [[0, 1]], 10),
+    "u_dummy": (9, [[0, 1]], 10),
+    "n_eff_below_size": (1, [[0, 1]], 7),
+}
+
+
+@pytest.mark.parametrize("path", ["vector", "per_row"])
+@pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+def test_batch_validation(path, case):
+    oracle = oracle_of(8)
+    if path == "per_row":
+        oracle = PerRowOracle(oracle)
+    u, rows, n_eff = BAD_BATCHES[case]
+    for test in (oracle.left_test_batch, oracle.right_test_batch):
+        with pytest.raises(InvalidParameterError):
+            test(u, np.array(rows), n_eff)

@@ -11,6 +11,7 @@ from gtorder import (
     derive_params,
     make_instance,
     rank_at_most,
+    reversed_view,
 )
 
 
@@ -156,6 +157,27 @@ class TestRankAtMost:
         outcome = rank_at_most(oracle, 3, 80, 0.5, 0.2, rng)
         assert outcome.ledger.right_count == 0
         assert outcome.ledger.left_count == outcome.params.trials
+
+    @pytest.mark.parametrize("r", [130, 870])
+    def test_one_draw_and_the_per_row_count(self, r):
+        # the batch consumes the generator exactly as one (trials x
+        # sample_size) draw and counts what a loop of single right tests
+        # over the dummy-filtered rows counts; r=870 runs reversed
+        n, x = 1000, 17
+        oracle = InstanceOracle(make_instance(n, seed=11))
+        rng = np.random.default_rng(12)
+        outcome = rank_at_most(oracle, x, r, 0.3, 0.2, rng)
+        p = outcome.params
+        assert p.n_eff > n
+        fresh = np.random.default_rng(12)
+        samples = fresh.integers(0, p.n_eff, size=(p.trials, p.sample_size))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        right_test = oracle.right_test if r < n / 2 else reversed_view(oracle).right_test
+        positives = 0
+        for row in samples.tolist():
+            if right_test(x, [v for v in row if v < n]):
+                positives += 1
+        assert outcome.positives == positives
 
     def test_parameter_validation(self):
         oracle = InstanceOracle(make_instance(10, seed=0))
