@@ -1,20 +1,26 @@
 """Tests for the external-process oracle and its wire protocol."""
 
+import io
 import os
 import sys
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtorder import (
     ExternalOracle,
     InstanceOracle,
     InvalidParameterError,
     OracleProtocolError,
+    OracleRejectedError,
     OracleSpawnError,
     OracleTimeoutError,
     make_instance,
 )
+from gtorder.external import serve
 
 
 def reference_command(n, seed):
@@ -25,6 +31,32 @@ def script_command(tmp_path, body):
     path = tmp_path / "server.py"
     path.write_text(body)
     return [sys.executable, str(path)]
+
+
+def filtered_server(tmp_path, n, seed, hook):
+    """A script server that logs every line it receives and answers it
+    with the reference serve(), unless ``hook``, a statement run on each
+    ``line`` before serve() sees it, answers the line itself and
+    continues.  Returns the command and the log path."""
+    log = tmp_path / "received.log"
+    body = (
+        "import sys\n"
+        "from gtorder.external import serve\n"
+        "from gtorder.order import make_instance\n"
+        "def lines(log):\n"
+        "    for line in sys.stdin:\n"
+        "        log.write(line)\n"
+        "        log.flush()\n"
+        + textwrap.indent(textwrap.dedent(hook), " " * 8)
+        + "        yield line\n"
+        f"with open({str(log)!r}, 'w') as log:\n"
+        f"    serve(make_instance({n}, {seed}), lines(log), sys.stdout)\n"
+    )
+    return script_command(tmp_path, body), log
+
+
+def ops_received(log):
+    return [line.split()[0] for line in log.read_text().splitlines()]
 
 
 class TestReferenceServer:
@@ -141,3 +173,264 @@ class TestProtocolFailures:
                 os.kill(pid, 9)
             except ProcessLookupError:
                 pass
+
+
+class TestBatchOp:
+    # a server without the batch op rejects INIT <n> BATCH, or ignores BATCH
+    NO_BATCH_HOOKS = {
+        "err_then_ok": """
+            if line.split()[2:] == ["BATCH"]:
+                print("ERR malformed INIT", flush=True)
+                continue
+        """,
+        "plain_ok": """
+            if line.split()[2:] == ["BATCH"]:
+                line = line.replace(" BATCH", "")
+        """,
+    }
+
+    @pytest.mark.parametrize("server", sorted(NO_BATCH_HOOKS))
+    def test_fallback_asks_one_line_per_row(self, tmp_path, server):
+        n, seed = 20, 3
+        command, log = filtered_server(tmp_path, n, seed, self.NO_BATCH_HOOKS[server])
+        builtin = InstanceOracle(make_instance(n, seed))
+        rng = np.random.default_rng(4)
+        rows_sent = 0
+        with ExternalOracle(command, n) as remote:
+            for _ in range(20):
+                u = int(rng.integers(n))
+                n_eff = n + int(rng.integers(0, 4))
+                rows = rng.integers(0, n_eff, size=(int(rng.integers(1, 6)), 3))
+                for name in ("left_test_batch", "right_test_batch"):
+                    assert (getattr(remote, name)(u, rows, n_eff).tolist()
+                            == getattr(builtin, name)(u, rows, n_eff).tolist())
+                rows_sent += 2 * len(rows)
+        ops = ops_received(log)
+        assert ops[0] == "INIT" and "BL" not in ops and "BR" not in ops
+        assert len(ops) - ops.count("INIT") == rows_sent
+
+    @pytest.mark.parametrize("reply", ["YY", "YNYN", "YNX", "Y N", "yny", "OK"])
+    def test_malformed_batch_reply_ends_the_session(self, tmp_path, reply):
+        command, _ = filtered_server(tmp_path, 8, 0, f"""
+            if line.startswith("B"):
+                print({reply!r}, flush=True)
+                continue
+        """)
+        rows = np.array([[0, 1], [2, 3], [4, 5]])
+        with ExternalOracle(command, 8) as remote:
+            with pytest.raises(OracleProtocolError):
+                remote.right_test_batch(3, rows, 8)
+            with pytest.raises(OracleProtocolError):
+                remote.right_test(3, [3])
+            with pytest.raises(OracleProtocolError):
+                remote.left_test_batch(3, rows, 8)
+
+    def test_err_reply_to_a_batch_leaves_the_session_usable(self, tmp_path):
+        command, log = filtered_server(tmp_path, 8, 0, """
+            if line.startswith("BR 3 "):
+                print("ERR busy", flush=True)
+                continue
+        """)
+        builtin = InstanceOracle(make_instance(8, 0))
+        rows = np.array([[0, 1], [2, 3], [4, 5]])
+        with ExternalOracle(command, 8) as remote:
+            with pytest.raises(OracleRejectedError):
+                remote.right_test_batch(3, rows, 8)
+            assert (remote.right_test_batch(4, rows, 8).tolist()
+                    == builtin.right_test_batch(4, rows, 8).tolist())
+            assert remote.left_test(3, [5]) == builtin.left_test(3, [5])
+        assert ops_received(log) == ["INIT", "BR", "BR", "L"]
+
+    @pytest.mark.parametrize("replies", [("MAYBE",), ("ERR no", "OK BATCH"),
+                                         ("ERR no", "MAYBE"), ("OK BATCH OK",)])
+    def test_bad_handshake_is_a_protocol_error(self, tmp_path, replies):
+        command = script_command(
+            tmp_path,
+            "import sys\n"
+            f"for reply in {list(replies)!r}:\n"
+            "    sys.stdin.readline()\n"
+            "    print(reply, flush=True)\n"
+            "sys.stdin.read()\n",
+        )
+        with pytest.raises(OracleProtocolError):
+            ExternalOracle(command, 8)
+
+    def test_unread_batch_line_times_out(self, tmp_path):
+        # the line is far longer than a pipe holds; a server that stops
+        # reading must cost a timeout, not a client blocked in write
+        command = script_command(
+            tmp_path,
+            "import sys, time\n"
+            "sys.stdin.readline()\n"
+            "print('OK BATCH', flush=True)\n"
+            "time.sleep(60)\n",
+        )
+        rows = np.full((2000, 50), 999)
+        with ExternalOracle(command, 1000, timeout=0.5) as remote:
+            with pytest.raises(OracleTimeoutError):
+                remote.right_test_batch(3, rows, 1000)
+            with pytest.raises(OracleProtocolError):
+                remote.right_test(3, [3])
+
+
+def outcome(test, *args):
+    """A test's answer as a plain value, or "invalid" when it raises
+    InvalidParameterError."""
+    try:
+        answer = test(*args)
+    except InvalidParameterError:
+        return "invalid"
+    return answer.tolist() if isinstance(answer, np.ndarray) else answer
+
+
+class TestIdSafety:
+    N = 8
+    SINGLE = {
+        "negative_id": (3, [-1]),
+        "negative_id_among_valid": (3, [5, -1]),
+        "id_at_n": (3, [8]),
+        "id_far_out": (3, [10**12]),
+        "negative_u": (-1, [3]),
+        "u_at_n": (8, [3]),
+        "int64_ids": (np.int64(3), [np.int64(5), np.int64(0)]),
+        "int64_array": (3, np.array([5, 0, 7], dtype=np.int64)),
+        "int64_negative": (3, [np.int64(-1)]),
+        "set": (3, {7, 1, 4}),
+        "frozenset": (6, frozenset({0, 2})),
+    }
+    BATCH = {
+        "negative_id": (3, [[0, -1]], 10),
+        "id_at_n_eff": (3, [[0, 10]], 10),
+        "negative_u": (-1, [[0, 1]], 10),
+        "u_at_n": (8, [[0, 1]], 10),
+        "int64_u_and_n_eff": (np.int64(3), [[0, 9], [5, 8]], np.int64(10)),
+        "uint8_rows": (3, np.array([[0, 9], [5, 7]], dtype=np.uint8), 10),
+        "dummy_only_rows": (3, [[8, 9], [9, 9]], 10),
+        "n_eff_below_n": (3, [[0, 1]], 7),
+    }
+
+    @pytest.fixture(scope="class")
+    def oracles(self):
+        with ExternalOracle(reference_command(self.N, 11), self.N) as remote:
+            yield remote, InstanceOracle(make_instance(self.N, 11))
+
+    @pytest.mark.parametrize("case", sorted(SINGLE))
+    def test_single_query(self, oracles, case):
+        remote, builtin = oracles
+        u, V = self.SINGLE[case]
+        for name in ("left_test", "right_test"):
+            got = outcome(getattr(remote, name), u, V)
+            assert got in (outcome(getattr(builtin, name), u, V), "invalid")
+
+    @pytest.mark.parametrize("case", sorted(BATCH))
+    def test_batch(self, oracles, case):
+        remote, builtin = oracles
+        u, rows, n_eff = self.BATCH[case]
+        for name in ("left_test_batch", "right_test_batch"):
+            got = outcome(getattr(remote, name), u, np.array(rows), n_eff)
+            assert got in (outcome(getattr(builtin, name), u, np.array(rows), n_eff),
+                           "invalid")
+
+    def test_negative_id_is_never_read_as_another(self, oracles):
+        remote, builtin = oracles
+        # rank of the last id, so an id read modulo n would answer Y
+        u = int(np.argsort(builtin.instance.ranks)[-1])
+        for V in ([-1], [np.int64(-1)], np.array([-1])):
+            with pytest.raises(InvalidParameterError):
+                remote.right_test(u, V)
+        with pytest.raises(InvalidParameterError):
+            remote.right_test_batch(u, np.array([[-1, -1]]), self.N)
+        assert remote.right_test(u, [self.N - 1]) == builtin.right_test(u, [self.N - 1])
+
+
+# valid lines for a universe of 8 ids, and tokens to mutate them with
+FUZZ_N = 8
+VALID_LINES = [
+    "INIT 8", "INIT 8 BATCH", "L 3 2 0 7", "R 3 2 0 7", "L 5 0",
+    "BL 3 10 2 3 0 1 8 9 9 9", "BR 3 10 2 3 0 1 8 9 9 9", "BR 0 8 1 1 0",
+]
+TOKENS = st.one_of(
+    st.sampled_from(["\u00b2", "\u0663", "\uff11", "-1", "+1", "1_0", "0x1", "1e3", "08",
+                     "9" * 5000, "BATCH", "INIT", "L", "R", "BL", "BR", "Y", "\x00"]),
+    st.integers(-3, 12).map(str),
+    st.integers(0, 10**30).map(str),
+    st.text(st.characters(blacklist_characters="\n"), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def mutated_lines(draw):
+    tokens = draw(st.sampled_from(VALID_LINES)).split()
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        at = draw(st.integers(0, len(tokens)))
+        if edit == "insert":
+            tokens.insert(at, draw(TOKENS))
+        elif tokens and at < len(tokens):
+            if edit == "replace":
+                tokens[at] = draw(TOKENS)
+            else:
+                del tokens[at]
+    return draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
+
+
+def well_formed(line, reply):
+    if reply.startswith("ERR "):
+        return True
+    parts = line.split()
+    if reply in ("OK", "OK BATCH"):
+        return parts[0] == "INIT"
+    if parts[0] in ("L", "R"):
+        return reply in ("Y", "N")
+    if parts[0] in ("BL", "BR"):
+        return reply != "" and set(reply) <= {"Y", "N"} and len(reply) == int(parts[3])
+    return False
+
+
+@given(lines=st.lists(st.one_of(
+    mutated_lines(), st.text(st.characters(blacklist_characters="\n"), max_size=30)),
+    min_size=1, max_size=8))
+@example(lines=["INIT \u00b2"])
+@settings(max_examples=300, deadline=None)
+def test_serve_answers_every_line_and_never_raises(lines):
+    out = io.StringIO()
+    serve(make_instance(FUZZ_N, 5), io.StringIO("".join(line + "\n" for line in lines)), out)
+    replies = out.getvalue().split("\n")
+    assert replies.pop() == ""
+    assert len(replies) == len(lines)
+    for line, reply in zip(lines, replies):
+        assert well_formed(line, reply), (line, reply)
+
+
+INVALID_LINES = {
+    # digits outside ASCII
+    "INIT \u00b2": "ERR malformed INIT",
+    "INIT \u0668": "ERR malformed INIT",
+    "INIT \u0668 BATCH": "ERR malformed INIT",
+    "L 3 1 \u0663": "ERR malformed query",
+    "R \u0663 1 3": "ERR malformed query",
+    "L 3 \u0661 3": "ERR malformed query",
+    "BR 3 8 1 1 \u0663": "ERR malformed batch",
+    "BL 3 \uff18 1 1 0": "ERR malformed batch",
+    "BR 3 8 \u0661 1 0": "ERR malformed batch",
+    # batch ids outside 0..n_eff-1, and rows of no ids
+    "BR 3 10 1 2 0 10": "ERR batch id outside",
+    "BL 3 10 1 2 -1 0": "ERR batch id outside",
+    "BR 3 8 1 1 8": "ERR batch id outside",
+    "BR 3 8 2 0": "ERR malformed batch",
+}
+
+
+@pytest.mark.parametrize("line", sorted(INVALID_LINES))
+def test_serve_rejects_invalid_lines(line):
+    out = io.StringIO()
+    serve(make_instance(FUZZ_N, 5), io.StringIO(line + "\n"), out)
+    assert out.getvalue().startswith(INVALID_LINES[line])
+
+
+@pytest.mark.parametrize("line", VALID_LINES)
+def test_serve_answers_valid_lines(line):
+    out = io.StringIO()
+    serve(make_instance(FUZZ_N, 5), io.StringIO(line + "\n"), out)
+    reply = out.getvalue()
+    assert not reply.startswith("ERR") and well_formed(line, reply.rstrip("\n"))

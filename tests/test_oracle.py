@@ -370,10 +370,18 @@ def remote24():
 def test_external_batch_matches_builtin_per_row(remote24, data):
     builtin = oracle_of(24, seed=24)
     u, rows, n_eff = data.draw(batches(24))
-    assert remote24.left_test_batch(u, rows, n_eff).tolist() == per_row(
-        builtin.left_test, u, rows, 24)
-    assert remote24.right_test_batch(u, rows, n_eff).tolist() == per_row(
-        builtin.right_test, u, rows, 24)
+    lines = []
+    exchange = remote24._exchange
+    remote24._exchange = lambda line: lines.append(line) or exchange(line)
+    try:
+        assert remote24.left_test_batch(u, rows, n_eff).tolist() == per_row(
+            builtin.left_test, u, rows, 24)
+        assert remote24.right_test_batch(u, rows, n_eff).tolist() == per_row(
+            builtin.right_test, u, rows, 24)
+    finally:
+        del remote24._exchange
+    # the reference server has the batch op: one line per non-empty batch
+    assert [line.split()[0] for line in lines] == (["BL", "BR"] if rows.size else [])
 
 
 BAD_BATCHES = {
