@@ -22,8 +22,10 @@ id array, sent row after row; they mirror
 n..n_eff-1 are dummy slots that satisfy neither test; ``rows`` and
 ``width`` are at least 1.  The reply is one line of ``rows`` characters,
 each ``Y`` or ``N``.  Batches serve non-adaptive tests, such as the trials
-of a threshold test; a swap step depends on the answer before it and
-stays one ``L``/``R`` line per test.
+of a threshold test.  A swap descent is asked level by level, one
+``L``/``R`` line per level, each the test on one half of the range the
+answer before it left; only the in-process oracle answers a whole
+descent at once.
 
 The batch op is agreed at ``INIT``: a server that has it answers
 ``INIT <n> BATCH`` with ``OK BATCH``.  A server that answers ``OK``, or

@@ -12,6 +12,9 @@ At each of the exactly ceil(log2 |A|) levels it asks one right test on
 the occupied left half and moves into whichever half must contain an
 element below x.  The element returned is the one holding the smallest
 shuffled position among those below x, which is uniform over them.
+The descent is the oracle's ``right_descent``: the in-process oracle
+answers all of its levels from one gather, every other oracle level by
+level, and each level is one query on the ledger either way.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ class MinFindOutcome:
     ledger: QueryLedger
 
 
+def _id_array(ids, what: str) -> np.ndarray:
+    """``ids`` as a 1-D integer array; anything else is rejected."""
+    arr = np.asarray(ids)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise InvalidParameterError(
+            f"{what} must be a 1-D sequence of integer ids, got shape {arr.shape} "
+            f"of {arr.dtype}")
+    return arr
+
+
 def swap(oracle: GroupTestOracle, A, x: int, rng: np.random.Generator) -> int:
     """Return an element of A that is <= x, uniformly among those.
 
@@ -40,45 +53,44 @@ def swap(oracle: GroupTestOracle, A, x: int, rng: np.random.Generator) -> int:
     descent still completes (and still costs ceil(log2 |A|) tests) but
     the element returned is incorrect.  |A| = 1 costs no queries.
     """
-    arr = np.asarray(A)
+    arr = _id_array(A, "a swap's candidate set")
     m = arr.size
     if m == 0:
         raise InvalidParameterError("swap needs a nonempty candidate set")
     if m == 1:
         return int(arr[0])
     arr = rng.permutation(arr)
-    lo = 0
-    span = 1 << (m - 1).bit_length()
-    while span > 1:
-        half = span >> 1
-        left = arr[lo : min(lo + half, m)]
-        if not oracle.right_test(x, left):
-            lo += half
-        span = half
-    return int(arr[min(lo, m - 1)])
+    return int(arr[oracle.right_descent(x, arr)])
 
 
 def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) -> MinFindOutcome:
-    """Find the minimum of an explicit element collection."""
-    arr = np.asarray(elements, dtype=np.int64)
+    """Find the minimum of an explicit collection of distinct ids."""
+    arr = _id_array(elements, "the collection")
     if arr.size == 0:
         raise InvalidParameterError("cannot take the minimum of an empty collection")
+    arr = arr.astype(np.int64, copy=False)
     counting, ledger = counted(oracle)
     start = replace(ledger)
     idx = int(rng.integers(arr.size))
     x = int(arr[idx])
     iterations = 0
     while arr.size > 1:
-        rest = np.delete(arr, idx)
+        rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
         if not counting.right_test(x, rest):
             break
         x = swap(counting, rest, x, rng)
         iterations += 1
         if iterations > arr.size:
             # the candidate's rank strictly decreases every round, so a
-            # consistent oracle can never sustain this many swaps
+            # consistent oracle can never sustain this many swaps, unless
+            # an id repeats and a swap can return the candidate's twin
+            values, counts = np.unique(arr, return_counts=True)
+            repeated = values[counts > 1]
+            if repeated.size:
+                raise InvalidParameterError(
+                    f"the collection repeats ids {repeated[:10].tolist()}")
             raise RuntimeError("oracle answers are inconsistent with a total order")
-        idx = int(np.nonzero(arr == x)[0][0])
+        idx = int((arr == x).argmax())
     return MinFindOutcome(element=x, iterations=iterations, ledger=ledger.since(start))
 
 

@@ -15,6 +15,15 @@ is read.  Ids in size..n_eff-1 are dummy slots that satisfy neither test.
 The base class answers row by row through the single tests;
 :class:`InstanceOracle` answers the whole batch with one gather.
 
+``left_descent``/``right_descent`` run the binary descent of min-finding's
+swap over an id array: one test per level on the occupied left half of
+the current range, ceil(log2 m) tests in all.  The base class asks them
+one at a time, each an ordinary single test, so every other oracle (the
+line protocol included) answers level by level.  Every level tests a
+contiguous slice of the same array, so the descent ends at the first
+position holding an element below (above) u, or at m - 1 if none does;
+:class:`InstanceOracle` finds that position with one gather.
+
 Adapters compose around a base oracle:
 
 * :class:`CountingOracle` records how many queries of each kind were made,
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -73,6 +83,21 @@ class GroupTestOracle(ABC):
     def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
         """One right test per row of ``rows``; see :meth:`left_test_batch`."""
         return _per_row(self.right_test, u, rows, n_eff, self.size)
+
+    def left_descent(self, u: int, arr: np.ndarray) -> int:
+        """Where a descent of left tests over the 1-D id array ``arr`` ends.
+
+        Lays ``arr`` on a power-of-two index range and, at each of the
+        ceil(log2 m) levels, asks one left test on the occupied left half
+        of the current range, moving right when it answers false.  The
+        result is the first position whose id v satisfies u <= v, or
+        m - 1 if none does.  Each level costs one group test.
+        """
+        return _descend(self.left_test, u, arr, self.size)
+
+    def right_descent(self, u: int, arr: np.ndarray) -> int:
+        """The descent of :meth:`left_descent` with right tests (v <= u)."""
+        return _descend(self.right_test, u, arr, self.size)
 
 
 @dataclass(slots=True)
@@ -125,6 +150,32 @@ def _checked_rows(u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray
     return rows
 
 
+def _checked_descent(u: int, arr: np.ndarray, size: int) -> np.ndarray:
+    """Check a descent: u in 0..size-1 and ``arr`` a nonempty 1-D integer
+    array of ids in 0..size-1."""
+    arr = np.asarray(arr)
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+        raise InvalidParameterError(
+            f"a descent needs a nonempty 1-D integer id array, got shape {arr.shape}")
+    if not (0 <= u < size and 0 <= arr.min() and arr.max() < size):
+        raise InvalidParameterError(f"element id outside universe of size {size}")
+    return arr
+
+
+def _descend(test, u: int, arr: np.ndarray, size: int) -> int:
+    """A descent asked one ``test`` per level."""
+    arr = _checked_descent(u, arr, size)
+    m = arr.size
+    lo = 0
+    span = 1 << (m - 1).bit_length()
+    while span > 1:
+        half = span >> 1
+        if not test(u, arr[lo : min(lo + half, m)]):
+            lo += half
+        span = half
+    return min(lo, m - 1)
+
+
 def _per_row(test, u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray:
     """Answer a batch with one call of ``test`` per row, dummies left out."""
     rows = _checked_rows(u, rows, n_eff, size).tolist()
@@ -139,12 +190,16 @@ class InstanceOracle(GroupTestOracle):
     def __init__(self, instance: TotalOrderInstance):
         self._instance = instance
         self._ranks = instance.ranks
-        self._rank_list = instance.ranks.tolist()
         self.size = instance.n
 
     @property
     def instance(self) -> TotalOrderInstance:
         return self._instance
+
+    @cached_property
+    def _rank_list(self) -> list[int]:
+        # only short tests read ranks as Python ints; built on first use
+        return self._ranks.tolist()
 
     # Both tests come from one body with the direction bound when the
     # class is built, so a query pays no extra call.  The short-row loop
@@ -153,11 +208,12 @@ class InstanceOracle(GroupTestOracle):
     def _direction(left: bool):
         def test(self, u: int, V: IdSet) -> bool:
             ids = _checked_ids(u, V, self.size)
-            rl = self._rank_list
-            ru = rl[u]
             if isinstance(ids, np.ndarray):
+                ru = self._ranks[u]
                 ranks = self._ranks[ids]
                 return bool((ranks >= ru).any() if left else (ranks <= ru).any())
+            rl = self._rank_list
+            ru = rl[u]
             if left:
                 for v in ids:
                     if rl[v] >= ru:
@@ -191,6 +247,23 @@ class InstanceOracle(GroupTestOracle):
     def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
         return self._batch(u, rows, n_eff, False)
 
+    def _descent(self, u: int, arr: np.ndarray, left: bool) -> int:
+        # every level of the descent tests a slice of arr, so one gather
+        # finds the first hit, which is where the descent ends
+        arr = _checked_descent(u, arr, self.size)
+        ranks = self._ranks
+        ru = ranks[u]
+        gathered = ranks[arr]
+        hits = gathered >= ru if left else gathered <= ru
+        first = int(hits.argmax())
+        return first if hits[first] else arr.size - 1
+
+    def left_descent(self, u: int, arr: np.ndarray) -> int:
+        return self._descent(u, arr, True)
+
+    def right_descent(self, u: int, arr: np.ndarray) -> int:
+        return self._descent(u, arr, False)
+
 
 class CountingOracle(GroupTestOracle):
     """Pass-through adapter that counts every query in a fresh ledger."""
@@ -216,6 +289,15 @@ class CountingOracle(GroupTestOracle):
         self.ledger.right_count += len(rows)
         return self._inner.right_test_batch(u, rows, n_eff)
 
+    # a descent over m ids asks ceil(log2 m) tests, however it is answered
+    def left_descent(self, u: int, arr: np.ndarray) -> int:
+        self.ledger.left_count += (len(arr) - 1).bit_length()
+        return self._inner.left_descent(u, arr)
+
+    def right_descent(self, u: int, arr: np.ndarray) -> int:
+        self.ledger.right_count += (len(arr) - 1).bit_length()
+        return self._inner.right_descent(u, arr)
+
 
 class _ReversedOracle(GroupTestOracle):
     """View of an oracle under the reversed order: left and right swap."""
@@ -235,6 +317,12 @@ class _ReversedOracle(GroupTestOracle):
 
     def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
         return self._inner.left_test_batch(u, rows, n_eff)
+
+    def left_descent(self, u: int, arr: np.ndarray) -> int:
+        return self._inner.right_descent(u, arr)
+
+    def right_descent(self, u: int, arr: np.ndarray) -> int:
+        return self._inner.left_descent(u, arr)
 
 
 def reversed_view(oracle: GroupTestOracle) -> GroupTestOracle:

@@ -12,6 +12,7 @@ claims are exact.  All randomness derives from the suite seed.
 
 from __future__ import annotations
 
+import copy
 import sys
 import time
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from .apxrank import approximate_rank
 from .external import ExternalOracle
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .minfind import min_find, swap
-from .oracle import CountingOracle, InstanceOracle, padded_view, reversed_view
+from .oracle import (CountingOracle, GroupTestOracle, InstanceOracle, padded_view,
+                     reversed_view)
 from .order import exact_rank, make_instance
 from .ranktest import derive_params, rank_at_most
 from .selection import approximate_select, draw_candidate
@@ -87,7 +89,33 @@ SWAP_LEDGER_SIZES = (3, 4, 5, 6, 7, 9, 16, 17, 33, 64, 65, 129, 257, 513, 1025)
 SWAP_LEDGER_RUNS = 25
 
 
+class _PerQueryOracle(GroupTestOracle):
+    """Forwards single tests only, so every descent takes the base class's
+    one-test-per-level path and each level reaches the oracle below."""
+
+    def __init__(self, inner: GroupTestOracle):
+        self._inner = inner
+        self.size = inner.size
+
+    def left_test(self, u, V):
+        return self._inner.left_test(u, V)
+
+    def right_test(self, u, V):
+        return self._inner.right_test(u, V)
+
+
+def _per_query(oracle: GroupTestOracle) -> tuple[GroupTestOracle, CountingOracle]:
+    """``oracle`` asked one test per descent level, and the adapter below
+    that counts those tests as they are made."""
+    counting = CountingOracle(oracle)
+    return _PerQueryOracle(counting), counting
+
+
 def check_swap_query_count(seed: int) -> CheckResult:
+    # A counting adapter charges a descent ceil(log2 m) by formula, so each
+    # swap is also replayed, from the same generator state, with its levels
+    # asked and counted one by one; both must return the same element and
+    # the same ledger.
     start = time.monotonic()
     rng = _rng(seed, 2)
     seeds = _seed_stream(rng)
@@ -98,25 +126,33 @@ def check_swap_query_count(seed: int) -> CheckResult:
         x = instance.element_with_rank(n)  # the maximum: every other element is below
         rest = np.delete(np.arange(n), x)
         counting = CountingOracle(oracle)
+        per_query, asked = _per_query(oracle)
+        replay = swap(per_query, rest, x, copy.deepcopy(rng))
         result = swap(counting, rest, x, rng)
         expected = _ceil_log2(n - 1)
-        if counting.ledger.total != expected or exact_rank(instance, result) > n:
-            bad.append((n, counting.ledger.total, expected))
+        if (asked.ledger.total != expected or counting.ledger != asked.ledger
+                or result != replay or result not in rest):
+            bad.append((n, counting.ledger.total, asked.ledger.total, expected))
     # the same exactness, exercised through full min-finding runs: the
     # total is (iterations + 1) condition checks plus iterations swaps
     for n in SWAP_LEDGER_SIZES:
         per_swap = _ceil_log2(n - 1)
         for _ in range(SWAP_LEDGER_RUNS):
             instance = make_instance(n, next(seeds))
+            per_query, asked = _per_query(InstanceOracle(instance))
+            replay = min_find(per_query, n, copy.deepcopy(rng))
             outcome = min_find(InstanceOracle(instance), n, rng)
             expected_total = (outcome.iterations + 1) + outcome.iterations * per_swap
-            if outcome.ledger.total != expected_total:
-                bad.append((n, outcome.ledger.total, expected_total))
+            if (asked.ledger.total != expected_total or outcome.ledger != asked.ledger
+                    or (outcome.element, outcome.iterations)
+                    != (replay.element, replay.iterations)):
+                bad.append((n, outcome.ledger.total, asked.ledger.total, expected_total))
     elapsed = time.monotonic() - start
     return CheckResult(
         "swap_query_count", not bad,
-        (f"exact ceil(log2(n-1)) tests for all n in 3..1025"
-         if not bad else f"deviations at {bad[:5]}"),
+        ("exact ceil(log2(n-1)) tests for all n in 3..1025, "
+         "asked per level and fused alike"
+         if not bad else f"deviations (n, fused, per level, expected) at {bad[:5]}"),
         elapsed,
     )
 

@@ -5,6 +5,7 @@ import pytest
 
 from gtorder import (
     CountingOracle,
+    GroupTestOracle,
     InstanceOracle,
     InvalidParameterError,
     exact_rank,
@@ -93,6 +94,30 @@ class TestMinFind:
         with pytest.raises(InvalidParameterError):
             min_find_among(oracle, [], rng)
 
+    def test_rejects_ids_that_are_not_integers(self):
+        oracle = InstanceOracle(make_instance(10, seed=0))
+        rng = np.random.default_rng(0)
+        for elements in ([1.5, 2.0], np.array([1.0, 2.0]), [[1, 2], [3, 4]], [True, False]):
+            with pytest.raises(InvalidParameterError):
+                min_find_among(oracle, elements, rng)
+
+    def test_repeated_ids_are_named_not_blamed_on_the_oracle(self):
+        instance = make_instance(10, seed=0)
+        low, high = instance.element_with_rank(1), instance.element_with_rank(5)
+        rng = np.random.default_rng(0)
+        for elements in ([low, low, high], [low, low]):
+            with pytest.raises(InvalidParameterError, match=f"repeats ids \\[{low}\\]"):
+                min_find_among(InstanceOracle(instance), elements, rng)
+
+    def test_min_find_among_accepts_any_integer_dtype(self):
+        instance = make_instance(40, seed=6)
+        oracle = InstanceOracle(instance)
+        subset = [instance.element_with_rank(r) for r in (7, 12, 30, 39)]
+        for dtype in (np.uint8, np.int32, np.int64):
+            outcome = min_find_among(oracle, np.array(subset, dtype=dtype),
+                                     np.random.default_rng(1))
+            assert outcome.element == subset[0]
+
     def test_min_find_among_a_subset(self):
         instance = make_instance(40, seed=6)
         oracle = InstanceOracle(instance)
@@ -167,9 +192,47 @@ class TestSwap:
         with pytest.raises(InvalidParameterError):
             swap(oracle, [], 0, np.random.default_rng(0))
 
+    def test_rejects_sets_that_are_not_1d_integer_arrays(self):
+        oracle = InstanceOracle(make_instance(10, seed=0))
+        rng = np.random.default_rng(0)
+        for A in ({1, 2, 3}, np.arange(4).reshape(2, 2), [1.5, 2.0], np.array(3)):
+            with pytest.raises(InvalidParameterError):
+                swap(oracle, A, 7, rng)
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_out_of_range_ids_rejected(self, bad):
+        oracle = InstanceOracle(make_instance(10, seed=0))
+        for position in range(6):
+            A = np.arange(6)
+            A[position] = bad
+            with pytest.raises(InvalidParameterError):
+                swap(oracle, A, 7, np.random.default_rng(0))
+        with pytest.raises(InvalidParameterError):
+            swap(oracle, np.arange(6), bad, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 64, 1000])
+    def test_draws_exactly_one_permutation(self, m):
+        instance = make_instance(m + 1, seed=m)
+        x = instance.element_with_rank(m // 2 + 1)
+        A = np.delete(np.arange(m + 1), x)
+        rng = np.random.default_rng(m)
+        bare = np.random.default_rng(m)
+        shuffled = bare.permutation(A)
+        result = swap(InstanceOracle(instance), A, x, rng)
+        assert rng.bit_generator.state == bare.bit_generator.state
+        # the first shuffled element below x is the one returned
+        assert result == next(v for v in shuffled if instance.ranks[v] <= instance.ranks[x])
+
 
 class RecordingOracle(InstanceOracle):
-    """Test double that logs every query for transcript comparison."""
+    """Test double that logs every query for transcript comparison.
+
+    Its descents take the base class's path, one single test per level,
+    so the swap tests reach the log too.
+    """
+
+    left_descent = GroupTestOracle.left_descent
+    right_descent = GroupTestOracle.right_descent
 
     def __init__(self, instance):
         super().__init__(instance)
@@ -206,8 +269,15 @@ class TestMaxFind:
         instance = make_instance(24, seed=14)
         mirrored = TotalOrderInstance(n=24, ranks=24 + 1 - instance.ranks)
         a = RecordingOracle(mirrored)
-        min_find(a, 24, np.random.default_rng(123))
+        outcome = min_find(a, 24, np.random.default_rng(123))
         b = RecordingOracle(instance)
         max_find(b, 24, np.random.default_rng(123))
         flipped = [("L" if kind == "R" else "R", u, V) for kind, u, V in a.transcript]
         assert b.transcript == flipped
+        # each round asks one condition test on all 23 others, and each
+        # swap ceil(log2 23) = 5 descent tests on fewer ids
+        assert outcome.iterations >= 1
+        sizes = [len(V) for _, _, V in a.transcript]
+        assert sizes.count(23) == outcome.iterations + 1
+        assert len(sizes) == outcome.iterations + 1 + outcome.iterations * ceil_log2(23)
+        assert outcome.ledger.total == len(sizes)

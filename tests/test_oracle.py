@@ -404,3 +404,85 @@ def test_batch_validation(path, case):
     for test in (oracle.left_test_batch, oracle.right_test_batch):
         with pytest.raises(InvalidParameterError):
             test(u, np.array(rows), n_eff)
+
+
+# sizes of the descent tests: every m up to 70, and a few up to 4096
+DESCENT_SIZES = [*range(2, 71), 127, 128, 129, 1000, 4095, 4096]
+
+
+def descent_cases(m):
+    """(instance, u, arr): arr holds m ids other than u, shuffled, and u sits
+    above all of them, below all of them, and in between."""
+    instance = make_instance(m + 1, seed=m)
+    rng = np.random.default_rng(m)
+    for rank in (m + 1, 1, m // 2 + 1):
+        u = instance.element_with_rank(rank)
+        yield instance, u, rng.permutation(np.delete(np.arange(m + 1), u))
+
+
+def descent_end(ranks, u, arr, left):
+    """The reference: the first position satisfying the test, else m - 1."""
+    hits = [(ranks[v] >= ranks[u]) if left else (ranks[v] <= ranks[u]) for v in arr]
+    return hits.index(True) if any(hits) else len(arr) - 1
+
+
+class TestDescents:
+    @pytest.mark.parametrize("view", ["direct", "reversed", "stacked"])
+    def test_fused_descent_matches_the_per_level_descent(self, view):
+        for m in DESCENT_SIZES:
+            for instance, u, arr in descent_cases(m):
+                base = InstanceOracle(instance)
+                fused = [CountingOracle(base)]
+                if view == "stacked":
+                    fused.append(CountingOracle(fused[0]))
+                asked = CountingOracle(base)
+                top, per_level = fused[-1], PerRowOracle(asked)
+                ranks = instance.ranks
+                if view == "reversed":
+                    top, per_level = reversed_view(top), reversed_view(per_level)
+                    ranks = m + 2 - ranks
+                for left, name in ((True, "left_descent"), (False, "right_descent")):
+                    end = getattr(top, name)(u, arr)
+                    assert type(end) is int
+                    assert end == getattr(per_level, name)(u, arr) == descent_end(
+                        ranks, u, arr, left)
+                # the base ledger: one test per level on each side, answered
+                # or not, and the fused ledgers charge exactly that
+                levels = (m - 1).bit_length()
+                assert (asked.ledger.left_count, asked.ledger.right_count) == (levels, levels)
+                assert all(counting.ledger == asked.ledger for counting in fused)
+
+    def test_no_hit_ends_at_the_last_position_at_full_cost(self):
+        for m in (2, 3, 5, 64, 65, 4096):
+            instance, u, arr = next(descent_cases(m))  # u above every id of arr
+            for oracle in (InstanceOracle(instance), PerRowOracle(InstanceOracle(instance))):
+                counting = CountingOracle(oracle)
+                assert counting.left_descent(u, arr) == m - 1
+                assert counting.ledger.left_count == (m - 1).bit_length()
+
+    def test_single_id_ends_at_zero_without_a_test(self):
+        fused, asked = CountingOracle(oracle_of(4)), CountingOracle(oracle_of(4))
+        for oracle in (fused, PerRowOracle(asked)):
+            assert oracle.right_descent(2, np.array([1])) == 0
+            assert oracle.left_descent(2, np.array([3])) == 0
+        assert fused.ledger.total == asked.ledger.total == 0
+
+    @pytest.mark.parametrize("path", ["fused", "per_level", "reversed"])
+    def test_descent_validation(self, path):
+        oracle = oracle_of(8)
+        if path == "per_level":
+            oracle = PerRowOracle(oracle)
+        elif path == "reversed":
+            oracle = reversed_view(oracle)
+        bad = []
+        for position in range(7):
+            for value in (-1, 8):
+                arr = np.arange(7)
+                arr[position] = value
+                bad.append((7, arr))
+        bad += [(-1, np.arange(7)), (8, np.arange(7)), (1, np.array([], dtype=np.int64)),
+                (1, np.arange(4).reshape(2, 2)), (1, np.array([0.0, 2.0]))]
+        for u, arr in bad:
+            for descent in (oracle.left_descent, oracle.right_descent):
+                with pytest.raises(InvalidParameterError):
+                    descent(u, arr)
