@@ -1,4 +1,4 @@
-"""Command-line surface: experiment subcommands, verification and benchmarks.
+"""Command-line surface: experiment subcommands and verification.
 
 Exit codes: 0 on success, 1 on verification or runtime failure, 2 on
 usage errors (argparse's default).
@@ -74,13 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(ALL_CHECKS))
     p.add_argument("--list", action="store_true", help="list available checks")
 
-    p = sub.add_parser("bench", help="mean query counts across universe sizes")
-    p.add_argument("--algo", choices=("minfind", "maxfind"), default="minfind")
-    p.add_argument("--sizes", default="64,256,1024",
-                   help="comma-separated universe sizes")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-
     return parser
 
 
@@ -116,21 +109,6 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    config_rows = []
-    for token in args.sizes.split(","):
-        n = int(token)
-        config = ExperimentConfig(algorithm=args.algo, n=n, trials=args.trials,
-                                  seed=args.seed)
-        _, summary = run_experiment(config)
-        config_rows.append((n, summary))
-    print("algo,n,trials,mean_queries,max_queries")
-    for n, summary in config_rows:
-        print(f"{args.algo},{n},{args.trials},"
-              f"{summary['mean_queries']},{summary['max_queries']}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -139,8 +117,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_verify(args)
         except KeyError as exc:
             parser.error(str(exc))
-    if args.command == "bench":
-        return _run_bench(args)
     config = _experiment_config(args)
     try:
         reports, summary = run_experiment(config)

@@ -13,7 +13,10 @@ existential).  Answers are noiseless functions of the hidden order.
 array, for non-adaptive tests whose sets are all drawn before any answer
 is read.  Ids in size..n_eff-1 are dummy slots that satisfy neither test.
 The base class answers row by row through the single tests;
-:class:`InstanceOracle` answers the whole batch with one gather.
+:class:`InstanceOracle` marks each id of the padded universe that
+satisfies the test in a 0/1 hit table, then counts each row's hits with
+one gather from that table and one matrix-vector product, and answers
+true where the count is positive.
 
 ``left_descent``/``right_descent`` run the binary descent of min-finding's
 swap over an id array: one test per level on the occupied left half of
@@ -117,13 +120,28 @@ class QueryLedger:
                            self.right_count - start.right_count)
 
 
+def _is_id(v) -> bool:
+    """True for a Python or numpy integer; bools and floats are not ids."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+_PLAIN_INT = frozenset((int,))
+
+
 def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
-    """Check that u and every id of V lie in 0..size-1.
+    """Check that u and every id of V are integers in 0..size-1.
 
     Returns V itself when it is a numpy array long enough for the vector
     path, and V as a Python sequence otherwise.
     """
     vector = isinstance(V, np.ndarray)
+    if vector:
+        typed = not V.size or V.dtype.kind in "iu"
+    else:
+        # plain ints pass one C-level scan; anything else is checked per id
+        typed = _PLAIN_INT.issuperset(map(type, V)) or all(map(_is_id, V))
+    if not (typed and (type(u) is int or _is_id(u))):
+        raise InvalidParameterError("element ids must be integers")
     if vector and V.size <= _VECTOR_THRESHOLD:
         V, vector = V.tolist(), False
     if vector:
@@ -230,16 +248,15 @@ class InstanceOracle(GroupTestOracle):
     del _direction
 
     def _batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
-        # dummy slots get a sentinel rank that fails the comparison: 0 is
-        # below every u for a left test, n + 1 above every u for a right one
+        # count each row's hits with one gather from a 0/1 hit table
+        # (dummy slots 0) and one matrix-vector product: numpy's
+        # any(axis=1) pays a loop per row on short rows.  float64 counts
+        # exactly up to 2**53 ids a row; uint8/uint16 sums would wrap
         rows = _checked_rows(u, rows, n_eff, self.size)
         ranks = self._ranks
-        if n_eff > self.size:
-            sentinel = 0 if left else self.size + 1
-            ranks = np.concatenate((ranks, np.full(n_eff - self.size, sentinel, ranks.dtype)))
-        ru = ranks[u]
-        gathered = ranks[rows]
-        return (gathered >= ru if left else gathered <= ru).any(axis=1)
+        hit = np.zeros(n_eff)
+        (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])
+        return hit[rows] @ np.ones(rows.shape[1]) > 0
 
     def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
         return self._batch(u, rows, n_eff, True)

@@ -92,10 +92,3 @@ def test_verify_unknown_check_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--only", "nonsense"])
     assert excinfo.value.code == 2
-
-
-def test_bench_smoke(capsys):
-    assert main(["bench", "--sizes", "8,16", "--trials", "20", "--seed", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "algo,n,trials,mean_queries,max_queries"
-    assert len(lines) == 3

@@ -24,6 +24,7 @@ from gtorder import (
     rank_at_most,
     reversed_view,
 )
+from gtorder.oracle import _per_row
 
 
 def oracle_of(n, seed=0):
@@ -61,6 +62,39 @@ class TestGroupTestSemantics:
             oracle.left_test(0, [-1])
         with pytest.raises(InvalidParameterError):
             oracle.right_test(0, np.arange(100))  # vectorized path validates too
+
+    @pytest.mark.parametrize("view", ["instance", "padded", "reversed"])
+    def test_non_integer_ids_rejected(self, view):
+        oracle = oracle_of(8)
+        if view == "padded":
+            oracle = padded_view(oracle, 5)
+        elif view == "reversed":
+            oracle = reversed_view(oracle)
+        bad = [(5, [1.5, 2.0]), (5.5, [1, 2]), (5.0, [1, 2]), (True, [1, 2]),
+               (5, [True, False]), (5, [1, False]), (5, {0.0}),
+               (5, np.arange(70, dtype=float) % 8), (5, np.array([1.0, 2.0])),
+               (5, np.array([True, False])), (np.float64(5), np.array([1, 2]))]
+        for u, V in bad:
+            for test in (oracle.left_test, oracle.right_test):
+                with pytest.raises(InvalidParameterError):
+                    test(u, V)
+
+    @pytest.mark.parametrize("view", ["instance", "padded", "reversed"])
+    def test_numpy_integer_ids_accepted(self, view):
+        instance = make_instance(8, seed=3)
+        oracle = InstanceOracle(instance)
+        if view == "padded":
+            oracle = padded_view(oracle, 5)
+        elif view == "reversed":
+            oracle = reversed_view(oracle)
+        u = int(instance.element_with_rank(4))
+        ids = [0, 1, 2, 3, 4, 5, 6, 7]
+        for V in ([np.int64(v) for v in ids], [np.uint8(v) for v in ids],
+                  np.array(ids, dtype=np.int32), np.tile(np.array(ids, dtype=np.uint16), 10)):
+            for U in (u, np.int64(u), np.uint8(u)):
+                assert oracle.left_test(U, V) is oracle.right_test(U, V) is True
+        # an empty set answers false whatever its dtype
+        assert oracle.right_test(u, np.array([])) is False
 
     def test_large_sets_use_the_same_semantics(self):
         instance = make_instance(300, seed=2)
@@ -356,6 +390,87 @@ class TestBatches:
             padded = padded_view(view, divisor)
             assert view.right_test_batch(u, rows, n_eff).tolist() == [
                 padded.right_test(u, row) for row in rows.tolist()]
+
+
+def kernel_views(oracle):
+    """(view, its counting adapters): the oracle bare, reversed, and under
+    two stacked CountingOracles of their own, bare and reversed."""
+    views = [(oracle, ()), (reversed_view(oracle), ())]
+    for reverse in (False, True):
+        inner = CountingOracle(oracle)
+        outer = CountingOracle(inner)
+        views.append((reversed_view(outer) if reverse else outer, (outer, inner)))
+    return views
+
+
+@st.composite
+def wide_batches(draw, n):
+    """(u, rows, n_eff): rows of 0 to 300 ids drawn from a small pool, so
+    wide rows still mix hits and misses, and some rows all dummies."""
+    n_eff = n + draw(st.sampled_from([0, 0, 1, 7, 300]))
+    trials = draw(st.integers(0, 6))
+    width = draw(st.integers(0, 300))
+    u = draw(st.integers(0, n - 1))
+    pool = draw(st.lists(st.integers(0, n_eff - 1) | st.just(u), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.choice(np.array(pool, dtype=np.int64), size=(trials, width))
+    if n_eff > n and trials and width:
+        dummies = draw(st.lists(st.integers(0, trials - 1), max_size=trials))
+        rows[dummies] = rng.integers(n, n_eff, size=(len(dummies), width))
+    return u, rows, n_eff
+
+
+class TestBatchKernel:
+    """InstanceOracle's hit-table batch against the base class's per-row
+    path, which asks one single test per row with dummy ids left out."""
+
+    @given(n=st.integers(1, 40), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_kernel_matches_the_per_row_path(self, n, data):
+        u, rows, n_eff = data.draw(wide_batches(n))
+        for view, ledgers in kernel_views(oracle_of(n, seed=n)):
+            for batch, single in ((view.left_test_batch, view.left_test),
+                                  (view.right_test_batch, view.right_test)):
+                answer = batch(u, rows, n_eff)
+                assert answer.dtype == bool and answer.shape == (len(rows),)
+                assert answer.tolist() == _per_row(single, u, rows, n_eff, n).tolist()
+            # each batch row and each per-row single test is one query
+            for counting in ledgers:
+                assert counting.ledger.total == 4 * len(rows)
+
+    @pytest.mark.parametrize("width", [1, 255, 256, 257, 300, 65536])
+    def test_all_hit_rows_of_any_width_answer_true(self, width):
+        # every id of each row satisfies the test, so a count that wraps
+        # (at 256 in uint8, at 65536 in uint16) would answer false
+        instance = make_instance(10, seed=4)
+        oracle = InstanceOracle(instance)
+        top, bottom = instance.element_with_rank(10), instance.element_with_rank(1)
+        rows = np.tile(np.arange(10), (3, width // 10 + 1))[:, :width]
+        for view in (oracle, reversed_view(oracle)):
+            below_all = view.right_test_batch if view is oracle else view.left_test_batch
+            above_all = view.left_test_batch if view is oracle else view.right_test_batch
+            assert below_all(top, rows, 12).tolist() == [True] * 3
+            assert above_all(bottom, rows, 12).tolist() == [True] * 3
+
+    def test_reflexive_and_dummy_rows(self):
+        # a row holding only u hits in both directions; a row of dummies,
+        # or of dummies and elements on the wrong side, hits in neither
+        instance = make_instance(9, seed=8)
+        for rank in range(1, 10):
+            u = instance.element_with_rank(rank)
+            for view in (InstanceOracle(instance), reversed_view(InstanceOracle(instance))):
+                rows = np.array([[u, u], [9, 10], [10, 9]])
+                assert view.left_test_batch(u, rows, 11).tolist() == [True, False, False]
+                assert view.right_test_batch(u, rows, 11).tolist() == [True, False, False]
+        top = instance.element_with_rank(9)
+        bottom = instance.element_with_rank(1)
+        oracle = InstanceOracle(instance)
+        rows = np.array([[top, 9, 10, 9]])
+        assert oracle.right_test_batch(bottom, rows, 11).tolist() == [False]
+        assert oracle.left_test_batch(bottom, rows, 11).tolist() == [True]
+        rows = np.array([[bottom, 9, 10]])
+        assert oracle.left_test_batch(top, rows, 11).tolist() == [False]
+        assert oracle.right_test_batch(top, rows, 11).tolist() == [True]
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,46 @@
+"""Tests for the package namespace: public names load their submodule lazily."""
+
+import subprocess
+import sys
+
+import pytest
+
+import gtorder
+
+
+def test_import_loads_no_submodule():
+    code = ("import gtorder, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('gtorder.') or m in ('numpy', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_oracle_server_spawn_skips_the_harness():
+    code = ("import runpy, sys; sys.argv = ['oracle_server', '--help']\n"
+            "try:\n    runpy.run_module('gtorder.oracle_server', run_name='__main__')\n"
+            "except SystemExit:\n    pass\n"
+            "print(sorted(m for m in ('gtorder.harness', 'gtorder.selection', "
+            "'gtorder.apxrank', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_every_public_name_resolves():
+    assert gtorder.__version__ == "0.1.0"
+    assert len(gtorder.__all__) == len(set(gtorder.__all__)) == 43
+    for name in gtorder.__all__:
+        value = getattr(gtorder, name)
+        assert value.__module__.startswith("gtorder.")
+        assert vars(gtorder)[name] is value  # cached after the first lookup
+    assert set(gtorder.__all__) <= set(dir(gtorder))
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+        gtorder.nonsense
+    # a submodule that is not a public name still imports
+    from gtorder import verify
+    assert verify.__name__ == "gtorder.verify"
