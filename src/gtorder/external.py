@@ -3,13 +3,16 @@
 The child process answers a newline-delimited ASCII protocol on its
 standard input/output, one query in flight at a time:
 
-    client -> "INIT <n> BATCH"              server -> "OK BATCH" or "OK"
+    client -> "INIT <n> BATCH DESCENT"      server -> "OK BATCH DESCENT",
+                                            or OK naming fewer features
     client -> "L <u> <m> <v1> ... <vm>"     server -> "Y" or "N"
     client -> "R <u> <m> <v1> ... <vm>"     server -> "Y" or "N"
     client -> "BL <u> <n_eff> <rows> <width> <rows*width ids>"
                                             server -> one "Y"/"N" per row
     client -> "BR <u> <n_eff> <rows> <width> <rows*width ids>"
                                             server -> one "Y"/"N" per row
+    client -> "DL <u> <m> <v1> ... <vm>"    server -> a position in 0..m-1
+    client -> "DR <u> <m> <v1> ... <vm>"    server -> a position in 0..m-1
 
 ``L`` asks the left test (u <=_Q V), ``R`` the right test (V <=_Q u),
 ``m`` is the number of ids that follow.  Ids are 0-based ASCII base-10
@@ -22,21 +25,30 @@ id array, sent row after row; they mirror
 n..n_eff-1 are dummy slots that satisfy neither test; ``rows`` and
 ``width`` are at least 1.  The reply is one line of ``rows`` characters,
 each ``Y`` or ``N``.  Batches serve non-adaptive tests, such as the trials
-of a threshold test.  A swap descent is asked level by level, one
-``L``/``R`` line per level, each the test on one half of the range the
-answer before it left; only the in-process oracle answers a whole
-descent at once.
+of a threshold test.
 
-The batch op is agreed at ``INIT``: a server that has it answers
-``INIT <n> BATCH`` with ``OK BATCH``.  A server that answers ``OK``, or
-``ERR`` (after which the client sends ``INIT <n>`` and expects ``OK``),
-has no batch op, and the client asks its batches one ``L``/``R`` line per
-row.
+``DL``/``DR`` run a whole swap descent of left/right tests over the
+``m >= 1`` ids, as ``GroupTestOracle.left_descent``/``right_descent`` do,
+and the reply is the canonical decimal of the position where it ends: the
+first position whose id satisfies the test, or ``m - 1`` if none does.
+Every level of a descent depends only on the hidden order, so the server
+answers them all at once; the ledger still counts ceil(log2 m) tests.
+Descents carry no dummy slots, and a descent over one id asks no test, so
+the client sends none.
+
+The ops beyond ``L``/``R`` are agreed at ``INIT``.  The client offers
+``INIT <n> BATCH DESCENT``; a server answers ``OK`` followed by the
+offered features it has, in the order offered.  A server that answers
+``ERR`` is offered ``INIT <n> BATCH``, then ``INIT <n>``.  Without the
+batch op the client asks a batch one ``L``/``R`` line per row; without
+the descent op it asks a descent one ``L``/``R`` line per level, each the
+test on one half of the range the answer before it left.
 
 Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
-InvalidParameterError), any other unexpected reply, a batch reply of the
-wrong length included, raises OracleProtocolError, a missing reply (or a
+InvalidParameterError), any other unexpected reply (a batch reply of the
+wrong length, or a descent reply that is not the canonical decimal of a
+position in 0..m-1) raises OracleProtocolError, a missing reply (or a
 query the server does not read) raises OracleTimeoutError, and a command
 that cannot be started raises OracleSpawnError.  After a timeout or a
 protocol error the stream can no longer be matched to its queries (a late
@@ -70,7 +82,8 @@ from .errors import (
     OracleSpawnError,
     OracleTimeoutError,
 )
-from .oracle import GroupTestOracle, IdSet, _checked_rows
+from .oracle import (GroupTestOracle, IdSet, _check_id_types, _checked_descent,
+                     _checked_rows)
 from .order import TotalOrderInstance, make_instance
 
 
@@ -79,16 +92,69 @@ class _DecimalText(dict):
 
     Keyed by the id's value, so a numpy integer finds the entry of the
     equal int, and a negative or out-of-range id is sent as itself, for
-    the server's range check to reject.
+    the server's range check to reject.  A bool would find the entry of
+    the equal int too, so callers check id types first.
     """
 
     def __missing__(self, key) -> str:
-        try:
-            value = operator.index(key)
-        except TypeError:
-            raise InvalidParameterError(f"element id {key!r} is not an integer") from None
-        text = self[value] = str(value)
+        text = self[key] = str(operator.index(key))
         return text
+
+
+# the ops beyond L/R, in the order INIT names them
+_FEATURES = ("BATCH", "DESCENT")
+# what the client offers at INIT, richest first; a server that answers
+# ERR is offered the next
+_OFFERS = (_FEATURES, ("BATCH",), ())
+
+
+def _features_named(words: Sequence[str], offer: Sequence[str]) -> bool:
+    """True when ``words`` are some of the ``offer``, each once, in its order."""
+    return list(words) == [feature for feature in offer if feature in words]
+
+
+def _reply_error(reply: str) -> OracleError:
+    """The error for a reply that is not an answer; only ``ERR`` leaves
+    the session usable."""
+    if reply.startswith("ERR"):
+        return OracleRejectedError(f"oracle rejected query: {reply[3:].strip()}")
+    return OracleProtocolError(f"malformed oracle reply {reply!r}")
+
+
+def _agreed_features(reply: str, offer: Sequence[str]) -> frozenset[str]:
+    """The features an ``INIT`` reply agrees to: ``OK`` followed by some
+    of the offered ones, in the order offered."""
+    words = reply.split(" ")
+    if words[0] != "OK" or not _features_named(words[1:], offer):
+        raise OracleProtocolError(f"expected OK to INIT, got {reply!r}")
+    return frozenset(words[1:])
+
+
+def _test_answer(reply: str) -> bool:
+    """The answer of a single test: exactly ``Y`` or ``N``."""
+    if reply == "Y":
+        return True
+    if reply == "N":
+        return False
+    raise _reply_error(reply)
+
+
+def _batch_answer(reply: str, count: int) -> np.ndarray:
+    """The answers of a batch of ``count`` rows: one ``Y``/``N`` per row."""
+    if len(reply) == count and not reply.strip("YN"):
+        return np.frombuffer(reply.encode("ascii"), dtype=np.uint8) == ord("Y")
+    raise _reply_error(reply)
+
+
+def _descent_answer(reply: str, m: int) -> int:
+    """Where a descent over ``m`` ids ends: the canonical ASCII decimal of
+    an integer in 0..m-1."""
+    # the length bound keeps int() off replies longer than it parses
+    if reply.isascii() and reply.isdigit() and len(reply) <= len(str(m)):
+        position = int(reply)
+        if position < m and str(position) == reply:
+            return position
+    raise _reply_error(reply)
 
 
 class ExternalOracle(GroupTestOracle):
@@ -120,18 +186,18 @@ class ExternalOracle(GroupTestOracle):
         # query's deadline instead of blocking on a server that stopped reading
         os.set_blocking(self._proc.stdin.fileno(), False)
         try:
-            reply = self._exchange(f"INIT {n} BATCH")
-            accepted = ("OK BATCH", "OK")
-            if reply.startswith("ERR"):
-                # a server without the batch op may reject the longer INIT
-                reply, accepted = self._exchange(f"INIT {n}"), ("OK",)
-            if reply not in accepted:
-                raise OracleProtocolError(f"expected OK to INIT, got {reply!r}")
-            self._batch_op = reply == "OK BATCH"
+            for offer in _OFFERS:
+                reply = self._exchange(" ".join(("INIT", str(n), *offer)))
+                # a server without some feature may reject the longer INIT
+                if not reply.startswith("ERR"):
+                    break
+            features = _agreed_features(reply, offer)
         except OracleError:
             self._proc.kill()
             self.close()
             raise
+        self._batch_op = "BATCH" in features
+        self._descent_op = "DESCENT" in features
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
@@ -206,24 +272,25 @@ class ExternalOracle(GroupTestOracle):
         line, _, self._buffer = self._buffer.partition(b"\n")
         return line.decode("ascii", errors="replace").strip()
 
-    def _unexpected(self, reply: str) -> OracleError:
-        """The error for a reply that is not an answer; only ``ERR``
-        leaves the session usable."""
-        if reply.startswith("ERR"):
-            return OracleRejectedError(f"oracle rejected query: {reply[3:].strip()}")
-        self._failure = OracleProtocolError(f"malformed oracle reply {reply!r}")
-        return self._failure
+    def _ask(self, line: str, parse, *args):
+        """Send ``line`` and return ``parse(reply, *args)``; a reply that is
+        neither an answer nor ``ERR`` ends the session."""
+        reply = self._exchange(line)
+        try:
+            return parse(reply, *args)
+        except OracleProtocolError as exc:
+            self._failure = exc
+            raise
+
+    def _line(self, kind: str, u: int, ids: list) -> str:
+        """``kind u m v1 ... vm``, the line of a single test or a descent."""
+        text = self._text
+        return " ".join((kind, text[u], str(len(ids)), *map(text.__getitem__, ids)))
 
     def _query(self, kind: str, u: int, V: IdSet) -> bool:
+        _check_id_types(u, V)
         ids = V.tolist() if isinstance(V, np.ndarray) else list(V)
-        text = self._text
-        reply = self._exchange(" ".join(
-            (kind, text[u], str(len(ids)), *map(text.__getitem__, ids))))
-        if reply == "Y":
-            return True
-        if reply == "N":
-            return False
-        raise self._unexpected(reply)
+        return self._ask(self._line(kind, u, ids), _test_answer)
 
     def left_test(self, u: int, V: IdSet) -> bool:
         return self._query("L", u, V)
@@ -238,12 +305,9 @@ class ExternalOracle(GroupTestOracle):
             return np.zeros(len(rows), dtype=bool)
         count, width = rows.shape
         text = self._text
-        reply = self._exchange(" ".join(
-            (kind, text[u], text[n_eff], str(count), str(width),
-             *map(text.__getitem__, rows.ravel().tolist()))))
-        if len(reply) == count and not reply.strip("YN"):
-            return np.frombuffer(reply.encode("ascii"), dtype=np.uint8) == ord("Y")
-        raise self._unexpected(reply)
+        line = " ".join((kind, text[u], text[n_eff], str(count), str(width),
+                         *map(text.__getitem__, rows.ravel().tolist())))
+        return self._ask(line, _batch_answer, count)
 
     def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
         if not self._batch_op:
@@ -254,6 +318,23 @@ class ExternalOracle(GroupTestOracle):
         if not self._batch_op:
             return super().right_test_batch(u, rows, n_eff)
         return self._batch("BR", u, rows, n_eff)
+
+    def _descent(self, kind: str, u: int, arr: np.ndarray) -> int:
+        arr = _checked_descent(u, arr, self.size)
+        m = arr.size
+        if m == 1:
+            return 0  # a descent over one id asks no test
+        return self._ask(self._line(kind, u, arr.tolist()), _descent_answer, m)
+
+    def left_descent(self, u: int, arr: np.ndarray) -> int:
+        if not self._descent_op:
+            return super().left_descent(u, arr)
+        return self._descent("DL", u, arr)
+
+    def right_descent(self, u: int, arr: np.ndarray) -> int:
+        if not self._descent_op:
+            return super().right_descent(u, arr)
+        return self._descent("DR", u, arr)
 
 
 def _integer(token: str) -> int:
@@ -292,6 +373,8 @@ def serve(instance: TotalOrderInstance, infile, outfile) -> None:
             answer = _answer_test(op == "L", parts, ranks, rank_of)
         elif op in ("BL", "BR"):
             answer = _answer_batch(op == "BL", parts, ranks, rank_of)
+        elif op in ("DL", "DR"):
+            answer = _answer_descent(op == "DL", parts, ranks, rank_of)
         else:
             answer = f"ERR unknown op {op}"
         outfile.write(answer + "\n")
@@ -299,18 +382,20 @@ def serve(instance: TotalOrderInstance, infile, outfile) -> None:
 
 
 def _answer_init(parts: list[str], n: int) -> str:
-    """The reply to one ``INIT`` line, split into ``parts``."""
-    if (len(parts) < 2 or parts[2:] not in ([], ["BATCH"])
+    """The reply to one ``INIT`` line, split into ``parts``: ``OK`` and
+    every feature asked for, since this server has them all."""
+    if (len(parts) < 2 or not _features_named(parts[2:], _FEATURES)
             or not (parts[1].isascii() and parts[1].isdigit())):
         return "ERR malformed INIT"
     if parts[1].lstrip("0") != str(n):
         return f"ERR size mismatch: serving {n}"
-    return "OK BATCH" if len(parts) == 3 else "OK"
+    return " ".join(("OK", *parts[2:]))
 
 
-def _answer_test(left: bool, parts: list[str], ranks: list[int],
-                 rank_of: dict[str, int]) -> str:
-    """The reply to one ``L``/``R`` line, split into ``parts``."""
+def _operands(parts: list[str], ranks: list[int],
+              rank_of: dict[str, int]) -> tuple[int, list[int]] | str:
+    """The rank of u and the ranks of the ids of a ``<op> <u> <m> <ids>``
+    line, or the ``ERR`` reply to it."""
     n = len(ranks)
     tokens = parts[3:]
     try:
@@ -326,10 +411,40 @@ def _answer_test(left: bool, parts: list[str], ranks: list[int],
         return "ERR element id out of range"
     if found is None:
         found = [ranks[v] for v in ids]
-    ru = ranks[u]
+    return ranks[u], found
+
+
+def _answer_test(left: bool, parts: list[str], ranks: list[int],
+                 rank_of: dict[str, int]) -> str:
+    """The reply to one ``L``/``R`` line, split into ``parts``."""
+    operands = _operands(parts, ranks, rank_of)
+    if isinstance(operands, str):
+        return operands
+    ru, found = operands
     if left:
         return "Y" if max(found, default=0) >= ru else "N"
-    return "Y" if min(found, default=n + 1) <= ru else "N"
+    return "Y" if min(found, default=len(ranks) + 1) <= ru else "N"
+
+
+def _answer_descent(left: bool, parts: list[str], ranks: list[int],
+                    rank_of: dict[str, int]) -> str:
+    """The reply to one ``DL``/``DR`` line, split into ``parts``: the first
+    position whose id satisfies the test, or m - 1 if none does."""
+    operands = _operands(parts, ranks, rank_of)
+    if isinstance(operands, str):
+        return operands
+    ru, found = operands
+    if not found:
+        return "ERR malformed descent: no ids"
+    if left:
+        for position, rank in enumerate(found):
+            if rank >= ru:
+                return str(position)
+    else:
+        for position, rank in enumerate(found):
+            if rank <= ru:
+                return str(position)
+    return str(len(found) - 1)
 
 
 def _answer_batch(left: bool, parts: list[str], ranks: list[int],

@@ -13,8 +13,9 @@ the occupied left half and moves into whichever half must contain an
 element below x.  The element returned is the one holding the smallest
 shuffled position among those below x, which is uniform over them.
 The descent is the oracle's ``right_descent``: the in-process oracle
-answers all of its levels from one gather, every other oracle level by
-level, and each level is one query on the ledger either way.
+answers all of its levels from one gather, the line protocol with one
+``DR`` line when the server has the descent op, and any other oracle
+level by level.  Each level is one query on the ledger either way.
 """
 
 from __future__ import annotations

@@ -21,11 +21,11 @@ true where the count is positive.
 ``left_descent``/``right_descent`` run the binary descent of min-finding's
 swap over an id array: one test per level on the occupied left half of
 the current range, ceil(log2 m) tests in all.  The base class asks them
-one at a time, each an ordinary single test, so every other oracle (the
-line protocol included) answers level by level.  Every level tests a
+one at a time, each an ordinary single test.  Every level tests a
 contiguous slice of the same array, so the descent ends at the first
-position holding an element below (above) u, or at m - 1 if none does;
-:class:`InstanceOracle` finds that position with one gather.
+position holding an element below (above) u, or at m - 1 if none does:
+:class:`InstanceOracle` finds that position with one gather, and the
+line protocol's ``DL``/``DR`` op asks the server for it in one line.
 
 Adapters compose around a base oracle:
 
@@ -128,20 +128,25 @@ def _is_id(v) -> bool:
 _PLAIN_INT = frozenset((int,))
 
 
-def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
-    """Check that u and every id of V are integers in 0..size-1.
-
-    Returns V itself when it is a numpy array long enough for the vector
-    path, and V as a Python sequence otherwise.
-    """
-    vector = isinstance(V, np.ndarray)
-    if vector:
+def _check_id_types(u: int, V: IdSet) -> None:
+    """Check that u and every id of V are integers (bools are not)."""
+    if isinstance(V, np.ndarray):
         typed = not V.size or V.dtype.kind in "iu"
     else:
         # plain ints pass one C-level scan; anything else is checked per id
         typed = _PLAIN_INT.issuperset(map(type, V)) or all(map(_is_id, V))
     if not (typed and (type(u) is int or _is_id(u))):
         raise InvalidParameterError("element ids must be integers")
+
+
+def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
+    """Check that u and every id of V are integers in 0..size-1.
+
+    Returns V itself when it is a numpy array long enough for the vector
+    path, and V as a Python sequence otherwise.
+    """
+    _check_id_types(u, V)
+    vector = isinstance(V, np.ndarray)
     if vector and V.size <= _VECTOR_THRESHOLD:
         V, vector = V.tolist(), False
     if vector:
@@ -155,10 +160,15 @@ def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
 
 def _checked_rows(u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray:
     """Check a batch: u in 0..size-1, n_eff >= size, and ``rows`` a 2-D
-    integer array of ids in 0..n_eff-1."""
+    integer array of ids in 0..n_eff-1.  Rows of no ids come back as an
+    integer array, whatever their dtype was."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):
         raise InvalidParameterError(f"a batch needs a 2-D integer id array, got shape {rows.shape}")
+    if not (_is_id(u) and _is_id(n_eff)):
+        raise InvalidParameterError("element ids and the padded size must be integers")
+    if not rows.size:
+        rows = rows.astype(np.intp)
     if n_eff < size:
         raise InvalidParameterError(f"padded size {n_eff} below universe size {size}")
     if not 0 <= u < size:
@@ -175,6 +185,8 @@ def _checked_descent(u: int, arr: np.ndarray, size: int) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
         raise InvalidParameterError(
             f"a descent needs a nonempty 1-D integer id array, got shape {arr.shape}")
+    if not _is_id(u):
+        raise InvalidParameterError("element ids must be integers")
     if not (0 <= u < size and 0 <= arr.min() and arr.max() < size):
         raise InvalidParameterError(f"element id outside universe of size {size}")
     return arr

@@ -23,7 +23,7 @@ import numpy as np
 from .apxrank import approximate_rank
 from .external import ExternalOracle
 from .harness import ExperimentConfig, render_csv, run_experiment
-from .minfind import min_find, swap
+from .minfind import max_find, min_find, swap
 from .oracle import (CountingOracle, GroupTestOracle, InstanceOracle, padded_view,
                      reversed_view)
 from .order import exact_rank, make_instance
@@ -470,6 +470,10 @@ def check_reversal_padding(seed: int) -> CheckResult:
 
 EXTERNAL_N = 128
 EXTERNAL_QUERIES = 1000
+EXTERNAL_BATCHES = 100
+# descent sizes: one id (no test asked), a power of two, and neither
+EXTERNAL_DESCENT_SIZES = (1, 2, 64, 100, EXTERNAL_N)
+EXTERNAL_DESCENTS_PER_SIZE = 20
 
 
 def check_external_conformance(seed: int) -> CheckResult:
@@ -489,11 +493,35 @@ def check_external_conformance(seed: int) -> CheckResult:
                 mismatches += remote.left_test(u, V) != builtin.left_test(u, V)
             else:
                 mismatches += remote.right_test(u, V) != builtin.right_test(u, V)
+        # batches in both directions, some padded with dummy slots
+        for _ in range(EXTERNAL_BATCHES):
+            u = int(rng.integers(0, EXTERNAL_N))
+            n_eff = EXTERNAL_N + int(rng.integers(0, 4))
+            rows = rng.integers(0, n_eff, size=(int(rng.integers(1, 33)),
+                                                int(rng.integers(1, 9))))
+            for name in ("left_test_batch", "right_test_batch"):
+                mismatches += not np.array_equal(getattr(remote, name)(u, rows, n_eff),
+                                                 getattr(builtin, name)(u, rows, n_eff))
+        for m in EXTERNAL_DESCENT_SIZES:
+            for _ in range(EXTERNAL_DESCENTS_PER_SIZE):
+                u = int(rng.integers(0, EXTERNAL_N))
+                arr = rng.permutation(EXTERNAL_N)[:m]
+                for name in ("left_descent", "right_descent"):
+                    mismatches += getattr(remote, name)(u, arr) != getattr(builtin, name)(u, arr)
+        # whole runs: the same element and ledger as the builtin run at the same seed
+        run_seed = int(rng.integers(0, 2**63))
+        for find in (min_find, max_find):
+            runs = [find(oracle, EXTERNAL_N, np.random.default_rng(run_seed))
+                    for oracle in (remote, builtin)]
+            mismatches += runs[0] != runs[1]
+    compared = (EXTERNAL_QUERIES + 2 * EXTERNAL_BATCHES
+                + 2 * len(EXTERNAL_DESCENT_SIZES) * EXTERNAL_DESCENTS_PER_SIZE + 2)
     elapsed = time.monotonic() - start
     return CheckResult(
         "external_conformance", mismatches == 0,
-        f"{EXTERNAL_QUERIES - mismatches}/{EXTERNAL_QUERIES} protocol answers "
-        f"match the builtin oracle at n={EXTERNAL_N} ({elapsed:.1f}s)",
+        f"{compared - mismatches}/{compared} protocol answers (single tests, batches, "
+        f"descents, a min_find and a max_find run) match the builtin oracle at "
+        f"n={EXTERNAL_N} ({elapsed:.1f}s)",
         elapsed,
     )
 

@@ -506,6 +506,10 @@ BAD_BATCHES = {
     "u_at_size": (8, [[0, 1]], 10),
     "u_dummy": (9, [[0, 1]], 10),
     "n_eff_below_size": (1, [[0, 1]], 7),
+    "u_float": (5.5, [[0, 1]], 10),
+    "u_float_integral": (5.0, [[0, 1]], 10),
+    "u_bool": (True, [[0, 1]], 10),
+    "n_eff_float": (1, [[0, 1]], 10.0),
 }
 
 
@@ -519,6 +523,20 @@ def test_batch_validation(path, case):
     for test in (oracle.left_test_batch, oracle.right_test_batch):
         with pytest.raises(InvalidParameterError):
             test(u, np.array(rows), n_eff)
+
+
+@pytest.mark.parametrize("path", ["vector", "per_row", "reversed"])
+def test_batches_of_empty_rows_answer_false_whatever_their_dtype(path):
+    oracle = oracle_of(8)
+    if path == "per_row":
+        oracle = PerRowOracle(oracle)
+    elif path == "reversed":
+        oracle = reversed_view(oracle)
+    # np.asarray([[]]) is float64: rows of no ids hold no non-integer id
+    for rows, answer in ((np.asarray([[]]), [False]), (np.asarray([[], []]), [False, False]),
+                         (np.empty((0, 3)), [])):
+        for test in (oracle.left_test_batch, oracle.right_test_batch):
+            assert test(3, rows, 10).tolist() == answer
 
 
 # sizes of the descent tests: every m up to 70, and a few up to 4096
@@ -596,7 +614,9 @@ class TestDescents:
                 arr[position] = value
                 bad.append((7, arr))
         bad += [(-1, np.arange(7)), (8, np.arange(7)), (1, np.array([], dtype=np.int64)),
-                (1, np.arange(4).reshape(2, 2)), (1, np.array([0.0, 2.0]))]
+                (1, np.arange(4).reshape(2, 2)), (1, np.array([0.0, 2.0])),
+                (5.5, np.arange(7)), (5.0, np.arange(7)), (np.float64(1), np.arange(7)),
+                (True, np.arange(7)), (1, np.array([True, False]))]
         for u, arr in bad:
             for descent in (oracle.left_descent, oracle.right_descent):
                 with pytest.raises(InvalidParameterError):
