@@ -16,12 +16,13 @@ _SUBMODULE_NAMES = {
     "apxrank": ("RankEstimate", "approximate_rank", "binary_rank_search"),
     "errors": ("InvalidParameterError", "OracleError", "OracleProtocolError",
                "OracleRejectedError", "OracleSpawnError", "OracleTimeoutError"),
-    "external": ("ExternalOracle", "serve"),
+    "external": ("ExternalOracle",),
     "harness": ("ExperimentConfig", "TrialReport", "run_experiment", "summarize",
                 "write_report"),
     "minfind": ("MinFindOutcome", "max_find", "min_find", "min_find_among", "swap"),
     "oracle": ("CountingOracle", "GroupTestOracle", "InstanceOracle", "QueryLedger",
                "padded_view", "reversed_view"),
+    "oracle_server": ("serve",),
     "order": ("TotalOrderInstance", "exact_rank", "make_instance"),
     "ranktest": ("RankTestOutcome", "RankTestParams", "derive_params", "rank_at_most"),
     "selection": ("SelectOutcome", "SelectParams", "approximate_select",

@@ -1,4 +1,4 @@
-"""Group-test oracle backed by an external process, plus a reference server.
+"""Group-test oracle backed by an external process.
 
 The child process answers a newline-delimited ASCII protocol on its
 standard input/output, one query in flight at a time:
@@ -56,19 +56,25 @@ reply would answer the next one), so every later query raises
 OracleProtocolError; an ``ERR`` reply leaves the session usable, and the
 harness records only the trial that received it as an error row.
 
-The companion entry point (``python -m gtorder.oracle_server --n N
---seed S``) serves the protocol for a seeded builtin instance, which is the
-reference implementation used by the conformance tests.
+Each exchange is logged at DEBUG level on the ``gtorder.external``
+logger: the op, the bytes of the query and of the reply line (newlines
+included) and the round trip in microseconds.  Without DEBUG enabled
+nothing is formatted.
+
+The reference server, ``python -m gtorder.oracle_server --n N --seed S``,
+lives in ``gtorder.oracle_server``: it serves the protocol for the
+instance ``make_instance(N, S)`` builds, without importing numpy, and the
+conformance tests check this client against it.
 """
 
 from __future__ import annotations
 
+import logging
 import operator
 import os
 import select
 import shlex
 import subprocess
-import sys
 import time
 from typing import Sequence, Union
 
@@ -84,7 +90,9 @@ from .errors import (
 )
 from .oracle import (GroupTestOracle, IdSet, _check_id_types, _checked_descent,
                      _checked_rows)
-from .order import TotalOrderInstance, make_instance
+from .oracle_server import _FEATURES, _features_named
+
+_log = logging.getLogger(__name__)
 
 
 class _DecimalText(dict):
@@ -101,16 +109,9 @@ class _DecimalText(dict):
         return text
 
 
-# the ops beyond L/R, in the order INIT names them
-_FEATURES = ("BATCH", "DESCENT")
 # what the client offers at INIT, richest first; a server that answers
 # ERR is offered the next
 _OFFERS = (_FEATURES, ("BATCH",), ())
-
-
-def _features_named(words: Sequence[str], offer: Sequence[str]) -> bool:
-    """True when ``words`` are some of the ``offer``, each once, in its order."""
-    return list(words) == [feature for feature in offer if feature in words]
 
 
 def _reply_error(reply: str) -> OracleError:
@@ -226,15 +227,20 @@ class ExternalOracle(GroupTestOracle):
             raise OracleProtocolError(
                 f"oracle session unusable after an earlier failure: {self._failure}")
         proc = self._proc
-        deadline = time.monotonic() + self._timeout
+        start = time.monotonic()
+        deadline = start + self._timeout
         try:
             if proc.poll() is not None:
                 raise OracleProtocolError("oracle process has exited")
             self._write((line + "\n").encode("ascii"), deadline)
-            return self._read_line(deadline)
+            reply = self._read_line(deadline)
         except OracleError as exc:
             self._failure = exc
             raise
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("%s: %d bytes out, %d bytes in, %.0f us", line.partition(" ")[0],
+                       len(line) + 1, len(reply) + 1, (time.monotonic() - start) * 1e6)
+        return reply
 
     def _write(self, data: bytes, deadline: float) -> None:
         fd = self._proc.stdin.fileno()
@@ -335,166 +341,3 @@ class ExternalOracle(GroupTestOracle):
         if not self._descent_op:
             return super().right_descent(u, arr)
         return self._descent("DR", u, arr)
-
-
-def _integer(token: str) -> int:
-    """The value of an ASCII base-10 integer token; ValueError otherwise."""
-    if not token.isascii():
-        raise ValueError(f"non-ASCII token {token!r}")
-    return int(token)
-
-
-def _known_ranks(tokens: list[str], rank_of: dict[str, int]) -> list[int] | None:
-    """Ranks of the tokens when each is the canonical text of an id."""
-    try:
-        return list(map(rank_of.__getitem__, tokens))
-    except KeyError:
-        return None
-
-
-def serve(instance: TotalOrderInstance, infile, outfile) -> None:
-    """Answer protocol queries for a known instance until EOF.
-
-    Every input line gets exactly one reply line, ``ERR ...`` for any
-    invalid one.
-    """
-    ranks = instance.ranks.tolist()
-    # the canonical text of each id maps straight to its rank; any other
-    # token goes through _integer and the range checks
-    rank_of = {str(v): rank for v, rank in enumerate(ranks)}
-    for raw in infile:
-        parts = raw.split()
-        op = parts[0] if parts else ""
-        if not op:
-            answer = "ERR empty line"
-        elif op == "INIT":
-            answer = _answer_init(parts, len(ranks))
-        elif op in ("L", "R"):
-            answer = _answer_test(op == "L", parts, ranks, rank_of)
-        elif op in ("BL", "BR"):
-            answer = _answer_batch(op == "BL", parts, ranks, rank_of)
-        elif op in ("DL", "DR"):
-            answer = _answer_descent(op == "DL", parts, ranks, rank_of)
-        else:
-            answer = f"ERR unknown op {op}"
-        outfile.write(answer + "\n")
-        outfile.flush()
-
-
-def _answer_init(parts: list[str], n: int) -> str:
-    """The reply to one ``INIT`` line, split into ``parts``: ``OK`` and
-    every feature asked for, since this server has them all."""
-    if (len(parts) < 2 or not _features_named(parts[2:], _FEATURES)
-            or not (parts[1].isascii() and parts[1].isdigit())):
-        return "ERR malformed INIT"
-    if parts[1].lstrip("0") != str(n):
-        return f"ERR size mismatch: serving {n}"
-    return " ".join(("OK", *parts[2:]))
-
-
-def _operands(parts: list[str], ranks: list[int],
-              rank_of: dict[str, int]) -> tuple[int, list[int]] | str:
-    """The rank of u and the ranks of the ids of a ``<op> <u> <m> <ids>``
-    line, or the ``ERR`` reply to it."""
-    n = len(ranks)
-    tokens = parts[3:]
-    try:
-        u = _integer(parts[1])
-        m = _integer(parts[2])
-        found = _known_ranks(tokens, rank_of)
-        ids = tokens if found is not None else [_integer(tok) for tok in tokens]
-    except (IndexError, ValueError):
-        return "ERR malformed query"
-    if m != len(ids):
-        return f"ERR id count mismatch: declared {m}, got {len(ids)}"
-    if not 0 <= u < n or found is None and any(not 0 <= v < n for v in ids):
-        return "ERR element id out of range"
-    if found is None:
-        found = [ranks[v] for v in ids]
-    return ranks[u], found
-
-
-def _answer_test(left: bool, parts: list[str], ranks: list[int],
-                 rank_of: dict[str, int]) -> str:
-    """The reply to one ``L``/``R`` line, split into ``parts``."""
-    operands = _operands(parts, ranks, rank_of)
-    if isinstance(operands, str):
-        return operands
-    ru, found = operands
-    if left:
-        return "Y" if max(found, default=0) >= ru else "N"
-    return "Y" if min(found, default=len(ranks) + 1) <= ru else "N"
-
-
-def _answer_descent(left: bool, parts: list[str], ranks: list[int],
-                    rank_of: dict[str, int]) -> str:
-    """The reply to one ``DL``/``DR`` line, split into ``parts``: the first
-    position whose id satisfies the test, or m - 1 if none does."""
-    operands = _operands(parts, ranks, rank_of)
-    if isinstance(operands, str):
-        return operands
-    ru, found = operands
-    if not found:
-        return "ERR malformed descent: no ids"
-    if left:
-        for position, rank in enumerate(found):
-            if rank >= ru:
-                return str(position)
-    else:
-        for position, rank in enumerate(found):
-            if rank <= ru:
-                return str(position)
-    return str(len(found) - 1)
-
-
-def _answer_batch(left: bool, parts: list[str], ranks: list[int],
-                  rank_of: dict[str, int]) -> str:
-    """The reply to one ``BL``/``BR`` line, split into ``parts``."""
-    n = len(ranks)
-    tokens = parts[5:]
-    try:
-        u, n_eff, count, width = map(_integer, parts[1:5])
-        found = _known_ranks(tokens, rank_of)
-        ids = tokens if found is not None else [_integer(tok) for tok in tokens]
-    except ValueError:
-        return "ERR malformed batch"
-    if count < 1 or width < 1:
-        return "ERR malformed batch: rows and width must be positive"
-    if len(ids) != count * width:
-        return f"ERR id count mismatch: declared {count}x{width}, got {len(ids)}"
-    if n_eff < n:
-        return f"ERR padded size {n_eff} below universe size {n}"
-    if not 0 <= u < n:
-        return "ERR element id out of range"
-    if found is None:
-        if any(not 0 <= v < n_eff for v in ids):
-            return f"ERR batch id outside padded universe of size {n_eff}"
-        # a dummy's sentinel rank fails the comparison in either direction
-        sentinel = 0 if left else n + 1
-        found = [ranks[v] if v < n else sentinel for v in ids]
-    ru = ranks[u]
-    rows = (found[i:i + width] for i in range(0, len(found), width))
-    if left:
-        return "".join(["Y" if max(row) >= ru else "N" for row in rows])
-    return "".join(["Y" if min(row) <= ru else "N" for row in rows])
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Serve the group-test line protocol for a seeded instance."
-    )
-    parser.add_argument("--n", type=int, required=True, help="universe size")
-    parser.add_argument("--seed", type=int, default=0, help="instance seed")
-    args = parser.parse_args(argv)
-    # any byte outside ASCII decodes to U+FFFD and so fails every parse;
-    # only "\n" ends a line
-    sys.stdin.reconfigure(encoding="ascii", errors="replace", newline="\n")
-    sys.stdout.reconfigure(encoding="ascii", errors="backslashreplace")
-    serve(make_instance(args.n, args.seed), sys.stdin, sys.stdout)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

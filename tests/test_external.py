@@ -2,7 +2,9 @@
 
 import io
 import itertools
+import logging
 import os
+import re
 import sys
 import textwrap
 
@@ -24,8 +26,10 @@ from gtorder import (
     max_find,
     min_find,
 )
+from gtorder import external
 from gtorder.external import (_OFFERS, _agreed_features, _batch_answer, _descent_answer,
-                              _test_answer, serve)
+                              _test_answer)
+from gtorder.oracle_server import serve
 
 
 def reference_command(n, seed):
@@ -46,8 +50,7 @@ def filtered_server(tmp_path, n, seed, hook):
     log = tmp_path / "received.log"
     body = (
         "import sys\n"
-        "from gtorder.external import serve\n"
-        "from gtorder.order import make_instance\n"
+        "from gtorder.oracle_server import instance_ranks, serve\n"
         "def lines(log):\n"
         "    for line in sys.stdin:\n"
         "        log.write(line)\n"
@@ -55,7 +58,7 @@ def filtered_server(tmp_path, n, seed, hook):
         + textwrap.indent(textwrap.dedent(hook), " " * 8)
         + "        yield line\n"
         f"with open({str(log)!r}, 'w') as log:\n"
-        f"    serve(make_instance({n}, {seed}), lines(log), sys.stdout)\n"
+        f"    serve(instance_ranks({n}, {seed}), lines(log), sys.stdout)\n"
     )
     return script_command(tmp_path, body), log
 
@@ -75,6 +78,50 @@ class TestReferenceServer:
                 V = rng.integers(0, n, size=int(rng.integers(1, 9))).tolist()
                 assert remote.left_test(u, V) == builtin.left_test(u, V)
                 assert remote.right_test(u, V) == builtin.right_test(u, V)
+
+    def test_matches_builtin_oracle_at_a_seed_of_two_words(self):
+        # seeds above 2**32 enter the seed sequence as two 32-bit words
+        n, seed = 64, 2**40 + 3
+        builtin = InstanceOracle(make_instance(n, seed))
+        rng = np.random.default_rng(2)
+        with ExternalOracle(reference_command(n, seed), n) as remote:
+            for _ in range(100):
+                u = int(rng.integers(n))
+                rows = rng.integers(0, n + 3, size=(int(rng.integers(1, 9)), 4))
+                arr = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+                for name in ("left_test_batch", "right_test_batch"):
+                    assert np.array_equal(getattr(remote, name)(u, rows, n + 3),
+                                          getattr(builtin, name)(u, rows, n + 3))
+                for name in ("left_descent", "right_descent"):
+                    assert getattr(remote, name)(u, arr) == getattr(builtin, name)(u, arr)
+            for find in (min_find, max_find):
+                assert (find(remote, n, np.random.default_rng(3))
+                        == find(builtin, n, np.random.default_rng(3)))
+
+    def test_logs_each_exchange_at_debug_level(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gtorder.external"):
+            with ExternalOracle(reference_command(8, 0), 8) as remote:
+                remote.right_test(3, [3, 5])
+                remote.left_test_batch(3, np.array([[0, 1], [2, 3]]), 8)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "gtorder.external" and r.levelno == logging.DEBUG]
+        assert len(messages) == 3
+        # "INIT 8 BATCH DESCENT\n" and "OK BATCH DESCENT\n"
+        assert re.fullmatch(r"INIT: 21 bytes out, 17 bytes in, \d+ us", messages[0])
+        # "R 3 2 3 5\n" and "Y\n"
+        assert re.fullmatch(r"R: 10 bytes out, 2 bytes in, \d+ us", messages[1])
+        # "BL 3 8 2 2 0 1 2 3\n" and two answers
+        assert re.fullmatch(r"BL: 19 bytes out, 3 bytes in, \d+ us", messages[2])
+
+    def test_formats_no_record_without_debug(self, caplog, monkeypatch):
+        def unguarded(*args, **kwargs):
+            raise AssertionError("debug record made without DEBUG enabled")
+
+        monkeypatch.setattr(external._log, "debug", unguarded)
+        with caplog.at_level(logging.INFO, logger="gtorder.external"):
+            with ExternalOracle(reference_command(8, 0), 8) as remote:
+                assert remote.right_test(3, [3]) is True
+        assert not [r for r in caplog.records if r.name == "gtorder.external"]
 
     def test_empty_sets_answer_false(self):
         with ExternalOracle(reference_command(8, 0), 8) as remote:
@@ -507,6 +554,7 @@ class TestIdSafety:
 
 # valid lines for a universe of 8 ids, and tokens to mutate them with
 FUZZ_N = 8
+FUZZ_RANKS = make_instance(FUZZ_N, 5).ranks.tolist()
 VALID_LINES = [
     "INIT 8", "INIT 8 BATCH", "INIT 8 BATCH DESCENT", "INIT 8 DESCENT",
     "L 3 2 0 7", "R 3 2 0 7", "L 5 0",
@@ -561,7 +609,7 @@ def well_formed(line, reply):
 @settings(max_examples=300, deadline=None)
 def test_serve_answers_every_line_and_never_raises(lines):
     out = io.StringIO()
-    serve(make_instance(FUZZ_N, 5), io.StringIO("".join(line + "\n" for line in lines)), out)
+    serve(FUZZ_RANKS, io.StringIO("".join(line + "\n" for line in lines)), out)
     replies = out.getvalue().split("\n")
     assert replies.pop() == ""
     assert len(replies) == len(lines)
@@ -603,14 +651,14 @@ INVALID_LINES = {
 @pytest.mark.parametrize("line", sorted(INVALID_LINES))
 def test_serve_rejects_invalid_lines(line):
     out = io.StringIO()
-    serve(make_instance(FUZZ_N, 5), io.StringIO(line + "\n"), out)
+    serve(FUZZ_RANKS, io.StringIO(line + "\n"), out)
     assert out.getvalue().startswith(INVALID_LINES[line])
 
 
 @pytest.mark.parametrize("line", VALID_LINES)
 def test_serve_answers_valid_lines(line):
     out = io.StringIO()
-    serve(make_instance(FUZZ_N, 5), io.StringIO(line + "\n"), out)
+    serve(FUZZ_RANKS, io.StringIO(line + "\n"), out)
     reply = out.getvalue()
     assert not reply.startswith("ERR") and well_formed(line, reply.rstrip("\n"))
 
@@ -619,7 +667,7 @@ def test_serve_answers_valid_lines(line):
 def test_serve_descent_ends_where_the_builtin_descent_does(line):
     op, u, _, *ids = line.split()
     out = io.StringIO()
-    serve(make_instance(FUZZ_N, 5), io.StringIO(line + "\n"), out)
+    serve(FUZZ_RANKS, io.StringIO(line + "\n"), out)
     builtin = InstanceOracle(make_instance(FUZZ_N, 5))
     descent = builtin.left_descent if op == "DL" else builtin.right_descent
     assert out.getvalue() == f"{descent(int(u), np.array(ids, dtype=np.int64))}\n"

@@ -28,6 +28,19 @@ def test_oracle_server_spawn_skips_the_harness():
     assert out.strip().splitlines()[-1] == "[]"
 
 
+def test_oracle_server_answers_without_numpy():
+    code = ("import runpy, sys; sys.argv = ['oracle_server', '--n', '8', '--seed', '3']\n"
+            "try:\n    runpy.run_module('gtorder.oracle_server', run_name='__main__')\n"
+            "except SystemExit:\n    pass\n"
+            "print(sorted(m for m in ('numpy', 'gtorder.oracle', 'gtorder.order', "
+            "'gtorder.external', 'gtorder.harness', 'multiprocessing') if m in sys.modules), "
+            "file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code], input="INIT 8\nR 3 1 3\n",
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "OK\nY\n"
+    assert run.stderr.strip().splitlines()[-1] == "[]"
+
+
 def test_every_public_name_resolves():
     assert gtorder.__version__ == "0.1.0"
     assert len(gtorder.__all__) == len(set(gtorder.__all__)) == 43
