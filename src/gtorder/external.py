@@ -3,7 +3,7 @@
 The child process answers a newline-delimited ASCII protocol on its
 standard input/output, one query in flight at a time:
 
-    client -> "INIT <n> BATCH DESCENT"      server -> "OK BATCH DESCENT",
+    client -> "INIT <n> BATCH DESCENT HEX"  server -> "OK BATCH DESCENT HEX",
                                             or OK naming fewer features
     client -> "L <u> <m> <v1> ... <vm>"     server -> "Y" or "N"
     client -> "R <u> <m> <v1> ... <vm>"     server -> "Y" or "N"
@@ -17,7 +17,16 @@ standard input/output, one query in flight at a time:
 ``L`` asks the left test (u <=_Q V), ``R`` the right test (V <=_Q u),
 ``m`` is the number of ids that follow.  Ids are 0-based ASCII base-10
 integers; the server replies ``ERR <message>`` to any invalid input,
-non-ASCII digits included.
+non-ASCII digits included.  ``u``, ``m``, ``n_eff``, ``rows`` and
+``width`` are always decimal, and replies never change.
+
+Once ``HEX`` is agreed, the ids of every line are one token instead:
+each id is a little-endian unsigned 32-bit word written as 8 hex digits
+(``ids.astype("<u4").tobytes().hex()``), so ``DR 5 3
+0100000002000000ff030000`` is a descent over ids 1, 2 and 1023.  The
+token must hold exactly the declared number of ids; a line of no ids
+carries no token.  The server then decodes a line in one pass instead of
+parsing one decimal token per id.
 
 ``BL``/``BR`` ask one left/right test per row of a ``rows`` x ``width``
 id array, sent row after row; they mirror
@@ -36,13 +45,20 @@ answers them all at once; the ledger still counts ceil(log2 m) tests.
 Descents carry no dummy slots, and a descent over one id asks no test, so
 the client sends none.
 
-The ops beyond ``L``/``R`` are agreed at ``INIT``.  The client offers
-``INIT <n> BATCH DESCENT``; a server answers ``OK`` followed by the
-offered features it has, in the order offered.  A server that answers
-``ERR`` is offered ``INIT <n> BATCH``, then ``INIT <n>``.  Without the
-batch op the client asks a batch one ``L``/``R`` line per row; without
-the descent op it asks a descent one ``L``/``R`` line per level, each the
-test on one half of the range the answer before it left.
+The features beyond ``L``/``R`` and decimal ids are agreed at ``INIT``.
+The client offers ``INIT <n> BATCH DESCENT HEX`` (without ``HEX`` when
+n > 2**31, where ids could outgrow 32 bits); a server answers ``OK``
+followed by the offered features it has, in the order offered.  A server
+that answers ``ERR`` is offered the next shorter prefix: ``INIT <n> BATCH
+DESCENT``, then ``INIT <n> BATCH``, then ``INIT <n>``.  Without the batch
+op the client asks a batch one ``L``/``R`` line per row; without the
+descent op it asks a descent one ``L``/``R`` line per level, each the
+test on one half of the range the answer before it left; without ``HEX``
+it writes ids in decimal.
+
+The client checks ids before it writes a line: a single test with an id
+outside 0..n-1 raises OracleRejectedError, as the server's ``ERR`` would,
+and a single test over no ids answers False without a line.
 
 Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
@@ -99,9 +115,8 @@ class _DecimalText(dict):
     """Decimal text of each id, made on first use and kept.
 
     Keyed by the id's value, so a numpy integer finds the entry of the
-    equal int, and a negative or out-of-range id is sent as itself, for
-    the server's range check to reject.  A bool would find the entry of
-    the equal int too, so callers check id types first.
+    equal int.  A bool would find the entry of the equal int too, so
+    callers check id types first.
     """
 
     def __missing__(self, key) -> str:
@@ -109,9 +124,18 @@ class _DecimalText(dict):
         return text
 
 
-# what the client offers at INIT, richest first; a server that answers
-# ERR is offered the next
-_OFFERS = (_FEATURES, ("BATCH",), ())
+# what the client offers at INIT, every prefix of _FEATURES, longest
+# first; a server that answers ERR is offered the next
+_OFFERS = tuple(_FEATURES[:k] for k in range(len(_FEATURES), -1, -1))
+# HEX ids are unsigned 32-bit words: HEX is offered only up to this n, so
+# that every id and every padded id the library draws (below 2n) fits
+_HEX_MAX_N = 1 << 31
+
+
+def _hex_token(ids: np.ndarray) -> str:
+    """The HEX token of in-range ids: 8 hex digits per id, each a
+    little-endian unsigned 32-bit word, row after row."""
+    return ids.astype("<u4").tobytes().hex()
 
 
 def _reply_error(reply: str) -> OracleError:
@@ -187,7 +211,7 @@ class ExternalOracle(GroupTestOracle):
         # query's deadline instead of blocking on a server that stopped reading
         os.set_blocking(self._proc.stdin.fileno(), False)
         try:
-            for offer in _OFFERS:
+            for offer in _OFFERS if n <= _HEX_MAX_N else _OFFERS[1:]:
                 reply = self._exchange(" ".join(("INIT", str(n), *offer)))
                 # a server without some feature may reject the longer INIT
                 if not reply.startswith("ERR"):
@@ -199,6 +223,7 @@ class ExternalOracle(GroupTestOracle):
             raise
         self._batch_op = "BATCH" in features
         self._descent_op = "DESCENT" in features
+        self._hex = "HEX" in features
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
@@ -288,15 +313,27 @@ class ExternalOracle(GroupTestOracle):
             self._failure = exc
             raise
 
-    def _line(self, kind: str, u: int, ids: list) -> str:
-        """``kind u m v1 ... vm``, the line of a single test or a descent."""
+    def _line(self, kind: str, u: int, ids: np.ndarray) -> str:
+        """``kind u m <ids>``, the line of a single test or a descent."""
         text = self._text
-        return " ".join((kind, text[u], str(len(ids)), *map(text.__getitem__, ids)))
+        if self._hex:
+            return f"{kind} {text[u]} {ids.size} {_hex_token(ids)}"
+        return " ".join((kind, text[u], str(ids.size), *map(text.__getitem__, ids.tolist())))
 
     def _query(self, kind: str, u: int, V: IdSet) -> bool:
         _check_id_types(u, V)
-        ids = V.tolist() if isinstance(V, np.ndarray) else list(V)
-        return self._ask(self._line(kind, u, ids), _test_answer)
+        size = self.size
+        if isinstance(V, np.ndarray):
+            inside = not V.size or 0 <= V.min() and V.max() < size
+        else:
+            V = list(V)
+            inside = not V or 0 <= min(V) and max(V) < size
+        # rejected as the server would, before anything is written
+        if not (inside and 0 <= u < size):
+            raise OracleRejectedError(f"element id outside universe of size {size}")
+        if not len(V):
+            return False  # an empty existential asks no test
+        return self._ask(self._line(kind, u, np.asarray(V, dtype=np.int64)), _test_answer)
 
     def left_test(self, u: int, V: IdSet) -> bool:
         return self._query("L", u, V)
@@ -311,8 +348,14 @@ class ExternalOracle(GroupTestOracle):
             return np.zeros(len(rows), dtype=bool)
         count, width = rows.shape
         text = self._text
-        line = " ".join((kind, text[u], text[n_eff], str(count), str(width),
-                         *map(text.__getitem__, rows.ravel().tolist())))
+        if self._hex:
+            if n_eff > 1 << 32:
+                # every dummy slot answers alike, and n is one of them
+                rows = np.minimum(rows, self.size)
+            ids = (_hex_token(rows),)
+        else:
+            ids = map(text.__getitem__, rows.ravel().tolist())
+        line = " ".join((kind, text[u], text[n_eff], str(count), str(width), *ids))
         return self._ask(line, _batch_answer, count)
 
     def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
@@ -330,7 +373,7 @@ class ExternalOracle(GroupTestOracle):
         m = arr.size
         if m == 1:
             return 0  # a descent over one id asks no test
-        return self._ask(self._line(kind, u, arr.tolist()), _descent_answer, m)
+        return self._ask(self._line(kind, u, arr), _descent_answer, m)
 
     def left_descent(self, u: int, arr: np.ndarray) -> int:
         if not self._descent_op:

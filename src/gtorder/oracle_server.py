@@ -5,7 +5,11 @@ group-test queries on stdin/stdout for the instance that
 ``make_instance(N, S)`` builds; ``gtorder.external`` documents the
 protocol and its client.  ``serve`` answers the protocol for any rank
 list and never raises on a bad line: every input line gets exactly one
-reply line, ``ERR ...`` for an invalid one.
+reply line, ``ERR ...`` for an invalid one.  It has every feature: the
+batch and descent ops and ``HEX`` ids, which it decodes with
+``bytes.fromhex`` into an ``array`` of 32-bit words and gathers in one
+pass; an id past the end of the rank list raises the IndexError that is
+the range check.
 
 The server imports no numpy, which would cost most of its start-up time.
 ``instance_ranks`` rebuilds ``make_instance``'s ranks in pure Python by
@@ -21,12 +25,16 @@ so the library's own instances still come from ``make_instance``.
 from __future__ import annotations
 
 import sys
+from array import array
+from itertools import compress, count
 from typing import Sequence
 
 from .errors import InvalidParameterError
 
-# the ops beyond L/R, in the order INIT names them
-_FEATURES = ("BATCH", "DESCENT")
+# the features beyond L/R and decimal ids, in the order INIT names them
+_FEATURES = ("BATCH", "DESCENT", "HEX")
+# an array typecode of unsigned 32-bit words, the width of a HEX id
+_U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -126,16 +134,31 @@ def _known_ranks(tokens: list[str], rank_of: dict[str, int]) -> list[int] | None
         return None
 
 
+def _hex_ids(tokens: list[str]) -> array:
+    """The ids of a ``HEX`` line's id tokens: none, or one token of 8 hex
+    digits per id, each a little-endian unsigned 32-bit word; ValueError
+    otherwise.  Callers check the id count."""
+    if len(tokens) > 1:
+        raise ValueError("more than one id token")
+    ids = array(_U32, bytes.fromhex(tokens[0] if tokens else ""))
+    if sys.byteorder == "big":
+        ids.byteswap()
+    return ids
+
+
 def serve(ranks: list[int], infile, outfile) -> None:
     """Answer protocol queries until EOF for the order where ``ranks[i]``
     is the rank of id ``i``, a permutation of 1..n.
 
     Every input line gets exactly one reply line, ``ERR ...`` for any
-    invalid one.
+    invalid one.  Ids are decimal tokens until an accepted ``INIT`` names
+    ``HEX``, and one hex token per line after it.
     """
     # the canonical text of each id maps straight to its rank; any other
-    # token goes through _integer and the range checks
-    rank_of = {str(v): rank for v, rank in enumerate(ranks)}
+    # token goes through _integer and the range checks.  In a HEX session
+    # rank_of is None.
+    decimal = {str(v): rank for v, rank in enumerate(ranks)}
+    rank_of = decimal
     for raw in infile:
         parts = raw.split()
         op = parts[0] if parts else ""
@@ -143,6 +166,8 @@ def serve(ranks: list[int], infile, outfile) -> None:
             answer = "ERR empty line"
         elif op == "INIT":
             answer = _answer_init(parts, len(ranks))
+            if answer.startswith("OK"):
+                rank_of = None if "HEX" in parts else decimal
         elif op in ("L", "R"):
             answer = _answer_test(op == "L", parts, ranks, rank_of)
         elif op in ("BL", "BR"):
@@ -167,29 +192,40 @@ def _answer_init(parts: list[str], n: int) -> str:
 
 
 def _operands(parts: list[str], ranks: list[int],
-              rank_of: dict[str, int]) -> tuple[int, list[int]] | str:
+              rank_of: dict[str, int] | None) -> tuple[int, list[int]] | str:
     """The rank of u and the ranks of the ids of a ``<op> <u> <m> <ids>``
-    line, or the ``ERR`` reply to it."""
+    line, or the ``ERR`` reply to it; ``rank_of`` is None in a HEX
+    session."""
     n = len(ranks)
     tokens = parts[3:]
+    found = None
     try:
         u = _integer(parts[1])
         m = _integer(parts[2])
-        found = _known_ranks(tokens, rank_of)
-        ids = tokens if found is not None else [_integer(tok) for tok in tokens]
+        if rank_of is None:
+            ids = _hex_ids(tokens)
+        else:
+            found = _known_ranks(tokens, rank_of)
+            ids = tokens if found is not None else [_integer(tok) for tok in tokens]
     except (IndexError, ValueError):
         return "ERR malformed query"
     if m != len(ids):
         return f"ERR id count mismatch: declared {m}, got {len(ids)}"
-    if not 0 <= u < n or found is None and any(not 0 <= v < n for v in ids):
+    if not 0 <= u < n:
         return "ERR element id out of range"
     if found is None:
-        found = [ranks[v] for v in ids]
+        # hex ids are unsigned; a negative decimal one would index from the end
+        if rank_of is not None and min(ids) < 0:
+            return "ERR element id out of range"
+        try:
+            found = [ranks[v] for v in ids]
+        except IndexError:
+            return "ERR element id out of range"
     return ranks[u], found
 
 
 def _answer_test(left: bool, parts: list[str], ranks: list[int],
-                 rank_of: dict[str, int]) -> str:
+                 rank_of: dict[str, int] | None) -> str:
     """The reply to one ``L``/``R`` line, split into ``parts``."""
     operands = _operands(parts, ranks, rank_of)
     if isinstance(operands, str):
@@ -201,7 +237,7 @@ def _answer_test(left: bool, parts: list[str], ranks: list[int],
 
 
 def _answer_descent(left: bool, parts: list[str], ranks: list[int],
-                    rank_of: dict[str, int]) -> str:
+                    rank_of: dict[str, int] | None) -> str:
     """The reply to one ``DL``/``DR`` line, split into ``parts``: the first
     position whose id satisfies the test, or m - 1 if none does."""
     operands = _operands(parts, ranks, rank_of)
@@ -210,47 +246,53 @@ def _answer_descent(left: bool, parts: list[str], ranks: list[int],
     ru, found = operands
     if not found:
         return "ERR malformed descent: no ids"
-    if left:
-        for position, rank in enumerate(found):
-            if rank >= ru:
-                return str(position)
-    else:
-        for position, rank in enumerate(found):
-            if rank <= ru:
-                return str(position)
-    return str(len(found) - 1)
+    hits = map(ru.__le__ if left else ru.__ge__, found)
+    return str(next(compress(count(), hits), len(found) - 1))
 
 
 def _answer_batch(left: bool, parts: list[str], ranks: list[int],
-                  rank_of: dict[str, int]) -> str:
+                  rank_of: dict[str, int] | None) -> str:
     """The reply to one ``BL``/``BR`` line, split into ``parts``."""
     n = len(ranks)
     tokens = parts[5:]
+    found = None
     try:
-        u, n_eff, count, width = map(_integer, parts[1:5])
-        found = _known_ranks(tokens, rank_of)
-        ids = tokens if found is not None else [_integer(tok) for tok in tokens]
+        u, n_eff, rows, width = map(_integer, parts[1:5])
+        if rank_of is None:
+            ids = _hex_ids(tokens)
+        else:
+            found = _known_ranks(tokens, rank_of)
+            ids = tokens if found is not None else [_integer(tok) for tok in tokens]
     except ValueError:
         return "ERR malformed batch"
-    if count < 1 or width < 1:
+    if rows < 1 or width < 1:
         return "ERR malformed batch: rows and width must be positive"
-    if len(ids) != count * width:
-        return f"ERR id count mismatch: declared {count}x{width}, got {len(ids)}"
+    if len(ids) != rows * width:
+        return f"ERR id count mismatch: declared {rows}x{width}, got {len(ids)}"
     if n_eff < n:
         return f"ERR padded size {n_eff} below universe size {n}"
     if not 0 <= u < n:
         return "ERR element id out of range"
+    # a dummy's sentinel rank fails the comparison in either direction
+    sentinel = 0 if left else n + 1
+    if rank_of is None:
+        # the ranks padded with sentinels, at most to 2n: padding never
+        # takes more than n slots, and the ids past it take the path below
+        table = ranks + [sentinel] * (min(n_eff, 2 * n) - n)
+        try:
+            found = [table[v] for v in ids]
+        except IndexError:
+            pass
     if found is None:
         if any(not 0 <= v < n_eff for v in ids):
             return f"ERR batch id outside padded universe of size {n_eff}"
-        # a dummy's sentinel rank fails the comparison in either direction
-        sentinel = 0 if left else n + 1
         found = [ranks[v] if v < n else sentinel for v in ids]
     ru = ranks[u]
-    rows = (found[i:i + width] for i in range(0, len(found), width))
+    # the ranks of each row: one iterator zipped width times with itself
+    by_row = zip(*[iter(found)] * width)
     if left:
-        return "".join(["Y" if max(row) >= ru else "N" for row in rows])
-    return "".join(["Y" if min(row) <= ru else "N" for row in rows])
+        return "".join(["Y" if top >= ru else "N" for top in map(max, by_row)])
+    return "".join(["Y" if low <= ru else "N" for low in map(min, by_row)])
 
 
 def main(argv: Sequence[str] | None = None) -> int:

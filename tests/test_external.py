@@ -106,12 +106,12 @@ class TestReferenceServer:
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "gtorder.external" and r.levelno == logging.DEBUG]
         assert len(messages) == 3
-        # "INIT 8 BATCH DESCENT\n" and "OK BATCH DESCENT\n"
-        assert re.fullmatch(r"INIT: 21 bytes out, 17 bytes in, \d+ us", messages[0])
-        # "R 3 2 3 5\n" and "Y\n"
-        assert re.fullmatch(r"R: 10 bytes out, 2 bytes in, \d+ us", messages[1])
-        # "BL 3 8 2 2 0 1 2 3\n" and two answers
-        assert re.fullmatch(r"BL: 19 bytes out, 3 bytes in, \d+ us", messages[2])
+        # "INIT 8 BATCH DESCENT HEX\n" and "OK BATCH DESCENT HEX\n"
+        assert re.fullmatch(r"INIT: 25 bytes out, 21 bytes in, \d+ us", messages[0])
+        # "R 3 2 " and 16 hex digits, and "Y\n"
+        assert re.fullmatch(r"R: 23 bytes out, 2 bytes in, \d+ us", messages[1])
+        # "BL 3 8 2 2 " and 32 hex digits, and two answers
+        assert re.fullmatch(r"BL: 44 bytes out, 3 bytes in, \d+ us", messages[2])
 
     def test_formats_no_record_without_debug(self, caplog, monkeypatch):
         def unguarded(*args, **kwargs):
@@ -134,6 +134,34 @@ class TestReferenceServer:
                 remote.right_test(3, [8])
             # the connection stays usable after a rejected query
             assert remote.right_test(3, [3]) is True
+
+    def test_dummy_ids_past_32_bits_answer_as_dummies(self, tmp_path):
+        # a HEX id is 32 bits wide; dummy slots past that still answer alike
+        n, n_eff = 8, 2**33
+        command, log = filtered_server(tmp_path, n, 0, "pass\n")
+        builtin = InstanceOracle(make_instance(n, 0))
+        rows = np.array([[0, 2**32], [2**32 + 5, n_eff - 1], [3, n]])
+        with ExternalOracle(command, n) as remote:
+            for name in ("left_test_batch", "right_test_batch"):
+                for u in range(n):
+                    assert (getattr(remote, name)(u, rows, n_eff).tolist()
+                            == getattr(builtin, name)(u, np.minimum(rows, n), n + 1).tolist())
+        assert log.read_text().splitlines()[0] == "INIT 8 BATCH DESCENT HEX"
+
+    @pytest.mark.parametrize("n, offer", [(2**31, "BATCH DESCENT HEX"),
+                                          (2**31 + 1, "BATCH DESCENT")])
+    def test_hex_is_offered_only_while_every_id_fits_32_bits(self, tmp_path, n, offer):
+        init = tmp_path / "init.log"
+        command = script_command(
+            tmp_path,
+            "import sys\n"
+            f"open({str(init)!r}, 'w').write(sys.stdin.readline())\n"
+            "print('OK', flush=True)\n"
+            "sys.stdin.read()\n",
+        )
+        with ExternalOracle(command, n):
+            pass
+        assert init.read_text() == f"INIT {n} {offer}\n"
 
     def test_size_mismatch_at_init(self):
         with pytest.raises(OracleProtocolError):
@@ -227,17 +255,28 @@ class TestProtocolFailures:
                 pass
 
 
-# INIT hooks of servers that lack some op: each answers an offer it does
-# not know with ERR, or with OK that leaves the feature out
+# INIT hooks of servers that lack some feature: each answers an offer it
+# does not know with ERR, or with OK that leaves the feature out
+NO_HEX_HOOKS = {
+    "no_hex_err": """
+        if "HEX" in line.split()[2:]:
+            print("ERR malformed INIT", flush=True)
+            continue
+    """,
+    "no_hex_ok": """
+        if line.startswith("INIT "):
+            line = line.replace(" HEX", "")
+    """,
+}
 BATCH_ONLY_HOOKS = {
     "batch_only_err": """
-        if line.split()[2:] == ["BATCH", "DESCENT"]:
+        if "DESCENT" in line.split()[2:]:
             print("ERR malformed INIT", flush=True)
             continue
     """,
     "batch_only_ok": """
         if line.startswith("INIT "):
-            line = line.replace(" DESCENT", "")
+            line = line.replace(" DESCENT", "").replace(" HEX", "")
     """,
 }
 NO_BATCH_HOOKS = {
@@ -306,12 +345,14 @@ class TestBatchOp:
             assert remote.left_test(3, [5]) == builtin.left_test(3, [5])
         assert ops_received(log) == ["INIT", "BR", "BR", "L"]
 
-    # the client offers BATCH DESCENT, then BATCH, then nothing; a reply may
-    # name only features its INIT offered, each once, in the order offered
+    # the client offers BATCH DESCENT HEX, then BATCH DESCENT, then BATCH,
+    # then nothing; a reply may name only features its INIT offered, each
+    # once, in the order offered
     @pytest.mark.parametrize("replies", [
-        ("MAYBE",), ("ERR no", "ERR no", "OK BATCH"), ("ERR no", "MAYBE"), ("OK BATCH OK",),
-        ("ERR no", "OK BATCH DESCENT"), ("ERR no", "ERR no", "ERR no"),
-        ("OK DESCENT BATCH",), ("OK BATCH BATCH",), ("ERR no", "ERR no", "OK DESCENT")])
+        ("MAYBE",), ("ERR no", "ERR no", "ERR no", "OK BATCH"), ("ERR no", "MAYBE"),
+        ("OK BATCH OK",), ("ERR no", "OK BATCH DESCENT HEX"), ("ERR no",) * 4,
+        ("OK DESCENT BATCH",), ("OK BATCH BATCH",), ("ERR no", "ERR no", "ERR no", "OK DESCENT"),
+        ("OK HEX BATCH",), ("ERR no", "OK HEX"), ("ERR no", "ERR no", "OK BATCH HEX")])
     def test_bad_handshake_is_a_protocol_error(self, tmp_path, replies):
         command = script_command(
             tmp_path,
@@ -344,10 +385,23 @@ class TestBatchOp:
 
 # each kind of server, its INIT hook, and the features the client should agree
 SERVERS = {
-    "full": ("pass\n", {"BATCH", "DESCENT"}),
+    "full": ("pass\n", {"BATCH", "DESCENT", "HEX"}),
+    **{name: (hook, {"BATCH", "DESCENT"}) for name, hook in NO_HEX_HOOKS.items()},
     **{name: (hook, {"BATCH"}) for name, hook in BATCH_ONLY_HOOKS.items()},
     **{f"no_batch_{name}": (hook, set()) for name, hook in NO_BATCH_HOOKS.items()},
 }
+
+
+def id_tokens_fit(line, hex_ids):
+    """True when a query line carries its ids as one HEX token (8 hex
+    digits per id, none for no ids) or as one decimal token per id."""
+    parts = line.split()
+    batch = parts[0] in ("BL", "BR")
+    count = int(parts[3]) * int(parts[4]) if batch else int(parts[2])
+    tokens = parts[5:] if batch else parts[3:]
+    if hex_ids:
+        return len(tokens) == (count > 0) and len("".join(tokens)) == 8 * count
+    return len(tokens) == count and all(tok.isdigit() for tok in tokens)
 
 
 class TestDescentOp:
@@ -387,7 +441,9 @@ class TestDescentOp:
         inits = [line for line in log.read_text().splitlines() if line.startswith("INIT")]
         # the ladder stops at the first offer not answered with ERR
         assert inits == offers[:len(inits)] and len(inits) == {
-            "batch_only_err": 2, "no_batch_err_then_ok": 3}.get(server, 1)
+            "no_hex_err": 2, "batch_only_err": 3, "no_batch_err_then_ok": 4}.get(server, 1)
+        lines = [line for line in log.read_text().splitlines() if not line.startswith("INIT")]
+        assert all(id_tokens_fit(line, "HEX" in features) for line in lines)
         queries = [op for op in ops if op != "INIT"]
         if "DESCENT" in features:
             # one line per swap, none per level
@@ -495,9 +551,13 @@ class TestIdSafety:
         "uint8": (3, np.array([7, 0, 5], dtype=np.uint8)),
     }
 
+    # the server's INIT hook, and the line it receives for right_test(1, [1])
+    HOOK, ONE_QUERY = "pass\n", "R 1 1 01000000"
+
     @pytest.fixture(scope="class")
-    def oracles(self):
-        with ExternalOracle(reference_command(self.N, 11), self.N) as remote:
+    def oracles(self, tmp_path_factory):
+        command, _ = filtered_server(tmp_path_factory.mktemp("server"), self.N, 11, self.HOOK)
+        with ExternalOracle(command, self.N) as remote:
             yield remote, InstanceOracle(make_instance(self.N, 11))
 
     @pytest.mark.parametrize("case", sorted(SINGLE))
@@ -526,19 +586,53 @@ class TestIdSafety:
                     == outcome(getattr(builtin, name), u, np.array(arr)))
 
     def test_bools_never_reach_the_pipe(self, tmp_path):
-        command, log = filtered_server(tmp_path, self.N, 11, "pass\n")
+        # nor do floats
+        command, log = filtered_server(tmp_path, self.N, 11, self.HOOK)
         rows, arr = np.array([[0, 1], [2, 3]]), np.array([0, 1, 2])
         calls = [("right_test", 5, [True]), ("right_test", True, [3]),
                  ("left_test", 5, np.array([True])), ("left_test", 5, [1, np.bool_(False)]),
+                 ("right_test", 5, [1.0]), ("left_test", 5, np.array([1.0])),
+                 ("right_test", 1.0, [1]), ("left_test", 5, [1, 1.5]),
                  ("right_test_batch", True, rows, self.N),
                  ("left_test_batch", 3, rows.astype(bool), self.N),
-                 ("right_descent", True, arr), ("left_descent", 3, arr.astype(bool))]
+                 ("right_test_batch", 3, rows.astype(float), self.N),
+                 ("right_descent", True, arr), ("left_descent", 3, arr.astype(bool)),
+                 ("left_descent", 3, arr.astype(float))]
         with ExternalOracle(command, self.N) as remote:
             remote.right_test(1, [1])  # the text of id 1 is now cached
             for name, *args in calls:
                 with pytest.raises(InvalidParameterError):
                     getattr(remote, name)(*args)
+        assert log.read_text().splitlines()[1:] == [self.ONE_QUERY]
         assert ops_received(log) == ["INIT", "R"]
+
+    @pytest.mark.parametrize("V", [[-1], [8], [3, 8], [10**30], [np.int64(-1)], np.array([8]),
+                                   np.array([-1, 2], dtype=np.int32)])
+    def test_out_of_range_single_test_is_rejected_and_the_session_goes_on(self, oracles, V):
+        remote, builtin = oracles
+        for name in ("left_test", "right_test"):
+            with pytest.raises(OracleRejectedError):
+                getattr(remote, name)(3, V)
+            with pytest.raises(OracleRejectedError):
+                getattr(remote, name)(self.N, [3])
+            assert getattr(remote, name)(3, [5, 0]) == getattr(builtin, name)(3, [5, 0])
+
+    @pytest.mark.parametrize("V", [[], set(), np.array([], dtype=np.int64), np.array([])])
+    def test_empty_set_answers_false(self, oracles, V):
+        remote, _ = oracles
+        assert remote.left_test(3, V) is False
+        assert remote.right_test(3, V) is False
+        with pytest.raises(OracleRejectedError):
+            remote.right_test(-1, V)
+
+    def test_empty_set_sends_no_line(self, tmp_path):
+        command, log = filtered_server(tmp_path, self.N, 11, self.HOOK)
+        with ExternalOracle(command, self.N) as remote:
+            counting = CountingOracle(remote)
+            assert counting.right_test(3, []) is False and counting.left_test(3, []) is False
+            assert counting.ledger.total == 2
+            remote.right_test(1, [1])
+        assert log.read_text().splitlines()[1:] == [self.ONE_QUERY]
 
     def test_negative_id_is_never_read_as_another(self, oracles):
         remote, builtin = oracles
@@ -552,19 +646,43 @@ class TestIdSafety:
         assert remote.right_test(u, [self.N - 1]) == builtin.right_test(u, [self.N - 1])
 
 
+
+class TestIdSafetyDecimal(TestIdSafety):
+    """The same cases in a session whose server refuses HEX ids."""
+
+    HOOK, ONE_QUERY = NO_HEX_HOOKS["no_hex_ok"], "R 1 1 1"
+
+
 # valid lines for a universe of 8 ids, and tokens to mutate them with
 FUZZ_N = 8
 FUZZ_RANKS = make_instance(FUZZ_N, 5).ranks.tolist()
 VALID_LINES = [
-    "INIT 8", "INIT 8 BATCH", "INIT 8 BATCH DESCENT", "INIT 8 DESCENT",
+    "INIT 8", "INIT 8 BATCH", "INIT 8 BATCH DESCENT", "INIT 8 DESCENT", "INIT 8 HEX",
+    "INIT 8 BATCH DESCENT HEX",
     "L 3 2 0 7", "R 3 2 0 7", "L 5 0",
     "BL 3 10 2 3 0 1 8 9 9 9", "BR 3 10 2 3 0 1 8 9 9 9", "BR 0 8 1 1 0",
     "DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 3 1 5", "DL 3 3 3 3 3",
 ]
+HEX_INIT = "INIT 8 BATCH DESCENT HEX"
+
+
+def hexed(line):
+    """A decimal query line with its ids as one HEX token."""
+    parts = line.split()
+    head = 5 if parts[0] in ("BL", "BR") else 3
+    ids = [int(tok) for tok in parts[head:]]
+    return " ".join(parts[:head] + ([np.array(ids).astype("<u4").tobytes().hex()] if ids else []))
+
+
+# valid lines of a session that agreed HEX: dummies past 2n, upper-case digits
+HEX_VALID_LINES = [hexed(line) for line in VALID_LINES if not line.startswith("INIT")] + [
+    hexed("BR 3 100 2 2 0 99 50 1"), "BR 3 16 1 1 0A000000"]
 TOKENS = st.one_of(
     st.sampled_from(["\u00b2", "\u0663", "\uff11", "-1", "+1", "1_0", "0x1", "1e3", "08",
-                     "9" * 5000, "BATCH", "DESCENT", "INIT", "L", "R", "BL", "BR", "DL", "DR",
-                     "Y", "\x00"]),
+                     "9" * 5000, "BATCH", "DESCENT", "HEX", "INIT", "L", "R", "BL", "BR", "DL",
+                     "DR", "Y", "\x00", "0000000", "000000000", "0000000g", "0000000\u0663",
+                     "00000000", "07000000", "08000000", "0a000000", "ffffffff", "0000000A",
+                     "0000000000000000", "0" * 8000]),
     st.integers(-3, 12).map(str),
     st.integers(0, 10**30).map(str),
     st.text(st.characters(blacklist_characters="\n"), min_size=1, max_size=4),
@@ -573,7 +691,7 @@ TOKENS = st.one_of(
 
 @st.composite
 def mutated_lines(draw):
-    tokens = draw(st.sampled_from(VALID_LINES)).split()
+    tokens = draw(st.sampled_from(VALID_LINES + HEX_VALID_LINES)).split()
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from(["replace", "delete", "insert"]))
         at = draw(st.integers(0, len(tokens)))
@@ -587,12 +705,16 @@ def mutated_lines(draw):
     return draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
 
 
-def well_formed(line, reply):
+def well_formed(line, reply, hex_ids=False):
+    """True when ``reply`` is ERR or an answer of the right shape to a line
+    whose ids fit the session: one HEX token, or one decimal token each."""
     if reply.startswith("ERR "):
         return True
     parts = line.split()
     if parts[0] == "INIT":
         return reply == " ".join(("OK", *parts[2:]))
+    if hex_ids and not id_tokens_fit(line, True):
+        return False
     if parts[0] in ("L", "R"):
         return reply in ("Y", "N")
     if parts[0] in ("BL", "BR"):
@@ -602,19 +724,24 @@ def well_formed(line, reply):
     return False
 
 
-@given(lines=st.lists(st.one_of(
+@given(opening=st.sampled_from([[], [HEX_INIT]]), lines=st.lists(st.one_of(
     mutated_lines(), st.text(st.characters(blacklist_characters="\n"), max_size=30)),
     min_size=1, max_size=8))
-@example(lines=["INIT \u00b2"])
-@settings(max_examples=300, deadline=None)
-def test_serve_answers_every_line_and_never_raises(lines):
+@example(opening=[], lines=["INIT \u00b2"])
+@example(opening=[HEX_INIT], lines=["R 3 1 0000000\u0663", "INIT 8 BATCH", "R 3 1 00000000"])
+@settings(max_examples=400, deadline=None)
+def test_serve_answers_every_line_and_never_raises(opening, lines):
+    lines = opening + lines
     out = io.StringIO()
     serve(FUZZ_RANKS, io.StringIO("".join(line + "\n" for line in lines)), out)
     replies = out.getvalue().split("\n")
     assert replies.pop() == ""
     assert len(replies) == len(lines)
+    hex_ids = False  # the ids of a session are HEX once an accepted INIT names it
     for line, reply in zip(lines, replies):
-        assert well_formed(line, reply), (line, reply)
+        assert well_formed(line, reply, hex_ids), (line, reply)
+        if line.split()[:1] == ["INIT"] and reply.startswith("OK"):
+            hex_ids = "HEX" in line.split()
 
 
 INVALID_LINES = {
@@ -663,6 +790,102 @@ def test_serve_answers_valid_lines(line):
     assert not reply.startswith("ERR") and well_formed(line, reply.rstrip("\n"))
 
 
+# lines a session that agreed HEX must reject
+HEX_INVALID_LINES = {
+    # odd length, a length that is not whole ids, digits that are not hex
+    # or not ASCII
+    "R 3 1 0000000": "ERR malformed query",
+    "R 3 1 000000000": "ERR malformed query",
+    "R 3 1 0000000000": "ERR malformed query",
+    "R 3 1 0000000g": "ERR malformed query",
+    "R 3 1 0x000000": "ERR malformed query",
+    "R 3 1 0000000\u0663": "ERR malformed query",
+    "R 3 1 \uff10\uff10\uff10\uff10\uff10\uff10\uff10\uff10": "ERR malformed query",
+    "DL 3 1 000000\u00b2\u00b2": "ERR malformed query",
+    "BR 3 8 1 1 0000000": "ERR malformed batch",
+    # two id tokens, decimal ids
+    "R 3 2 00000000 07000000": "ERR malformed query",
+    "R 3 2 0 7": "ERR malformed query",
+    "BR 3 8 1 1 0": "ERR malformed batch",
+    "BR 3 8 1 2 00000000 01000000": "ERR malformed batch",
+    # whole ids, but not as many as declared
+    "R 3 2 00000000": "ERR id count mismatch",
+    "L 3 0 00000000": "ERR id count mismatch",
+    "DR 3 1": "ERR id count mismatch",
+    "R 3 -1": "ERR id count mismatch",
+    "BR 3 8 1 2 00000000": "ERR id count mismatch",
+    # m = 0 for a descent, rows or width 0
+    "DR 3 0": "ERR malformed descent",
+    "BR 3 8 0 1": "ERR malformed batch",
+    "BR 3 8 1 0": "ERR malformed batch",
+    "BL 3 8 0 0": "ERR malformed batch",
+    # ids outside 0..n-1, batch ids outside 0..n_eff-1
+    "R 3 1 08000000": "ERR element id out of range",
+    "DL 3 2 00000000ffffffff": "ERR element id out of range",
+    "R 8 1 00000000": "ERR element id out of range",
+    "R -1 1 00000000": "ERR element id out of range",
+    "BR 3 10 1 2 000000000a000000": "ERR batch id outside",
+    "BL 3 8 1 1 08000000": "ERR batch id outside",
+    "BR 3 10 1 1 ffffffff": "ERR batch id outside",
+    "BR 8 10 1 1 00000000": "ERR element id out of range",
+}
+
+
+def served(*lines):
+    """The replies of one in-process session to ``lines``."""
+    out = io.StringIO()
+    serve(FUZZ_RANKS, io.StringIO("".join(line + "\n" for line in lines)), out)
+    return out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("line", sorted(HEX_INVALID_LINES))
+def test_serve_rejects_invalid_hex_lines(line):
+    agreed, reply = served(HEX_INIT, line)
+    assert agreed == "OK BATCH DESCENT HEX"
+    assert reply.startswith(HEX_INVALID_LINES[line])
+
+
+@pytest.mark.parametrize("line", HEX_VALID_LINES)
+def test_serve_answers_valid_hex_lines(line):
+    _, reply = served(HEX_INIT, line)
+    assert not reply.startswith("ERR") and well_formed(line, reply, True)
+
+
+def test_only_an_accepted_init_switches_the_id_encoding():
+    line, answer = "R 3 1 07000000", served("R 3 1 7")[0]
+    # after a decimal INIT the token is the decimal id 7000000
+    assert served(HEX_INIT, line, "INIT 8 BATCH", line, "R 3 1 7")[1:] == [
+        answer, "OK BATCH", "ERR element id out of range", answer]
+    assert served(HEX_INIT, "INIT 9 HEX", line)[1:] == ["ERR size mismatch: serving 8", answer]
+
+
+ID_VALUES = st.one_of(st.integers(0, FUZZ_N + 5), st.just(2**32 - 1))
+
+
+@st.composite
+def decimal_queries(draw):
+    """A query line of any op with decimal ids, some of them invalid."""
+    op = draw(st.sampled_from(["L", "R", "DL", "DR", "BL", "BR"]))
+    u = draw(st.integers(0, FUZZ_N))
+    if op in ("BL", "BR"):
+        rows, width = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        head = [u, draw(st.sampled_from([FUZZ_N, FUZZ_N + 2, 4 * FUZZ_N])), rows, width]
+        ids = draw(st.lists(ID_VALUES, min_size=rows * width, max_size=rows * width))
+    else:
+        ids = draw(st.lists(ID_VALUES, max_size=9))
+        head = [u, len(ids)]
+    return " ".join(map(str, [op, *head, *ids]))
+
+
+@given(line=decimal_queries())
+@settings(max_examples=400, deadline=None)
+def test_hex_and_decimal_sessions_answer_alike(line):
+    decimal = served("INIT 8 BATCH DESCENT", line)
+    hex_ids = served(HEX_INIT, hexed(line))
+    assert decimal[0] == "OK BATCH DESCENT" and hex_ids[0] == "OK BATCH DESCENT HEX"
+    assert decimal[1] == hex_ids[1]
+
+
 @pytest.mark.parametrize("line", ["DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 6 3 6 6 6", "DL 3 2 0 1"])
 def test_serve_descent_ends_where_the_builtin_descent_does(line):
     op, u, _, *ids = line.split()
@@ -678,7 +901,8 @@ REPLIES = st.one_of(
     st.sampled_from(["Y", "N", "y", "YN", "0", "3", "8", "03", "00", "-0", "-1", "+1", "1_0",
                      "3.0", "0x3", "\u0663", "\u00b2", "\uff13", "\ufffd", "ERR", "ERR busy",
                      "OK", "OK BATCH", "OK DESCENT", "OK BATCH DESCENT", "OK DESCENT BATCH",
-                     "OK BATCH BATCH", "OK  BATCH", "OK RESTART", "9" * 5000, ""]),
+                     "OK BATCH BATCH", "OK  BATCH", "OK RESTART", "OK BATCH DESCENT HEX",
+                     "OK HEX", "OK BATCH HEX", "OK HEX BATCH", "OK DESCENT HEX", "9" * 5000, ""]),
     st.integers(-3, 12).map(str),
     st.text(st.sampled_from("YN"), max_size=10),
     st.text(max_size=6),
