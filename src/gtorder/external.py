@@ -1,32 +1,40 @@
 """Group-test oracle backed by an external process.
 
 The child process answers a newline-delimited ASCII protocol on its
-standard input/output, one query in flight at a time:
+standard input/output, one query in flight at a time.  This docstring is
+the protocol's specification.
 
-    client -> "INIT <n> BATCH DESCENT HEX"  server -> "OK BATCH DESCENT HEX",
-                                            or OK naming fewer features
-    client -> "L <u> <m> <v1> ... <vm>"     server -> "Y" or "N"
-    client -> "R <u> <m> <v1> ... <vm>"     server -> "Y" or "N"
-    client -> "BL <u> <n_eff> <rows> <width> <rows*width ids>"
-                                            server -> one "Y"/"N" per row
-    client -> "BR <u> <n_eff> <rows> <width> <rows*width ids>"
-                                            server -> one "Y"/"N" per row
-    client -> "DL <u> <m> <v1> ... <vm>"    server -> a position in 0..m-1
-    client -> "DR <u> <m> <v1> ... <vm>"    server -> a position in 0..m-1
+A session is one of two kinds, fixed by its ``INIT`` line:
 
-``L`` asks the left test (u <=_Q V), ``R`` the right test (V <=_Q u),
-``m`` is the number of ids that follow.  Ids are 0-based ASCII base-10
-integers; the server replies ``ERR <message>`` to any invalid input,
-non-ASCII digits included.  ``u``, ``m``, ``n_eff``, ``rows`` and
-``width`` are always decimal, and replies never change.
+* **basic**: ``INIT <n>``, answered ``OK``.  It has the single tests
+  only, with decimal ids; it is the least a server must speak.
+* **full**: ``INIT <n> BATCH DESCENT HEX``, answered ``OK BATCH DESCENT
+  HEX``.  It has every op, and the ids of each line are one HEX token.
 
-Once ``HEX`` is agreed, the ids of every line are one token instead:
-each id is a little-endian unsigned 32-bit word written as 8 hex digits
-(``ids.astype("<u4").tobytes().hex()``), so ``DR 5 3
+Nothing in between is agreed: a server answers the full ``INIT`` with
+exactly ``OK BATCH DESCENT HEX``, or with ``OK`` to give a basic session,
+or with ``ERR``.  The ops, where ``<ids>`` is ``<v1> ... <vm>`` in a
+basic session and one HEX token in a full one:
+
+    client -> "L <u> <m> <ids>"     server -> "Y" or "N"
+    client -> "R <u> <m> <ids>"     server -> "Y" or "N"
+    client -> "BL <u> <n_eff> <rows> <width> <ids>"
+                                    server -> one "Y"/"N" per row    (full only)
+    client -> "BR <u> <n_eff> <rows> <width> <ids>"
+                                    server -> one "Y"/"N" per row    (full only)
+    client -> "DL <u> <m> <ids>"    server -> a position in 0..m-1   (full only)
+    client -> "DR <u> <m> <ids>"    server -> a position in 0..m-1   (full only)
+
+``L`` asks the left test (u <=_Q V), ``R`` the right test (V <=_Q u), and
+``m`` is the number of ids.  Ids are 0-based.  ``u``, ``m``, ``n_eff``,
+``rows`` and ``width`` are ASCII base-10 integers in both sessions, and so
+are the ids of a basic session.  In a full session each id is a
+little-endian unsigned 32-bit word written as 8 hex digits, and a line's
+ids are one token (``ids.astype("<u4").tobytes().hex()``): ``DR 5 3
 0100000002000000ff030000`` is a descent over ids 1, 2 and 1023.  The
-token must hold exactly the declared number of ids; a line of no ids
-carries no token.  The server then decodes a line in one pass instead of
-parsing one decimal token per id.
+token holds exactly the declared number of ids; a line of no ids carries
+no token.  The server replies ``ERR <message>`` to any invalid line,
+non-ASCII digits and a batch or descent op in a basic session included.
 
 ``BL``/``BR`` ask one left/right test per row of a ``rows`` x ``width``
 id array, sent row after row; they mirror
@@ -45,16 +53,37 @@ answers them all at once; the ledger still counts ceil(log2 m) tests.
 Descents carry no dummy slots, and a descent over one id asks no test, so
 the client sends none.
 
-The features beyond ``L``/``R`` and decimal ids are agreed at ``INIT``.
-The client offers ``INIT <n> BATCH DESCENT HEX`` (without ``HEX`` when
-n > 2**31, where ids could outgrow 32 bits); a server answers ``OK``
-followed by the offered features it has, in the order offered.  A server
-that answers ``ERR`` is offered the next shorter prefix: ``INIT <n> BATCH
-DESCENT``, then ``INIT <n> BATCH``, then ``INIT <n>``.  Without the batch
-op the client asks a batch one ``L``/``R`` line per row; without the
-descent op it asks a descent one ``L``/``R`` line per level, each the
-test on one half of the range the answer before it left; without ``HEX``
-it writes ids in decimal.
+Worked examples, for n = 1024 ids where id i has rank i + 1 (``>`` marks
+a client line, ``<`` the server's reply)::
+
+    > INIT 1024 BATCH DESCENT HEX
+    < OK BATCH DESCENT HEX
+    > R 5 2 ff03000009000000
+    < N
+    > L 5 2 ff03000009000000
+    < Y
+    > BR 5 1030 2 2 0100000004040000ff03000005040000
+    < YN
+    > DR 5 3 0100000002000000ff030000
+    < 0
+    > DL 5 3 0100000002000000ff030000
+    < 2
+    > INIT 1024
+    < OK
+    > R 5 2 1023 9
+    < N
+    > DR 5 3 1 2 1023
+    < ERR DR needs a full session
+
+The client offers the full session while n <= 2**31, so that every id and
+every padded id it sends fits 32 bits, and the basic one otherwise.  A
+server that answers the full offer with ``ERR`` is sent ``INIT <n>``.  In
+a basic session the client asks a batch one ``L``/``R`` line per row, and
+a descent one ``L``/``R`` line per level, each the test on one half of
+the range the answer before it left; the answers and the ledgers are
+those of a full session.  Any other ``INIT`` reply (``OK`` with some of
+the features, say) raises OracleProtocolError: a server that agreed
+``HEX`` alone would read decimal ids as hex.
 
 The client checks ids before it writes a line: a single test with an id
 outside 0..n-1 raises OracleRejectedError, as the server's ``ERR`` would,
@@ -78,7 +107,7 @@ included) and the round trip in microseconds.  Without DEBUG enabled
 nothing is formatted.
 
 The reference server, ``python -m gtorder.oracle_server --n N --seed S``,
-lives in ``gtorder.oracle_server``: it serves the protocol for the
+lives in ``gtorder.oracle_server``: it serves both sessions for the
 instance ``make_instance(N, S)`` builds, without importing numpy, and the
 conformance tests check this client against it.
 """
@@ -86,7 +115,6 @@ conformance tests check this client against it.
 from __future__ import annotations
 
 import logging
-import operator
 import os
 import select
 import shlex
@@ -106,29 +134,13 @@ from .errors import (
 )
 from .oracle import (GroupTestOracle, IdSet, _check_id_types, _checked_descent,
                      _checked_rows)
-from .oracle_server import _FEATURES, _features_named
+from .oracle_server import _FULL_FEATURES
 
 _log = logging.getLogger(__name__)
 
-
-class _DecimalText(dict):
-    """Decimal text of each id, made on first use and kept.
-
-    Keyed by the id's value, so a numpy integer finds the entry of the
-    equal int.  A bool would find the entry of the equal int too, so
-    callers check id types first.
-    """
-
-    def __missing__(self, key) -> str:
-        text = self[key] = str(operator.index(key))
-        return text
-
-
-# what the client offers at INIT, every prefix of _FEATURES, longest
-# first; a server that answers ERR is offered the next
-_OFFERS = tuple(_FEATURES[:k] for k in range(len(_FEATURES), -1, -1))
-# HEX ids are unsigned 32-bit words: HEX is offered only up to this n, so
-# that every id and every padded id the library draws (below 2n) fits
+# HEX ids are unsigned 32-bit words: the full session is offered only up
+# to this n, so that every id and every padded id a batch sends (below
+# 2n, see _checked_rows) fits
 _HEX_MAX_N = 1 << 31
 
 
@@ -146,13 +158,15 @@ def _reply_error(reply: str) -> OracleError:
     return OracleProtocolError(f"malformed oracle reply {reply!r}")
 
 
-def _agreed_features(reply: str, offer: Sequence[str]) -> frozenset[str]:
-    """The features an ``INIT`` reply agrees to: ``OK`` followed by some
-    of the offered ones, in the order offered."""
-    words = reply.split(" ")
-    if words[0] != "OK" or not _features_named(words[1:], offer):
-        raise OracleProtocolError(f"expected OK to INIT, got {reply!r}")
-    return frozenset(words[1:])
+def _full_session(reply: str, offer: str) -> bool:
+    """Whether the reply to the ``INIT`` line ``offer`` agrees a full
+    session: ``OK`` agrees a basic one, and ``OK BATCH DESCENT HEX`` a full
+    one, but only in answer to the full offer."""
+    if reply == "OK":
+        return False
+    if reply == f"OK {_FULL_FEATURES}" and offer.endswith(f" {_FULL_FEATURES}"):
+        return True
+    raise OracleProtocolError(f"expected OK to INIT, got {reply!r}")
 
 
 def _test_answer(reply: str) -> bool:
@@ -197,7 +211,6 @@ class ExternalOracle(GroupTestOracle):
         self._timeout = timeout
         self._buffer = b""
         self._failure: OracleError | None = None
-        self._text = _DecimalText()
         try:
             self._proc = subprocess.Popen(
                 args,
@@ -210,20 +223,19 @@ class ExternalOracle(GroupTestOracle):
         # a long batch line may not fit the pipe: writes wait under the
         # query's deadline instead of blocking on a server that stopped reading
         os.set_blocking(self._proc.stdin.fileno(), False)
+        basic = f"INIT {n}"
+        offer = f"{basic} {_FULL_FEATURES}" if n <= _HEX_MAX_N else basic
         try:
-            for offer in _OFFERS if n <= _HEX_MAX_N else _OFFERS[1:]:
-                reply = self._exchange(" ".join(("INIT", str(n), *offer)))
-                # a server without some feature may reject the longer INIT
-                if not reply.startswith("ERR"):
-                    break
-            features = _agreed_features(reply, offer)
+            reply = self._exchange(offer)
+            if reply.startswith("ERR") and offer != basic:
+                # a server with the basic session only may reject the full one
+                offer = basic
+                reply = self._exchange(offer)
+            self._full = _full_session(reply, offer)
         except OracleError:
             self._proc.kill()
             self.close()
             raise
-        self._batch_op = "BATCH" in features
-        self._descent_op = "DESCENT" in features
-        self._hex = "HEX" in features
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
@@ -315,10 +327,9 @@ class ExternalOracle(GroupTestOracle):
 
     def _line(self, kind: str, u: int, ids: np.ndarray) -> str:
         """``kind u m <ids>``, the line of a single test or a descent."""
-        text = self._text
-        if self._hex:
-            return f"{kind} {text[u]} {ids.size} {_hex_token(ids)}"
-        return " ".join((kind, text[u], str(ids.size), *map(text.__getitem__, ids.tolist())))
+        if self._full:
+            return f"{kind} {u} {ids.size} {_hex_token(ids)}"
+        return " ".join((kind, str(u), str(ids.size), *map(str, ids.tolist())))
 
     def _query(self, kind: str, u: int, V: IdSet) -> bool:
         _check_id_types(u, V)
@@ -342,29 +353,21 @@ class ExternalOracle(GroupTestOracle):
         return self._query("R", u, V)
 
     def _batch(self, kind: str, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        rows = _checked_rows(u, rows, n_eff, self.size)
+        rows, n_eff = _checked_rows(u, rows, n_eff, self.size)
         if not rows.size:
             # no rows, or rows of no ids: each is an empty existential
             return np.zeros(len(rows), dtype=bool)
         count, width = rows.shape
-        text = self._text
-        if self._hex:
-            if n_eff > 1 << 32:
-                # every dummy slot answers alike, and n is one of them
-                rows = np.minimum(rows, self.size)
-            ids = (_hex_token(rows),)
-        else:
-            ids = map(text.__getitem__, rows.ravel().tolist())
-        line = " ".join((kind, text[u], text[n_eff], str(count), str(width), *ids))
+        line = f"{kind} {u} {n_eff} {count} {width} {_hex_token(rows)}"
         return self._ask(line, _batch_answer, count)
 
     def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        if not self._batch_op:
+        if not self._full:
             return super().left_test_batch(u, rows, n_eff)
         return self._batch("BL", u, rows, n_eff)
 
     def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        if not self._batch_op:
+        if not self._full:
             return super().right_test_batch(u, rows, n_eff)
         return self._batch("BR", u, rows, n_eff)
 
@@ -376,11 +379,11 @@ class ExternalOracle(GroupTestOracle):
         return self._ask(self._line(kind, u, arr), _descent_answer, m)
 
     def left_descent(self, u: int, arr: np.ndarray) -> int:
-        if not self._descent_op:
+        if not self._full:
             return super().left_descent(u, arr)
         return self._descent("DL", u, arr)
 
     def right_descent(self, u: int, arr: np.ndarray) -> int:
-        if not self._descent_op:
+        if not self._full:
             return super().right_descent(u, arr)
         return self._descent("DR", u, arr)

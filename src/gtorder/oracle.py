@@ -158,10 +158,14 @@ def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
     return V
 
 
-def _checked_rows(u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray:
+def _checked_rows(u: int, rows: np.ndarray, n_eff: int,
+                  size: int) -> tuple[np.ndarray, int]:
     """Check a batch: u in 0..size-1, n_eff >= size, and ``rows`` a 2-D
-    integer array of ids in 0..n_eff-1.  Rows of no ids come back as an
-    integer array, whatever their dtype was."""
+    integer array of ids in 0..n_eff-1.  Returns the rows and the padded
+    size to answer them with.  Rows of no ids come back as an integer
+    array, whatever their dtype was.  Past n_eff = 2 * size every dummy id
+    comes back as ``size`` and the padded size as size + 1, so no hit
+    table or id token need span a huge padded universe."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):
         raise InvalidParameterError(f"a batch needs a 2-D integer id array, got shape {rows.shape}")
@@ -175,7 +179,12 @@ def _checked_rows(u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray
         raise InvalidParameterError(f"element id outside universe of size {size}")
     if rows.size and (rows.min() < 0 or rows.max() >= n_eff):
         raise InvalidParameterError(f"batch id outside padded universe of size {n_eff}")
-    return rows
+    if n_eff > 2 * size:
+        # every dummy slot answers alike, so slot ``size`` stands for all
+        if rows.size and rows.max() >= size:
+            rows = np.minimum(rows, size)
+        n_eff = size + 1
+    return rows, n_eff
 
 
 def _checked_descent(u: int, arr: np.ndarray, size: int) -> np.ndarray:
@@ -208,7 +217,8 @@ def _descend(test, u: int, arr: np.ndarray, size: int) -> int:
 
 def _per_row(test, u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray:
     """Answer a batch with one call of ``test`` per row, dummies left out."""
-    rows = _checked_rows(u, rows, n_eff, size).tolist()
+    rows, n_eff = _checked_rows(u, rows, n_eff, size)
+    rows = rows.tolist()
     if n_eff > size:
         rows = [[v for v in row if v < size] for row in rows]
     return np.fromiter((test(u, row) for row in rows), dtype=bool, count=len(rows))
@@ -264,7 +274,7 @@ class InstanceOracle(GroupTestOracle):
         # (dummy slots 0) and one matrix-vector product: numpy's
         # any(axis=1) pays a loop per row on short rows.  float64 counts
         # exactly up to 2**53 ids a row; uint8/uint16 sums would wrap
-        rows = _checked_rows(u, rows, n_eff, self.size)
+        rows, n_eff = _checked_rows(u, rows, n_eff, self.size)
         ranks = self._ranks
         hit = np.zeros(n_eff)
         (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])

@@ -5,11 +5,12 @@ group-test queries on stdin/stdout for the instance that
 ``make_instance(N, S)`` builds; ``gtorder.external`` documents the
 protocol and its client.  ``serve`` answers the protocol for any rank
 list and never raises on a bad line: every input line gets exactly one
-reply line, ``ERR ...`` for an invalid one.  It has every feature: the
-batch and descent ops and ``HEX`` ids, which it decodes with
-``bytes.fromhex`` into an ``array`` of 32-bit words and gathers in one
-pass; an id past the end of the rank list raises the IndexError that is
-the range check.
+reply line, ``ERR ...`` for an invalid one.  It serves both sessions:
+each accepted ``INIT`` starts a basic one (decimal ``L``/``R`` only) or a
+full one (every op, ``HEX`` ids).  A full session decodes a line's ids
+with ``bytes.fromhex`` into an ``array`` of 32-bit words and gathers
+their ranks in one pass; an id past the end of the rank list raises the
+IndexError that is the range check.
 
 The server imports no numpy, which would cost most of its start-up time.
 ``instance_ranks`` rebuilds ``make_instance``'s ranks in pure Python by
@@ -31,8 +32,8 @@ from typing import Sequence
 
 from .errors import InvalidParameterError
 
-# the features beyond L/R and decimal ids, in the order INIT names them
-_FEATURES = ("BATCH", "DESCENT", "HEX")
+# what the INIT line of a full session names after n, and its OK echoes
+_FULL_FEATURES = "BATCH DESCENT HEX"
 # an array typecode of unsigned 32-bit words, the width of a HEX id
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
@@ -114,24 +115,11 @@ def instance_ranks(n: int, seed: int) -> list[int]:
     return ranks
 
 
-def _features_named(words: Sequence[str], offer: Sequence[str]) -> bool:
-    """True when ``words`` are some of the ``offer``, each once, in its order."""
-    return list(words) == [feature for feature in offer if feature in words]
-
-
 def _integer(token: str) -> int:
     """The value of an ASCII base-10 integer token; ValueError otherwise."""
     if not token.isascii():
         raise ValueError(f"non-ASCII token {token!r}")
     return int(token)
-
-
-def _known_ranks(tokens: list[str], rank_of: dict[str, int]) -> list[int] | None:
-    """Ranks of the tokens when each is the canonical text of an id."""
-    try:
-        return list(map(rank_of.__getitem__, tokens))
-    except KeyError:
-        return None
 
 
 def _hex_ids(tokens: list[str]) -> array:
@@ -151,14 +139,10 @@ def serve(ranks: list[int], infile, outfile) -> None:
     is the rank of id ``i``, a permutation of 1..n.
 
     Every input line gets exactly one reply line, ``ERR ...`` for any
-    invalid one.  Ids are decimal tokens until an accepted ``INIT`` names
-    ``HEX``, and one hex token per line after it.
+    invalid one.  The session is basic until an accepted ``INIT`` makes
+    it full, and each accepted ``INIT`` starts a new one.
     """
-    # the canonical text of each id maps straight to its rank; any other
-    # token goes through _integer and the range checks.  In a HEX session
-    # rank_of is None.
-    decimal = {str(v): rank for v, rank in enumerate(ranks)}
-    rank_of = decimal
+    full = False
     for raw in infile:
         parts = raw.split()
         op = parts[0] if parts else ""
@@ -167,13 +151,15 @@ def serve(ranks: list[int], infile, outfile) -> None:
         elif op == "INIT":
             answer = _answer_init(parts, len(ranks))
             if answer.startswith("OK"):
-                rank_of = None if "HEX" in parts else decimal
+                full = len(parts) > 2
         elif op in ("L", "R"):
-            answer = _answer_test(op == "L", parts, ranks, rank_of)
+            answer = _answer_test(op == "L", parts, ranks, full)
+        elif op in ("BL", "BR", "DL", "DR") and not full:
+            answer = f"ERR {op} needs a full session"
         elif op in ("BL", "BR"):
-            answer = _answer_batch(op == "BL", parts, ranks, rank_of)
+            answer = _answer_batch(op == "BL", parts, ranks)
         elif op in ("DL", "DR"):
-            answer = _answer_descent(op == "DL", parts, ranks, rank_of)
+            answer = _answer_descent(op == "DL", parts, ranks)
         else:
             answer = f"ERR unknown op {op}"
         outfile.write(answer + "\n")
@@ -181,9 +167,9 @@ def serve(ranks: list[int], infile, outfile) -> None:
 
 
 def _answer_init(parts: list[str], n: int) -> str:
-    """The reply to one ``INIT`` line, split into ``parts``: ``OK`` and
-    every feature asked for, since this server has them all."""
-    if (len(parts) < 2 or not _features_named(parts[2:], _FEATURES)
+    """The reply to one ``INIT`` line, split into ``parts``: ``OK`` to a
+    basic one, ``OK BATCH DESCENT HEX`` to a full one."""
+    if (len(parts) < 2 or " ".join(parts[2:]) not in ("", _FULL_FEATURES)
             or not (parts[1].isascii() and parts[1].isdigit())):
         return "ERR malformed INIT"
     if parts[1].lstrip("0") != str(n):
@@ -191,43 +177,35 @@ def _answer_init(parts: list[str], n: int) -> str:
     return " ".join(("OK", *parts[2:]))
 
 
-def _operands(parts: list[str], ranks: list[int],
-              rank_of: dict[str, int] | None) -> tuple[int, list[int]] | str:
+def _operands(parts: list[str], ranks: list[int], full: bool) -> tuple[int, list[int]] | str:
     """The rank of u and the ranks of the ids of a ``<op> <u> <m> <ids>``
-    line, or the ``ERR`` reply to it; ``rank_of`` is None in a HEX
-    session."""
+    line, or the ``ERR`` reply to it: one HEX token of ids in a full
+    session, decimal ones in a basic session."""
     n = len(ranks)
     tokens = parts[3:]
-    found = None
     try:
         u = _integer(parts[1])
         m = _integer(parts[2])
-        if rank_of is None:
-            ids = _hex_ids(tokens)
-        else:
-            found = _known_ranks(tokens, rank_of)
-            ids = tokens if found is not None else [_integer(tok) for tok in tokens]
+        ids = _hex_ids(tokens) if full else [_integer(tok) for tok in tokens]
     except (IndexError, ValueError):
         return "ERR malformed query"
     if m != len(ids):
         return f"ERR id count mismatch: declared {m}, got {len(ids)}"
     if not 0 <= u < n:
         return "ERR element id out of range"
-    if found is None:
-        # hex ids are unsigned; a negative decimal one would index from the end
-        if rank_of is not None and min(ids) < 0:
-            return "ERR element id out of range"
-        try:
-            found = [ranks[v] for v in ids]
-        except IndexError:
-            return "ERR element id out of range"
+    # hex ids are unsigned; a negative decimal one would index from the end
+    if not full and min(ids, default=0) < 0:
+        return "ERR element id out of range"
+    try:
+        found = [ranks[v] for v in ids]
+    except IndexError:
+        return "ERR element id out of range"
     return ranks[u], found
 
 
-def _answer_test(left: bool, parts: list[str], ranks: list[int],
-                 rank_of: dict[str, int] | None) -> str:
+def _answer_test(left: bool, parts: list[str], ranks: list[int], full: bool) -> str:
     """The reply to one ``L``/``R`` line, split into ``parts``."""
-    operands = _operands(parts, ranks, rank_of)
+    operands = _operands(parts, ranks, full)
     if isinstance(operands, str):
         return operands
     ru, found = operands
@@ -236,11 +214,11 @@ def _answer_test(left: bool, parts: list[str], ranks: list[int],
     return "Y" if min(found, default=len(ranks) + 1) <= ru else "N"
 
 
-def _answer_descent(left: bool, parts: list[str], ranks: list[int],
-                    rank_of: dict[str, int] | None) -> str:
-    """The reply to one ``DL``/``DR`` line, split into ``parts``: the first
-    position whose id satisfies the test, or m - 1 if none does."""
-    operands = _operands(parts, ranks, rank_of)
+def _answer_descent(left: bool, parts: list[str], ranks: list[int]) -> str:
+    """The reply to one ``DL``/``DR`` line of a full session, split into
+    ``parts``: the first position whose id satisfies the test, or m - 1 if
+    none does."""
+    operands = _operands(parts, ranks, True)
     if isinstance(operands, str):
         return operands
     ru, found = operands
@@ -250,19 +228,13 @@ def _answer_descent(left: bool, parts: list[str], ranks: list[int],
     return str(next(compress(count(), hits), len(found) - 1))
 
 
-def _answer_batch(left: bool, parts: list[str], ranks: list[int],
-                  rank_of: dict[str, int] | None) -> str:
-    """The reply to one ``BL``/``BR`` line, split into ``parts``."""
+def _answer_batch(left: bool, parts: list[str], ranks: list[int]) -> str:
+    """The reply to one ``BL``/``BR`` line of a full session, split into
+    ``parts``."""
     n = len(ranks)
-    tokens = parts[5:]
-    found = None
     try:
         u, n_eff, rows, width = map(_integer, parts[1:5])
-        if rank_of is None:
-            ids = _hex_ids(tokens)
-        else:
-            found = _known_ranks(tokens, rank_of)
-            ids = tokens if found is not None else [_integer(tok) for tok in tokens]
+        ids = _hex_ids(parts[5:])
     except ValueError:
         return "ERR malformed batch"
     if rows < 1 or width < 1:
@@ -275,16 +247,13 @@ def _answer_batch(left: bool, parts: list[str], ranks: list[int],
         return "ERR element id out of range"
     # a dummy's sentinel rank fails the comparison in either direction
     sentinel = 0 if left else n + 1
-    if rank_of is None:
-        # the ranks padded with sentinels, at most to 2n: padding never
-        # takes more than n slots, and the ids past it take the path below
-        table = ranks + [sentinel] * (min(n_eff, 2 * n) - n)
-        try:
-            found = [table[v] for v in ids]
-        except IndexError:
-            pass
-    if found is None:
-        if any(not 0 <= v < n_eff for v in ids):
+    # the ranks padded with sentinels, at most to 2n: padding never takes
+    # more than n slots, and the ids past it take the path below
+    table = ranks + [sentinel] * (min(n_eff, 2 * n) - n)
+    try:
+        found = [table[v] for v in ids]
+    except IndexError:
+        if any(v >= n_eff for v in ids):
             return f"ERR batch id outside padded universe of size {n_eff}"
         found = [ranks[v] if v < n else sentinel for v in ids]
     ru = ranks[u]

@@ -1,10 +1,11 @@
 """Tests for the external-process oracle and its wire protocol."""
 
+import hashlib
 import io
-import itertools
 import logging
 import os
 import re
+import shlex
 import sys
 import textwrap
 
@@ -25,11 +26,15 @@ from gtorder import (
     make_instance,
     max_find,
     min_find,
+    reversed_view,
 )
 from gtorder import external
-from gtorder.external import (_OFFERS, _agreed_features, _batch_answer, _descent_answer,
-                              _test_answer)
+from gtorder.external import _batch_answer, _descent_answer, _full_session, _test_answer
+from gtorder.harness import ExperimentConfig, render_csv, run_experiment
+from gtorder.oracle import GroupTestOracle
 from gtorder.oracle_server import serve
+
+FULL_INIT = "INIT {} BATCH DESCENT HEX"
 
 
 def reference_command(n, seed):
@@ -148,8 +153,20 @@ class TestReferenceServer:
                             == getattr(builtin, name)(u, np.minimum(rows, n), n + 1).tolist())
         assert log.read_text().splitlines()[0] == "INIT 8 BATCH DESCENT HEX"
 
-    @pytest.mark.parametrize("n, offer", [(2**31, "BATCH DESCENT HEX"),
-                                          (2**31 + 1, "BATCH DESCENT")])
+    def test_a_huge_padded_size_answers_like_the_per_row_path(self, tmp_path):
+        # a hit table or a token spanning n_eff = 2**45 would not fit in memory
+        rows = np.array([[0, 9]])
+        builtin = InstanceOracle(make_instance(8, 0))
+        with ExternalOracle(reference_command(8, 0), 8) as remote:
+            for oracle in (builtin, reversed_view(builtin), remote):
+                assert (oracle.right_test_batch(3, rows, 2**45).tolist()
+                        == GroupTestOracle.right_test_batch(oracle, 3, rows, 2**45).tolist())
+                assert (oracle.left_test_batch(3, rows, 2**45).tolist()
+                        == GroupTestOracle.left_test_batch(oracle, 3, rows, 2**45).tolist())
+        assert builtin.right_test_batch(3, rows, 2**45).tolist() == [True]
+
+    @pytest.mark.parametrize("n, offer", [(2**31, FULL_INIT.format(2**31)),
+                                          (2**31 + 1, f"INIT {2**31 + 1}")])
     def test_hex_is_offered_only_while_every_id_fits_32_bits(self, tmp_path, n, offer):
         init = tmp_path / "init.log"
         command = script_command(
@@ -161,7 +178,7 @@ class TestReferenceServer:
         )
         with ExternalOracle(command, n):
             pass
-        assert init.read_text() == f"INIT {n} {offer}\n"
+        assert init.read_text() == f"{offer}\n"
 
     def test_size_mismatch_at_init(self):
         with pytest.raises(OracleProtocolError):
@@ -255,31 +272,9 @@ class TestProtocolFailures:
                 pass
 
 
-# INIT hooks of servers that lack some feature: each answers an offer it
-# does not know with ERR, or with OK that leaves the feature out
-NO_HEX_HOOKS = {
-    "no_hex_err": """
-        if "HEX" in line.split()[2:]:
-            print("ERR malformed INIT", flush=True)
-            continue
-    """,
-    "no_hex_ok": """
-        if line.startswith("INIT "):
-            line = line.replace(" HEX", "")
-    """,
-}
-BATCH_ONLY_HOOKS = {
-    "batch_only_err": """
-        if "DESCENT" in line.split()[2:]:
-            print("ERR malformed INIT", flush=True)
-            continue
-    """,
-    "batch_only_ok": """
-        if line.startswith("INIT "):
-            line = line.replace(" DESCENT", "").replace(" HEX", "")
-    """,
-}
-NO_BATCH_HOOKS = {
+# INIT hooks of servers with the basic session only: one answers the
+# full offer with ERR, the other answers it with a plain OK
+BASIC_HOOKS = {
     "err_then_ok": """
         if line.startswith("INIT ") and line.split()[2:]:
             print("ERR malformed INIT", flush=True)
@@ -293,10 +288,10 @@ NO_BATCH_HOOKS = {
 
 
 class TestBatchOp:
-    @pytest.mark.parametrize("server", sorted(NO_BATCH_HOOKS))
+    @pytest.mark.parametrize("server", sorted(BASIC_HOOKS))
     def test_fallback_asks_one_line_per_row(self, tmp_path, server):
         n, seed = 20, 3
-        command, log = filtered_server(tmp_path, n, seed, NO_BATCH_HOOKS[server])
+        command, log = filtered_server(tmp_path, n, seed, BASIC_HOOKS[server])
         builtin = InstanceOracle(make_instance(n, seed))
         rng = np.random.default_rng(4)
         rows_sent = 0
@@ -345,14 +340,13 @@ class TestBatchOp:
             assert remote.left_test(3, [5]) == builtin.left_test(3, [5])
         assert ops_received(log) == ["INIT", "BR", "BR", "L"]
 
-    # the client offers BATCH DESCENT HEX, then BATCH DESCENT, then BATCH,
-    # then nothing; a reply may name only features its INIT offered, each
-    # once, in the order offered
+    # the client offers the full session, then the basic one after ERR;
+    # only OK, or OK BATCH DESCENT HEX to the full offer, agrees a session
     @pytest.mark.parametrize("replies", [
-        ("MAYBE",), ("ERR no", "ERR no", "ERR no", "OK BATCH"), ("ERR no", "MAYBE"),
-        ("OK BATCH OK",), ("ERR no", "OK BATCH DESCENT HEX"), ("ERR no",) * 4,
-        ("OK DESCENT BATCH",), ("OK BATCH BATCH",), ("ERR no", "ERR no", "ERR no", "OK DESCENT"),
-        ("OK HEX BATCH",), ("ERR no", "OK HEX"), ("ERR no", "ERR no", "OK BATCH HEX")])
+        ("MAYBE",), ("ERR no", "MAYBE"), ("OK BATCH OK",), ("OK DESCENT BATCH",),
+        ("OK BATCH BATCH",), ("OK HEX BATCH",), ("OK BATCH",), ("OK BATCH DESCENT",),
+        ("OK HEX",), ("OK DESCENT BATCH HEX",), ("OK  BATCH DESCENT HEX",),
+        ("ERR no", "OK BATCH DESCENT HEX"), ("ERR no", "OK HEX"), ("ERR no", "ERR no")])
     def test_bad_handshake_is_a_protocol_error(self, tmp_path, replies):
         command = script_command(
             tmp_path,
@@ -372,7 +366,7 @@ class TestBatchOp:
             tmp_path,
             "import sys, time\n"
             "sys.stdin.readline()\n"
-            "print('OK BATCH', flush=True)\n"
+            "print('OK BATCH DESCENT HEX', flush=True)\n"
             "time.sleep(60)\n",
         )
         rows = np.full((2000, 50), 999)
@@ -383,12 +377,10 @@ class TestBatchOp:
                 remote.right_test(3, [3])
 
 
-# each kind of server, its INIT hook, and the features the client should agree
+# each kind of server, its INIT hook, and whether the session should be full
 SERVERS = {
-    "full": ("pass\n", {"BATCH", "DESCENT", "HEX"}),
-    **{name: (hook, {"BATCH", "DESCENT"}) for name, hook in NO_HEX_HOOKS.items()},
-    **{name: (hook, {"BATCH"}) for name, hook in BATCH_ONLY_HOOKS.items()},
-    **{f"no_batch_{name}": (hook, set()) for name, hook in NO_BATCH_HOOKS.items()},
+    "full": ("pass\n", True),
+    **{f"basic_{name}": (hook, False) for name, hook in BASIC_HOOKS.items()},
 }
 
 
@@ -407,7 +399,7 @@ def id_tokens_fit(line, hex_ids):
 class TestDescentOp:
     @pytest.mark.parametrize("server", sorted(SERVERS))
     def test_every_server_gives_the_builtin_answers(self, tmp_path, server):
-        hook, features = SERVERS[server]
+        hook, full = SERVERS[server]
         n, seed = 40, 6
         command, log = filtered_server(tmp_path, n, seed, hook)
         builtin = InstanceOracle(make_instance(n, seed))
@@ -437,25 +429,19 @@ class TestDescentOp:
                         == getattr(builtin, name)(3, rows, n + 2).tolist())
                 rows_sent += len(rows)
         ops = ops_received(log)
-        offers = [" ".join(("INIT", str(n), *offer)) for offer in _OFFERS]
         inits = [line for line in log.read_text().splitlines() if line.startswith("INIT")]
-        # the ladder stops at the first offer not answered with ERR
-        assert inits == offers[:len(inits)] and len(inits) == {
-            "no_hex_err": 2, "batch_only_err": 3, "no_batch_err_then_ok": 4}.get(server, 1)
+        # the basic INIT follows only an ERR to the full one
+        assert inits == [FULL_INIT.format(n)] + [f"INIT {n}"] * (server == "basic_err_then_ok")
         lines = [line for line in log.read_text().splitlines() if not line.startswith("INIT")]
-        assert all(id_tokens_fit(line, "HEX" in features) for line in lines)
+        assert all(id_tokens_fit(line, full) for line in lines)
         queries = [op for op in ops if op != "INIT"]
-        if "DESCENT" in features:
-            # one line per swap, none per level
+        if full:
+            # one line per swap and per batch, none per level or row
             assert queries.count("DL") + queries.count("DR") == descents
-            levels = 0
-        else:
-            assert "DL" not in queries and "DR" not in queries
-        if "BATCH" in features:
             assert queries.count("BL") == queries.count("BR") == 1
-            rows_sent = 0
+            levels = rows_sent = 0
         else:
-            assert "BL" not in queries and "BR" not in queries
+            assert not {"BL", "BR", "DL", "DR"} & set(queries)
         assert queries.count("L") + queries.count("R") == singles + levels + rows_sent
 
     @pytest.mark.parametrize("reply", ["-1", "8", "03", "+3", "3.0", "0x3", "Y", "3 3", "OK", ""])
@@ -647,23 +633,60 @@ class TestIdSafety:
 
 
 
-class TestIdSafetyDecimal(TestIdSafety):
-    """The same cases in a session whose server refuses HEX ids."""
+class TestIdSafetyBasic(TestIdSafety):
+    """The same cases in a basic session, whose ids are decimal."""
 
-    HOOK, ONE_QUERY = NO_HEX_HOOKS["no_hex_ok"], "R 1 1 1"
+    HOOK, ONE_QUERY = BASIC_HOOKS["plain_ok"], "R 1 1 1"
+
+
+# fixed-instance reports at n = 150, seed 11, and the sha256 of each
+# report's CSV, which the basic and the full session must both give
+PARITY_N, PARITY_SEED = 150, 11
+PARITY_REPORTS = {
+    "select_low_target": (dict(algorithm="select", k=30, delta=0.8, epsilon=0.3, trials=1),
+                          "d30eb77c014adfb97898f5a7b1885d8c053b9146cf0735c026153929d0f90839"),
+    "select_high_target": (dict(algorithm="select", k=120, delta=0.8, epsilon=0.3, trials=1),
+                           "5833976cf01c48c7aa4e20118c96e52b5a1a0044a8051fb366aedb181c1c5bb2"),
+    "testle": (dict(algorithm="testle", r=60, delta=0.5, epsilon=0.2, trials=3),
+               "60e089b378e673b8c974549bad11356c5bfb3fd8d2e308f20cd9edd14467b0fd"),
+    "rank": (dict(algorithm="rank", delta=0.4, epsilon=0.2, trials=1),
+             "a88462456ca8f115769615948fae80928e722a68a8380a2cafec2d20349c222b"),
+    "minfind": (dict(algorithm="minfind", trials=3),
+                "da78773a657f020f7e0fb0dd5421c21c32d78aa9dfc6cee5d91e05027e4988d6"),
+    "maxfind": (dict(algorithm="maxfind", trials=3),
+                "5b0d1c6dd073547c161b766c07869143b3f079d4c47296e7b60fec6f0260e630"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_REPORTS))
+def test_basic_and_full_sessions_give_the_same_reports(tmp_path, name):
+    fields, digest = PARITY_REPORTS[name]
+    full_init = FULL_INIT.format(PARITY_N)
+    # the reference serve(), and the same behind a server that refuses
+    # the full session; each run spawns one server
+    for hook, inits in (("pass\n", [full_init]),
+                        (BASIC_HOOKS["err_then_ok"], [full_init, f"INIT {PARITY_N}"])):
+        command, log = filtered_server(tmp_path, PARITY_N, PARITY_SEED, hook)
+        config = ExperimentConfig(n=PARITY_N, seed=PARITY_SEED, fixed_instance=True,
+                                  oracle="cmd:" + shlex.join(command), **fields)
+        reports, summary = run_experiment(config)
+        assert summary["errors"] == 0
+        csv = render_csv(config, reports).encode("ascii")
+        assert hashlib.sha256(csv).hexdigest() == digest
+        assert [line for line in log.read_text().splitlines()
+                if line.startswith("INIT")] == inits
 
 
 # valid lines for a universe of 8 ids, and tokens to mutate them with
 FUZZ_N = 8
 FUZZ_RANKS = make_instance(FUZZ_N, 5).ranks.tolist()
-VALID_LINES = [
-    "INIT 8", "INIT 8 BATCH", "INIT 8 BATCH DESCENT", "INIT 8 DESCENT", "INIT 8 HEX",
-    "INIT 8 BATCH DESCENT HEX",
-    "L 3 2 0 7", "R 3 2 0 7", "L 5 0",
-    "BL 3 10 2 3 0 1 8 9 9 9", "BR 3 10 2 3 0 1 8 9 9 9", "BR 0 8 1 1 0",
-    "DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 3 1 5", "DL 3 3 3 3 3",
-]
-HEX_INIT = "INIT 8 BATCH DESCENT HEX"
+HEX_INIT = FULL_INIT.format(FUZZ_N)
+# the single tests both sessions have, and the ops only a full session
+# has, written here with decimal ids
+BASIC_LINES = ["L 3 2 0 7", "R 3 2 0 7", "L 5 0"]
+FULL_OPS = ["BL 3 10 2 3 0 1 8 9 9 9", "BR 3 10 2 3 0 1 8 9 9 9", "BR 0 8 1 1 0",
+            "DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 3 1 5", "DL 3 3 3 3 3"]
+VALID_LINES = ["INIT 8", HEX_INIT, *BASIC_LINES]
 
 
 def hexed(line):
@@ -674,8 +697,8 @@ def hexed(line):
     return " ".join(parts[:head] + ([np.array(ids).astype("<u4").tobytes().hex()] if ids else []))
 
 
-# valid lines of a session that agreed HEX: dummies past 2n, upper-case digits
-HEX_VALID_LINES = [hexed(line) for line in VALID_LINES if not line.startswith("INIT")] + [
+# valid lines of a full session: dummies past 2n, upper-case digits
+HEX_VALID_LINES = [hexed(line) for line in BASIC_LINES + FULL_OPS] + [
     hexed("BR 3 100 2 2 0 99 50 1"), "BR 3 16 1 1 0A000000"]
 TOKENS = st.one_of(
     st.sampled_from(["\u00b2", "\u0663", "\uff11", "-1", "+1", "1_0", "0x1", "1e3", "08",
@@ -691,7 +714,7 @@ TOKENS = st.one_of(
 
 @st.composite
 def mutated_lines(draw):
-    tokens = draw(st.sampled_from(VALID_LINES + HEX_VALID_LINES)).split()
+    tokens = draw(st.sampled_from(VALID_LINES + FULL_OPS + HEX_VALID_LINES)).split()
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from(["replace", "delete", "insert"]))
         at = draw(st.integers(0, len(tokens)))
@@ -705,15 +728,19 @@ def mutated_lines(draw):
     return draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
 
 
-def well_formed(line, reply, hex_ids=False):
+def well_formed(line, reply, full=False):
     """True when ``reply`` is ERR or an answer of the right shape to a line
-    whose ids fit the session: one HEX token, or one decimal token each."""
+    the session has: in a full session any op with one HEX token of ids,
+    in a basic one a single test."""
     if reply.startswith("ERR "):
         return True
     parts = line.split()
     if parts[0] == "INIT":
-        return reply == " ".join(("OK", *parts[2:]))
-    if hex_ids and not id_tokens_fit(line, True):
+        # only the basic and the full INIT are agreed
+        return parts[2:] in ([], HEX_INIT.split()[2:]) and reply == " ".join(("OK", *parts[2:]))
+    if not full and parts[0] not in ("L", "R"):
+        return False
+    if full and not id_tokens_fit(line, True):
         return False
     if parts[0] in ("L", "R"):
         return reply in ("Y", "N")
@@ -728,7 +755,8 @@ def well_formed(line, reply, hex_ids=False):
     mutated_lines(), st.text(st.characters(blacklist_characters="\n"), max_size=30)),
     min_size=1, max_size=8))
 @example(opening=[], lines=["INIT \u00b2"])
-@example(opening=[HEX_INIT], lines=["R 3 1 0000000\u0663", "INIT 8 BATCH", "R 3 1 00000000"])
+@example(opening=[HEX_INIT], lines=["R 3 1 0000000\u0663", "INIT 8", "R 3 1 00000000"])
+@example(opening=[HEX_INIT], lines=["INIT 8 BATCH DESCENT", "BR 3 8 1 1 00000000"])
 @settings(max_examples=400, deadline=None)
 def test_serve_answers_every_line_and_never_raises(opening, lines):
     lines = opening + lines
@@ -737,38 +765,42 @@ def test_serve_answers_every_line_and_never_raises(opening, lines):
     replies = out.getvalue().split("\n")
     assert replies.pop() == ""
     assert len(replies) == len(lines)
-    hex_ids = False  # the ids of a session are HEX once an accepted INIT names it
+    full = False  # each accepted INIT starts a basic or a full session
     for line, reply in zip(lines, replies):
-        assert well_formed(line, reply, hex_ids), (line, reply)
+        assert well_formed(line, reply, full), (line, reply)
         if line.split()[:1] == ["INIT"] and reply.startswith("OK"):
-            hex_ids = "HEX" in line.split()
+            full = len(line.split()) > 2
 
 
+# lines a basic session (the one before any INIT) must reject
 INVALID_LINES = {
     # digits outside ASCII
     "INIT \u00b2": "ERR malformed INIT",
     "INIT \u0668": "ERR malformed INIT",
-    "INIT \u0668 BATCH": "ERR malformed INIT",
+    "INIT \u0668 BATCH DESCENT HEX": "ERR malformed INIT",
     "L 3 1 \u0663": "ERR malformed query",
     "R \u0663 1 3": "ERR malformed query",
     "L 3 \u0661 3": "ERR malformed query",
-    "BR 3 8 1 1 \u0663": "ERR malformed batch",
-    "BL 3 \uff18 1 1 0": "ERR malformed batch",
-    "BR 3 8 \u0661 1 0": "ERR malformed batch",
-    # batch ids outside 0..n_eff-1, and rows of no ids
-    "BR 3 10 1 2 0 10": "ERR batch id outside",
-    "BL 3 10 1 2 -1 0": "ERR batch id outside",
-    "BR 3 8 1 1 8": "ERR batch id outside",
-    "BR 3 8 2 0": "ERR malformed batch",
-    # descents: no ids, a count that does not match, ids outside 0..n-1
-    "DR 3 0": "ERR malformed descent",
-    "DL 3 -1": "ERR id count mismatch",
-    "DR 3 2 0": "ERR id count mismatch",
-    "DR 3 1 8": "ERR element id out of range",
-    "DL 3 2 0 -1": "ERR element id out of range",
-    "DR 8 1 0": "ERR element id out of range",
-    "DR 3 1 \u0663": "ERR malformed query",
-    # features the server does not have, or offered twice or out of order
+    # a count that does not match, ids outside 0..n-1
+    "L 3 -1": "ERR id count mismatch",
+    "R 3 2 0": "ERR id count mismatch",
+    "R 3 1 8": "ERR element id out of range",
+    "L 3 2 0 -1": "ERR element id out of range",
+    "R 8 1 0": "ERR element id out of range",
+    # batches and descents, in decimal or HEX, need a full session
+    "BR 3 8 1 1 0": "ERR BR needs a full session",
+    "BL 3 10 1 2 -1 0": "ERR BL needs a full session",
+    "DR 3 4 6 0 7 2": "ERR DR needs a full session",
+    "DL 3 0": "ERR DL needs a full session",
+    "BR 3 8 1 1 00000000": "ERR BR needs a full session",
+    # only the basic and the full INIT: no partial, reordered, repeated
+    # or unknown feature list
+    "INIT 8 BATCH": "ERR malformed INIT",
+    "INIT 8 BATCH DESCENT": "ERR malformed INIT",
+    "INIT 8 DESCENT": "ERR malformed INIT",
+    "INIT 8 HEX": "ERR malformed INIT",
+    "INIT 8 DESCENT BATCH HEX": "ERR malformed INIT",
+    "INIT 8 BATCH DESCENT HEX HEX": "ERR malformed INIT",
     "INIT 8 DESCENT BATCH": "ERR malformed INIT",
     "INIT 8 BATCH BATCH": "ERR malformed INIT",
     "INIT 8 RESTART": "ERR malformed INIT",
@@ -790,7 +822,7 @@ def test_serve_answers_valid_lines(line):
     assert not reply.startswith("ERR") and well_formed(line, reply.rstrip("\n"))
 
 
-# lines a session that agreed HEX must reject
+# lines a full session must reject
 HEX_INVALID_LINES = {
     # odd length, a length that is not whole ids, digits that are not hex
     # or not ASCII
@@ -803,6 +835,8 @@ HEX_INVALID_LINES = {
     "R 3 1 \uff10\uff10\uff10\uff10\uff10\uff10\uff10\uff10": "ERR malformed query",
     "DL 3 1 000000\u00b2\u00b2": "ERR malformed query",
     "BR 3 8 1 1 0000000": "ERR malformed batch",
+    "BL 3 \uff18 1 1 00000000": "ERR malformed batch",
+    "BR 3 8 \u0661 1 00000000": "ERR malformed batch",
     # two id tokens, decimal ids
     "R 3 2 00000000 07000000": "ERR malformed query",
     "R 3 2 0 7": "ERR malformed query",
@@ -812,6 +846,7 @@ HEX_INVALID_LINES = {
     "R 3 2 00000000": "ERR id count mismatch",
     "L 3 0 00000000": "ERR id count mismatch",
     "DR 3 1": "ERR id count mismatch",
+    "DR 3 2 00000000": "ERR id count mismatch",
     "R 3 -1": "ERR id count mismatch",
     "BR 3 8 1 2 00000000": "ERR id count mismatch",
     # m = 0 for a descent, rows or width 0
@@ -821,8 +856,10 @@ HEX_INVALID_LINES = {
     "BL 3 8 0 0": "ERR malformed batch",
     # ids outside 0..n-1, batch ids outside 0..n_eff-1
     "R 3 1 08000000": "ERR element id out of range",
+    "DR 3 1 08000000": "ERR element id out of range",
     "DL 3 2 00000000ffffffff": "ERR element id out of range",
     "R 8 1 00000000": "ERR element id out of range",
+    "DR 8 1 00000000": "ERR element id out of range",
     "R -1 1 00000000": "ERR element id out of range",
     "BR 3 10 1 2 000000000a000000": "ERR batch id outside",
     "BL 3 8 1 1 08000000": "ERR batch id outside",
@@ -831,10 +868,10 @@ HEX_INVALID_LINES = {
 }
 
 
-def served(*lines):
+def served(*lines, ranks=FUZZ_RANKS):
     """The replies of one in-process session to ``lines``."""
     out = io.StringIO()
-    serve(FUZZ_RANKS, io.StringIO("".join(line + "\n" for line in lines)), out)
+    serve(ranks, io.StringIO("".join(line + "\n" for line in lines)), out)
     return out.getvalue().splitlines()
 
 
@@ -853,13 +890,18 @@ def test_serve_answers_valid_hex_lines(line):
 
 def test_only_an_accepted_init_switches_the_id_encoding():
     line, answer = "R 3 1 07000000", served("R 3 1 7")[0]
-    # after a decimal INIT the token is the decimal id 7000000
-    assert served(HEX_INIT, line, "INIT 8 BATCH", line, "R 3 1 7")[1:] == [
-        answer, "OK BATCH", "ERR element id out of range", answer]
-    assert served(HEX_INIT, "INIT 9 HEX", line)[1:] == ["ERR size mismatch: serving 8", answer]
+    # after a basic INIT the token is the decimal id 7000000, and a batch
+    # is an op the session does not have
+    assert served(HEX_INIT, line, "INIT 8", line, "R 3 1 7", "BR 3 8 1 1 07000000")[1:] == [
+        answer, "OK", "ERR element id out of range", answer, "ERR BR needs a full session"]
+    # a rejected INIT leaves the session as it was
+    assert served(HEX_INIT, "INIT 9", "INIT 8 BATCH", line)[1:] == [
+        "ERR size mismatch: serving 8", "ERR malformed INIT", answer]
 
 
-ID_VALUES = st.one_of(st.integers(0, FUZZ_N + 5), st.just(2**32 - 1))
+# ids in range, dummies within and past 2n, and ids past every range
+ID_VALUES = st.one_of(st.integers(0, FUZZ_N + 5), st.integers(2 * FUZZ_N, 4 * FUZZ_N),
+                      st.just(2**32 - 1))
 
 
 @st.composite
@@ -869,7 +911,7 @@ def decimal_queries(draw):
     u = draw(st.integers(0, FUZZ_N))
     if op in ("BL", "BR"):
         rows, width = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-        head = [u, draw(st.sampled_from([FUZZ_N, FUZZ_N + 2, 4 * FUZZ_N])), rows, width]
+        head = [u, draw(st.sampled_from([FUZZ_N, FUZZ_N + 2, 4 * FUZZ_N + 1])), rows, width]
         ids = draw(st.lists(ID_VALUES, min_size=rows * width, max_size=rows * width))
     else:
         ids = draw(st.lists(ID_VALUES, max_size=9))
@@ -877,23 +919,77 @@ def decimal_queries(draw):
     return " ".join(map(str, [op, *head, *ids]))
 
 
+def builtin_reply(line):
+    """The builtin oracle's answer to a decimal query line, in the reply's
+    text, or None when it rejects the line (or a server must: a batch
+    has at least one row and one column)."""
+    op, *tokens = line.split()
+    numbers = list(map(int, tokens))
+    oracle = InstanceOracle(make_instance(FUZZ_N, 5))
+    side = "left" if op[-1] == "L" else "right"
+    try:
+        if op in ("BL", "BR"):
+            u, n_eff, rows, width, *ids = numbers
+            if not (rows and width):
+                return None
+            batch = getattr(oracle, f"{side}_test_batch")
+            hits = batch(u, np.reshape(ids, (rows, width)), n_eff)
+            return "".join("Y" if hit else "N" for hit in hits)
+        u, _, *ids = numbers
+        if op in ("DL", "DR"):
+            return str(getattr(oracle, f"{side}_descent")(u, np.array(ids, dtype=np.int64)))
+        return "Y" if getattr(oracle, f"{side}_test")(u, ids) else "N"
+    except InvalidParameterError:
+        return None
+
+
 @given(line=decimal_queries())
 @settings(max_examples=400, deadline=None)
-def test_hex_and_decimal_sessions_answer_alike(line):
-    decimal = served("INIT 8 BATCH DESCENT", line)
-    hex_ids = served(HEX_INIT, hexed(line))
-    assert decimal[0] == "OK BATCH DESCENT" and hex_ids[0] == "OK BATCH DESCENT HEX"
-    assert decimal[1] == hex_ids[1]
+def test_sessions_answer_like_the_builtin_oracle(line):
+    full = served(HEX_INIT, hexed(line))
+    assert full[0] == "OK BATCH DESCENT HEX"
+    expected = builtin_reply(line)
+    assert full[1] == expected if expected is not None else full[1].startswith("ERR ")
+    if line.split()[0] in ("L", "R"):
+        # a basic session answers a single test as a full one does, ERR text included
+        assert served("INIT 8", line) == ["OK", full[1]]
 
 
 @pytest.mark.parametrize("line", ["DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 6 3 6 6 6", "DL 3 2 0 1"])
 def test_serve_descent_ends_where_the_builtin_descent_does(line):
     op, u, _, *ids = line.split()
-    out = io.StringIO()
-    serve(FUZZ_RANKS, io.StringIO(line + "\n"), out)
     builtin = InstanceOracle(make_instance(FUZZ_N, 5))
     descent = builtin.left_descent if op == "DL" else builtin.right_descent
-    assert out.getvalue() == f"{descent(int(u), np.array(ids, dtype=np.int64))}\n"
+    assert served(HEX_INIT, hexed(line))[1] == str(descent(int(u), np.array(ids, dtype=np.int64)))
+
+
+def documented_exchanges():
+    """The worked examples of the protocol's specification, the docstring
+    of gtorder.external: the lines quoted as the client's and the replies
+    quoted after them."""
+    quoted = [line.strip() for line in external.__doc__.splitlines()]
+    return ([line[2:] for line in quoted if line.startswith("> ")],
+            [line[2:] for line in quoted if line.startswith("< ")])
+
+
+def test_documented_examples_are_what_serve_answers():
+    # the examples' order has n = 1024 ids, and id i has rank i + 1
+    sent, replies = documented_exchanges()
+    assert sent and len(sent) == len(replies)
+    assert served(*sent, ranks=list(range(1, 1025))) == replies
+
+
+def test_documented_full_session_lines_are_what_the_client_writes(tmp_path):
+    sent, _ = documented_exchanges()
+    command, log = filtered_server(tmp_path, 1024, 0, "pass\n")
+    with ExternalOracle(command, 1024) as remote:
+        remote.right_test(5, [1023, 9])
+        remote.left_test(5, np.array([1023, 9]))
+        remote.right_test_batch(5, np.array([[1, 1028], [1023, 1029]]), 1030)
+        remote.right_descent(5, np.array([1, 2, 1023]))
+        remote.left_descent(5, np.array([1, 2, 1023]))
+    received = log.read_text().splitlines()
+    assert received == sent[:len(received)] and len(received) == 6
 
 
 # replies the client must parse: answers, near misses and noise
@@ -902,7 +998,8 @@ REPLIES = st.one_of(
                      "3.0", "0x3", "\u0663", "\u00b2", "\uff13", "\ufffd", "ERR", "ERR busy",
                      "OK", "OK BATCH", "OK DESCENT", "OK BATCH DESCENT", "OK DESCENT BATCH",
                      "OK BATCH BATCH", "OK  BATCH", "OK RESTART", "OK BATCH DESCENT HEX",
-                     "OK HEX", "OK BATCH HEX", "OK HEX BATCH", "OK DESCENT HEX", "9" * 5000, ""]),
+                     "OK HEX", "OK BATCH HEX", "OK HEX BATCH", "OK DESCENT HEX", "OK DESCENT BATCH HEX",
+                     "OK BATCH DESCENT HEX HEX", "9" * 5000, ""]),
     st.integers(-3, 12).map(str),
     st.text(st.sampled_from("YN"), max_size=10),
     st.text(max_size=6),
@@ -917,12 +1014,13 @@ def parsed(parse, reply, *args):
         return type(exc)
 
 
-@given(reply=REPLIES, size=st.integers(1, 9), offer=st.sampled_from(_OFFERS))
+@given(reply=REPLIES, size=st.integers(1, 9),
+       offer=st.sampled_from([FULL_INIT.format(8), "INIT 8"]))
 @settings(max_examples=500, deadline=None)
 def test_reply_parsers_answer_only_well_formed_replies(reply, size, offer):
     # what any reply that is not an answer raises: ERR leaves the session
     # usable, anything else ends it (an INIT reply is never ERR here: the
-    # client offers the next rung instead)
+    # client sends the basic INIT instead, or fails at the second ERR)
     error = OracleRejectedError if reply.startswith("ERR") else OracleProtocolError
     test = {"Y": True, "N": False}.get(reply, error)
     assert parsed(_test_answer, reply) == test
@@ -933,6 +1031,6 @@ def test_reply_parsers_answer_only_well_formed_replies(reply, size, offer):
         assert batch == error
     positions = {str(position): position for position in range(size)}
     assert parsed(_descent_answer, reply, size) == positions.get(reply, error)
-    agreed = {" ".join(("OK", *chosen)): frozenset(chosen)
-              for k in range(len(offer) + 1) for chosen in itertools.combinations(offer, k)}
-    assert parsed(_agreed_features, reply, offer) == agreed.get(reply, OracleProtocolError)
+    # OK agrees a basic session, and the full one only answers its offer
+    agreed = {"OK": False, "OK BATCH DESCENT HEX": True if offer != "INIT 8" else OracleProtocolError}
+    assert parsed(_full_session, reply, offer) == agreed.get(reply, OracleProtocolError)
