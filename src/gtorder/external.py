@@ -13,8 +13,16 @@ A session is one of two kinds, fixed by its ``INIT`` line:
 
 Nothing in between is agreed: a server answers the full ``INIT`` with
 exactly ``OK BATCH DESCENT HEX``, or with ``OK`` to give a basic session,
-or with ``ERR``.  The ops, where ``<ids>`` is ``<v1> ... <vm>`` in a
-basic session and one HEX token in a full one:
+or with ``ERR``.  Before any accepted ``INIT`` the session is basic.
+
+An ``INIT`` may come at any point, not only first.  An accepted one ends
+the current session and starts a new one of its own kind, so a full
+session can become basic and full again; no line leaves state behind, so
+nothing else carries over.  A rejected one leaves the current session as
+it was.  The client sends ``INIT`` only when it starts.
+
+The ops, where ``<ids>`` is ``<v1> ... <vm>`` in a basic session and one
+HEX token in a full one:
 
     client -> "L <u> <m> <ids>"     server -> "Y" or "N"
     client -> "R <u> <m> <ids>"     server -> "Y" or "N"

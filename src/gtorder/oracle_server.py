@@ -116,9 +116,12 @@ def instance_ranks(n: int, seed: int) -> list[int]:
 
 
 def _integer(token: str) -> int:
-    """The value of an ASCII base-10 integer token; ValueError otherwise."""
-    if not token.isascii():
-        raise ValueError(f"non-ASCII token {token!r}")
+    """The value of a token of ASCII digits with an optional leading
+    ``-``; ValueError otherwise, for ``+1`` and ``0_1`` too, which int()
+    accepts."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a base-10 integer token {token!r}")
     return int(token)
 
 

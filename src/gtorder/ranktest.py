@@ -14,9 +14,13 @@ closed-form bounds p_low and p_high; the trial count is chosen so a
 Hoeffding bound caps the error probability at epsilon whenever the true
 rank is outside the band r +- delta * min(r, n - r).
 
-Every trial's sample is drawn before any answer is read, so the trials
-are non-adaptive: all of a test's trials go to the oracle as one batch
-(``right_test_batch``), one row and one group test per trial.
+No trial's sample depends on any answer, so the trials are
+non-adaptive and go to the oracle in batches (``right_test_batch``), one
+row and one group test per trial.  A test draws and asks its trials in
+balanced row blocks of at most ``_BLOCK_IDS`` ids, so its memory stays
+bounded whatever its trial count.  The blocks consume the generator
+exactly as one (trials x sample_size) draw does, so no answer, count or
+ledger depends on the block size.
 
 Targets above n/2 are handled by running the test under the reversed
 order, where the rank of x becomes n - rank(x) + 1, and negating the
@@ -33,6 +37,13 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
+
+# The most ids one batch of a threshold test draws and asks at once, unless
+# one row alone is wider.  A test's working set is about 16 bytes per id
+# (the drawn ids and the oracle's gather), so this bounds it at about
+# 4 MiB.  Smaller blocks would split more tests and pay allocator churn
+# and per-block overhead for it.
+_BLOCK_IDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -96,11 +107,18 @@ def derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPar
 def _run_trials(oracle: GroupTestOracle, x: int, r: float, delta: float,
                 epsilon: float, rng: np.random.Generator) -> tuple[bool, int, RankTestParams]:
     params = derive_params(oracle.size, r, delta, epsilon)
-    samples = rng.integers(0, params.n_eff, size=(params.trials, params.sample_size))
-    # sampled dummy ids can never lie below the real element x, which is
-    # what a dummy slot of the batch answers
-    positives = int(np.count_nonzero(oracle.right_test_batch(x, samples, params.n_eff)))
-    return positives <= params.p_mid * params.trials, positives, params
+    trials, width = params.trials, params.sample_size
+    # balanced row blocks of at most _BLOCK_IDS ids, or of one row each
+    # when a row alone is wider
+    blocks = min(trials, -(-trials * width // _BLOCK_IDS))
+    base, extra = divmod(trials, blocks)
+    positives = 0
+    for block in range(blocks):
+        rows = rng.integers(0, params.n_eff, size=(base + (block < extra), width))
+        # sampled dummy ids can never lie below the real element x, which
+        # is what a dummy slot of the batch answers
+        positives += int(np.count_nonzero(oracle.right_test_batch(x, rows, params.n_eff)))
+    return positives <= params.p_mid * trials, positives, params
 
 
 def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,

@@ -787,6 +787,12 @@ INVALID_LINES = {
     "R 3 1 8": "ERR element id out of range",
     "L 3 2 0 -1": "ERR element id out of range",
     "R 8 1 0": "ERR element id out of range",
+    # ASCII digits only, with no sign but a leading "-": no "+" and no "_"
+    "R 3 1 0_1": "ERR malformed query",
+    "R 3 1 0_8": "ERR malformed query",
+    "R 3 1 +1": "ERR malformed query",
+    "L +3 1 0": "ERR malformed query",
+    "L 3 +1 0": "ERR malformed query",
     # batches and descents, in decimal or HEX, need a full session
     "BR 3 8 1 1 0": "ERR BR needs a full session",
     "BL 3 10 1 2 -1 0": "ERR BL needs a full session",
@@ -842,6 +848,12 @@ HEX_INVALID_LINES = {
     "R 3 2 0 7": "ERR malformed query",
     "BR 3 8 1 1 0": "ERR malformed batch",
     "BR 3 8 1 2 00000000 01000000": "ERR malformed batch",
+    # ASCII digits only, with no sign but a leading "-": no "+" and no "_"
+    "R +3 1 01000000": "ERR malformed query",
+    "DR 3 0_1 00000000": "ERR malformed query",
+    "BR 3 0_8 1 1 00000000": "ERR malformed batch",
+    "BR +1 8 1 1 00000000": "ERR malformed batch",
+    "BL 3 8 +1 1 00000000": "ERR malformed batch",
     # whole ids, but not as many as declared
     "R 3 2 00000000": "ERR id count mismatch",
     "L 3 0 00000000": "ERR id count mismatch",
@@ -897,6 +909,24 @@ def test_only_an_accepted_init_switches_the_id_encoding():
     # a rejected INIT leaves the session as it was
     assert served(HEX_INIT, "INIT 9", "INIT 8 BATCH", line)[1:] == [
         "ERR size mismatch: serving 8", "ERR malformed INIT", answer]
+
+
+def test_each_accepted_init_starts_a_session_of_its_kind():
+    # full -> basic -> full: each session takes the ops and the id
+    # encoding of its own INIT, whatever session came before it
+    test, batch, descent = "R 3 2 0 7", "BR 3 10 2 3 0 1 8 9 9 9", "DL 3 4 6 0 7 2"
+    full_lines = [hexed(test), hexed(batch), hexed(descent), test]
+    full = served(HEX_INIT, *full_lines)
+    answer = full[1]
+    assert answer in ("Y", "N") and not full[2].startswith("ERR")
+    assert not full[3].startswith("ERR") and full[4] == "ERR malformed query"
+    basic = served(HEX_INIT, *full_lines, "INIT 8", test, batch, descent, hexed(test))
+    assert basic[:5] == full
+    assert basic[5:] == ["OK", answer, "ERR BR needs a full session",
+                         "ERR DL needs a full session", "ERR id count mismatch: declared 2, got 1"]
+    again = served(HEX_INIT, *full_lines, "INIT 8", test, batch, descent, hexed(test),
+                   HEX_INIT, *full_lines)
+    assert again[:10] == basic and again[10:] == full
 
 
 # ids in range, dummies within and past 2n, and ids past every range

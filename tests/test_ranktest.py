@@ -1,18 +1,41 @@
 """Tests for the rank threshold test and its parameter derivation."""
 
+import contextlib
+import logging
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gtorder import (
+    ExternalOracle,
     InstanceOracle,
     InvalidParameterError,
+    QueryLedger,
     derive_params,
     make_instance,
     rank_at_most,
     reversed_view,
 )
+from gtorder import ranktest
+
+
+def one_draw(oracle, x, r, delta, epsilon, seed):
+    """What ``rank_at_most`` must return, and the generator state after it,
+    from one (trials x sample_size) draw asked as single right tests over
+    the dummy-filtered rows."""
+    n = oracle.size
+    reverse = r >= n / 2 + 0.5
+    p = derive_params(n, n - r + 0.5 if reverse else min(r, n / 2), delta, epsilon)
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(0, p.n_eff, size=(p.trials, p.sample_size))
+    right_test = (reversed_view(oracle) if reverse else oracle).right_test
+    positives = sum(right_test(x, [v for v in row if v < n]) for row in samples.tolist())
+    answer = (positives <= p.p_mid * p.trials) != reverse
+    ledger = QueryLedger(p.trials, 0) if reverse else QueryLedger(0, p.trials)
+    return answer, positives, ledger, rng.bit_generator.state
 
 
 class TestDeriveParams:
@@ -167,17 +190,10 @@ class TestRankAtMost:
         oracle = InstanceOracle(make_instance(n, seed=11))
         rng = np.random.default_rng(12)
         outcome = rank_at_most(oracle, x, r, 0.3, 0.2, rng)
-        p = outcome.params
-        assert p.n_eff > n
-        fresh = np.random.default_rng(12)
-        samples = fresh.integers(0, p.n_eff, size=(p.trials, p.sample_size))
-        assert rng.bit_generator.state == fresh.bit_generator.state
-        right_test = oracle.right_test if r < n / 2 else reversed_view(oracle).right_test
-        positives = 0
-        for row in samples.tolist():
-            if right_test(x, [v for v in row if v < n]):
-                positives += 1
-        assert outcome.positives == positives
+        assert outcome.params.n_eff > n
+        answer, positives, ledger, state = one_draw(oracle, x, r, 0.3, 0.2, 12)
+        assert (outcome.answer, outcome.positives, outcome.ledger) == (answer, positives, ledger)
+        assert rng.bit_generator.state == state
 
     def test_parameter_validation(self):
         oracle = InstanceOracle(make_instance(10, seed=0))
@@ -190,3 +206,61 @@ class TestRankAtMost:
             rank_at_most(oracle, 0, 10, 0.5, 0.1, rng)  # r must stay below n
         with pytest.raises(InvalidParameterError):
             rank_at_most(oracle, 0, 3, 1.5, 0.1, rng)
+
+
+class TestBlocks:
+    # r = 1 has rows wider than a block, r = 40 blocks of unequal row
+    # counts, r = 270 the reversed branch
+    N, SEED, X, TARGETS = 300, 21, 37, (1, 40, 270)
+
+    def expected_blocks(self, r):
+        n = self.N
+        p = derive_params(n, n - r + 0.5 if r >= n / 2 + 0.5 else r, 0.5, 0.2)
+        return min(p.trials, -(-p.trials * p.sample_size // ranktest._BLOCK_IDS))
+
+    @pytest.mark.parametrize("view", ["instance", "reversed", "external"])
+    def test_blocks_change_nothing(self, view, monkeypatch, caplog):
+        monkeypatch.setattr(ranktest, "_BLOCK_IDS", 100)
+        builtin = InstanceOracle(make_instance(self.N, self.SEED))
+        # the blocks each oracle answers: the builtin one's batches, and
+        # the external one's BR (or BL, reversed) lines
+        batches = []
+        batch = InstanceOracle._batch
+        monkeypatch.setattr(InstanceOracle, "_batch",
+                            lambda self, *args: batches.append(args) or batch(self, *args))
+        if view == "external":
+            command = [sys.executable, "-m", "gtorder.oracle_server",
+                       "--n", str(self.N), "--seed", str(self.SEED)]
+            oracle = ExternalOracle(command, self.N)
+        else:
+            oracle = builtin if view == "instance" else reversed_view(builtin)
+        reference = builtin if view == "external" else oracle
+        with oracle if view == "external" else contextlib.nullcontext():
+            for seed, r in enumerate(self.TARGETS):
+                rng = np.random.default_rng(seed)
+                batches.clear()
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="gtorder.external"):
+                    outcome = rank_at_most(oracle, self.X, r, 0.5, 0.2, rng)
+                lines = [m for m in caplog.messages if m.startswith(("BR:", "BL:"))]
+                assert len(lines if view == "external" else batches) == self.expected_blocks(r) > 1
+                answer, positives, ledger, state = one_draw(reference, self.X, r, 0.5, 0.2, seed)
+                assert (outcome.answer, outcome.positives, outcome.ledger) == (
+                    answer, positives, ledger)
+                assert rng.bit_generator.state == state
+
+    def test_peak_memory_is_bounded(self):
+        # the minimum against r = 1 at n = 4096: 3025 rows of 4096 ids,
+        # about 200 MB of ids and gathers if drawn and asked at once
+        instance = make_instance(4096, seed=3)
+        oracle = InstanceOracle(instance)
+        x = instance.element_with_rank(1)
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            outcome = rank_at_most(oracle, x, 1, 0.3, 0.01, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.params.trials * outcome.params.sample_size == 3025 * 4096
+        assert peak < 16 * 2**20
