@@ -34,11 +34,8 @@ Adapters compose around a base oracle:
 * :func:`padded_view` extends the universe with maximal dummy elements so
   a divisor divides the universe size.
 
-All oracles are immutable after construction, apart from two things: the
-counting adapter's ledger, and the hit table of its last batch that
-:class:`InstanceOracle` keeps, keyed by u, the direction and the padded
-size, for the next batch with the same key to reuse.  No answer depends
-on the table kept.  Each run keeps one ledger: :func:`counted` gives an
+All oracles are immutable after construction; only the counting adapter's
+ledger mutates.  Each run keeps one ledger: :func:`counted` gives an
 algorithm the caller's :class:`CountingOracle` when there is one, so
 nested calls share it, and each call reports its own queries as the
 ledger's growth over the call.  An algorithm that reverses the order does
@@ -234,8 +231,6 @@ class InstanceOracle(GroupTestOracle):
         self._instance = instance
         self._ranks = instance.ranks
         self.size = instance.n
-        # the last batch's hit table and its (u, left, padded size) key
-        self._hits: tuple[tuple[int, bool, int], np.ndarray] | None = None
 
     @property
     def instance(self) -> TotalOrderInstance:
@@ -280,17 +275,9 @@ class InstanceOracle(GroupTestOracle):
         # any(axis=1) pays a loop per row on short rows.  float64 counts
         # exactly up to 2**53 ids a row; uint8/uint16 sums would wrap
         rows, n_eff = _checked_rows(u, rows, n_eff, self.size)
-        key = (int(u), left, n_eff)
-        # a threshold test asks its trials in blocks with one key, so the
-        # blocks after the first reuse the table instead of rebuilding it
-        memo = self._hits
-        if memo is not None and memo[0] == key:
-            hit = memo[1]
-        else:
-            ranks = self._ranks
-            hit = np.zeros(n_eff)
-            (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])
-            self._hits = (key, hit)
+        ranks = self._ranks
+        hit = np.zeros(n_eff)
+        (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])
         return hit[rows] @ np.ones(rows.shape[1]) > 0
 
     def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:

@@ -17,10 +17,10 @@ rank is outside the band r +- delta * min(r, n - r).
 No trial's sample depends on any answer, so the trials are
 non-adaptive and go to the oracle in batches (``right_test_batch``), one
 row and one group test per trial.  A test draws and asks its trials in
-balanced row blocks of at most ``_BLOCK_IDS`` ids, so its memory stays
-bounded whatever its trial count.  The blocks consume the generator
-exactly as one (trials x sample_size) draw does, so no answer, count or
-ledger depends on the block size.
+row blocks of at most ``_BLOCK_IDS`` ids (one row where a row alone is
+wider), so its memory stays bounded whatever its trial count.  The
+blocks consume the generator exactly as one (trials x sample_size) draw
+does, so no answer, count or ledger depends on the block size.
 
 Targets above n/2 are handled by running the test under the reversed
 order, where the rank of x becomes n - rank(x) + 1, and negating the
@@ -108,13 +108,12 @@ def _run_trials(oracle: GroupTestOracle, x: int, r: float, delta: float,
                 epsilon: float, rng: np.random.Generator) -> tuple[bool, int, RankTestParams]:
     params = derive_params(oracle.size, r, delta, epsilon)
     trials, width = params.trials, params.sample_size
-    # balanced row blocks of at most _BLOCK_IDS ids, or of one row each
-    # when a row alone is wider
-    blocks = min(trials, -(-trials * width // _BLOCK_IDS))
-    base, extra = divmod(trials, blocks)
+    # blocks of at most _BLOCK_IDS ids, or of one row each when a row
+    # alone is wider
+    step = max(1, _BLOCK_IDS // width)
     positives = 0
-    for block in range(blocks):
-        rows = rng.integers(0, params.n_eff, size=(base + (block < extra), width))
+    for start in range(0, trials, step):
+        rows = rng.integers(0, params.n_eff, size=(min(step, trials - start), width))
         # sampled dummy ids can never lie below the real element x, which
         # is what a dummy slot of the batch answers
         positives += int(np.count_nonzero(oracle.right_test_batch(x, rows, params.n_eff)))

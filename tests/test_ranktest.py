@@ -209,14 +209,17 @@ class TestRankAtMost:
 
 
 class TestBlocks:
-    # r = 1 has rows wider than a block, r = 40 blocks of unequal row
-    # counts, r = 270 the reversed branch
+    # r = 1 has rows wider than a block, r = 40 a short last block,
+    # r = 270 the reversed branch
     N, SEED, X, TARGETS = 300, 21, 37, (1, 40, 270)
 
-    def expected_blocks(self, r):
+    def expected_rows(self, r):
+        """The row count of each block a test at target r asks."""
         n = self.N
         p = derive_params(n, n - r + 0.5 if r >= n / 2 + 0.5 else r, 0.5, 0.2)
-        return min(p.trials, -(-p.trials * p.sample_size // ranktest._BLOCK_IDS))
+        step = max(1, ranktest._BLOCK_IDS // p.sample_size)
+        full, last = divmod(p.trials, step)
+        return [step] * full + [last] * (last > 0)
 
     @pytest.mark.parametrize("view", ["instance", "reversed", "external"])
     def test_blocks_change_nothing(self, view, monkeypatch, caplog):
@@ -243,7 +246,15 @@ class TestBlocks:
                 with caplog.at_level(logging.DEBUG, logger="gtorder.external"):
                     outcome = rank_at_most(oracle, self.X, r, 0.5, 0.2, rng)
                 lines = [m for m in caplog.messages if m.startswith(("BR:", "BL:"))]
-                assert len(lines if view == "external" else batches) == self.expected_blocks(r) > 1
+                expected = self.expected_rows(r)
+                assert len(expected) > 1
+                if view == "external":
+                    assert len(lines) == len(expected)
+                else:
+                    rows = [block.shape for _, block, _, _ in batches]
+                    assert [shape[0] for shape in rows] == expected
+                    # a block of several rows holds at most _BLOCK_IDS ids
+                    assert all(k * w <= 100 for k, w in rows if k > 1)
                 answer, positives, ledger, state = one_draw(reference, self.X, r, 0.5, 0.2, seed)
                 assert (outcome.answer, outcome.positives, outcome.ledger) == (
                     answer, positives, ledger)
