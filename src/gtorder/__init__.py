@@ -21,14 +21,13 @@ _SUBMODULE_NAMES = {
                 "write_report"),
     "minfind": ("MinFindOutcome", "max_find", "min_find", "min_find_among", "swap"),
     "oracle": ("CountingOracle", "GroupTestOracle", "InstanceOracle", "QueryLedger",
-               "padded_view", "reversed_view"),
+               "reversed_view"),
     "oracle_server": ("serve",),
     "order": ("TotalOrderInstance", "exact_rank", "make_instance"),
     "ranktest": ("RankTestOutcome", "RankTestParams", "derive_params", "rank_at_most"),
     "selection": ("SelectOutcome", "SelectParams", "approximate_select",
                   "draw_candidate", "select_params"),
-    "stats": ("ChiSquareResult", "FrequencyCheck", "binomial_margin",
-              "chi_square_uniformity"),
+    "stats": ("ChiSquareResult", "binomial_margin", "chi_square_uniformity"),
 }
 
 # public name -> the submodule that defines it

@@ -12,6 +12,8 @@ existential).  Answers are noiseless functions of the hidden order.
 ``left_test_batch``/``right_test_batch`` ask one test per row of a 2-D id
 array, for non-adaptive tests whose sets are all drawn before any answer
 is read.  Ids in size..n_eff-1 are dummy slots that satisfy neither test.
+They are the library's one padding mechanism: the threshold test pads its
+universe with dummies above every real element, which no right test hits.
 The base class answers row by row through the single tests;
 :class:`InstanceOracle` marks each id of the padded universe that
 satisfies the test in a 0/1 hit table, then counts each row's hits with
@@ -30,9 +32,7 @@ line protocol's ``DL``/``DR`` op asks the server for it in one line.
 Adapters compose around a base oracle:
 
 * :class:`CountingOracle` records how many queries of each kind were made,
-* :func:`reversed_view` swaps the direction of every test,
-* :func:`padded_view` extends the universe with maximal dummy elements so
-  a divisor divides the universe size.
+* :func:`reversed_view` swaps the direction of every test.
 
 All oracles are immutable after construction; only the counting adapter's
 ledger mutates.  Each run keeps one ledger: :func:`counted` gives an
@@ -48,7 +48,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -57,7 +57,10 @@ from .order import TotalOrderInstance
 
 IdSet = Union[Sequence[int], np.ndarray, set, frozenset]
 
-# Above this size the numpy fancy-index path beats a Python loop.
+# Above this size the numpy fancy-index path beats a Python loop.  Long
+# single tests are ``min_find``'s condition tests over the rest of a large
+# universe; short ones the candidate draw's, over a few sampled ids.
+# InstanceOracle's batches and descents take neither path.
 _VECTOR_THRESHOLD = 64
 
 
@@ -242,9 +245,10 @@ class InstanceOracle(GroupTestOracle):
         return self._ranks.tolist()
 
     # Both tests come from one body with the direction bound when the
-    # class is built, so a query pays no extra call.  The short-row loop
+    # class is built, so a query pays no extra call.  The short-set loop
     # keeps its comparison inline in each direction: a direction test per
-    # element would slow the short rows that selection sends.
+    # element would slow the short single tests, the condition tests of
+    # the min-finding in selection's candidate draw.
     def _direction(left: bool):
         def test(self, u: int, V: IdSet) -> bool:
             ids = _checked_ids(u, V, self.size)
@@ -386,53 +390,3 @@ def counted(oracle: GroupTestOracle) -> tuple[GroupTestOracle, QueryLedger]:
         return oracle, below.ledger
     counting = CountingOracle(oracle)
     return counting, counting.ledger
-
-
-class _PaddedOracle(GroupTestOracle):
-    """Universe extended with dummy ids that sit above every real element.
-
-    Dummies occupy ids n..size-1 and are mutually ordered by id, so the
-    padded order stays total.  Queries that only involve real elements
-    are forwarded to the inner oracle with dummies filtered out.
-    """
-
-    def __init__(self, inner: GroupTestOracle, size: int):
-        self._inner = inner
-        self._n_real = inner.size
-        self.size = size
-
-    def _direction(left: bool):
-        def test(self, u: int, V: IdSet) -> bool:
-            ids = _checked_ids(u, V, self.size)
-            nr = self._n_real
-            if u >= nr:
-                # u is a dummy: reals are strictly below it, dummies compare by id
-                return any(v >= u for v in ids) if left else any(v <= u for v in ids)
-            reals = [v for v in ids if v < nr]
-            if left and len(reals) < len(ids):
-                return True  # every dummy is above every real u
-            if not reals:
-                return False
-            inner = self._inner
-            return inner.left_test(u, reals) if left else inner.right_test(u, reals)
-        return test
-
-    left_test = _direction(True)
-    right_test = _direction(False)
-    del _direction
-
-
-def padded_view(oracle: GroupTestOracle, divisor: int) -> GroupTestOracle:
-    """Extend the universe so that divisor divides its size.
-
-    Adds at most divisor - 1 dummy elements ranked above all real ones
-    (and mutually ordered by id).  If the size already divides evenly the
-    oracle is returned unchanged.
-    """
-    if divisor < 1:
-        raise InvalidParameterError(f"divisor must be positive, got {divisor}")
-    n = oracle.size
-    padded = divisor * ((n + divisor - 1) // divisor)
-    if padded == n:
-        return oracle
-    return _PaddedOracle(oracle, padded)

@@ -43,28 +43,6 @@ def binomial_margin(trials: int, rate: float, sigmas: float) -> float:
 
 
 @dataclass(frozen=True)
-class FrequencyCheck:
-    """An observed frequency against a claimed rate with a fixed margin."""
-
-    successes: int
-    trials: int
-    claimed_rate: float
-    margin: float
-
-    @property
-    def rate(self) -> float:
-        return self.successes / self.trials
-
-    def at_least(self) -> bool:
-        """Observed rate is no more than margin below the claim."""
-        return self.rate >= self.claimed_rate - self.margin
-
-    def at_most(self) -> bool:
-        """Observed rate is no more than margin above the claim."""
-        return self.rate <= self.claimed_rate + self.margin
-
-
-@dataclass(frozen=True)
 class ChiSquareResult:
     statistic: float
     df: int

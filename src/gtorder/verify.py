@@ -4,10 +4,11 @@ Each check operationalizes one guarantee of the library at desk scale:
 exactness of min-finding, per-call query counts, uniformity of the swap
 output, query-count scaling, error rates and the per-trial closed form
 of the threshold test, rank-search success, candidate hit rates, the
-selection theorem, oracle adapter laws, external-protocol conformance
-and bit-for-bit reproducibility.  Probabilistic claims carry 3-sigma
-binomial margins or a chi-square test at significance 0.001; structural
-claims are exact.  All randomness derives from the suite seed.
+selection theorem, the reversal law and batch dummy slots,
+external-protocol conformance and bit-for-bit reproducibility.
+Probabilistic claims carry 3-sigma binomial margins or a chi-square test
+at significance 0.001; structural claims are exact.  All randomness
+derives from the suite seed.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .apxrank import approximate_rank
 from .external import ExternalOracle
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .minfind import max_find, min_find, swap
-from .oracle import (CountingOracle, GroupTestOracle, InstanceOracle, padded_view,
-                     reversed_view)
+from .oracle import CountingOracle, GroupTestOracle, InstanceOracle, reversed_view
 from .order import exact_rank, make_instance
 from .ranktest import derive_params, rank_at_most
 from .selection import approximate_select, draw_candidate
@@ -90,8 +90,9 @@ SWAP_LEDGER_RUNS = 25
 
 
 class _PerQueryOracle(GroupTestOracle):
-    """Forwards single tests only, so every descent takes the base class's
-    one-test-per-level path and each level reaches the oracle below."""
+    """Forwards single tests only, so every batch and descent takes the
+    base class's path and each row or level reaches the oracle below as
+    one single test."""
 
     def __init__(self, inner: GroupTestOracle):
         self._inner = inner
@@ -339,37 +340,29 @@ CANDIDATE_MIN_N, CANDIDATE_MIN_K, CANDIDATE_MIN_DELTA = 1200, 100, 0.6
 CANDIDATE_UNIFORM_N, CANDIDATE_UNIFORM_K, CANDIDATE_UNIFORM_DELTA = 100, 50, 0.1
 
 
+def _candidate_hit_rate(n: int, k: int, delta: float, instance_seed: int,
+                        rng: np.random.Generator) -> float:
+    """Share of CANDIDATE_DRAWS candidates whose rank lies in (k(1-delta), k(1+delta)]."""
+    instance = make_instance(n, instance_seed)
+    oracle = InstanceOracle(instance)
+    lo, hi = k * (1 - delta), k * (1 + delta)
+    hits = sum(lo < exact_rank(instance, draw_candidate(oracle, n, k, delta, rng)) <= hi
+               for _ in range(CANDIDATE_DRAWS))
+    return hits / CANDIDATE_DRAWS
+
+
 def check_candidate_hit_rate(seed: int) -> CheckResult:
     start = time.monotonic()
     rng = _rng(seed, 8)
-
-    instance = make_instance(CANDIDATE_MIN_N, 7001)
-    oracle = InstanceOracle(instance)
-    lo = CANDIDATE_MIN_K * (1 - CANDIDATE_MIN_DELTA)
-    hi = CANDIDATE_MIN_K * (1 + CANDIDATE_MIN_DELTA)
-    hits = 0
-    for _ in range(CANDIDATE_DRAWS):
-        x = draw_candidate(oracle, CANDIDATE_MIN_N, CANDIDATE_MIN_K,
-                           CANDIDATE_MIN_DELTA, rng)
-        hits += lo < exact_rank(instance, x) <= hi
-    min_rate = hits / CANDIDATE_DRAWS
+    min_rate = _candidate_hit_rate(CANDIDATE_MIN_N, CANDIDATE_MIN_K, CANDIDATE_MIN_DELTA,
+                                   7001, rng)
     claimed = CANDIDATE_MIN_DELTA**2 / 4.0
     min_bound = claimed - binomial_margin(CANDIDATE_DRAWS, claimed, 3.0)
     min_ok = min_rate >= min_bound
-
-    instance = make_instance(CANDIDATE_UNIFORM_N, 7002)
-    oracle = InstanceOracle(instance)
-    lo = CANDIDATE_UNIFORM_K * (1 - CANDIDATE_UNIFORM_DELTA)
-    hi = CANDIDATE_UNIFORM_K * (1 + CANDIDATE_UNIFORM_DELTA)
-    hits = 0
-    for _ in range(CANDIDATE_DRAWS):
-        x = draw_candidate(oracle, CANDIDATE_UNIFORM_N, CANDIDATE_UNIFORM_K,
-                           CANDIDATE_UNIFORM_DELTA, rng)
-        hits += lo < exact_rank(instance, x) <= hi
-    uniform_rate = hits / CANDIDATE_DRAWS
+    uniform_rate = _candidate_hit_rate(CANDIDATE_UNIFORM_N, CANDIDATE_UNIFORM_K,
+                                       CANDIDATE_UNIFORM_DELTA, 7002, rng)
     uniform_margin = binomial_margin(CANDIDATE_DRAWS, 0.1, 3.0)
     uniform_ok = abs(uniform_rate - 0.1) <= uniform_margin
-
     elapsed = time.monotonic() - start
     return CheckResult(
         "candidate_hit_rate", min_ok and uniform_ok,
@@ -414,10 +407,33 @@ def check_apxselect_theorem(seed: int) -> CheckResult:
     )
 
 
-# --- 10. reversal and padding adapter laws -----------------------------------
+# --- 10. reversal law and batch dummy slots ---------------------------------
 
 ADAPTER_MAX_N = 64
-ADAPTER_MAX_DIVISOR = 8
+ADAPTER_MAX_PAD = 8  # padded sizes n_eff with n_eff - n < 8
+# the per-row path asks one single test per row; n <= 32 keeps it near a
+# second and still reaches the n_eff > 2n fold of every batch, at n < 8
+PER_ROW_MAX_N = 32
+
+
+def _dummy_slot_problems(view: GroupTestOracle, view_ranks: np.ndarray,
+                         label: str) -> list[str]:
+    """Ask every subject of ``view`` one right and one left batch of
+    single-id rows over each padded size: real ids must hit exactly at
+    and below (above) the subject, and no dummy row may hit."""
+    problems = []
+    n = view.size
+    for n_eff in range(n, n + ADAPTER_MAX_PAD):
+        rows = np.arange(n_eff)[:, None]
+        for x in range(n):
+            for name, expected in (("right", view_ranks <= view_ranks[x]),
+                                   ("left", view_ranks >= view_ranks[x])):
+                hits = getattr(view, f"{name}_test_batch")(x, rows, n_eff)
+                if not np.array_equal(hits[:n], expected):
+                    problems.append(f"{label} {name} batch misranks x={x} n={n} n_eff={n_eff}")
+                if hits[n:].any():
+                    problems.append(f"{label} {name} batch hits a dummy slot n={n} n_eff={n_eff}")
+    return problems
 
 
 def check_reversal_padding(seed: int) -> CheckResult:
@@ -439,28 +455,20 @@ def check_reversal_padding(seed: int) -> CheckResult:
                     problems.append(f"double reversal mismatch n={n}")
                 if rev.right_test(x, [y]) != oracle.left_test(x, [y]):
                     problems.append(f"reversal does not swap directions n={n}")
-        for divisor in range(1, ADAPTER_MAX_DIVISOR + 1):
-            padded = padded_view(oracle, divisor)
-            size = padded.size
-            if size % divisor or size - n >= divisor:
-                problems.append(f"bad padded size n={n} divisor={divisor}")
-            for x in range(n):
-                padded_rank = sum(padded.right_test(x, [y]) for y in range(size))
-                if padded_rank != exact_rank(instance, x):
-                    problems.append(f"padding changed a real rank n={n} div={divisor}")
-            for dummy in range(n, size):
-                dummy_rank = sum(padded.right_test(dummy, [y]) for y in range(size))
-                if dummy_rank != dummy + 1:
-                    problems.append(f"dummy rank off n={n} div={divisor}")
-                if any(padded.right_test(x, [dummy]) for x in range(n)):
-                    problems.append(f"dummy not above the reals n={n} div={divisor}")
+        problems += _dummy_slot_problems(oracle, instance.ranks, "instance")
+        problems += _dummy_slot_problems(rev, n + 1 - instance.ranks, "reversed")
+        if n <= PER_ROW_MAX_N:
+            problems += _dummy_slot_problems(_PerQueryOracle(oracle), instance.ranks,
+                                             "per-row")
         if problems:
             break
     elapsed = time.monotonic() - start
     return CheckResult(
         "reversal_padding", not problems,
-        (f"reversal and padding laws hold exhaustively for n <= {ADAPTER_MAX_N}, "
-         f"divisors <= {ADAPTER_MAX_DIVISOR} ({elapsed:.1f}s)"
+        (f"reversal laws hold exhaustively for n <= {ADAPTER_MAX_N}; batch dummy slots "
+         f"never hit and real ids keep their ranks for n_eff - n < {ADAPTER_MAX_PAD} "
+         f"(instance and reversed n <= {ADAPTER_MAX_N}, per-row path n <= "
+         f"{PER_ROW_MAX_N}) ({elapsed:.1f}s)"
          if not problems else problems[0]),
         elapsed,
     )

@@ -1,14 +1,16 @@
 """Acceptance suite: every check of the verification harness at full scale.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
-as they complete) and asserts the check outcome.  The same checks back
-the ``gtorder verify`` CLI subcommand.  Expect several minutes of
-runtime; the selection check dominates.
+Each criterion test prints one PASS/FAIL line (run with ``pytest -s`` to
+see them as they complete) and asserts the check outcome.  The same
+checks back the ``gtorder verify`` CLI subcommand.  Two mutation tests
+show that check 10 fails when a batch's dummy slot answers as a hit.
+Expect several minutes of runtime; the selection check dominates.
 """
 
+import numpy as np
 import pytest
 
-from gtorder import verify
+from gtorder import oracle, verify
 
 ACCEPTANCE_SEED = 20_250_801
 
@@ -65,8 +67,28 @@ def test_criterion_09_apxselect_theorem():
 
 
 def test_criterion_10_reversal_padding():
-    """Reversal and padding adapter laws hold exhaustively for n <= 64."""
+    """Reversal laws hold exhaustively for n <= 64, and batch dummy slots
+    never hit while real ids keep their ranks, for n_eff - n < 8."""
     _run(verify.check_reversal_padding)
+
+
+def _dummies_hit(answer, rows, size):
+    """A batch answer in which every row holding a dummy slot hits."""
+    return answer | (np.asarray(rows) >= size).any(axis=1)
+
+
+def test_criterion_10_fails_when_instance_batches_hit_dummies(monkeypatch):
+    batch = oracle.InstanceOracle._batch
+    monkeypatch.setattr(oracle.InstanceOracle, "_batch", lambda self, u, rows, n_eff, left:
+                        _dummies_hit(batch(self, u, rows, n_eff, left), rows, self.size))
+    assert not verify.check_reversal_padding(ACCEPTANCE_SEED).passed
+
+
+def test_criterion_10_fails_when_per_row_batches_hit_dummies(monkeypatch):
+    per_row = oracle._per_row
+    monkeypatch.setattr(oracle, "_per_row", lambda test, u, rows, n_eff, size:
+                        _dummies_hit(per_row(test, u, rows, n_eff, size), rows, size))
+    assert not verify.check_reversal_padding(ACCEPTANCE_SEED).passed
 
 
 def test_criterion_11_external_conformance():

@@ -16,11 +16,11 @@ from gtorder import (
     InvalidParameterError,
     approximate_rank,
     approximate_select,
+    derive_params,
     exact_rank,
     make_instance,
     max_find,
     min_find,
-    padded_view,
     rank_at_most,
     reversed_view,
 )
@@ -29,6 +29,13 @@ from gtorder.oracle import _per_row
 
 def oracle_of(n, seed=0):
     return InstanceOracle(make_instance(n, seed))
+
+
+def padded_rows(oracle, n_eff):
+    """The oracle's left and right batch tests, each asked of one row over
+    a universe padded to ``n_eff`` ids, as single tests."""
+    return tuple(lambda u, V, batch=batch: bool(batch(u, np.asarray(V)[None, :], n_eff)[0])
+                 for batch in (oracle.left_test_batch, oracle.right_test_batch))
 
 
 class TestGroupTestSemantics:
@@ -66,16 +73,22 @@ class TestGroupTestSemantics:
     @pytest.mark.parametrize("view", ["instance", "padded", "reversed"])
     def test_non_integer_ids_rejected(self, view):
         oracle = oracle_of(8)
-        if view == "padded":
-            oracle = padded_view(oracle, 5)
-        elif view == "reversed":
+        if view == "reversed":
             oracle = reversed_view(oracle)
         bad = [(5, [1.5, 2.0]), (5.5, [1, 2]), (5.0, [1, 2]), (True, [1, 2]),
                (5, [True, False]), (5, [1, False]), (5, {0.0}),
                (5, np.arange(70, dtype=float) % 8), (5, np.array([1.0, 2.0])),
                (5, np.array([True, False])), (np.float64(5), np.array([1, 2]))]
+        tests = (oracle.left_test, oracle.right_test)
+        if view == "padded":
+            # a batch row is an id array, so [1, False] (all ints) and the
+            # set {0.0} (no row) have no batch form; 8 and 9 are dummy slots
+            bad = [(5, [1.5, 9.0]), (5.5, [1, 9]), (5.0, [1, 9]), (True, [1, 9]),
+                   (5, [True, False]), (5, np.arange(70, dtype=float) % 10),
+                   (5, np.array([8.0, 9.0])), (np.float64(5), np.array([1, 9]))]
+            tests = padded_rows(oracle, 10)
         for u, V in bad:
-            for test in (oracle.left_test, oracle.right_test):
+            for test in tests:
                 with pytest.raises(InvalidParameterError):
                     test(u, V)
 
@@ -83,18 +96,20 @@ class TestGroupTestSemantics:
     def test_numpy_integer_ids_accepted(self, view):
         instance = make_instance(8, seed=3)
         oracle = InstanceOracle(instance)
-        if view == "padded":
-            oracle = padded_view(oracle, 5)
-        elif view == "reversed":
+        if view == "reversed":
             oracle = reversed_view(oracle)
         u = int(instance.element_with_rank(4))
         ids = [0, 1, 2, 3, 4, 5, 6, 7]
+        tests = (oracle.left_test, oracle.right_test)
+        if view == "padded":
+            ids += [8, 9]  # the dummy slots of a padded universe of 10
+            tests = padded_rows(oracle, np.int64(10))
         for V in ([np.int64(v) for v in ids], [np.uint8(v) for v in ids],
                   np.array(ids, dtype=np.int32), np.tile(np.array(ids, dtype=np.uint16), 10)):
             for U in (u, np.int64(u), np.uint8(u)):
-                assert oracle.left_test(U, V) is oracle.right_test(U, V) is True
+                assert tests[0](U, V) is tests[1](U, V) is True
         # an empty set answers false whatever its dtype
-        assert oracle.right_test(u, np.array([])) is False
+        assert tests[1](u, np.array([])) is False
 
     def test_large_sets_use_the_same_semantics(self):
         instance = make_instance(300, seed=2)
@@ -244,77 +259,100 @@ class TestReversedView:
 
 
 class TestPaddedView:
-    def test_no_padding_when_divisible(self):
-        oracle = oracle_of(10)
-        padded = padded_view(oracle, 5)
-        assert padded.size == 10
+    """The padded universe a threshold test samples from: ``derive_params``
+    rounds n up to a multiple of ceil(r), and a batch over n_eff ids sees
+    ids n..n_eff-1 as dummy slots above every real element."""
 
-    def test_padding_sizes_and_dummy_ranks(self):
-        oracle = oracle_of(10, seed=17)
-        padded = padded_view(oracle, 4)
-        assert padded.size == 12
-        for dummy, expected in ((10, 11), (11, 12)):
-            rank = sum(padded.right_test(dummy, [y]) for y in range(12))
-            assert rank == expected
+    def test_no_padding_when_divisible(self):
+        for r in (1, 2, 1.5, 5):
+            assert derive_params(10, r, 0.5, 0.1).n_eff == 10
+        for r in (2.5, 3, 4):
+            assert derive_params(10, r, 0.5, 0.1).n_eff == 12
 
     def test_dummies_above_every_real_element(self):
+        # in the order and in its reversal a dummy slot satisfies neither test
         oracle = oracle_of(10, seed=17)
-        padded = padded_view(oracle, 4)
-        for x in range(10):
-            for dummy in (10, 11):
-                assert padded.right_test(x, [dummy]) is False
-                assert padded.left_test(x, [dummy]) is True
+        for view in (oracle, reversed_view(oracle), PerRowOracle(oracle)):
+            for x in range(10):
+                rows = np.array([[10, 10], [11, 11], [11, 10]])
+                assert view.right_test_batch(x, rows, 12).tolist() == [False] * 3
+                assert view.left_test_batch(x, rows, 12).tolist() == [False] * 3
 
     def test_padding_preserves_real_ranks(self):
         for n in (3, 10, 23):
             instance = make_instance(n, seed=n)
+            oracle = InstanceOracle(instance)
             for divisor in (1, 2, 3, 7, 8):
-                padded = padded_view(InstanceOracle(instance), divisor)
+                n_eff = divisor * ((n + divisor - 1) // divisor)
+                singles = np.arange(n_eff)[:, None]
                 for x in range(n):
-                    rank = sum(padded.right_test(x, [y]) for y in range(padded.size))
-                    assert rank == exact_rank(instance, x)
+                    rank = exact_rank(instance, x)
+                    assert oracle.right_test_batch(x, singles, n_eff).sum() == rank
+                    assert oracle.left_test_batch(x, singles, n_eff).sum() == n + 1 - rank
+                    mirrored = reversed_view(oracle).right_test_batch(x, singles, n_eff)
+                    assert mirrored.sum() == n + 1 - rank
 
     def test_mixed_queries_with_dummy_subject(self):
-        oracle = oracle_of(6, seed=2)
-        padded = padded_view(oracle, 4)  # dummies 6, 7
-        assert padded.right_test(6, [0, 7]) is True  # the real element is below
-        assert padded.right_test(6, [7]) is False  # higher dummy is not
-        assert padded.right_test(7, [6]) is True
-        assert padded.left_test(6, [7]) is True
-        assert padded.left_test(7, [6]) is False
-        assert padded.left_test(7, [0, 1]) is False  # reals sit below dummies
-
-    def test_invalid_divisor_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            padded_view(oracle_of(4), 0)
+        # rows that mix real ids and dummies answer as their real ids do;
+        # a dummy is never a subject
+        instance = make_instance(6, seed=2)
+        oracle = InstanceOracle(instance)  # dummies 6, 7 under n_eff = 8
+        low, high = instance.element_with_rank(1), instance.element_with_rank(6)
+        rows = np.array([[low, 7], [7, 6], [high, 6]])
+        u = instance.element_with_rank(3)
+        assert oracle.right_test_batch(u, rows, 8).tolist() == [True, False, False]
+        assert oracle.left_test_batch(u, rows, 8).tolist() == [False, False, True]
+        for subject in (6, 7):
+            with pytest.raises(InvalidParameterError):
+                oracle.right_test_batch(subject, rows, 8)
+            with pytest.raises(InvalidParameterError):
+                oracle.left_test_batch(subject, rows, 8)
 
     def test_padded_ids_validated(self):
-        padded = padded_view(oracle_of(6), 4)
-        with pytest.raises(InvalidParameterError):
-            padded.right_test(0, [8])
-        with pytest.raises(InvalidParameterError):
-            padded.right_test(8, [0])
+        oracle = oracle_of(6)
+        for view in (oracle, reversed_view(oracle), PerRowOracle(oracle)):
+            for test in (view.left_test_batch, view.right_test_batch):
+                with pytest.raises(InvalidParameterError):
+                    test(0, np.array([[8]]), 8)
+                with pytest.raises(InvalidParameterError):
+                    test(8, np.array([[0]]), 8)
+                with pytest.raises(InvalidParameterError):
+                    test(0, np.array([[0]]), 5)
+
+    def test_threshold_rows_stay_in_the_padded_universe(self):
+        # rank_at_most asks its right tests over derive_params' n_eff, and
+        # the dummy slots it draws there never answer as hits
+        asked = []
+
+        class Recording(PerRowOracle):
+            def right_test_batch(self, u, rows, n_eff):
+                answer = super().right_test_batch(u, rows, n_eff)
+                asked.append((n_eff, rows.max(), answer[(rows >= self.size).all(axis=1)]))
+                return answer
+
+        oracle = Recording(oracle_of(10, seed=17))
+        outcome = rank_at_most(oracle, 3, 4, 0.5, 0.2, np.random.default_rng(0))
+        assert outcome.params.n_eff == 12
+        assert asked and all(n_eff == 12 and top < 12 for n_eff, top, _ in asked)
+        assert max(top for _, top, _ in asked) >= 10  # dummy slots were drawn
+        assert not any(dummy_rows.any() for _, _, dummy_rows in asked)
 
 
 @given(st.integers(2, 24), st.data())
 @settings(max_examples=60, deadline=None)
 def test_adapters_agree_with_definitions(n, data):
-    """Reversal and padding answer exactly per the rank definitions."""
+    """Reversal answers exactly per the rank definition."""
     instance = make_instance(n, seed=99)
-    oracle = InstanceOracle(instance)
-    divisor = data.draw(st.integers(1, 6))
-    padded = padded_view(reversed_view(oracle), divisor)
-    size = padded.size
+    rev = reversed_view(InstanceOracle(instance))
 
     def rank_in_view(e):
-        # reversed real rank, dummies on top (ordered by id)
-        return n - instance.rank_of(e) + 1 if e < n else e + 1
+        return n - instance.rank_of(e) + 1
 
-    u = data.draw(st.integers(0, size - 1))
-    V = data.draw(st.lists(st.integers(0, size - 1), min_size=0, max_size=6))
+    u = data.draw(st.integers(0, n - 1))
+    V = data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=6))
     ru = rank_in_view(u)
-    assert padded.right_test(u, V) == any(rank_in_view(v) <= ru for v in V)
-    assert padded.left_test(u, V) == any(rank_in_view(v) >= ru for v in V)
+    assert rev.right_test(u, V) == any(rank_in_view(v) <= ru for v in V)
+    assert rev.left_test(u, V) == any(rank_in_view(v) >= ru for v in V)
 
 
 class PerRowOracle(GroupTestOracle):
@@ -381,15 +419,32 @@ class TestBatches:
     @given(n=st.integers(1, 24), divisor=st.integers(1, 7), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_dummy_slots_follow_the_padding_law(self, n, divisor, data):
-        # the threshold test asks right tests, directly or under reversal;
-        # its dummy slots answer as padded_view's maximal dummies do
+        # the threshold test asks right tests, directly or under reversal,
+        # over n rounded up to a multiple of its divisor; the dummy slots
+        # sit above every real element, so they never hit
         n_eff = divisor * ((n + divisor - 1) // divisor)
         u, rows, _ = data.draw(batches(n))
         rows = rows % n_eff
         for view in (oracle_of(n, seed=n), reversed_view(oracle_of(n, seed=n))):
-            padded = padded_view(view, divisor)
             assert view.right_test_batch(u, rows, n_eff).tolist() == [
-                padded.right_test(u, row) for row in rows.tolist()]
+                view.right_test(u, [v for v in row if v < n]) for row in rows.tolist()]
+
+    @pytest.mark.parametrize("view", ["instance", "reversed", "per_row"])
+    def test_far_padding_answers_as_one_dummy_slot(self, view):
+        # past n_eff = 2n every dummy slot answers alike, so a batch over a
+        # huge padded universe answers as if each dummy were slot n
+        n = 12
+        oracle = oracle_of(n, seed=5)
+        if view == "per_row":
+            oracle = PerRowOracle(oracle)
+        elif view == "reversed":
+            oracle = reversed_view(oracle)
+        rows = np.random.default_rng(5).integers(0, 10**9, size=(64, 3))
+        rows[::2, 0] %= n  # half the rows hold a real id
+        folded = np.minimum(rows, n)
+        for u in range(n):
+            for batch in (oracle.left_test_batch, oracle.right_test_batch):
+                assert batch(u, rows, 10**9).tolist() == batch(u, folded, n + 1).tolist()
 
 
 def kernel_views(oracle):

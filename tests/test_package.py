@@ -43,7 +43,7 @@ def test_oracle_server_answers_without_numpy():
 
 def test_every_public_name_resolves():
     assert gtorder.__version__ == "0.1.0"
-    assert len(gtorder.__all__) == len(set(gtorder.__all__)) == 43
+    assert len(gtorder.__all__) == len(set(gtorder.__all__)) == 41
     for name in gtorder.__all__:
         value = getattr(gtorder, name)
         assert value.__module__.startswith("gtorder.")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gtorder import (
-    FrequencyCheck,
     InvalidParameterError,
     binomial_margin,
     chi_square_uniformity,
@@ -28,16 +27,6 @@ class TestBinomialMargin:
             binomial_margin(0, 0.5, 3)
         with pytest.raises(InvalidParameterError):
             binomial_margin(10, 1.5, 3)
-
-
-class TestFrequencyCheck:
-    def test_bounds_are_pure_functions_of_fields(self):
-        check = FrequencyCheck(successes=45, trials=100, claimed_rate=0.5, margin=0.06)
-        assert check.rate == 0.45
-        assert check.at_least()  # 0.45 >= 0.5 - 0.06
-        assert check.at_most()  # 0.45 <= 0.5 + 0.06
-        tight = FrequencyCheck(successes=40, trials=100, claimed_rate=0.5, margin=0.06)
-        assert not tight.at_least()
 
 
 class TestChiSquareUniformity:
