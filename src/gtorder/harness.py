@@ -80,6 +80,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidParameterError(f"n must be positive, got {config.n}")
     if config.trials < 1:
         raise InvalidParameterError(f"trials must be positive, got {config.trials}")
+    if config.workers < 1:
+        raise InvalidParameterError(f"workers must be positive, got {config.workers}")
     needs_band = config.algorithm in ("testle", "rank", "select")
     if needs_band:
         if config.delta is None or not 0.0 < config.delta < 1.0:

@@ -276,13 +276,16 @@ class InstanceOracle(GroupTestOracle):
     def _batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
         # count each row's hits with one gather from a 0/1 hit table
         # (dummy slots 0) and one matrix-vector product: numpy's
-        # any(axis=1) pays a loop per row on short rows.  float64 counts
-        # exactly up to 2**53 ids a row; uint8/uint16 sums would wrap
+        # any(axis=1) pays a loop per row on short rows.  float32 halves
+        # the gather and stays exact where it matters: a sum of 0/1
+        # addends is positive iff some addend is 1, at any precision and
+        # in any summation order (rounding never takes a positive sum
+        # back to 0).  uint8/uint16 sums would wrap to 0
         rows, n_eff = _checked_rows(u, rows, n_eff, self.size)
         ranks = self._ranks
-        hit = np.zeros(n_eff)
+        hit = np.zeros(n_eff, dtype=np.float32)
         (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])
-        return hit[rows] @ np.ones(rows.shape[1]) > 0
+        return hit[rows] @ np.ones(rows.shape[1], dtype=np.float32) > 0
 
     def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
         return self._batch(u, rows, n_eff, True)

@@ -18,8 +18,9 @@ No trial's sample depends on any answer, so the trials are
 non-adaptive and go to the oracle in batches (``right_test_batch``), one
 row and one group test per trial.  A test draws and asks its trials in
 row blocks of at most ``_BLOCK_IDS`` ids (one row where a row alone is
-wider), so its memory stays bounded whatever its trial count.  The
-blocks consume the generator exactly as one (trials x sample_size) draw
+wider), so while rows fit a block its memory stays under about 400 KiB
+whatever its trial count, and the blocks stay in cache.  The blocks
+consume the generator exactly as one (trials x sample_size) draw
 does, so no answer, count or ledger depends on the block size.
 
 Targets above n/2 are handled by running the test under the reversed
@@ -39,11 +40,12 @@ from .errors import InvalidParameterError
 from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
 
 # The most ids one batch of a threshold test draws and asks at once, unless
-# one row alone is wider.  A test's working set is about 16 bytes per id
-# (the drawn ids and the oracle's gather), so this bounds it at about
-# 4 MiB.  Smaller blocks would split more tests and pay allocator churn
-# and per-block overhead for it.
-_BLOCK_IDS = 1 << 18
+# one row alone is wider.  A block's working set is about 12 bytes per id
+# (8 for the drawn ids, 4 for the oracle's float32 gather), so about
+# 384 KiB: it stays in cache, and malloc hands its buffers back from the
+# free list instead of mapping fresh pages that fault in on every block.
+# Blocks of 2**14 and 2**16 ids ran selection's screens slower.
+_BLOCK_IDS = 1 << 15
 
 
 @dataclass(frozen=True)

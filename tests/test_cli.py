@@ -67,6 +67,14 @@ def test_invalid_parameters_exit_2():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_exit_2(workers):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["minfind", "--n", "16", "--trials", "3", "--seed", "0",
+              "--workers", workers])
+    assert excinfo.value.code == 2
+
+
 def test_bad_oracle_command_exits_1(capsys):
     code = main(["minfind", "--n", "8", "--trials", "1", "--seed", "0",
                  "--oracle", "cmd:/nonexistent/oracle"])

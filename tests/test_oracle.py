@@ -507,6 +507,29 @@ class TestBatchKernel:
             assert below_all(top, rows, 12).tolist() == [True] * 3
             assert above_all(bottom, rows, 12).tolist() == [True] * 3
 
+    @pytest.mark.parametrize("width", [7, 4097, 2**15 + 1])
+    def test_rows_hit_once_in_the_last_column(self, width):
+        # each row but the last holds exactly one hit, in its last column,
+        # after misses and dummies: the float32 count of such a row is
+        # exactly 1 in any summation order, and 0 for the last row
+        n, n_eff = 50, 64
+        instance = make_instance(n, seed=6)
+        bottom, top = instance.element_with_rank(1), instance.element_with_rank(n)
+        oracle = InstanceOracle(instance)
+        rng = np.random.default_rng(width)
+        for view in (oracle, reversed_view(oracle)):
+            # the view's minimum is hit by its right tests only through
+            # itself, its maximum by its left tests
+            low, high = (bottom, top) if view is oracle else (top, bottom)
+            for batch, single, u in ((view.right_test_batch, view.right_test, low),
+                                     (view.left_test_batch, view.left_test, high)):
+                misses = np.setdiff1d(np.arange(n_eff), [u])
+                rows = rng.choice(misses, size=(4, width))
+                rows[:-1, -1] = u
+                answer = batch(u, rows, n_eff)
+                assert answer.tolist() == [True, True, True, False]
+                assert answer.tolist() == _per_row(single, u, rows, n_eff, n).tolist()
+
     def test_reflexive_and_dummy_rows(self):
         # a row holding only u hits in both directions; a row of dummies,
         # or of dummies and elements on the wrong side, hits in neither

@@ -18,6 +18,7 @@ from gtorder import (
     make_instance,
     rank_at_most,
     reversed_view,
+    select_params,
 )
 from gtorder import ranktest
 
@@ -260,18 +261,36 @@ class TestBlocks:
                     answer, positives, ledger)
                 assert rng.bit_generator.state == state
 
-    def test_peak_memory_is_bounded(self):
-        # the minimum against r = 1 at n = 4096: 3025 rows of 4096 ids,
-        # about 200 MB of ids and gathers if drawn and asked at once
-        instance = make_instance(4096, seed=3)
+    @staticmethod
+    def traced_peak(n, rank, r, delta, epsilon):
+        """One rank_at_most of the element of the given rank, and the
+        tracemalloc peak it reached."""
+        instance = make_instance(n, seed=3)
         oracle = InstanceOracle(instance)
-        x = instance.element_with_rank(1)
+        x = instance.element_with_rank(rank)
         rng = np.random.default_rng(4)
         tracemalloc.start()
         try:
-            outcome = rank_at_most(oracle, x, 1, 0.3, 0.01, rng)
+            outcome = rank_at_most(oracle, x, r, delta, epsilon, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return outcome, peak
+
+    def test_peak_memory_is_bounded(self):
+        # the minimum against r = 1 at n = 4096: 3025 rows of 4096 ids,
+        # about 200 MB of ids and gathers if drawn and asked at once
+        outcome, peak = self.traced_peak(4096, 1, 1, 0.3, 0.01)
         assert outcome.params.trials * outcome.params.sample_size == 3025 * 4096
-        assert peak < 16 * 2**20
+        assert peak < 2**20
+
+    def test_peak_memory_of_a_selection_screen_is_bounded(self):
+        # the upper screen of approximate_select at n = 1000, k = 100,
+        # delta = 0.9, epsilon = 0.1: 19709 rows of 7 ids, about 2.3 MiB
+        # of ids and gathers if asked in one block
+        params = select_params(100, 0.9, 0.1)
+        outcome, peak = self.traced_peak(1000, 100, 167.5, params.delta_upper,
+                                         params.epsilon_round)
+        assert (outcome.params.trials, outcome.params.sample_size) == (19709, 7)
+        assert outcome.answer
+        assert peak < 2**20
