@@ -15,9 +15,8 @@ from .harness import ExperimentConfig, run_experiment, write_report
 from .verify import ALL_CHECKS, run_checks
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_n: bool = True) -> None:
-    if needs_n:
-        parser.add_argument("--n", type=int, required=True, help="universe size")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True, help="universe size")
     parser.add_argument("--trials", type=int, default=100, help="independent runs")
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument("--oracle", default="builtin",
@@ -94,18 +93,21 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.list:
         for name in ALL_CHECKS:
             print(name)
         return 0
-    results = run_checks(args.seed, args.only)
-    failures = 0
+    try:
+        results = run_checks(args.seed, args.only)
+    except KeyError as exc:
+        parser.error(str(exc))
+    total = failures = 0
     for result in results:
-        tag = "PASS" if result.passed else "FAIL"
-        print(f"{tag} {result.name}: {result.detail}")
+        print(result, flush=True)
+        total += 1
         failures += not result.passed
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    print(f"{total - failures}/{total} checks passed")
     return 1 if failures else 0
 
 
@@ -113,10 +115,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        try:
-            return _run_verify(args)
-        except KeyError as exc:
-            parser.error(str(exc))
+        return _run_verify(args, parser)
     config = _experiment_config(args)
     try:
         reports, summary = run_experiment(config)

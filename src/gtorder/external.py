@@ -94,8 +94,9 @@ the features, say) raises OracleProtocolError: a server that agreed
 ``HEX`` alone would read decimal ids as hex.
 
 The client checks ids before it writes a line: a single test with an id
-outside 0..n-1 raises OracleRejectedError, as the server's ``ERR`` would,
-and a single test over no ids answers False without a line.
+outside 0..n-1, an id that is not an integer or an id array that is not
+1-D raises OracleRejectedError, as the server's ``ERR`` would, and a
+single test over no ids answers False without a line.
 
 Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
@@ -140,8 +141,7 @@ from .errors import (
     OracleSpawnError,
     OracleTimeoutError,
 )
-from .oracle import (GroupTestOracle, IdSet, _check_id_types, _checked_descent,
-                     _checked_rows)
+from .oracle import GroupTestOracle, IdSet, _checked_descent, _checked_ids, _checked_rows
 from .oracle_server import _FULL_FEATURES
 
 _log = logging.getLogger(__name__)
@@ -340,19 +340,16 @@ class ExternalOracle(GroupTestOracle):
         return " ".join((kind, str(u), str(ids.size), *map(str, ids.tolist())))
 
     def _query(self, kind: str, u: int, V: IdSet) -> bool:
-        _check_id_types(u, V)
-        size = self.size
-        if isinstance(V, np.ndarray):
-            inside = not V.size or 0 <= V.min() and V.max() < size
-        else:
-            V = list(V)
-            inside = not V or 0 <= min(V) and max(V) < size
-        # rejected as the server would, before anything is written
-        if not (inside and 0 <= u < size):
-            raise OracleRejectedError(f"element id outside universe of size {size}")
-        if not len(V):
+        try:
+            ids = _checked_ids(u, V, self.size)
+        except InvalidParameterError as exc:
+            # rejected as the server would, before anything is written
+            raise OracleRejectedError(str(exc)) from None
+        if not len(ids):
             return False  # an empty existential asks no test
-        return self._ask(self._line(kind, u, np.asarray(V, dtype=np.int64)), _test_answer)
+        if not isinstance(V, np.ndarray):
+            V = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        return self._ask(self._line(kind, u, V), _test_answer)
 
     def left_test(self, u: int, V: IdSet) -> bool:
         return self._query("L", u, V)

@@ -131,25 +131,23 @@ def _is_id(v) -> bool:
 _PLAIN_INT = frozenset((int,))
 
 
-def _check_id_types(u: int, V: IdSet) -> None:
-    """Check that u and every id of V are integers (bools are not)."""
-    if isinstance(V, np.ndarray):
+def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
+    """Check that u and every id of V are integers (bools are not) in
+    0..size-1, and that V, if a numpy array, is 1-D.
+
+    Returns V itself when it is a numpy array long enough for the vector
+    path, and V as a Python list, set or sequence otherwise.
+    """
+    vector = isinstance(V, np.ndarray)
+    if vector:
+        if V.ndim != 1:
+            raise InvalidParameterError(f"a single test needs a 1-D id array, got shape {V.shape}")
         typed = not V.size or V.dtype.kind in "iu"
     else:
         # plain ints pass one C-level scan; anything else is checked per id
         typed = _PLAIN_INT.issuperset(map(type, V)) or all(map(_is_id, V))
     if not (typed and (type(u) is int or _is_id(u))):
         raise InvalidParameterError("element ids must be integers")
-
-
-def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
-    """Check that u and every id of V are integers in 0..size-1.
-
-    Returns V itself when it is a numpy array long enough for the vector
-    path, and V as a Python sequence otherwise.
-    """
-    _check_id_types(u, V)
-    vector = isinstance(V, np.ndarray)
     if vector and V.size <= _VECTOR_THRESHOLD:
         V, vector = V.tolist(), False
     if vector:
@@ -319,30 +317,38 @@ class CountingOracle(GroupTestOracle):
         self.ledger = QueryLedger()
         self.size = inner.size
 
+    # each query is counted once the oracle below has answered it, so a
+    # query it rejects costs nothing
     def left_test(self, u: int, V: IdSet) -> bool:
+        answer = self._inner.left_test(u, V)
         self.ledger.left_count += 1
-        return self._inner.left_test(u, V)
+        return answer
 
     def right_test(self, u: int, V: IdSet) -> bool:
+        answer = self._inner.right_test(u, V)
         self.ledger.right_count += 1
-        return self._inner.right_test(u, V)
+        return answer
 
     def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        answers = self._inner.left_test_batch(u, rows, n_eff)
         self.ledger.left_count += len(rows)
-        return self._inner.left_test_batch(u, rows, n_eff)
+        return answers
 
     def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        answers = self._inner.right_test_batch(u, rows, n_eff)
         self.ledger.right_count += len(rows)
-        return self._inner.right_test_batch(u, rows, n_eff)
+        return answers
 
     # a descent over m ids asks ceil(log2 m) tests, however it is answered
     def left_descent(self, u: int, arr: np.ndarray) -> int:
+        position = self._inner.left_descent(u, arr)
         self.ledger.left_count += (len(arr) - 1).bit_length()
-        return self._inner.left_descent(u, arr)
+        return position
 
     def right_descent(self, u: int, arr: np.ndarray) -> int:
+        position = self._inner.right_descent(u, arr)
         self.ledger.right_count += (len(arr) - 1).bit_length()
-        return self._inner.right_descent(u, arr)
+        return position
 
 
 class _ReversedOracle(GroupTestOracle):

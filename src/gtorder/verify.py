@@ -14,10 +14,11 @@ derives from the suite seed.
 from __future__ import annotations
 
 import copy
+import functools
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -39,9 +40,51 @@ class CheckResult:
     detail: str
     seconds: float
 
+    def __str__(self) -> str:
+        """The line ``gtorder verify`` prints for this result."""
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
+
+
+# every check by name, in the order the suite runs them
+ALL_CHECKS: dict[str, Callable[[int], CheckResult]] = {}
+
+
+def _check(time_limit: Optional[float] = None):
+    """Register ``check_<name>(seed) -> (passed, detail)`` as ``<name>``: the
+    check is timed, fails at ``time_limit`` seconds or more, and its detail
+    ends with the seconds taken."""
+    def register(body: Callable[[int], tuple[bool, str]]) -> Callable[[int], CheckResult]:
+        name = body.__name__.removeprefix("check_")
+
+        @functools.wraps(body)
+        def check(seed: int) -> CheckResult:
+            start = time.monotonic()
+            passed, detail = body(seed)
+            elapsed = time.monotonic() - start
+            if time_limit is not None and elapsed >= time_limit:
+                passed = False
+                detail += f"; over the {time_limit:g}s limit"
+            return CheckResult(name, passed, f"{detail} ({elapsed:.1f}s)", elapsed)
+
+        ALL_CHECKS[name] = check
+        return check
+    return register
+
+
+def run_checks(seed: int, names: Optional[Iterable[str]] = None) -> Iterator[CheckResult]:
+    """Each named check's result, as it finishes (all checks when no names
+    are given).  Unknown names raise KeyError before any check runs."""
+    selected = list(names) if names else list(ALL_CHECKS)
+    unknown = [name for name in selected if name not in ALL_CHECKS]
+    if unknown:
+        raise KeyError(f"unknown checks: {unknown}")
+    return (ALL_CHECKS[name](seed) for name in selected)
+
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, tag)))
+    # seeds are taken modulo 2**64, as the harness takes them
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=(seed & 0xFFFFFFFFFFFFFFFF, tag)))
 
 
 def _seed_stream(rng: np.random.Generator):
@@ -60,26 +103,20 @@ MINFIND_RUNS_PER_SIZE = 1250  # 10,000 runs in total
 MINFIND_TIME_LIMIT = 60.0
 
 
-def check_minfind_exactness(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check(time_limit=MINFIND_TIME_LIMIT)
+def check_minfind_exactness(seed: int) -> tuple[bool, str]:
+    """10,000 runs across eight sizes always return the true minimum."""
     rng = _rng(seed, 1)
     seeds = _seed_stream(rng)
-    total = 0
+    total = len(MINFIND_SIZES) * MINFIND_RUNS_PER_SIZE
     correct = 0
     for n in MINFIND_SIZES:
         for _ in range(MINFIND_RUNS_PER_SIZE):
             instance = make_instance(n, next(seeds))
             outcome = min_find(InstanceOracle(instance), n, rng)
-            total += 1
             correct += exact_rank(instance, outcome.element) == 1
-    elapsed = time.monotonic() - start
-    passed = correct == total and elapsed < MINFIND_TIME_LIMIT
-    return CheckResult(
-        "minfind_exactness", passed,
-        f"{correct}/{total} runs returned the rank-1 element "
-        f"across n in {MINFIND_SIZES} ({elapsed:.1f}s)",
-        elapsed,
-    )
+    return correct == total, (f"{correct}/{total} runs returned the rank-1 element "
+                              f"across n in {MINFIND_SIZES}")
 
 
 # --- 2. swap query count is exact -------------------------------------------
@@ -105,19 +142,13 @@ class _PerQueryOracle(GroupTestOracle):
         return self._inner.right_test(u, V)
 
 
-def _per_query(oracle: GroupTestOracle) -> tuple[GroupTestOracle, CountingOracle]:
-    """``oracle`` asked one test per descent level, and the adapter below
-    that counts those tests as they are made."""
-    counting = CountingOracle(oracle)
-    return _PerQueryOracle(counting), counting
-
-
-def check_swap_query_count(seed: int) -> CheckResult:
+@_check()
+def check_swap_query_count(seed: int) -> tuple[bool, str]:
+    """Every swap costs exactly ceil(log2(n-1)) tests for n in 3..1025."""
     # A counting adapter charges a descent ceil(log2 m) by formula, so each
     # swap is also replayed, from the same generator state, with its levels
     # asked and counted one by one; both must return the same element and
     # the same ledger.
-    start = time.monotonic()
     rng = _rng(seed, 2)
     seeds = _seed_stream(rng)
     bad = []
@@ -126,9 +157,8 @@ def check_swap_query_count(seed: int) -> CheckResult:
         oracle = InstanceOracle(instance)
         x = instance.element_with_rank(n)  # the maximum: every other element is below
         rest = np.delete(np.arange(n), x)
-        counting = CountingOracle(oracle)
-        per_query, asked = _per_query(oracle)
-        replay = swap(per_query, rest, x, copy.deepcopy(rng))
+        counting, asked = CountingOracle(oracle), CountingOracle(oracle)
+        replay = swap(_PerQueryOracle(asked), rest, x, copy.deepcopy(rng))
         result = swap(counting, rest, x, rng)
         expected = _ceil_log2(n - 1)
         if (asked.ledger.total != expected or counting.ledger != asked.ledger
@@ -140,22 +170,17 @@ def check_swap_query_count(seed: int) -> CheckResult:
         per_swap = _ceil_log2(n - 1)
         for _ in range(SWAP_LEDGER_RUNS):
             instance = make_instance(n, next(seeds))
-            per_query, asked = _per_query(InstanceOracle(instance))
-            replay = min_find(per_query, n, copy.deepcopy(rng))
+            asked = CountingOracle(InstanceOracle(instance))
+            replay = min_find(_PerQueryOracle(asked), n, copy.deepcopy(rng))
             outcome = min_find(InstanceOracle(instance), n, rng)
             expected_total = (outcome.iterations + 1) + outcome.iterations * per_swap
             if (asked.ledger.total != expected_total or outcome.ledger != asked.ledger
                     or (outcome.element, outcome.iterations)
                     != (replay.element, replay.iterations)):
                 bad.append((n, outcome.ledger.total, asked.ledger.total, expected_total))
-    elapsed = time.monotonic() - start
-    return CheckResult(
-        "swap_query_count", not bad,
-        ("exact ceil(log2(n-1)) tests for all n in 3..1025, "
-         "asked per level and fused alike"
-         if not bad else f"deviations (n, fused, per level, expected) at {bad[:5]}"),
-        elapsed,
-    )
+    return not bad, ("exact ceil(log2(n-1)) tests for all n in 3..1025, "
+                     "asked per level and fused alike"
+                     if not bad else f"deviations (n, fused, per level, expected) at {bad[:5]}")
 
 
 # --- 3. swap returns a uniform element among those below x -------------------
@@ -163,10 +188,12 @@ def check_swap_query_count(seed: int) -> CheckResult:
 SWAP_UNIFORMITY_N = 64
 SWAP_UNIFORMITY_RANK = 32
 SWAP_UNIFORMITY_CALLS = 10_000
+SWAP_UNIFORMITY_TIME_LIMIT = 60.0
 
 
-def check_swap_uniformity(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check(time_limit=SWAP_UNIFORMITY_TIME_LIMIT)
+def check_swap_uniformity(seed: int) -> tuple[bool, str]:
+    """10,000 swaps at n=64, x of rank 32 pass chi-square at 0.001."""
     rng = _rng(seed, 3)
     instance = make_instance(SWAP_UNIFORMITY_N, 20_240_601)
     oracle = InstanceOracle(instance)
@@ -177,14 +204,8 @@ def check_swap_uniformity(seed: int) -> CheckResult:
         result = swap(oracle, everyone, x, rng)
         counts[exact_rank(instance, result) - 1] += 1
     outcome = chi_square_uniformity(counts)
-    elapsed = time.monotonic() - start
-    passed = outcome.passed and elapsed < 60.0
-    return CheckResult(
-        "swap_uniformity", passed,
-        f"chi-square {outcome.statistic:.1f} over {SWAP_UNIFORMITY_RANK} ranks, "
-        f"critical {outcome.critical:.1f} at df={outcome.df} ({elapsed:.1f}s)",
-        elapsed,
-    )
+    return outcome.passed, (f"chi-square {outcome.statistic:.1f} over {SWAP_UNIFORMITY_RANK} "
+                            f"ranks, critical {outcome.critical:.1f} at df={outcome.df}")
 
 
 # --- 4. min-finding cost grows like log^2 n ---------------------------------
@@ -196,8 +217,9 @@ SCALING_RATIO_HIGH = 2.9
 SCALING_TIME_LIMIT = 120.0
 
 
-def check_minfind_scaling(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check(time_limit=SCALING_TIME_LIMIT)
+def check_minfind_scaling(seed: int) -> tuple[bool, str]:
+    """Mean query cost grows like log^2 n: the 4096/256 ratio is near 2.25."""
     rng = _rng(seed, 4)
     seeds = _seed_stream(rng)
     means = {}
@@ -208,14 +230,9 @@ def check_minfind_scaling(seed: int) -> CheckResult:
             totals += min_find(InstanceOracle(instance), n, rng).ledger.total
         means[n] = totals / SCALING_RUNS
     ratio = means[4096] / means[256]
-    elapsed = time.monotonic() - start
-    passed = SCALING_RATIO_LOW <= ratio <= SCALING_RATIO_HIGH and elapsed < SCALING_TIME_LIMIT
-    return CheckResult(
-        "minfind_scaling", passed,
+    return SCALING_RATIO_LOW <= ratio <= SCALING_RATIO_HIGH, (
         f"mean queries {means}; ratio mean(4096)/mean(256) = {ratio:.2f}, "
-        f"expected in [{SCALING_RATIO_LOW}, {SCALING_RATIO_HIGH}] ({elapsed:.1f}s)",
-        elapsed,
-    )
+        f"expected in [{SCALING_RATIO_LOW}, {SCALING_RATIO_HIGH}]")
 
 
 # --- 5. threshold-test error rate and exact query count ---------------------
@@ -229,8 +246,9 @@ TESTLE_TRIALS = 500
 TESTLE_TIME_LIMIT = 120.0
 
 
-def check_testle_error_rate(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check(time_limit=TESTLE_TIME_LIMIT)
+def check_testle_error_rate(seed: int) -> tuple[bool, str]:
+    """Threshold-test errors stay within epsilon plus margin; exact ledgers."""
     rng = _rng(seed, 5)
     seeds = _seed_stream(rng)
     expected_queries = derive_params(TESTLE_N, TESTLE_R, TESTLE_DELTA, TESTLE_EPSILON).trials
@@ -252,14 +270,8 @@ def check_testle_error_rate(seed: int) -> CheckResult:
         if rate > TESTLE_EPSILON + margin:
             passed = False
         details.append(f"rank {rank}: error rate {rate:.3f}")
-    elapsed = time.monotonic() - start
-    passed = passed and elapsed < TESTLE_TIME_LIMIT
-    return CheckResult(
-        "testle_error_rate", passed,
-        f"{'; '.join(details)}; bound {TESTLE_EPSILON + margin:.3f}, "
-        f"every call used exactly {expected_queries} queries ({elapsed:.1f}s)",
-        elapsed,
-    )
+    return passed, (f"{'; '.join(details)}; bound {TESTLE_EPSILON + margin:.3f}, "
+                    f"every call used exactly {expected_queries} queries")
 
 
 # --- 6. per-trial positive rate matches the closed form ----------------------
@@ -270,8 +282,9 @@ TRIAL_PROB_RANKS = (1, 10, 50, 90)
 TRIAL_PROB_EPSILON = 2e-4  # makes the trial count come out just above 2000
 
 
-def check_testle_trial_probability(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check()
+def check_testle_trial_probability(seed: int) -> tuple[bool, str]:
+    """Per-trial positive rates match the closed form within 3 SE."""
     rng = _rng(seed, 6)
     instance = make_instance(TRIAL_PROB_N, 991)
     oracle = InstanceOracle(instance)
@@ -287,12 +300,7 @@ def check_testle_trial_probability(seed: int) -> CheckResult:
         if abs(freq - expected) > tolerance:
             passed = False
         details.append(f"rank {rank}: {freq:.3f} vs {expected:.3f} (+-{tolerance:.3f})")
-    elapsed = time.monotonic() - start
-    return CheckResult(
-        "testle_trial_probability", passed,
-        f"sample size {int(TRIAL_PROB_N / TRIAL_PROB_R)}; " + "; ".join(details),
-        elapsed,
-    )
+    return passed, f"sample size {int(TRIAL_PROB_N / TRIAL_PROB_R)}; " + "; ".join(details)
 
 
 # --- 7. rank search succeeds within its band ---------------------------------
@@ -304,33 +312,27 @@ APXRANK_RUNS = 200
 APXRANK_TIME_LIMIT = 300.0
 
 
-def check_apxrank_success(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check(time_limit=APXRANK_TIME_LIMIT)
+def check_apxrank_success(seed: int) -> tuple[bool, str]:
+    """Rank estimates violate their band at most epsilon plus margin."""
     rng = _rng(seed, 7)
     seeds = _seed_stream(rng)
     max_calls = _ceil_log2(APXRANK_N)
-    violations = 0
-    calls_ok = True
+    violations = most_calls = 0
     for _ in range(APXRANK_RUNS):
         instance = make_instance(APXRANK_N, next(seeds))
         x = int(rng.integers(0, APXRANK_N))
         estimate = approximate_rank(InstanceOracle(instance), x, APXRANK_DELTA,
                                     APXRANK_EPSILON, rng)
-        if estimate.calls > max_calls:
-            calls_ok = False
+        most_calls = max(most_calls, estimate.calls)
         true_rank = exact_rank(instance, x)
         band = APXRANK_DELTA * min(estimate.rank, APXRANK_N - estimate.rank)
         violations += abs(true_rank - estimate.rank) > band
     rate = violations / APXRANK_RUNS
     bound = APXRANK_EPSILON + binomial_margin(APXRANK_RUNS, APXRANK_EPSILON, 3.0)
-    elapsed = time.monotonic() - start
-    passed = rate <= bound and calls_ok and elapsed < APXRANK_TIME_LIMIT
-    return CheckResult(
-        "apxrank_success", passed,
+    return rate <= bound and most_calls <= max_calls, (
         f"violation rate {rate:.3f} <= {bound:.3f}, threshold-test calls "
-        f"<= {max_calls} in every run ({elapsed:.1f}s)",
-        elapsed,
-    )
+        f"<= {max_calls} in every run")
 
 
 # --- 8. candidate sampling hits the band -------------------------------------
@@ -351,25 +353,20 @@ def _candidate_hit_rate(n: int, k: int, delta: float, instance_seed: int,
     return hits / CANDIDATE_DRAWS
 
 
-def check_candidate_hit_rate(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check()
+def check_candidate_hit_rate(seed: int) -> tuple[bool, str]:
+    """Candidate sampling hits the target band at the guaranteed rates."""
     rng = _rng(seed, 8)
     min_rate = _candidate_hit_rate(CANDIDATE_MIN_N, CANDIDATE_MIN_K, CANDIDATE_MIN_DELTA,
                                    7001, rng)
     claimed = CANDIDATE_MIN_DELTA**2 / 4.0
     min_bound = claimed - binomial_margin(CANDIDATE_DRAWS, claimed, 3.0)
-    min_ok = min_rate >= min_bound
     uniform_rate = _candidate_hit_rate(CANDIDATE_UNIFORM_N, CANDIDATE_UNIFORM_K,
                                        CANDIDATE_UNIFORM_DELTA, 7002, rng)
     uniform_margin = binomial_margin(CANDIDATE_DRAWS, 0.1, 3.0)
-    uniform_ok = abs(uniform_rate - 0.1) <= uniform_margin
-    elapsed = time.monotonic() - start
-    return CheckResult(
-        "candidate_hit_rate", min_ok and uniform_ok,
+    return min_rate >= min_bound and abs(uniform_rate - 0.1) <= uniform_margin, (
         f"min branch hit rate {min_rate:.3f} >= {min_bound:.3f}; uniform branch "
-        f"{uniform_rate:.3f} within {uniform_margin:.3f} of 0.1 ({elapsed:.1f}s)",
-        elapsed,
-    )
+        f"{uniform_rate:.3f} within {uniform_margin:.3f} of 0.1")
 
 
 # --- 9. the selection guarantee ----------------------------------------------
@@ -380,13 +377,12 @@ SELECT_RUNS = 300
 SELECT_TIME_LIMIT = 600.0
 
 
-def check_apxselect_theorem(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check(time_limit=SELECT_TIME_LIMIT)
+def check_apxselect_theorem(seed: int) -> tuple[bool, str]:
+    """Selection returns often enough and returned ranks respect the band."""
     max_rounds = int(np.ceil(32.0 / SELECT_DELTA**2))
-    config = ExperimentConfig(
-        algorithm="select", n=SELECT_N, trials=SELECT_RUNS, seed=seed,
-        k=SELECT_K, delta=SELECT_DELTA, epsilon=SELECT_EPSILON,
-    )
+    config = ExperimentConfig(algorithm="select", n=SELECT_N, trials=SELECT_RUNS, seed=seed,
+                              k=SELECT_K, delta=SELECT_DELTA, epsilon=SELECT_EPSILON)
     reports, summary = run_experiment(config)
     returned = [r for r in reports if r.result_id is not None]
     return_rate = summary["return_rate"]
@@ -395,16 +391,10 @@ def check_apxselect_theorem(seed: int) -> CheckResult:
     violation_rate = violations / len(returned) if returned else 0.0
     violation_bound = SELECT_EPSILON + binomial_margin(SELECT_RUNS, SELECT_EPSILON, 3.0)
     rounds_ok = all(r.rounds <= max_rounds for r in reports)
-    elapsed = time.monotonic() - start
-    passed = (return_rate >= return_bound and violation_rate <= violation_bound
-              and rounds_ok and elapsed < SELECT_TIME_LIMIT)
-    return CheckResult(
-        "apxselect_theorem", passed,
-        f"return rate {return_rate:.3f} >= {return_bound:.3f}; conditional "
-        f"violation rate {violation_rate:.3f} <= {violation_bound:.3f}; rounds "
-        f"<= {max_rounds} always ({elapsed:.1f}s)",
-        elapsed,
-    )
+    passed = return_rate >= return_bound and violation_rate <= violation_bound and rounds_ok
+    return passed, (f"return rate {return_rate:.3f} >= {return_bound:.3f}; conditional "
+                    f"violation rate {violation_rate:.3f} <= {violation_bound:.3f}; rounds "
+                    f"<= {max_rounds} always")
 
 
 # --- 10. reversal law and batch dummy slots ---------------------------------
@@ -436,8 +426,10 @@ def _dummy_slot_problems(view: GroupTestOracle, view_ranks: np.ndarray,
     return problems
 
 
-def check_reversal_padding(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check()
+def check_reversal_padding(seed: int) -> tuple[bool, str]:
+    """Reversal laws hold exhaustively for n <= 64, and batch dummy slots
+    never hit while real ids keep their ranks, for n_eff - n < 8."""
     rng = _rng(seed, 10)
     seeds = _seed_stream(rng)
     problems = []
@@ -461,17 +453,11 @@ def check_reversal_padding(seed: int) -> CheckResult:
             problems += _dummy_slot_problems(_PerQueryOracle(oracle), instance.ranks,
                                              "per-row")
         if problems:
-            break
-    elapsed = time.monotonic() - start
-    return CheckResult(
-        "reversal_padding", not problems,
-        (f"reversal laws hold exhaustively for n <= {ADAPTER_MAX_N}; batch dummy slots "
-         f"never hit and real ids keep their ranks for n_eff - n < {ADAPTER_MAX_PAD} "
-         f"(instance and reversed n <= {ADAPTER_MAX_N}, per-row path n <= "
-         f"{PER_ROW_MAX_N}) ({elapsed:.1f}s)"
-         if not problems else problems[0]),
-        elapsed,
-    )
+            return False, problems[0]
+    return True, (f"reversal laws hold exhaustively for n <= {ADAPTER_MAX_N}; batch dummy "
+                  f"slots never hit and real ids keep their ranks for n_eff - n < "
+                  f"{ADAPTER_MAX_PAD} (instance and reversed n <= {ADAPTER_MAX_N}, per-row "
+                  f"path n <= {PER_ROW_MAX_N})")
 
 
 # --- 11. external protocol conformance ---------------------------------------
@@ -484,8 +470,9 @@ EXTERNAL_DESCENT_SIZES = (1, 2, 64, 100, EXTERNAL_N)
 EXTERNAL_DESCENTS_PER_SIZE = 20
 
 
-def check_external_conformance(seed: int) -> CheckResult:
-    start = time.monotonic()
+@_check()
+def check_external_conformance(seed: int) -> tuple[bool, str]:
+    """The protocol server matches the builtin oracle on 1,000 queries."""
     rng = _rng(seed, 11)
     instance_seed = int(rng.integers(0, 2**31))
     instance = make_instance(EXTERNAL_N, instance_seed)
@@ -524,14 +511,10 @@ def check_external_conformance(seed: int) -> CheckResult:
             mismatches += runs[0] != runs[1]
     compared = (EXTERNAL_QUERIES + 2 * EXTERNAL_BATCHES
                 + 2 * len(EXTERNAL_DESCENT_SIZES) * EXTERNAL_DESCENTS_PER_SIZE + 2)
-    elapsed = time.monotonic() - start
-    return CheckResult(
-        "external_conformance", mismatches == 0,
+    return mismatches == 0, (
         f"{compared - mismatches}/{compared} protocol answers (single tests, batches, "
         f"descents, a min_find and a max_find run) match the builtin oracle at "
-        f"n={EXTERNAL_N} ({elapsed:.1f}s)",
-        elapsed,
-    )
+        f"n={EXTERNAL_N}")
 
 
 # --- 12. byte-identical reruns -----------------------------------------------
@@ -541,51 +524,20 @@ REPRO_CONFIGS = (
     ExperimentConfig(algorithm="maxfind", n=32, trials=30, seed=0),
     ExperimentConfig(algorithm="testle", n=200, trials=25, seed=0,
                      r=20.0, delta=0.5, epsilon=0.2, x_rank=35),
-    ExperimentConfig(algorithm="rank", n=128, trials=8, seed=0,
-                     delta=0.4, epsilon=0.2),
+    ExperimentConfig(algorithm="rank", n=128, trials=8, seed=0, delta=0.4, epsilon=0.2),
     ExperimentConfig(algorithm="select", n=150, trials=4, seed=0,
                      k=30, delta=0.5, epsilon=0.2),
 )
 
 
-def check_reproducibility(seed: int) -> CheckResult:
-    start = time.monotonic()
-    stable = True
+@_check()
+def check_reproducibility(seed: int) -> tuple[bool, str]:
+    """Re-running every config with the same seed is byte-identical."""
     for base in REPRO_CONFIGS:
-        config = ExperimentConfig(**{**base.__dict__, "seed": seed})
+        config = replace(base, seed=seed)
         first, _ = run_experiment(config)
         second, _ = run_experiment(config)
         if render_csv(config, first) != render_csv(config, second):
-            stable = False
-            break
-    elapsed = time.monotonic() - start
-    return CheckResult(
-        "reproducibility", stable,
-        f"re-running each algorithm's config reproduced the CSV byte for byte "
-        f"({elapsed:.1f}s)" if stable else f"CSV differs for {config.algorithm}",
-        elapsed,
-    )
+            return False, f"CSV differs for {config.algorithm}"
+    return True, "re-running each algorithm's config reproduced the CSV byte for byte"
 
-
-ALL_CHECKS: dict[str, Callable[[int], CheckResult]] = {
-    "minfind_exactness": check_minfind_exactness,
-    "swap_query_count": check_swap_query_count,
-    "swap_uniformity": check_swap_uniformity,
-    "minfind_scaling": check_minfind_scaling,
-    "testle_error_rate": check_testle_error_rate,
-    "testle_trial_probability": check_testle_trial_probability,
-    "apxrank_success": check_apxrank_success,
-    "candidate_hit_rate": check_candidate_hit_rate,
-    "apxselect_theorem": check_apxselect_theorem,
-    "reversal_padding": check_reversal_padding,
-    "external_conformance": check_external_conformance,
-    "reproducibility": check_reproducibility,
-}
-
-
-def run_checks(seed: int, names: Optional[Iterable[str]] = None) -> list[CheckResult]:
-    selected = list(names) if names else list(ALL_CHECKS)
-    unknown = [name for name in selected if name not in ALL_CHECKS]
-    if unknown:
-        raise KeyError(f"unknown checks: {unknown}")
-    return [ALL_CHECKS[name](seed) for name in selected]

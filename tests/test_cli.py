@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import io
 import json
+import sys
 
 import pytest
 
+from gtorder import verify
 from gtorder.cli import main
 from gtorder.harness import CSV_COLUMNS
 
@@ -100,3 +103,76 @@ def test_verify_unknown_check_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--only", "nonsense"])
     assert excinfo.value.code == 2
+
+
+def test_verify_reduces_negative_seeds_modulo_2_64(capsys):
+    details = []
+    for seed in ("-1", str(2**64 - 1)):
+        assert main(["verify", "--seed", seed, "--only", "swap_uniformity"]) == 0
+        details.append(capsys.readouterr().out.splitlines()[0].rpartition(" (")[0])
+    assert details[0].startswith("PASS swap_uniformity")
+    assert details[0] == details[1]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """An empty check registry in place of the suite's, for test checks."""
+    monkeypatch.setattr(verify, "ALL_CHECKS", {})
+    return verify.ALL_CHECKS
+
+
+def test_a_check_at_its_time_limit_fails_and_names_it(checks):
+    @verify._check(time_limit=0.0)
+    def check_instant(seed):
+        return True, "fine"
+
+    @verify._check(time_limit=60.0)
+    def check_quick(seed):
+        return True, "fine"
+
+    assert list(checks) == ["instant", "quick"]
+    late, quick = check_instant(0), check_quick(0)
+    assert not late.passed and late.detail.startswith("fine; over the 0s limit (")
+    assert quick.passed and quick.detail.startswith("fine (") and quick.detail.endswith("s)")
+
+
+def test_verify_prints_each_line_before_the_next_check_starts(checks, monkeypatch):
+    # a stdout that passes text on only when flushed
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    seen = []
+
+    @verify._check()
+    def check_first(seed):
+        return True, "one"
+
+    @verify._check()
+    def check_second(seed):
+        seen.append(raw.getvalue().decode())
+        return False, "two"
+
+    assert main(["verify"]) == 1
+    assert seen[0].startswith("PASS first: one (") and seen[0].count("\n") == 1
+
+
+def test_verify_rejects_unknown_names_before_any_check_runs(checks):
+    ran = []
+
+    @verify._check()
+    def check_known(seed):
+        ran.append(seed)
+        return True, ""
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--only", "known", "--only", "nonsense"])
+    assert excinfo.value.code == 2
+    assert ran == []
+
+
+def test_verify_does_not_report_a_key_error_in_a_check_as_usage(checks):
+    @verify._check()
+    def check_broken(seed):
+        return {}["missing"]
+
+    with pytest.raises(KeyError, match="missing"):
+        main(["verify"])

@@ -507,6 +507,9 @@ class TestIdSafety:
         "bool_array": (5, np.array([True])),
         "numpy_bool_id": (5, [np.bool_(True)]),
         "float_u": (5.5, [3]),
+        "zero_d_array": (3, np.array(5)),
+        "two_d_array": (3, np.array([[1, 2], [3, 4]])),
+        "wide_two_d_array": (3, np.arange(100).reshape(10, 10) % 8),
     }
     BATCH = {
         "negative_id": (3, [[0, -1]], 10),
@@ -572,13 +575,15 @@ class TestIdSafety:
                     == outcome(getattr(builtin, name), u, np.array(arr)))
 
     def test_bools_never_reach_the_pipe(self, tmp_path):
-        # nor do floats
+        # nor do floats, nor id arrays that are not 1-D
         command, log = filtered_server(tmp_path, self.N, 11, self.HOOK)
         rows, arr = np.array([[0, 1], [2, 3]]), np.array([0, 1, 2])
         calls = [("right_test", 5, [True]), ("right_test", True, [3]),
                  ("left_test", 5, np.array([True])), ("left_test", 5, [1, np.bool_(False)]),
                  ("right_test", 5, [1.0]), ("left_test", 5, np.array([1.0])),
                  ("right_test", 1.0, [1]), ("left_test", 5, [1, 1.5]),
+                 ("right_test", 5, np.array(3)), ("left_test", 5, np.array([[1, 2], [3, 4]])),
+                 ("right_test", 5, np.arange(100).reshape(10, 10) % 8),
                  ("right_test_batch", True, rows, self.N),
                  ("left_test_batch", 3, rows.astype(bool), self.N),
                  ("right_test_batch", 3, rows.astype(float), self.N),

@@ -14,6 +14,7 @@ from gtorder import (
     GroupTestOracle,
     InstanceOracle,
     InvalidParameterError,
+    QueryLedger,
     approximate_rank,
     approximate_select,
     derive_params,
@@ -111,6 +112,17 @@ class TestGroupTestSemantics:
         # an empty set answers false whatever its dtype
         assert tests[1](u, np.array([])) is False
 
+    @pytest.mark.parametrize("view", ["instance", "reversed", "per_row"])
+    def test_non_1d_id_arrays_rejected(self, view):
+        oracle = oracle_of(8)
+        oracle = {"instance": oracle, "reversed": reversed_view(oracle),
+                  "per_row": PerRowOracle(oracle)}[view]
+        # 0-d, and 2-D on both sides of the vector path's length threshold
+        for V in (np.array(3), np.array([[1, 2], [3, 4]]), np.arange(100).reshape(10, 10) % 8):
+            for test in (oracle.left_test, oracle.right_test):
+                with pytest.raises(InvalidParameterError, match="1-D"):
+                    test(0, V)
+
     def test_large_sets_use_the_same_semantics(self):
         instance = make_instance(300, seed=2)
         oracle = InstanceOracle(instance)
@@ -172,6 +184,19 @@ class TestCountingAdapter:
         assert counting.ledger.left_count == lefts
         assert counting.ledger.right_count == rights
         assert counting.ledger.total == Recorder.calls == 200
+
+    def test_rejected_queries_are_not_counted(self):
+        counting = CountingOracle(oracle_of(8, seed=1))
+        rejected = [lambda: counting.right_test_batch(0, np.array([[9]]), 8),
+                    lambda: counting.left_test_batch(0, np.array([[0], [1]]), 7),
+                    lambda: counting.right_test(0, [9]),
+                    lambda: counting.left_test(8, [0]),
+                    lambda: counting.right_descent(0, np.array([0, 1, 9])),
+                    lambda: counting.left_descent(0, np.array([0.0, 1.0]))]
+        for ask in rejected:
+            with pytest.raises(InvalidParameterError):
+                ask()
+            assert counting.ledger == QueryLedger()
 
 
 # each run takes an oracle and a generator and returns an outcome with a ledger

@@ -1,7 +1,10 @@
-"""Tests for the package namespace: public names load their submodule lazily."""
+"""Tests for the package namespace: public names load their submodule
+lazily, and the names the benchmark's tracer patches exist."""
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +60,17 @@ def test_unknown_names_raise_attribute_error():
     # a submodule that is not a public name still imports
     from gtorder import verify
     assert verify.__name__ == "gtorder.verify"
+
+
+def test_benchmark_call_sites_exist(monkeypatch):
+    # the benchmark's tracer patches these by name, and a missing one is
+    # skipped or added without a word, so a refactor that moves one must
+    # fail here
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [(owner.__name__, name) for owner, name in tracing.CALL_SITES
+            if not hasattr(owner, name)] == []
+    assert callable(getattr(tracing.ExternalOracle, "_exchange", None))
