@@ -93,10 +93,12 @@ those of a full session.  Any other ``INIT`` reply (``OK`` with some of
 the features, say) raises OracleProtocolError: a server that agreed
 ``HEX`` alone would read decimal ids as hex.
 
-The client checks ids before it writes a line: a single test with an id
-outside 0..n-1, an id that is not an integer or an id array that is not
-1-D raises OracleRejectedError, as the server's ``ERR`` would, and a
-single test over no ids answers False without a line.
+The client checks every query before it writes a line, in both sessions:
+a bad subject, padded size or id raises OracleRejectedError, as the
+server's ``ERR`` would.  That covers an id outside 0..n-1 of a single
+test or a descent, a batch id outside 0..n_eff-1, an id that is not an
+integer and an id array of the wrong shape.  A single test over no ids
+answers False without a line.
 
 Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
@@ -141,7 +143,8 @@ from .errors import (
     OracleSpawnError,
     OracleTimeoutError,
 )
-from .oracle import GroupTestOracle, IdSet, _checked_descent, _checked_ids, _checked_rows
+from .oracle import (GroupTestOracle, IdSet, _checked_descent, _checked_ids, _checked_rows,
+                     _descend, _per_row)
 from .oracle_server import _FULL_FEATURES
 
 _log = logging.getLogger(__name__)
@@ -339,12 +342,16 @@ class ExternalOracle(GroupTestOracle):
             return f"{kind} {u} {ids.size} {_hex_token(ids)}"
         return " ".join((kind, str(u), str(ids.size), *map(str, ids.tolist())))
 
-    def _query(self, kind: str, u: int, V: IdSet) -> bool:
+    def _checked(self, check, *args):
+        """``check(*args, size)``, with a bad query's InvalidParameterError
+        raised as the OracleRejectedError of ``ERR``, before any line."""
         try:
-            ids = _checked_ids(u, V, self.size)
+            return check(*args, self.size)
         except InvalidParameterError as exc:
-            # rejected as the server would, before anything is written
             raise OracleRejectedError(str(exc)) from None
+
+    def _query(self, kind: str, u: int, V: IdSet) -> bool:
+        ids = self._checked(_checked_ids, u, V)
         if not len(ids):
             return False  # an empty existential asks no test
         if not isinstance(V, np.ndarray):
@@ -357,8 +364,10 @@ class ExternalOracle(GroupTestOracle):
     def right_test(self, u: int, V: IdSet) -> bool:
         return self._query("R", u, V)
 
-    def _batch(self, kind: str, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        rows, n_eff = _checked_rows(u, rows, n_eff, self.size)
+    def _batch(self, kind: str, test, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        rows, n_eff = self._checked(_checked_rows, u, rows, n_eff)
+        if not self._full:
+            return _per_row(test, u, rows, n_eff, self.size)
         if not rows.size:
             # no rows, or rows of no ids: each is an empty existential
             return np.zeros(len(rows), dtype=bool)
@@ -367,28 +376,21 @@ class ExternalOracle(GroupTestOracle):
         return self._ask(line, _batch_answer, count)
 
     def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        if not self._full:
-            return super().left_test_batch(u, rows, n_eff)
-        return self._batch("BL", u, rows, n_eff)
+        return self._batch("BL", self.left_test, u, rows, n_eff)
 
     def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        if not self._full:
-            return super().right_test_batch(u, rows, n_eff)
-        return self._batch("BR", u, rows, n_eff)
+        return self._batch("BR", self.right_test, u, rows, n_eff)
 
-    def _descent(self, kind: str, u: int, arr: np.ndarray) -> int:
-        arr = _checked_descent(u, arr, self.size)
-        m = arr.size
-        if m == 1:
+    def _descent(self, kind: str, test, u: int, arr: np.ndarray) -> int:
+        arr = self._checked(_checked_descent, u, arr)
+        if not self._full:
+            return _descend(test, u, arr, self.size)
+        if arr.size == 1:
             return 0  # a descent over one id asks no test
-        return self._ask(self._line(kind, u, arr), _descent_answer, m)
+        return self._ask(self._line(kind, u, arr), _descent_answer, arr.size)
 
     def left_descent(self, u: int, arr: np.ndarray) -> int:
-        if not self._full:
-            return super().left_descent(u, arr)
-        return self._descent("DL", u, arr)
+        return self._descent("DL", self.left_test, u, arr)
 
     def right_descent(self, u: int, arr: np.ndarray) -> int:
-        if not self._full:
-            return super().right_descent(u, arr)
-        return self._descent("DR", u, arr)
+        return self._descent("DR", self.right_test, u, arr)

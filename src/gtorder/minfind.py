@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
+from .oracle import GroupTestOracle, QueryLedger, _id_array, counted, reversed_view
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,14 @@ class MinFindOutcome:
     ledger: QueryLedger
 
 
-def _id_array(ids, what: str) -> np.ndarray:
-    """``ids`` as a 1-D integer array; anything else is rejected."""
-    arr = np.asarray(ids)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise InvalidParameterError(
-            f"{what} must be a 1-D sequence of integer ids, got shape {arr.shape} "
-            f"of {arr.dtype}")
-    return arr
+def _swap(oracle: GroupTestOracle, arr: np.ndarray, x: int, rng: np.random.Generator) -> int:
+    """:func:`swap` over ``arr``, a nonempty 1-D id array that the caller
+    owns: it is shuffled in place.  ``Generator.permutation`` of a 1-D
+    array is a copy and this shuffle, so both draw the same order."""
+    if arr.size == 1:
+        return int(arr[0])
+    rng.shuffle(arr)
+    return int(arr[oracle.right_descent(x, arr)])
 
 
 def swap(oracle: GroupTestOracle, A, x: int, rng: np.random.Generator) -> int:
@@ -52,21 +52,18 @@ def swap(oracle: GroupTestOracle, A, x: int, rng: np.random.Generator) -> int:
 
     Requires some element of A to satisfy a <= x; if none does, the
     descent still completes (and still costs ceil(log2 |A|) tests) but
-    the element returned is incorrect.  |A| = 1 costs no queries.
+    the element returned is incorrect.  |A| = 1 costs no queries.  A itself
+    is never written.
     """
-    arr = _id_array(A, "a swap's candidate set")
-    m = arr.size
-    if m == 0:
+    arr, _ = _id_array(A, 1)
+    if arr.size == 0:
         raise InvalidParameterError("swap needs a nonempty candidate set")
-    if m == 1:
-        return int(arr[0])
-    arr = rng.permutation(arr)
-    return int(arr[oracle.right_descent(x, arr)])
+    return _swap(oracle, arr.copy(), x, rng)
 
 
 def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) -> MinFindOutcome:
     """Find the minimum of an explicit collection of distinct ids."""
-    arr = _id_array(elements, "the collection")
+    arr, _ = _id_array(elements, 1)
     if arr.size == 0:
         raise InvalidParameterError("cannot take the minimum of an empty collection")
     arr = arr.astype(np.int64, copy=False)
@@ -79,7 +76,8 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
         rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
         if not counting.right_test(x, rest):
             break
-        x = swap(counting, rest, x, rng)
+        # rest is this round's own array, never read again
+        x = _swap(counting, rest, x, rng)
         iterations += 1
         if iterations > arr.size:
             # the candidate's rank strictly decreases every round, so a

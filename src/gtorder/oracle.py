@@ -131,31 +131,52 @@ def _is_id(v) -> bool:
 _PLAIN_INT = frozenset((int,))
 
 
+def _id_array(ids, ndim: int, bound: int | None = None) -> tuple[np.ndarray, int | None]:
+    """``ids`` as an ``ndim``-D integer array (any dtype if it holds no id)
+    and its largest id: -1 if there is none, None if no ``bound`` is given.
+
+    With a bound, every id must lie in 0..bound-1.  One pass over the bytes
+    read as unsigned, in the array's own byte order, finds the largest id;
+    read so, a negative id of b bits lies at 2**(b-1) or above.
+    """
+    arr = np.asarray(ids)
+    if arr.ndim != ndim or (arr.size and arr.dtype.kind not in "iu"):
+        raise InvalidParameterError(
+            f"ids must be a {ndim}-D integer array, got shape {arr.shape} of {arr.dtype}")
+    if not arr.size:
+        return arr.astype(np.intp), -1
+    if bound is None:
+        return arr, None
+    dtype = arr.dtype
+    top = int(arr.view(dtype.str.replace("i", "u")).max())
+    if top >= bound or (dtype.kind == "i" and top >> (8 * dtype.itemsize - 1)):
+        raise InvalidParameterError(f"id outside 0..{bound - 1}")
+    return arr, top
+
+
+def _check_subject(u: int, size: int) -> None:
+    """Check that the subject u is an integer (a bool is not) in 0..size-1."""
+    if not ((type(u) is int or _is_id(u)) and 0 <= u < size):
+        raise InvalidParameterError(f"subject {u!r} is not an integer id in 0..{size - 1}")
+
+
 def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
-    """Check that u and every id of V are integers (bools are not) in
-    0..size-1, and that V, if a numpy array, is 1-D.
+    """Check a single test: u and every id of V in 0..size-1, and V, if a
+    numpy array, a 1-D integer one.
 
     Returns V itself when it is a numpy array long enough for the vector
     path, and V as a Python list, set or sequence otherwise.
     """
-    vector = isinstance(V, np.ndarray)
-    if vector:
-        if V.ndim != 1:
-            raise InvalidParameterError(f"a single test needs a 1-D id array, got shape {V.shape}")
-        typed = not V.size or V.dtype.kind in "iu"
-    else:
-        # plain ints pass one C-level scan; anything else is checked per id
-        typed = _PLAIN_INT.issuperset(map(type, V)) or all(map(_is_id, V))
-    if not (typed and (type(u) is int or _is_id(u))):
+    if isinstance(V, np.ndarray):
+        V, _ = _id_array(V, 1, size)
+        if V.size <= _VECTOR_THRESHOLD:
+            V = V.tolist()
+    # plain ints pass one C-level scan; anything else is checked per id
+    elif not (_PLAIN_INT.issuperset(map(type, V)) or all(map(_is_id, V))):
         raise InvalidParameterError("element ids must be integers")
-    if vector and V.size <= _VECTOR_THRESHOLD:
-        V, vector = V.tolist(), False
-    if vector:
-        inside = 0 <= V.min() and V.max() < size
-    else:
-        inside = not V or (0 <= min(V) and max(V) < size)
-    if not (inside and 0 <= u < size):
+    elif V and not (0 <= min(V) and max(V) < size):
         raise InvalidParameterError(f"element id outside universe of size {size}")
+    _check_subject(u, size)
     return V
 
 
@@ -163,26 +184,16 @@ def _checked_rows(u: int, rows: np.ndarray, n_eff: int,
                   size: int) -> tuple[np.ndarray, int]:
     """Check a batch: u in 0..size-1, n_eff >= size, and ``rows`` a 2-D
     integer array of ids in 0..n_eff-1.  Returns the rows and the padded
-    size to answer them with.  Rows of no ids come back as an integer
-    array, whatever their dtype was.  Past n_eff = 2 * size every dummy id
+    size to answer them with.  Past n_eff = 2 * size every dummy id
     comes back as ``size`` and the padded size as size + 1, so no hit
     table or id token need span a huge padded universe."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):
-        raise InvalidParameterError(f"a batch needs a 2-D integer id array, got shape {rows.shape}")
-    if not (_is_id(u) and _is_id(n_eff)):
-        raise InvalidParameterError("element ids and the padded size must be integers")
-    if not rows.size:
-        rows = rows.astype(np.intp)
-    if n_eff < size:
-        raise InvalidParameterError(f"padded size {n_eff} below universe size {size}")
-    if not 0 <= u < size:
-        raise InvalidParameterError(f"element id outside universe of size {size}")
-    if rows.size and (rows.min() < 0 or rows.max() >= n_eff):
-        raise InvalidParameterError(f"batch id outside padded universe of size {n_eff}")
+    if not (_is_id(n_eff) and n_eff >= size):
+        raise InvalidParameterError(f"padded size {n_eff!r} is not an integer >= {size}")
+    rows, top = _id_array(rows, 2, n_eff)
+    _check_subject(u, size)
     if n_eff > 2 * size:
         # every dummy slot answers alike, so slot ``size`` stands for all
-        if rows.size and rows.max() >= size:
+        if top >= size:
             rows = np.minimum(rows, size)
         n_eff = size + 1
     return rows, n_eff
@@ -191,14 +202,10 @@ def _checked_rows(u: int, rows: np.ndarray, n_eff: int,
 def _checked_descent(u: int, arr: np.ndarray, size: int) -> np.ndarray:
     """Check a descent: u in 0..size-1 and ``arr`` a nonempty 1-D integer
     array of ids in 0..size-1."""
-    arr = np.asarray(arr)
-    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
-        raise InvalidParameterError(
-            f"a descent needs a nonempty 1-D integer id array, got shape {arr.shape}")
-    if not _is_id(u):
-        raise InvalidParameterError("element ids must be integers")
-    if not (0 <= u < size and 0 <= arr.min() and arr.max() < size):
-        raise InvalidParameterError(f"element id outside universe of size {size}")
+    arr, _ = _id_array(arr, 1, size)
+    if not arr.size:
+        raise InvalidParameterError("a descent needs at least one id")
+    _check_subject(u, size)
     return arr
 
 
@@ -242,18 +249,18 @@ class InstanceOracle(GroupTestOracle):
         # only short tests read ranks as Python ints; built on first use
         return self._ranks.tolist()
 
-    # Both tests come from one body with the direction bound when the
-    # class is built, so a query pays no extra call.  The short-set loop
+    # Each direction's test and descent are built from one body with the
+    # direction bound, so a query pays no extra call.  The short-set loop
     # keeps its comparison inline in each direction: a direction test per
     # element would slow the short single tests, the condition tests of
     # the min-finding in selection's candidate draw.
     def _direction(left: bool):
+        compare = np.greater_equal if left else np.less_equal
+
         def test(self, u: int, V: IdSet) -> bool:
             ids = _checked_ids(u, V, self.size)
             if isinstance(ids, np.ndarray):
-                ru = self._ranks[u]
-                ranks = self._ranks[ids]
-                return bool((ranks >= ru).any() if left else (ranks <= ru).any())
+                return bool(compare(self._ranks[ids], self._ranks[u]).any())
             rl = self._rank_list
             ru = rl[u]
             if left:
@@ -265,10 +272,18 @@ class InstanceOracle(GroupTestOracle):
                     if rl[v] <= ru:
                         return True
             return False
-        return test
 
-    left_test = _direction(True)
-    right_test = _direction(False)
+        def descent(self, u: int, arr: np.ndarray) -> int:
+            # every level of the descent tests a slice of arr, so one
+            # gather finds the first hit, which is where the descent ends
+            arr = _checked_descent(u, arr, self.size)
+            hits = compare(self._ranks[arr], self._ranks[u])
+            first = int(hits.argmax())
+            return first if hits[first] else arr.size - 1
+        return test, descent
+
+    left_test, left_descent = _direction(True)
+    right_test, right_descent = _direction(False)
     del _direction
 
     def _batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
@@ -290,23 +305,6 @@ class InstanceOracle(GroupTestOracle):
 
     def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
         return self._batch(u, rows, n_eff, False)
-
-    def _descent(self, u: int, arr: np.ndarray, left: bool) -> int:
-        # every level of the descent tests a slice of arr, so one gather
-        # finds the first hit, which is where the descent ends
-        arr = _checked_descent(u, arr, self.size)
-        ranks = self._ranks
-        ru = ranks[u]
-        gathered = ranks[arr]
-        hits = gathered >= ru if left else gathered <= ru
-        first = int(hits.argmax())
-        return first if hits[first] else arr.size - 1
-
-    def left_descent(self, u: int, arr: np.ndarray) -> int:
-        return self._descent(u, arr, True)
-
-    def right_descent(self, u: int, arr: np.ndarray) -> int:
-        return self._descent(u, arr, False)
 
 
 class CountingOracle(GroupTestOracle):

@@ -25,6 +25,7 @@ so the library's own instances still come from ``make_instance``.
 
 from __future__ import annotations
 
+import os
 import sys
 from array import array
 from itertools import compress, count
@@ -287,4 +288,5 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()  # a usage error exits here, as SystemExit
+    os._exit(0)  # every reply is flushed: skip the teardown that close() waits for

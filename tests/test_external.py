@@ -608,6 +608,50 @@ class TestIdSafety:
                 getattr(remote, name)(self.N, [3])
             assert getattr(remote, name)(3, [5, 0]) == getattr(builtin, name)(3, [5, 0])
 
+    def test_bad_batch_and_descent_ids_are_rejected_before_any_line(self, tmp_path):
+        # the harness turns only an OracleError into an error row, so a
+        # bad batch or descent id must be one, as a bad single-test id is
+        command, log = filtered_server(tmp_path, self.N, 11, self.HOOK)
+        calls = [("right_test_batch", 3, [[9]], self.N), ("left_test_batch", 3, [[0, -1]], 10),
+                 ("right_test_batch", 3, [[0, 1], [10, 2]], 10),
+                 ("left_test_batch", 3, np.array([[0, 2**40]]), 2**40),
+                 ("right_test_batch", -1, [[0, 1]], 10), ("left_test_batch", 8, [[0, 1]], 10),
+                 ("right_descent", 3, [0, 9]), ("left_descent", 3, [0, -1]),
+                 ("right_descent", 3, [8, 0, 1]), ("left_descent", -1, [0, 1]),
+                 ("right_descent", 8, [0, 1])]
+        with ExternalOracle(command, self.N) as remote:
+            for name, u, ids, *n_eff in calls:
+                with pytest.raises(OracleRejectedError):
+                    getattr(remote, name)(u, np.array(ids), *n_eff)
+                assert remote.right_test(1, [1]) is True
+        assert log.read_text().splitlines()[1:] == [self.ONE_QUERY] * len(calls)
+
+    def test_queries_take_keyword_arguments(self, oracles):
+        remote, builtin = oracles
+        rows, arr = np.array([[0, 1], [2, 9]]), np.array([5, 0, 7])
+        for oracle in (remote, builtin):
+            assert oracle.right_test(u=3, V=[1, 5]) == builtin.right_test(3, [1, 5])
+            assert (oracle.left_test_batch(u=3, rows=rows, n_eff=10).tolist()
+                    == builtin.left_test_batch(3, rows, 10).tolist())
+            assert oracle.right_descent(u=3, arr=arr) == builtin.right_descent(3, arr)
+
+    def test_an_err_reply_inside_a_batch_or_descent_is_raised_unchanged(self, tmp_path):
+        # a basic session asks each row or level as a single test
+        hook = textwrap.dedent(self.HOOK) + textwrap.dedent("""
+            if line.startswith(("R 3 ", "BR 3 ", "DR 3 ")):
+                print("ERR busy", flush=True)
+                continue
+        """)
+        command, _ = filtered_server(tmp_path, self.N, 11, hook)
+        with ExternalOracle(command, self.N) as remote:
+            for query in (lambda: remote.right_test_batch(3, np.array([[0, 1]]), 8),
+                          lambda: remote.right_descent(3, np.array([0, 1, 2]))):
+                with pytest.raises(OracleRejectedError, match="busy") as excinfo:
+                    query()
+                # raised where the reply was parsed, not re-raised above it
+                assert excinfo.traceback[-1].name.endswith("_answer")
+                assert remote.right_test(1, [1]) is True
+
     @pytest.mark.parametrize("V", [[], set(), np.array([], dtype=np.int64), np.array([])])
     def test_empty_set_answers_false(self, oracles, V):
         remote, _ = oracles

@@ -1,5 +1,7 @@
 """Tests for Las Vegas min/max finding and the swap descent."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gtorder import (
     min_find_among,
     swap,
 )
+from gtorder.oracle import counted
 from gtorder.stats import chi_square_uniformity
 
 
@@ -222,6 +225,51 @@ class TestSwap:
         assert rng.bit_generator.state == bare.bit_generator.state
         # the first shuffled element below x is the one returned
         assert result == next(v for v in shuffled if instance.ranks[v] <= instance.ranks[x])
+
+
+def min_find_by_public_swap(oracle, n, rng):
+    """min_find's loop with a public, copying :func:`swap` every round."""
+    counting, ledger = counted(oracle)
+    arr = np.arange(n, dtype=np.int64)
+    idx = int(rng.integers(arr.size))
+    x = int(arr[idx])
+    iterations = 0
+    while arr.size > 1:
+        rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
+        if not counting.right_test(x, rest):
+            break
+        x = swap(counting, rest, x, rng)
+        iterations += 1
+        idx = int((arr == x).argmax())
+    return x, iterations, ledger
+
+
+class TestSharedSwapCore:
+    def test_arguments_are_read_only_to_swap_and_min_find_among(self):
+        instance = make_instance(40, seed=8)
+        oracle = InstanceOracle(instance)
+        x = instance.element_with_rank(30)
+        for dtype in (np.int64, np.int32, np.uint8):
+            ids = np.delete(np.arange(40), x).astype(dtype)
+            ids.flags.writeable = False
+            kept = ids.copy()
+            below = swap(oracle, ids, x, np.random.default_rng(2))
+            assert instance.ranks[below] <= instance.ranks[x]
+            outcome = min_find_among(oracle, ids, np.random.default_rng(2))
+            assert instance.rank_of(outcome.element) == 1
+            assert (ids == kept).all() and ids.dtype == dtype
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 65, 300, 1000])
+    def test_min_find_matches_a_loop_of_public_swaps(self, n):
+        for seed in range(10):
+            oracle = InstanceOracle(make_instance(n, seed))
+            rng = np.random.default_rng([n, seed])
+            twin = copy.deepcopy(rng)
+            outcome = min_find(oracle, n, rng)
+            element, iterations, ledger = min_find_by_public_swap(oracle, n, twin)
+            assert (outcome.element, outcome.iterations, outcome.ledger) == (
+                element, iterations, ledger)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class RecordingOracle(InstanceOracle):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gtorder import (
     CountingOracle,
@@ -14,6 +15,7 @@ from gtorder import (
     GroupTestOracle,
     InstanceOracle,
     InvalidParameterError,
+    OracleRejectedError,
     QueryLedger,
     approximate_rank,
     approximate_select,
@@ -25,7 +27,7 @@ from gtorder import (
     rank_at_most,
     reversed_view,
 )
-from gtorder.oracle import _per_row
+from gtorder.oracle import _id_array, _per_row
 
 
 def oracle_of(n, seed=0):
@@ -724,3 +726,106 @@ class TestDescents:
             for descent in (oracle.left_descent, oracle.right_descent):
                 with pytest.raises(InvalidParameterError):
                     descent(u, arr)
+
+
+# integer dtypes that are not int64: other widths, both byte orders, unsigned
+ODD_DTYPES = [">i8", ">i4", "<i2", "u1", "u8"]
+
+
+def strided_too(ids):
+    """``ids``, and the same ids as every other entry of the last axis of
+    an array twice as wide: ``arr[::2]`` or ``rows[:, ::2]``."""
+    return ids, np.repeat(ids, 2, axis=-1)[..., ::2]
+
+
+class TestOddIdArrays:
+    """Every entry point takes id arrays of any integer dtype, byte order
+    and stride: in range they answer as their int64 copy does, and a
+    negative id or an id at the bound is rejected."""
+
+    rng = np.random.default_rng(5)
+    # more than 64 ids reach the vector path of a single test; 5 do not
+    SINGLE = rng.integers(0, 24, size=70)
+    SHORT = SINGLE[:5]
+    # padded universes of 27, of 72 > 2n, whose dummies fold, and of 2**40,
+    # past the ids of every narrow dtype, where a negative id read as
+    # unsigned still lies below the bound
+    ROWS = {27: rng.integers(0, 27, size=(6, 5)), 72: rng.integers(0, 72, size=(6, 5)),
+            2**40: rng.integers(0, 72, size=(6, 5))}
+    DESCENT = rng.permutation(24)[:13]
+
+    @pytest.fixture(params=["instance", "reversed", "per_row", "external"])
+    def oracle(self, request, remote24):
+        builtin = oracle_of(24, seed=24)
+        return {"instance": builtin, "reversed": reversed_view(builtin),
+                "per_row": PerRowOracle(builtin), "external": remote24}[request.param]
+
+    def calls(self, oracle):
+        """(call, int64 ids, bound): each entry point with its ids."""
+        for left in (True, False):
+            test = oracle.left_test if left else oracle.right_test
+            batch = oracle.left_test_batch if left else oracle.right_test_batch
+            descent = oracle.left_descent if left else oracle.right_descent
+            yield test, self.SINGLE, 24
+            yield test, self.SHORT, 24
+            for n_eff, rows in self.ROWS.items():
+                yield lambda u, rows, batch=batch, n_eff=n_eff: batch(u, rows, n_eff), rows, n_eff
+            yield descent, self.DESCENT, 24
+
+    @pytest.mark.parametrize("dtype", ODD_DTYPES)
+    def test_in_range_ids_answer_as_their_int64_copy(self, oracle, dtype):
+        for u in (0, 7, 23):
+            for call, ids, _ in self.calls(oracle):
+                want = np.asarray(call(u, ids)).tolist()
+                for odd in strided_too(ids.astype(dtype)):
+                    assert np.asarray(call(u, odd)).tolist() == want
+
+    @pytest.mark.parametrize("dtype", ODD_DTYPES)
+    def test_negative_ids_and_ids_at_the_bound_are_rejected(self, oracle, dtype):
+        rejected = OracleRejectedError if isinstance(oracle, ExternalOracle) else InvalidParameterError
+        for call, ids, bound in self.calls(oracle):
+            bad_ids = [bound]
+            if dtype == "u8":
+                bad_ids.append(2**63 + 5)  # negative if read as signed
+            elif np.dtype(dtype).kind == "i":
+                bad_ids.append(-1)
+            for bad in bad_ids:
+                if bad > np.iinfo(dtype).max:
+                    continue  # no such id of this dtype
+                for position in (0, ids.size - 1):
+                    odd = ids.astype(dtype)
+                    odd.flat[position] = bad
+                    for view in strided_too(odd):
+                        with pytest.raises(InvalidParameterError) as info:
+                            call(7, view)
+                        assert info.type is rejected
+
+
+@st.composite
+def id_arrays(draw):
+    """An integer array of any dtype, byte order, shape and stride, with
+    ids near 0 and near a small bound or anywhere in the dtype's range."""
+    dtype = np.dtype(draw(st.sampled_from(
+        ["<i8", ">i8", "<i4", ">i4", "<i2", ">i2", "i1", "u1", "<u2", ">u4", "<u8", ">u8"])))
+    info = np.iinfo(dtype)
+    elements = (st.integers(max(info.min, -3), min(info.max, 300))
+                | st.integers(info.min, info.max))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6))
+    arr = draw(hnp.arrays(dtype, shape, elements=elements))
+    return arr[..., ::draw(st.integers(1, 2))]
+
+
+@given(arr=id_arrays(), bound=st.integers(0, 300) | st.integers(0, 2**65))
+@settings(max_examples=300, deadline=None)
+def test_id_array_accepts_exactly_the_ids_in_range(arr, bound):
+    inside = not arr.size or (int(arr.min()) >= 0 and int(arr.max()) < bound)
+    try:
+        checked, top = _id_array(arr, arr.ndim, bound)
+    except InvalidParameterError:
+        assert not inside
+        return
+    assert inside
+    assert top == (int(arr.max()) if arr.size else -1)
+    assert checked.shape == arr.shape and (checked == arr).all()
+    with pytest.raises(InvalidParameterError, match=f"{3 - arr.ndim}-D"):
+        _id_array(arr, 3 - arr.ndim, bound)

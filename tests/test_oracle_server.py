@@ -1,5 +1,6 @@
 """Tests for the reference server's numpy-free instance and its command line."""
 
+import io
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import gtorder
 from gtorder import InvalidParameterError, make_instance
-from gtorder.oracle_server import instance_ranks, serve
+from gtorder.oracle_server import instance_ranks, main, serve
 
 # sizes just above a power of two make the shuffle reject most draws
 SIZES = (1, 2, 3, 255, 256, 257, 1000, 4096, 4097)
@@ -47,3 +48,30 @@ def test_universe_below_one_is_a_usage_error(n):
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr.splitlines() == [f"oracle_server.py: error: --n must be at least 1, got {n}"]
+
+
+def test_server_exits_at_eof_with_every_reply_and_no_teardown():
+    # an atexit hook runs only in the interpreter's teardown, which the
+    # server skips once its output is flushed
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: sys.stderr.write('teardown\\n'))\n"
+              "sys.argv = ['oracle_server', '--n', '8', '--seed', '3']\n"
+              "runpy.run_module('gtorder.oracle_server', run_name='__main__')\n")
+    queries = [(u, v) for u in range(8) for v in range(8)]
+    lines = ["INIT 8", *(f"R {u} 1 {v}" for u, v in queries)]
+    run = subprocess.run([sys.executable, "-c", script], input="\n".join(lines) + "\n",
+                         capture_output=True, text=True, timeout=60)
+    ranks = instance_ranks(8, 3)
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert run.stdout.splitlines() == ["OK", *("Y" if ranks[v] <= ranks[u] else "N"
+                                               for u, v in queries)]
+
+
+def test_main_returns_to_an_in_process_caller(monkeypatch):
+    stdout = io.TextIOWrapper(io.BytesIO())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"INIT 4\nR 0 1 0\n")))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["--n", "4"]) == 0
+    stdout.seek(0)
+    assert stdout.read() == "OK\nY\n"

@@ -32,16 +32,17 @@ def test_oracle_server_spawn_skips_the_harness():
 
 
 def test_oracle_server_answers_without_numpy():
-    code = ("import runpy, sys; sys.argv = ['oracle_server', '--n', '8', '--seed', '3']\n"
-            "try:\n    runpy.run_module('gtorder.oracle_server', run_name='__main__')\n"
-            "except SystemExit:\n    pass\n"
-            "print(sorted(m for m in ('numpy', 'gtorder.oracle', 'gtorder.order', "
-            "'gtorder.external', 'gtorder.harness', 'multiprocessing') if m in sys.modules), "
-            "file=sys.stderr)")
-    run = subprocess.run([sys.executable, "-c", code], input="INIT 8\nR 3 1 3\n",
+    # the server ends without interpreter teardown, so its imports are
+    # read from -X importtime, one stderr line per module it imports
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "gtorder.oracle_server",
+                          "--n", "8", "--seed", "3"], input="INIT 8\nR 3 1 3\n",
                          capture_output=True, text=True, check=True)
     assert run.stdout == "OK\nY\n"
-    assert run.stderr.strip().splitlines()[-1] == "[]"
+    imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "gtorder.errors" in imported  # the server's own import, so the list is read
+    assert not imported & {"numpy", "gtorder.oracle", "gtorder.order", "gtorder.external",
+                           "gtorder.harness", "multiprocessing"}
 
 
 def test_every_public_name_resolves():
