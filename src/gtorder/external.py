@@ -217,7 +217,12 @@ class ExternalOracle(GroupTestOracle):
     def __init__(self, command: Union[str, Sequence[str]], n: int, timeout: float = 10.0):
         if n < 1:
             raise InvalidParameterError(f"universe size must be positive, got {n}")
-        args = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            args = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:
+            raise InvalidParameterError(f"cannot parse oracle command {command!r}: {exc}") from None
+        if not args:
+            raise InvalidParameterError("oracle command is empty")
         self.size = n
         self._timeout = timeout
         self._buffer = b""
@@ -352,11 +357,9 @@ class ExternalOracle(GroupTestOracle):
 
     def _query(self, kind: str, u: int, V: IdSet) -> bool:
         ids = self._checked(_checked_ids, u, V)
-        if not len(ids):
+        if not ids.size:
             return False  # an empty existential asks no test
-        if not isinstance(V, np.ndarray):
-            V = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        return self._ask(self._line(kind, u, V), _test_answer)
+        return self._ask(self._line(kind, u, ids), _test_answer)
 
     def left_test(self, u: int, V: IdSet) -> bool:
         return self._query("L", u, V)

@@ -7,7 +7,10 @@ A group test is a one-to-many order query against a hidden total order:
 
 ``<=`` is reflexive and the order is strict on ranks, so singleton tests
 against u itself are always true.  An empty V answers false (an empty
-existential).  Answers are noiseless functions of the hidden order.
+existential).  Answers are noiseless functions of the hidden order.  V
+may be any collection of integer ids; it is checked into one 1-D integer
+array, and :class:`InstanceOracle` answers every single test and descent
+from one gather of the ranks of such an array.
 
 ``left_test_batch``/``right_test_batch`` ask one test per row of a 2-D id
 array, for non-adaptive tests whose sets are all drawn before any answer
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -56,12 +58,6 @@ from .errors import InvalidParameterError
 from .order import TotalOrderInstance
 
 IdSet = Union[Sequence[int], np.ndarray, set, frozenset]
-
-# Above this size the numpy fancy-index path beats a Python loop.  Long
-# single tests are ``min_find``'s condition tests over the rest of a large
-# universe; short ones the candidate draw's, over a few sampled ids.
-# InstanceOracle's batches and descents take neither path.
-_VECTOR_THRESHOLD = 64
 
 
 class GroupTestOracle(ABC):
@@ -123,12 +119,9 @@ class QueryLedger:
                            self.right_count - start.right_count)
 
 
-def _is_id(v) -> bool:
-    """True for a Python or numpy integer; bools and floats are not ids."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-_PLAIN_INT = frozenset((int,))
+def _is_id_type(t: type) -> bool:
+    """True for Python and numpy integer types; bool and floats are not ids."""
+    return issubclass(t, (int, np.integer)) and t is not bool
 
 
 def _id_array(ids, ndim: int, bound: int | None = None) -> tuple[np.ndarray, int | None]:
@@ -156,26 +149,21 @@ def _id_array(ids, ndim: int, bound: int | None = None) -> tuple[np.ndarray, int
 
 def _check_subject(u: int, size: int) -> None:
     """Check that the subject u is an integer (a bool is not) in 0..size-1."""
-    if not ((type(u) is int or _is_id(u)) and 0 <= u < size):
+    if not (_is_id_type(type(u)) and 0 <= u < size):
         raise InvalidParameterError(f"subject {u!r} is not an integer id in 0..{size - 1}")
 
 
-def _checked_ids(u: int, V: IdSet, size: int) -> IdSet:
+def _checked_ids(u: int, V: IdSet, size: int) -> np.ndarray:
     """Check a single test: u and every id of V in 0..size-1, and V, if a
-    numpy array, a 1-D integer one.
-
-    Returns V itself when it is a numpy array long enough for the vector
-    path, and V as a Python list, set or sequence otherwise.
-    """
+    numpy array, a 1-D integer one.  Returns V as a 1-D integer array."""
     if isinstance(V, np.ndarray):
         V, _ = _id_array(V, 1, size)
-        if V.size <= _VECTOR_THRESHOLD:
-            V = V.tolist()
-    # plain ints pass one C-level scan; anything else is checked per id
-    elif not (_PLAIN_INT.issuperset(map(type, V)) or all(map(_is_id, V))):
-        raise InvalidParameterError("element ids must be integers")
-    elif V and not (0 <= min(V) and max(V) < size):
-        raise InvalidParameterError(f"element id outside universe of size {size}")
+    else:
+        if not all(map(_is_id_type, set(map(type, V)))):
+            raise InvalidParameterError("element ids must be integers")
+        if V and not (0 <= min(V) and max(V) < size):
+            raise InvalidParameterError(f"element id outside universe of size {size}")
+        V = np.fromiter(V, dtype=np.int64, count=len(V))
     _check_subject(u, size)
     return V
 
@@ -187,7 +175,7 @@ def _checked_rows(u: int, rows: np.ndarray, n_eff: int,
     size to answer them with.  Past n_eff = 2 * size every dummy id
     comes back as ``size`` and the padded size as size + 1, so no hit
     table or id token need span a huge padded universe."""
-    if not (_is_id(n_eff) and n_eff >= size):
+    if not (_is_id_type(type(n_eff)) and n_eff >= size):
         raise InvalidParameterError(f"padded size {n_eff!r} is not an integer >= {size}")
     rows, top = _id_array(rows, 2, n_eff)
     _check_subject(u, size)
@@ -225,11 +213,8 @@ def _descend(test, u: int, arr: np.ndarray, size: int) -> int:
 
 def _per_row(test, u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray:
     """Answer a batch with one call of ``test`` per row, dummies left out."""
-    rows, n_eff = _checked_rows(u, rows, n_eff, size)
-    rows = rows.tolist()
-    if n_eff > size:
-        rows = [[v for v in row if v < size] for row in rows]
-    return np.fromiter((test(u, row) for row in rows), dtype=bool, count=len(rows))
+    rows, _ = _checked_rows(u, rows, n_eff, size)
+    return np.fromiter((test(u, row[row < size]) for row in rows), dtype=bool, count=len(rows))
 
 
 class InstanceOracle(GroupTestOracle):
@@ -244,47 +229,28 @@ class InstanceOracle(GroupTestOracle):
     def instance(self) -> TotalOrderInstance:
         return self._instance
 
-    @cached_property
-    def _rank_list(self) -> list[int]:
-        # only short tests read ranks as Python ints; built on first use
-        return self._ranks.tolist()
+    def _hits(self, u: int, ids: np.ndarray, left: bool) -> np.ndarray:
+        """Which ids satisfy the left (u <= v) or right (v <= u) test."""
+        ranks = self._ranks
+        return (np.greater_equal if left else np.less_equal)(ranks[ids], ranks[u])
 
-    # Each direction's test and descent are built from one body with the
-    # direction bound, so a query pays no extra call.  The short-set loop
-    # keeps its comparison inline in each direction: a direction test per
-    # element would slow the short single tests, the condition tests of
-    # the min-finding in selection's candidate draw.
-    def _direction(left: bool):
-        compare = np.greater_equal if left else np.less_equal
+    # count_nonzero skips the per-call setup of a ufunc reduction such as any()
+    def left_test(self, u: int, V: IdSet) -> bool:
+        return bool(np.count_nonzero(self._hits(u, _checked_ids(u, V, self.size), True)))
 
-        def test(self, u: int, V: IdSet) -> bool:
-            ids = _checked_ids(u, V, self.size)
-            if isinstance(ids, np.ndarray):
-                return bool(compare(self._ranks[ids], self._ranks[u]).any())
-            rl = self._rank_list
-            ru = rl[u]
-            if left:
-                for v in ids:
-                    if rl[v] >= ru:
-                        return True
-            else:
-                for v in ids:
-                    if rl[v] <= ru:
-                        return True
-            return False
+    def right_test(self, u: int, V: IdSet) -> bool:
+        return bool(np.count_nonzero(self._hits(u, _checked_ids(u, V, self.size), False)))
 
-        def descent(self, u: int, arr: np.ndarray) -> int:
-            # every level of the descent tests a slice of arr, so one
-            # gather finds the first hit, which is where the descent ends
-            arr = _checked_descent(u, arr, self.size)
-            hits = compare(self._ranks[arr], self._ranks[u])
-            first = int(hits.argmax())
-            return first if hits[first] else arr.size - 1
-        return test, descent
+    def _descent(self, u: int, arr: np.ndarray, left: bool) -> int:
+        hits = self._hits(u, _checked_descent(u, arr, self.size), left)
+        first = int(hits.argmax())
+        return first if hits[first] else hits.size - 1
 
-    left_test, left_descent = _direction(True)
-    right_test, right_descent = _direction(False)
-    del _direction
+    def left_descent(self, u: int, arr: np.ndarray) -> int:
+        return self._descent(u, arr, True)
+
+    def right_descent(self, u: int, arr: np.ndarray) -> int:
+        return self._descent(u, arr, False)
 
     def _batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
         # count each row's hits with one gather from a 0/1 hit table

@@ -105,10 +105,11 @@ def approximate_select(oracle: GroupTestOracle, n: int, k: int, delta: float,
     Returns an element with probability at least 1/2; conditioned on
     returning one, it satisfies the band with probability at least
     1 - epsilon.  Targets above n/2 run under the reversed order with
-    k replaced by n - k + 1; the reversal sits above the ledger.
+    k replaced by n - k + 1; the reversal sits above the ledger.  n must
+    be ``oracle.size``: the screens rank x in the whole universe.
     """
-    if n < 1 or n > oracle.size:
-        raise InvalidParameterError(f"universe size {n} invalid for oracle of size {oracle.size}")
+    if n != oracle.size:
+        raise InvalidParameterError(f"universe size {n} is not the oracle's size {oracle.size}")
     if not 1 <= k <= n:
         raise InvalidParameterError(f"target rank {k} outside 1..{n}")
     work, ledger = counted(oracle)

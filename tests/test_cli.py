@@ -85,6 +85,15 @@ def test_bad_oracle_command_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("oracle", ["cmd:", "cmd:  ", "cmd:'x"])
+def test_empty_or_unparseable_oracle_command_exits_2(oracle, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["minfind", "--n", "8", "--trials", "1", "--seed", "0", "--oracle", oracle])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "oracle command" in err and "Traceback" not in err
+
+
 def test_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     out = capsys.readouterr().out

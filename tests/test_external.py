@@ -19,6 +19,7 @@ from gtorder import (
     ExternalOracle,
     InstanceOracle,
     InvalidParameterError,
+    OracleError,
     OracleProtocolError,
     OracleRejectedError,
     OracleSpawnError,
@@ -189,6 +190,17 @@ class TestProtocolFailures:
     def test_spawn_failure(self):
         with pytest.raises(OracleSpawnError):
             ExternalOracle(["/nonexistent/oracle-binary"], 8)
+
+    @pytest.mark.parametrize("command", ["", [], "  ", "'x"])
+    def test_empty_or_unparseable_command_is_rejected_before_spawning(self, command,
+                                                                      monkeypatch):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("spawned a process")
+
+        monkeypatch.setattr(external.subprocess, "Popen", no_spawn)
+        with pytest.raises(InvalidParameterError) as info:
+            ExternalOracle(command, 4)
+        assert not isinstance(info.value, OracleError)
 
     def test_malformed_reply(self, tmp_path):
         command = script_command(

@@ -71,7 +71,7 @@ class TestGroupTestSemantics:
         with pytest.raises(InvalidParameterError):
             oracle.left_test(0, [-1])
         with pytest.raises(InvalidParameterError):
-            oracle.right_test(0, np.arange(100))  # vectorized path validates too
+            oracle.right_test(0, np.arange(100))  # long id arrays are checked too
 
     @pytest.mark.parametrize("view", ["instance", "padded", "reversed"])
     def test_non_integer_ids_rejected(self, view):
@@ -119,7 +119,7 @@ class TestGroupTestSemantics:
         oracle = oracle_of(8)
         oracle = {"instance": oracle, "reversed": reversed_view(oracle),
                   "per_row": PerRowOracle(oracle)}[view]
-        # 0-d, and 2-D on both sides of the vector path's length threshold
+        # 0-d, and 2-D of 4 and of 100 ids
         for V in (np.array(3), np.array([[1, 2], [3, 4]]), np.arange(100).reshape(10, 10) % 8):
             for test in (oracle.left_test, oracle.right_test):
                 with pytest.raises(InvalidParameterError, match="1-D"):
@@ -365,21 +365,41 @@ class TestPaddedView:
         assert not any(dummy_rows.any() for _, _, dummy_rows in asked)
 
 
-@given(st.integers(2, 24), st.data())
-@settings(max_examples=60, deadline=None)
-def test_adapters_agree_with_definitions(n, data):
-    """Reversal answers exactly per the rank definition."""
+# the containers a single test takes its ids in
+ID_CONTAINERS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset,
+                 "int64": lambda ids: np.array(ids, dtype=np.int64),
+                 "uint16": lambda ids: np.array(ids, dtype=np.uint16)}
+
+
+@given(st.integers(2, 200), st.sampled_from(sorted(ID_CONTAINERS)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_adapters_agree_with_definitions(n, container, data):
+    """The instance oracle, its reversal and the per-row path answer
+    single tests, one-row batches and descents exactly per the rank
+    definition, whatever container holds the ids and however many."""
     instance = make_instance(n, seed=99)
-    rev = reversed_view(InstanceOracle(instance))
-
-    def rank_in_view(e):
-        return n - instance.rank_of(e) + 1
-
-    u = data.draw(st.integers(0, n - 1))
-    V = data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=6))
-    ru = rank_in_view(u)
-    assert rev.right_test(u, V) == any(rank_in_view(v) <= ru for v in V)
-    assert rev.left_test(u, V) == any(rank_in_view(v) >= ru for v in V)
+    base = InstanceOracle(instance)
+    # near the ends of the order a test has few hits, so each one counts
+    u = instance.element_with_rank(data.draw(st.sampled_from([1, 2, n - 1, n])
+                                             | st.integers(1, n)))
+    m = data.draw(st.integers(0, 130))
+    ids = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    V = ID_CONTAINERS[container](ids)
+    views = {"instance": (base, instance.rank_of),
+             "reversed": (reversed_view(base), lambda e: n - instance.rank_of(e) + 1),
+             "per_row": (PerRowOracle(base), instance.rank_of)}
+    for oracle, rank in views.values():
+        ru = rank(u)
+        below = [rank(v) <= ru for v in ids]
+        above = [rank(v) >= ru for v in ids]
+        assert oracle.right_test(u, V) is any(below)
+        assert oracle.left_test(u, V) is any(above)
+        row = np.array(ids, dtype=np.int64).reshape(1, m)
+        assert oracle.right_test_batch(u, row, n).tolist() == [any(below)]
+        assert oracle.left_test_batch(u, row, n).tolist() == [any(above)]
+        if m:
+            assert oracle.right_descent(u, row[0]) == (below.index(True) if any(below) else m - 1)
+            assert oracle.left_descent(u, row[0]) == (above.index(True) if any(above) else m - 1)
 
 
 class PerRowOracle(GroupTestOracle):
@@ -721,7 +741,8 @@ class TestDescents:
         bad += [(-1, np.arange(7)), (8, np.arange(7)), (1, np.array([], dtype=np.int64)),
                 (1, np.arange(4).reshape(2, 2)), (1, np.array([0.0, 2.0])),
                 (5.5, np.arange(7)), (5.0, np.arange(7)), (np.float64(1), np.arange(7)),
-                (True, np.arange(7)), (1, np.array([True, False]))]
+                (True, np.arange(7)), (1, np.array([True, False])),
+                (1, {0, 1, 2})]  # a set has no positions to descend over
         for u, arr in bad:
             for descent in (oracle.left_descent, oracle.right_descent):
                 with pytest.raises(InvalidParameterError):
@@ -744,7 +765,7 @@ class TestOddIdArrays:
     negative id or an id at the bound is rejected."""
 
     rng = np.random.default_rng(5)
-    # more than 64 ids reach the vector path of a single test; 5 do not
+    # a single test of 70 ids, and one of 5
     SINGLE = rng.integers(0, 24, size=70)
     SHORT = SINGLE[:5]
     # padded universes of 27, of 72 > 2n, whose dummies fold, and of 2**40,

@@ -224,3 +224,15 @@ class TestApproximateSelect:
             approximate_select(oracle, 10, 11, 0.5, 0.1, rng)
         with pytest.raises(InvalidParameterError):
             approximate_select(oracle, 10, 5, 0.5, 0.0, rng)
+
+    def test_universe_must_be_the_oracles(self):
+        # the screens rank a candidate among all oracle.size ids, so a
+        # run over ids 0..n-1 with n < size would accept elements outside
+        # the band of their rank among those n ids
+        oracle = InstanceOracle(make_instance(1000, seed=7))
+        rng = np.random.default_rng(0)
+        for n in (500, 999, 1001):
+            with pytest.raises(InvalidParameterError, match="oracle's size"):
+                approximate_select(oracle, n, 50, 0.5, 0.1, rng)
+        # the candidate draw ranks within 0..n-1 and keeps n < size
+        assert 0 <= draw_candidate(oracle, 500, 50, 0.5, rng) < 500
