@@ -45,21 +45,20 @@ no token.  The server replies ``ERR <message>`` to any invalid line,
 non-ASCII digits and a batch or descent op in a basic session included.
 
 ``BL``/``BR`` ask one left/right test per row of a ``rows`` x ``width``
-id array, sent row after row; they mirror
-``GroupTestOracle.left_test_batch``/``right_test_batch``.  Ids in
-n..n_eff-1 are dummy slots that satisfy neither test; ``rows`` and
-``width`` are at least 1.  The reply is one line of ``rows`` characters,
-each ``Y`` or ``N``.  Batches serve non-adaptive tests, such as the trials
-of a threshold test.
+id array, sent row after row; they mirror ``GroupTestOracle.test_batch``
+with ``left`` true/false.  Ids in n..n_eff-1 are dummy slots that satisfy
+neither test; ``rows`` and ``width`` are at least 1.  The reply is one
+line of ``rows`` characters, each ``Y`` or ``N``.  Batches serve
+non-adaptive tests, such as the trials of a threshold test.
 
 ``DL``/``DR`` run a whole swap descent of left/right tests over the
-``m >= 1`` ids, as ``GroupTestOracle.left_descent``/``right_descent`` do,
-and the reply is the canonical decimal of the position where it ends: the
-first position whose id satisfies the test, or ``m - 1`` if none does.
-Every level of a descent depends only on the hidden order, so the server
-answers them all at once; the ledger still counts ceil(log2 m) tests.
-Descents carry no dummy slots, and a descent over one id asks no test, so
-the client sends none.
+``m >= 1`` ids, as ``GroupTestOracle.descent`` does with ``left``
+true/false, and the reply is the canonical decimal of the position where
+it ends: the first position whose id satisfies the test, or ``m - 1`` if
+none does.  Every level of a descent depends only on the hidden order, so
+the server answers them all at once; the ledger still counts ceil(log2 m)
+tests.  Descents carry no dummy slots, and a descent over one id asks no
+test, so the client sends none.
 
 Worked examples, for n = 1024 ids where id i has rank i + 1 (``>`` marks
 a client line, ``<`` the server's reply)::
@@ -143,8 +142,7 @@ from .errors import (
     OracleSpawnError,
     OracleTimeoutError,
 )
-from .oracle import (GroupTestOracle, IdSet, _checked_descent, _checked_ids, _checked_rows,
-                     _descend, _per_row)
+from .oracle import GroupTestOracle, IdSet, _checked_descent, _checked_ids, _checked_rows
 from .oracle_server import _FULL_FEATURES
 
 _log = logging.getLogger(__name__)
@@ -355,45 +353,27 @@ class ExternalOracle(GroupTestOracle):
         except InvalidParameterError as exc:
             raise OracleRejectedError(str(exc)) from None
 
-    def _query(self, kind: str, u: int, V: IdSet) -> bool:
+    def test(self, u: int, V: IdSet, left: bool) -> bool:
         ids = self._checked(_checked_ids, u, V)
         if not ids.size:
             return False  # an empty existential asks no test
-        return self._ask(self._line(kind, u, ids), _test_answer)
+        return self._ask(self._line("L" if left else "R", u, ids), _test_answer)
 
-    def left_test(self, u: int, V: IdSet) -> bool:
-        return self._query("L", u, V)
-
-    def right_test(self, u: int, V: IdSet) -> bool:
-        return self._query("R", u, V)
-
-    def _batch(self, kind: str, test, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+    def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
         rows, n_eff = self._checked(_checked_rows, u, rows, n_eff)
         if not self._full:
-            return _per_row(test, u, rows, n_eff, self.size)
+            return super().test_batch(u, rows, n_eff, left)
         if not rows.size:
             # no rows, or rows of no ids: each is an empty existential
             return np.zeros(len(rows), dtype=bool)
         count, width = rows.shape
-        line = f"{kind} {u} {n_eff} {count} {width} {_hex_token(rows)}"
+        line = f"{'BL' if left else 'BR'} {u} {n_eff} {count} {width} {_hex_token(rows)}"
         return self._ask(line, _batch_answer, count)
 
-    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        return self._batch("BL", self.left_test, u, rows, n_eff)
-
-    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        return self._batch("BR", self.right_test, u, rows, n_eff)
-
-    def _descent(self, kind: str, test, u: int, arr: np.ndarray) -> int:
+    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
         arr = self._checked(_checked_descent, u, arr)
         if not self._full:
-            return _descend(test, u, arr, self.size)
+            return super().descent(u, arr, left)
         if arr.size == 1:
             return 0  # a descent over one id asks no test
-        return self._ask(self._line(kind, u, arr), _descent_answer, arr.size)
-
-    def left_descent(self, u: int, arr: np.ndarray) -> int:
-        return self._descent("DL", self.left_test, u, arr)
-
-    def right_descent(self, u: int, arr: np.ndarray) -> int:
-        return self._descent("DR", self.right_test, u, arr)
+        return self._ask(self._line("DL" if left else "DR", u, arr), _descent_answer, arr.size)

@@ -7,12 +7,17 @@ A group test is a one-to-many order query against a hidden total order:
 
 ``<=`` is reflexive and the order is strict on ranks, so singleton tests
 against u itself are always true.  An empty V answers false (an empty
-existential).  Answers are noiseless functions of the hidden order.  V
-may be any collection of integer ids; it is checked into one 1-D integer
-array, and :class:`InstanceOracle` answers every single test and descent
-from one gather of the ranks of such an array.
+existential).  Answers are noiseless functions of the hidden order.
 
-``left_test_batch``/``right_test_batch`` ask one test per row of a 2-D id
+Each query takes its direction as an argument, ``left`` for the left
+test and ``not left`` for the right one: a subclass defines ``test(u, V,
+left)``, and ``test_batch`` and ``descent`` default to asking it per row
+or level; ``left_test`` ... ``right_descent`` are one-line forms of these
+three.  V may be any collection of integer ids; it is checked into one
+1-D integer array, and :class:`InstanceOracle` answers every single test
+and descent from one gather of the ranks of such an array.
+
+``test_batch(u, rows, n_eff, left)`` asks one test per row of a 2-D id
 array, for non-adaptive tests whose sets are all drawn before any answer
 is read.  Ids in size..n_eff-1 are dummy slots that satisfy neither test.
 They are the library's one padding mechanism: the threshold test pads its
@@ -23,12 +28,12 @@ satisfies the test in a 0/1 hit table, then counts each row's hits with
 one gather from that table and one matrix-vector product, and answers
 true where the count is positive.
 
-``left_descent``/``right_descent`` run the binary descent of min-finding's
-swap over an id array: one test per level on the occupied left half of
-the current range, ceil(log2 m) tests in all.  The base class asks them
-one at a time, each an ordinary single test.  Every level tests a
-contiguous slice of the same array, so the descent ends at the first
-position holding an element below (above) u, or at m - 1 if none does:
+``descent(u, arr, left)`` runs the binary descent of min-finding's swap
+over an id array: one test per level on the occupied left half of the
+current range, ceil(log2 m) tests in all.  The base class asks them one
+at a time, each an ordinary single test.  Every level tests a contiguous
+slice of the same array, so the descent ends at the first position
+whose id satisfies the test, or at m - 1 if none does:
 :class:`InstanceOracle` finds that position with one gather, and the
 line protocol's ``DL``/``DR`` op asks the server for it in one line.
 
@@ -61,45 +66,65 @@ IdSet = Union[Sequence[int], np.ndarray, set, frozenset]
 
 
 class GroupTestOracle(ABC):
-    """Query interface over a universe of ids 0..size-1."""
+    """Query interface over a universe of ids 0..size-1; see the module."""
 
     size: int
 
     @abstractmethod
-    def left_test(self, u: int, V: IdSet) -> bool:
-        """True iff some v in V satisfies u <= v."""
+    def test(self, u: int, V: IdSet, left: bool) -> bool:
+        """True iff some v in V satisfies u <= v (``left``) or v <= u."""
 
-    @abstractmethod
-    def right_test(self, u: int, V: IdSet) -> bool:
-        """True iff some v in V satisfies v <= u."""
-
-    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        """One left test per row of ``rows``, as a boolean array.
+    def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
+        """One test per row of ``rows``, as a boolean array.
 
         ``rows`` is a 2-D array of ids in 0..n_eff-1; ids from ``size`` on
         are dummy slots that satisfy neither test.  Each row costs one
-        group test.
+        group test, asked here as one single test with the dummies left
+        out.
         """
-        return _per_row(self.left_test, u, rows, n_eff, self.size)
+        rows, _ = _checked_rows(u, rows, n_eff, self.size)
+        size = self.size
+        return np.fromiter((self.test(u, row[row < size], left) for row in rows),
+                           dtype=bool, count=len(rows))
 
-    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        """One right test per row of ``rows``; see :meth:`left_test_batch`."""
-        return _per_row(self.right_test, u, rows, n_eff, self.size)
-
-    def left_descent(self, u: int, arr: np.ndarray) -> int:
-        """Where a descent of left tests over the 1-D id array ``arr`` ends.
+    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
+        """Where a descent of tests over the 1-D id array ``arr`` ends.
 
         Lays ``arr`` on a power-of-two index range and, at each of the
-        ceil(log2 m) levels, asks one left test on the occupied left half
-        of the current range, moving right when it answers false.  The
-        result is the first position whose id v satisfies u <= v, or
-        m - 1 if none does.  Each level costs one group test.
+        ceil(log2 m) levels, asks one test on the occupied left half of
+        the current range, moving right when it answers false.  The
+        result is the first position whose id satisfies the test, or
+        m - 1 if none does.  Each level costs one group test, asked here
+        as one single test.
         """
-        return _descend(self.left_test, u, arr, self.size)
+        arr = _checked_descent(u, arr, self.size)
+        m = arr.size
+        lo = 0
+        span = 1 << (m - 1).bit_length()
+        while span > 1:
+            half = span >> 1
+            if not self.test(u, arr[lo : min(lo + half, m)], left):
+                lo += half
+            span = half
+        return min(lo, m - 1)
+
+    def left_test(self, u: int, V: IdSet) -> bool:
+        return self.test(u, V, True)
+
+    def right_test(self, u: int, V: IdSet) -> bool:
+        return self.test(u, V, False)
+
+    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        return self.test_batch(u, rows, n_eff, True)
+
+    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
+        return self.test_batch(u, rows, n_eff, False)
+
+    def left_descent(self, u: int, arr: np.ndarray) -> int:
+        return self.descent(u, arr, True)
 
     def right_descent(self, u: int, arr: np.ndarray) -> int:
-        """The descent of :meth:`left_descent` with right tests (v <= u)."""
-        return _descend(self.right_test, u, arr, self.size)
+        return self.descent(u, arr, False)
 
 
 @dataclass(slots=True)
@@ -128,11 +153,23 @@ def _id_array(ids, ndim: int, bound: int | None = None) -> tuple[np.ndarray, int
     """``ids`` as an ``ndim``-D integer array (any dtype if it holds no id)
     and its largest id: -1 if there is none, None if no ``bound`` is given.
 
-    With a bound, every id must lie in 0..bound-1.  One pass over the bytes
-    read as unsigned, in the array's own byte order, finds the largest id;
-    read so, a negative id of b bits lies at 2**(b-1) or above.
+    A collection that is not an array is checked once per distinct element
+    type and read as int64: ``np.asarray`` reads ids mixing ``np.uint64``
+    with other integers as float64.  With a bound, every id must lie in
+    0..bound-1.  One pass over the bytes read as unsigned, in the array's
+    own byte order, finds the largest id; read so, a negative id of b bits
+    lies at 2**(b-1) or above.
     """
-    arr = np.asarray(ids)
+    arr = ids
+    if not isinstance(arr, np.ndarray):
+        arr = np.array(arr, dtype=object)
+        if arr.ndim == ndim:
+            if not all(map(_is_id_type, set(map(type, arr.flat)))):
+                raise InvalidParameterError("element ids must be integers")
+            try:
+                arr = arr.astype(np.int64)
+            except OverflowError:
+                raise InvalidParameterError("element id outside the int64 range") from None
     if arr.ndim != ndim or (arr.size and arr.dtype.kind not in "iu"):
         raise InvalidParameterError(
             f"ids must be a {ndim}-D integer array, got shape {arr.shape} of {arr.dtype}")
@@ -156,14 +193,9 @@ def _check_subject(u: int, size: int) -> None:
 def _checked_ids(u: int, V: IdSet, size: int) -> np.ndarray:
     """Check a single test: u and every id of V in 0..size-1, and V, if a
     numpy array, a 1-D integer one.  Returns V as a 1-D integer array."""
-    if isinstance(V, np.ndarray):
-        V, _ = _id_array(V, 1, size)
-    else:
-        if not all(map(_is_id_type, set(map(type, V)))):
-            raise InvalidParameterError("element ids must be integers")
-        if V and not (0 <= min(V) and max(V) < size):
-            raise InvalidParameterError(f"element id outside universe of size {size}")
-        V = np.fromiter(V, dtype=np.int64, count=len(V))
+    if isinstance(V, (set, frozenset)):
+        V = tuple(V)  # a single test, unlike a descent, takes unordered ids
+    V, _ = _id_array(V, 1, size)
     _check_subject(u, size)
     return V
 
@@ -197,26 +229,6 @@ def _checked_descent(u: int, arr: np.ndarray, size: int) -> np.ndarray:
     return arr
 
 
-def _descend(test, u: int, arr: np.ndarray, size: int) -> int:
-    """A descent asked one ``test`` per level."""
-    arr = _checked_descent(u, arr, size)
-    m = arr.size
-    lo = 0
-    span = 1 << (m - 1).bit_length()
-    while span > 1:
-        half = span >> 1
-        if not test(u, arr[lo : min(lo + half, m)]):
-            lo += half
-        span = half
-    return min(lo, m - 1)
-
-
-def _per_row(test, u: int, rows: np.ndarray, n_eff: int, size: int) -> np.ndarray:
-    """Answer a batch with one call of ``test`` per row, dummies left out."""
-    rows, _ = _checked_rows(u, rows, n_eff, size)
-    return np.fromiter((test(u, row[row < size]) for row in rows), dtype=bool, count=len(rows))
-
-
 class InstanceOracle(GroupTestOracle):
     """Oracle backed by a concrete :class:`TotalOrderInstance`."""
 
@@ -235,24 +247,10 @@ class InstanceOracle(GroupTestOracle):
         return (np.greater_equal if left else np.less_equal)(ranks[ids], ranks[u])
 
     # count_nonzero skips the per-call setup of a ufunc reduction such as any()
-    def left_test(self, u: int, V: IdSet) -> bool:
-        return bool(np.count_nonzero(self._hits(u, _checked_ids(u, V, self.size), True)))
+    def test(self, u: int, V: IdSet, left: bool) -> bool:
+        return bool(np.count_nonzero(self._hits(u, _checked_ids(u, V, self.size), left)))
 
-    def right_test(self, u: int, V: IdSet) -> bool:
-        return bool(np.count_nonzero(self._hits(u, _checked_ids(u, V, self.size), False)))
-
-    def _descent(self, u: int, arr: np.ndarray, left: bool) -> int:
-        hits = self._hits(u, _checked_descent(u, arr, self.size), left)
-        first = int(hits.argmax())
-        return first if hits[first] else hits.size - 1
-
-    def left_descent(self, u: int, arr: np.ndarray) -> int:
-        return self._descent(u, arr, True)
-
-    def right_descent(self, u: int, arr: np.ndarray) -> int:
-        return self._descent(u, arr, False)
-
-    def _batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
+    def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
         # count each row's hits with one gather from a 0/1 hit table
         # (dummy slots 0) and one matrix-vector product: numpy's
         # any(axis=1) pays a loop per row on short rows.  float32 halves
@@ -266,11 +264,10 @@ class InstanceOracle(GroupTestOracle):
         (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])
         return hit[rows] @ np.ones(rows.shape[1], dtype=np.float32) > 0
 
-    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        return self._batch(u, rows, n_eff, True)
-
-    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        return self._batch(u, rows, n_eff, False)
+    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
+        hits = self._hits(u, _checked_descent(u, arr, self.size), left)
+        first = int(hits.argmax())
+        return first if hits[first] else hits.size - 1
 
 
 class CountingOracle(GroupTestOracle):
@@ -281,37 +278,28 @@ class CountingOracle(GroupTestOracle):
         self.ledger = QueryLedger()
         self.size = inner.size
 
+    def _count(self, left: bool, queries: int) -> None:
+        if left:
+            self.ledger.left_count += queries
+        else:
+            self.ledger.right_count += queries
+
     # each query is counted once the oracle below has answered it, so a
     # query it rejects costs nothing
-    def left_test(self, u: int, V: IdSet) -> bool:
-        answer = self._inner.left_test(u, V)
-        self.ledger.left_count += 1
+    def test(self, u: int, V: IdSet, left: bool) -> bool:
+        answer = self._inner.test(u, V, left)
+        self._count(left, 1)
         return answer
 
-    def right_test(self, u: int, V: IdSet) -> bool:
-        answer = self._inner.right_test(u, V)
-        self.ledger.right_count += 1
-        return answer
-
-    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        answers = self._inner.left_test_batch(u, rows, n_eff)
-        self.ledger.left_count += len(rows)
-        return answers
-
-    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        answers = self._inner.right_test_batch(u, rows, n_eff)
-        self.ledger.right_count += len(rows)
+    def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
+        answers = self._inner.test_batch(u, rows, n_eff, left)
+        self._count(left, len(rows))
         return answers
 
     # a descent over m ids asks ceil(log2 m) tests, however it is answered
-    def left_descent(self, u: int, arr: np.ndarray) -> int:
-        position = self._inner.left_descent(u, arr)
-        self.ledger.left_count += (len(arr) - 1).bit_length()
-        return position
-
-    def right_descent(self, u: int, arr: np.ndarray) -> int:
-        position = self._inner.right_descent(u, arr)
-        self.ledger.right_count += (len(arr) - 1).bit_length()
+    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
+        position = self._inner.descent(u, arr, left)
+        self._count(left, (len(arr) - 1).bit_length())
         return position
 
 
@@ -322,23 +310,14 @@ class _ReversedOracle(GroupTestOracle):
         self._inner = inner
         self.size = inner.size
 
-    def left_test(self, u: int, V: IdSet) -> bool:
-        return self._inner.right_test(u, V)
+    def test(self, u: int, V: IdSet, left: bool) -> bool:
+        return self._inner.test(u, V, not left)
 
-    def right_test(self, u: int, V: IdSet) -> bool:
-        return self._inner.left_test(u, V)
+    def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
+        return self._inner.test_batch(u, rows, n_eff, not left)
 
-    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        return self._inner.right_test_batch(u, rows, n_eff)
-
-    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        return self._inner.left_test_batch(u, rows, n_eff)
-
-    def left_descent(self, u: int, arr: np.ndarray) -> int:
-        return self._inner.right_descent(u, arr)
-
-    def right_descent(self, u: int, arr: np.ndarray) -> int:
-        return self._inner.left_descent(u, arr)
+    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
+        return self._inner.descent(u, arr, not left)
 
 
 def reversed_view(oracle: GroupTestOracle) -> GroupTestOracle:

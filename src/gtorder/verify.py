@@ -135,11 +135,8 @@ class _PerQueryOracle(GroupTestOracle):
         self._inner = inner
         self.size = inner.size
 
-    def left_test(self, u, V):
-        return self._inner.left_test(u, V)
-
-    def right_test(self, u, V):
-        return self._inner.right_test(u, V)
+    def test(self, u, V, left):
+        return self._inner.test(u, V, left)
 
 
 @_check()
@@ -418,7 +415,7 @@ def _dummy_slot_problems(view: GroupTestOracle, view_ranks: np.ndarray,
         for x in range(n):
             for name, expected in (("right", view_ranks <= view_ranks[x]),
                                    ("left", view_ranks >= view_ranks[x])):
-                hits = getattr(view, f"{name}_test_batch")(x, rows, n_eff)
+                hits = view.test_batch(x, rows, n_eff, name == "left")
                 if not np.array_equal(hits[:n], expected):
                     problems.append(f"{label} {name} batch misranks x={x} n={n} n_eff={n_eff}")
                 if hits[n:].any():
@@ -484,25 +481,23 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
         for _ in range(EXTERNAL_QUERIES):
             u = int(rng.integers(0, EXTERNAL_N))
             V = rng.integers(0, EXTERNAL_N, size=int(rng.integers(1, 17))).tolist()
-            if rng.integers(0, 2):
-                mismatches += remote.left_test(u, V) != builtin.left_test(u, V)
-            else:
-                mismatches += remote.right_test(u, V) != builtin.right_test(u, V)
+            left = bool(rng.integers(0, 2))
+            mismatches += remote.test(u, V, left) != builtin.test(u, V, left)
         # batches in both directions, some padded with dummy slots
         for _ in range(EXTERNAL_BATCHES):
             u = int(rng.integers(0, EXTERNAL_N))
             n_eff = EXTERNAL_N + int(rng.integers(0, 4))
             rows = rng.integers(0, n_eff, size=(int(rng.integers(1, 33)),
                                                 int(rng.integers(1, 9))))
-            for name in ("left_test_batch", "right_test_batch"):
-                mismatches += not np.array_equal(getattr(remote, name)(u, rows, n_eff),
-                                                 getattr(builtin, name)(u, rows, n_eff))
+            for left in (True, False):
+                mismatches += not np.array_equal(remote.test_batch(u, rows, n_eff, left),
+                                                 builtin.test_batch(u, rows, n_eff, left))
         for m in EXTERNAL_DESCENT_SIZES:
             for _ in range(EXTERNAL_DESCENTS_PER_SIZE):
                 u = int(rng.integers(0, EXTERNAL_N))
                 arr = rng.permutation(EXTERNAL_N)[:m]
-                for name in ("left_descent", "right_descent"):
-                    mismatches += getattr(remote, name)(u, arr) != getattr(builtin, name)(u, arr)
+                for left in (True, False):
+                    mismatches += remote.descent(u, arr, left) != builtin.descent(u, arr, left)
         # whole runs: the same element and ledger as the builtin run at the same seed
         run_seed = int(rng.integers(0, 2**63))
         for find in (min_find, max_find):

@@ -30,14 +30,14 @@ def _dummies_hit(answer, rows, size):
 
 
 def test_criterion_10_fails_when_instance_batches_hit_dummies(monkeypatch):
-    batch = oracle.InstanceOracle._batch
-    monkeypatch.setattr(oracle.InstanceOracle, "_batch", lambda self, u, rows, n_eff, left:
+    batch = oracle.InstanceOracle.test_batch
+    monkeypatch.setattr(oracle.InstanceOracle, "test_batch", lambda self, u, rows, n_eff, left:
                         _dummies_hit(batch(self, u, rows, n_eff, left), rows, self.size))
     assert not verify.check_reversal_padding(ACCEPTANCE_SEED).passed
 
 
 def test_criterion_10_fails_when_per_row_batches_hit_dummies(monkeypatch):
-    per_row = oracle._per_row
-    monkeypatch.setattr(oracle, "_per_row", lambda test, u, rows, n_eff, size:
-                        _dummies_hit(per_row(test, u, rows, n_eff, size), rows, size))
+    per_row = oracle.GroupTestOracle.test_batch
+    monkeypatch.setattr(oracle.GroupTestOracle, "test_batch", lambda self, u, rows, n_eff, left:
+                        _dummies_hit(per_row(self, u, rows, n_eff, left), rows, self.size))
     assert not verify.check_reversal_padding(ACCEPTANCE_SEED).passed

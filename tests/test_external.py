@@ -161,9 +161,9 @@ class TestReferenceServer:
         with ExternalOracle(reference_command(8, 0), 8) as remote:
             for oracle in (builtin, reversed_view(builtin), remote):
                 assert (oracle.right_test_batch(3, rows, 2**45).tolist()
-                        == GroupTestOracle.right_test_batch(oracle, 3, rows, 2**45).tolist())
+                        == GroupTestOracle.test_batch(oracle, 3, rows, 2**45, False).tolist())
                 assert (oracle.left_test_batch(3, rows, 2**45).tolist()
-                        == GroupTestOracle.left_test_batch(oracle, 3, rows, 2**45).tolist())
+                        == GroupTestOracle.test_batch(oracle, 3, rows, 2**45, True).tolist())
         assert builtin.right_test_batch(3, rows, 2**45).tolist() == [True]
 
     @pytest.mark.parametrize("n, offer", [(2**31, FULL_INIT.format(2**31)),

@@ -279,20 +279,15 @@ class RecordingOracle(InstanceOracle):
     so the swap tests reach the log too.
     """
 
-    left_descent = GroupTestOracle.left_descent
-    right_descent = GroupTestOracle.right_descent
+    descent = GroupTestOracle.descent
 
     def __init__(self, instance):
         super().__init__(instance)
         self.transcript = []
 
-    def left_test(self, u, V):
-        self.transcript.append(("L", u, tuple(np.sort(np.asarray(V)))))
-        return super().left_test(u, V)
-
-    def right_test(self, u, V):
-        self.transcript.append(("R", u, tuple(np.sort(np.asarray(V)))))
-        return super().right_test(u, V)
+    def test(self, u, V, left):
+        self.transcript.append(("L" if left else "R", u, tuple(np.sort(np.asarray(V)))))
+        return super().test(u, V, left)
 
 
 class TestMaxFind:

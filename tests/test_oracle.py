@@ -24,10 +24,12 @@ from gtorder import (
     make_instance,
     max_find,
     min_find,
+    min_find_among,
     rank_at_most,
     reversed_view,
 )
-from gtorder.oracle import _id_array, _per_row
+from gtorder.oracle import _id_array
+from gtorder.verify import _PerQueryOracle as PerRowOracle
 
 
 def oracle_of(n, seed=0):
@@ -157,18 +159,68 @@ class TestGroupTestSemantics:
                     )
 
 
+class TestContract:
+    """An oracle defines each query once, with its direction an argument;
+    the direction-named forms live on the base class alone."""
+
+    DIRECTION_NAMED = {"left_test", "right_test", "left_test_batch", "right_test_batch",
+                       "left_descent", "right_descent"}
+
+    def test_the_single_test_is_the_one_abstract_method(self):
+        assert GroupTestOracle.__abstractmethods__ == {"test"}
+
+    def test_no_library_oracle_defines_a_direction_named_method(self):
+        pending, library = GroupTestOracle.__subclasses__(), set()
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if cls.__module__.startswith("gtorder."):
+                library.add(cls)
+                assert not self.DIRECTION_NAMED & vars(cls).keys(), cls
+        assert {InstanceOracle, CountingOracle, ExternalOracle, PerRowOracle,
+                type(reversed_view(oracle_of(2)))} <= library
+
+    def test_an_oracle_of_direction_named_tests_only_cannot_be_built(self):
+        class DirectionNamed(GroupTestOracle):
+            size = 4
+
+            def left_test(self, u, V):
+                return True
+
+            def right_test(self, u, V):
+                return True
+
+        with pytest.raises(TypeError, match="test"):
+            DirectionNamed()
+
+
+def test_ids_mixing_uint64_with_other_integers_answer_as_int64():
+    # np.asarray reads [np.uint64(5), 3] as float64; every entry point
+    # reads it as the int64 ids it holds, and still rejects bools and floats
+    oracle = oracle_of(8)
+
+    def rows(ids):
+        return [ids] if isinstance(ids, list) else ids[None, :]
+
+    calls = (lambda ids: oracle.right_test(3, ids),
+             lambda ids: oracle.right_descent(3, ids),
+             lambda ids: oracle.right_test_batch(3, rows(ids), 8).tolist(),
+             lambda ids: min_find_among(oracle, ids, np.random.default_rng(0)))
+    for call in calls:
+        assert call([np.uint64(5), 3]) == call(np.array([5, 3]))
+        for bad in ([np.uint64(5), True], [np.uint64(5), 3.0], [5, np.float64(3)]):
+            with pytest.raises(InvalidParameterError):
+                call(bad)
+
+
 class TestCountingAdapter:
     def test_counts_match_calls_made(self):
         class Recorder(InstanceOracle):
             calls = 0
 
-            def left_test(self, u, V):
+            def test(self, u, V, left):
                 Recorder.calls += 1
-                return super().left_test(u, V)
-
-            def right_test(self, u, V):
-                Recorder.calls += 1
-                return super().right_test(u, V)
+                return super().test(u, V, left)
 
         inner = Recorder(make_instance(10, seed=1))
         counting = CountingOracle(inner)
@@ -352,8 +404,8 @@ class TestPaddedView:
         asked = []
 
         class Recording(PerRowOracle):
-            def right_test_batch(self, u, rows, n_eff):
-                answer = super().right_test_batch(u, rows, n_eff)
+            def test_batch(self, u, rows, n_eff, left):
+                answer = super().test_batch(u, rows, n_eff, left)
                 asked.append((n_eff, rows.max(), answer[(rows >= self.size).all(axis=1)]))
                 return answer
 
@@ -400,21 +452,6 @@ def test_adapters_agree_with_definitions(n, container, data):
         if m:
             assert oracle.right_descent(u, row[0]) == (below.index(True) if any(below) else m - 1)
             assert oracle.left_descent(u, row[0]) == (above.index(True) if any(above) else m - 1)
-
-
-class PerRowOracle(GroupTestOracle):
-    """A user oracle that defines only the single tests, so batches take
-    the base class's per-row path."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.size = inner.size
-
-    def left_test(self, u, V):
-        return self._inner.left_test(u, V)
-
-    def right_test(self, u, V):
-        return self._inner.right_test(u, V)
 
 
 @st.composite
@@ -523,8 +560,8 @@ def wide_batches(draw, n):
 
 
 class TestBatchKernel:
-    """InstanceOracle's hit-table batch against the base class's per-row
-    path, which asks one single test per row with dummy ids left out."""
+    """InstanceOracle's hit-table batch against ``per_row``, which asks
+    one single test per row with dummy ids left out."""
 
     @given(n=st.integers(1, 40), data=st.data())
     @settings(max_examples=120, deadline=None)
@@ -535,7 +572,7 @@ class TestBatchKernel:
                                   (view.right_test_batch, view.right_test)):
                 answer = batch(u, rows, n_eff)
                 assert answer.dtype == bool and answer.shape == (len(rows),)
-                assert answer.tolist() == _per_row(single, u, rows, n_eff, n).tolist()
+                assert answer.tolist() == per_row(single, u, rows, n)
             # each batch row and each per-row single test is one query
             for counting in ledgers:
                 assert counting.ledger.total == 4 * len(rows)
@@ -575,7 +612,7 @@ class TestBatchKernel:
                 rows[:-1, -1] = u
                 answer = batch(u, rows, n_eff)
                 assert answer.tolist() == [True, True, True, False]
-                assert answer.tolist() == _per_row(single, u, rows, n_eff, n).tolist()
+                assert answer.tolist() == per_row(single, u, rows, n)
 
     def test_reflexive_and_dummy_rows(self):
         # a row holding only u hits in both directions; a row of dummies,

@@ -229,8 +229,8 @@ class TestBlocks:
         # the blocks each oracle answers: the builtin one's batches, and
         # the external one's BR (or BL, reversed) lines
         batches = []
-        batch = InstanceOracle._batch
-        monkeypatch.setattr(InstanceOracle, "_batch",
+        batch = InstanceOracle.test_batch
+        monkeypatch.setattr(InstanceOracle, "test_batch",
                             lambda self, *args: batches.append(args) or batch(self, *args))
         if view == "external":
             command = [sys.executable, "-m", "gtorder.oracle_server",
