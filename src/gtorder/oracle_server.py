@@ -6,11 +6,20 @@ group-test queries on stdin/stdout for the instance that
 protocol and its client.  ``serve`` answers the protocol for any rank
 list and never raises on a bad line: every input line gets exactly one
 reply line, ``ERR ...`` for an invalid one.  It serves both sessions:
-each accepted ``INIT`` starts a basic one (decimal ``L``/``R`` only) or a
-full one (every op, ``HEX`` ids).  A full session decodes a line's ids
-with ``bytes.fromhex`` into an ``array`` of 32-bit words and gathers
-their ranks in one pass; an id past the end of the rank list raises the
-IndexError that is the range check.
+each accepted ``INIT`` starts a basic one (decimal ``L``/``R`` only) or
+a full one (every op, ``HEX`` ids).  Past decoding and one range check,
+a full session's work on a line grows with where its answer is decided,
+not with the line's length.  It splits off only the line's head, decodes
+the id token once with ``bytes.fromhex`` and checks all the ids against
+the bound in one range check, a single big-int test over the line's
+32-bit words (an id-by-id check past bounds of 2**31).  Then it scans
+the ids in order and stops at the first that satisfies the test: ``L``
+and ``R`` reply ``Y`` there, ``DL`` and ``DR`` reply its position, and
+each row of ``BL`` or ``BR`` stops at its own first hit.  The scans read
+one table per direction, built at the direction's first query and kept
+until EOF: the ranks for the left test, their negations for the right
+one, each padded with n dummy sentinels.  A basic session keeps the
+per-id path: decimal ids, checked one by one.
 
 The server imports no numpy, which would cost most of its start-up time.
 ``instance_ranks`` rebuilds ``make_instance``'s ranks in pure Python by
@@ -28,7 +37,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from itertools import compress, count
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidParameterError
@@ -37,6 +46,10 @@ from .errors import InvalidParameterError
 _FULL_FEATURES = "BATCH DESCENT HEX"
 # an array typecode of unsigned 32-bit words, the width of a HEX id
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
+
+# a HEX id of value 1, and the largest bound _below tests in one big-int test
+_ONE_WORD = (1).to_bytes(4, "little")
+_BIT31 = 1 << 31
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -126,16 +139,65 @@ def _integer(token: str) -> int:
     return int(token)
 
 
-def _hex_ids(tokens: list[str]) -> array:
-    """The ids of a ``HEX`` line's id tokens: none, or one token of 8 hex
-    digits per id, each a little-endian unsigned 32-bit word; ValueError
-    otherwise.  Callers check the id count."""
-    if len(tokens) > 1:
+def _hex_ids(rest: list[str]) -> tuple[bytes, array]:
+    """The ids of a ``HEX`` line, as the decoded bytes and as an array,
+    from the rest of the line after its head, left unsplit: nothing, or
+    one token of 8 hex digits per id, each a little-endian unsigned
+    32-bit word; ValueError otherwise.  Callers check the id count."""
+    token = rest[0].rstrip() if rest else ""
+    raw = bytes.fromhex(token)
+    # fromhex skips whitespace between bytes: more than one token decodes
+    # to fewer bytes than half the characters
+    if 2 * len(raw) != len(token):
         raise ValueError("more than one id token")
-    ids = array(_U32, bytes.fromhex(tokens[0] if tokens else ""))
+    ids = array(_U32, raw)
     if sys.byteorder == "big":
         ids.byteswap()
-    return ids
+    return raw, ids
+
+
+# a session repeats a few (count, bound) pairs line after line, and
+# building the masks costs about as much as the rest of the range check;
+# each entry holds about 8 bytes per id of the line it was built for
+@lru_cache(maxsize=4)
+def _word_masks(count: int, bound: int) -> tuple[int, int]:
+    """For ``count`` 32-bit words, read as one integer: bit 31 of every
+    word, and 2**31 - bound in every word."""
+    ones = int.from_bytes(_ONE_WORD * count, "little")
+    return ones << 31, ones * (_BIT31 - bound)
+
+
+def _below(raw: bytes, ids: array, bound: int) -> bool:
+    """Whether every id of a ``HEX`` line, ``ids`` decoded from ``raw``,
+    is below ``bound``, a positive integer."""
+    if bound > _BIT31:
+        return max(ids, default=0) < bound
+    # one big-int test over all the words: none may have bit 31 set, and
+    # none may after adding 2**31 - bound to each, which then carries
+    # into no other word
+    top, offset = _word_masks(len(ids), bound)
+    words = int.from_bytes(raw, "little")
+    return not (words | words + offset) & top
+
+
+def _search_table(ranks: list[int], left: bool) -> list[int]:
+    """What a scan in one direction reads: id v satisfies the test
+    against u iff ``table[v] >= table[u]``.  The left test reads the
+    ranks, the right test their negations, and n more slots hold a
+    dummy's sentinel, which satisfies neither: 0, or -(n + 1)."""
+    n = len(ranks)
+    if left:
+        return ranks + [0] * n
+    return [-rank for rank in ranks] + [-(n + 1)] * n
+
+
+def _first_hit(ids: Sequence[int], table: list[int], key: int) -> int | None:
+    """The first of ``ids`` that satisfies the test, ``table[v] >= key``,
+    or None if none does."""
+    for v in ids:
+        if table[v] >= key:
+            return v
+    return None
 
 
 def serve(ranks: list[int], infile, outfile) -> None:
@@ -146,24 +208,35 @@ def serve(ranks: list[int], infile, outfile) -> None:
     invalid one.  The session is basic until an accepted ``INIT`` makes
     it full, and each accepted ``INIT`` starts a new one.
     """
+    n = len(ranks)
     full = False
-    for raw in infile:
-        parts = raw.split()
-        op = parts[0] if parts else ""
+    tables: dict[bool, list[int]] = {}
+
+    def table(left: bool) -> list[int]:
+        if left not in tables:
+            tables[left] = _search_table(ranks, left)
+        return tables[left]
+
+    # each op splits off only its head: scanning a long id token for
+    # whitespace would cost more than decoding it
+    for line in infile:
+        head = line.split(None, 1)
+        op = head[0] if head else ""
         if not op:
             answer = "ERR empty line"
         elif op == "INIT":
-            answer = _answer_init(parts, len(ranks))
+            parts = line.split()
+            answer = _answer_init(parts, n)
             if answer.startswith("OK"):
                 full = len(parts) > 2
         elif op in ("L", "R"):
-            answer = _answer_test(op == "L", parts, ranks, full)
+            answer = _answer_test(line, table(op == "L"), n, full)
         elif op in ("BL", "BR", "DL", "DR") and not full:
             answer = f"ERR {op} needs a full session"
         elif op in ("BL", "BR"):
-            answer = _answer_batch(op == "BL", parts, ranks)
+            answer = _answer_batch(line, table(op == "BL"), n)
         elif op in ("DL", "DR"):
-            answer = _answer_descent(op == "DL", parts, ranks)
+            answer = _answer_descent(line, table(op == "DL"), n)
         else:
             answer = f"ERR unknown op {op}"
         outfile.write(answer + "\n")
@@ -181,64 +254,56 @@ def _answer_init(parts: list[str], n: int) -> str:
     return " ".join(("OK", *parts[2:]))
 
 
-def _operands(parts: list[str], ranks: list[int], full: bool) -> tuple[int, list[int]] | str:
-    """The rank of u and the ranks of the ids of a ``<op> <u> <m> <ids>``
-    line, or the ``ERR`` reply to it: one HEX token of ids in a full
+def _operands(line: str, n: int, full: bool) -> tuple[int, Sequence[int]] | str:
+    """u and the ids of a ``<op> <u> <m> <ids>`` line, each checked to be
+    below n, or the ``ERR`` reply to it: one HEX token of ids in a full
     session, decimal ones in a basic session."""
-    n = len(ranks)
-    tokens = parts[3:]
+    parts = line.split(None, 3) if full else line.split()
     try:
         u = _integer(parts[1])
         m = _integer(parts[2])
-        ids = _hex_ids(tokens) if full else [_integer(tok) for tok in tokens]
+        raw, ids = _hex_ids(parts[3:]) if full else (b"", [_integer(tok) for tok in parts[3:]])
     except (IndexError, ValueError):
         return "ERR malformed query"
     if m != len(ids):
         return f"ERR id count mismatch: declared {m}, got {len(ids)}"
     if not 0 <= u < n:
         return "ERR element id out of range"
-    # hex ids are unsigned; a negative decimal one would index from the end
-    if not full and min(ids, default=0) < 0:
-        return "ERR element id out of range"
-    try:
-        found = [ranks[v] for v in ids]
-    except IndexError:
-        return "ERR element id out of range"
-    return ranks[u], found
+    if full:
+        in_range = _below(raw, ids, n)
+    else:
+        in_range = min(ids, default=0) >= 0 and max(ids, default=0) < n
+    return (u, ids) if in_range else "ERR element id out of range"
 
 
-def _answer_test(left: bool, parts: list[str], ranks: list[int], full: bool) -> str:
-    """The reply to one ``L``/``R`` line, split into ``parts``."""
-    operands = _operands(parts, ranks, full)
+def _answer_test(line: str, table: list[int], n: int, full: bool) -> str:
+    """The reply to one ``L``/``R`` line."""
+    operands = _operands(line, n, full)
     if isinstance(operands, str):
         return operands
-    ru, found = operands
-    if left:
-        return "Y" if max(found, default=0) >= ru else "N"
-    return "Y" if min(found, default=len(ranks) + 1) <= ru else "N"
+    u, ids = operands
+    return "N" if _first_hit(ids, table, table[u]) is None else "Y"
 
 
-def _answer_descent(left: bool, parts: list[str], ranks: list[int]) -> str:
-    """The reply to one ``DL``/``DR`` line of a full session, split into
-    ``parts``: the first position whose id satisfies the test, or m - 1 if
-    none does."""
-    operands = _operands(parts, ranks, True)
+def _answer_descent(line: str, table: list[int], n: int) -> str:
+    """The reply to one ``DL``/``DR`` line of a full session: the first
+    position whose id satisfies the test, or m - 1 if none does."""
+    operands = _operands(line, n, True)
     if isinstance(operands, str):
         return operands
-    ru, found = operands
-    if not found:
+    u, ids = operands
+    if not ids:
         return "ERR malformed descent: no ids"
-    hits = map(ru.__le__ if left else ru.__ge__, found)
-    return str(next(compress(count(), hits), len(found) - 1))
+    hit = _first_hit(ids, table, table[u])
+    return str(len(ids) - 1 if hit is None else ids.index(hit))
 
 
-def _answer_batch(left: bool, parts: list[str], ranks: list[int]) -> str:
-    """The reply to one ``BL``/``BR`` line of a full session, split into
-    ``parts``."""
-    n = len(ranks)
+def _answer_batch(line: str, table: list[int], n: int) -> str:
+    """The reply to one ``BL``/``BR`` line of a full session."""
+    parts = line.split(None, 5)
     try:
         u, n_eff, rows, width = map(_integer, parts[1:5])
-        ids = _hex_ids(parts[5:])
+        raw, ids = _hex_ids(parts[5:])
     except ValueError:
         return "ERR malformed batch"
     if rows < 1 or width < 1:
@@ -249,23 +314,23 @@ def _answer_batch(left: bool, parts: list[str], ranks: list[int]) -> str:
         return f"ERR padded size {n_eff} below universe size {n}"
     if not 0 <= u < n:
         return "ERR element id out of range"
-    # a dummy's sentinel rank fails the comparison in either direction
-    sentinel = 0 if left else n + 1
-    # the ranks padded with sentinels, at most to 2n: padding never takes
-    # more than n slots, and the ids past it take the path below
-    table = ranks + [sentinel] * (min(n_eff, 2 * n) - n)
-    try:
-        found = [table[v] for v in ids]
-    except IndexError:
-        if any(v >= n_eff for v in ids):
-            return f"ERR batch id outside padded universe of size {n_eff}"
-        found = [ranks[v] if v < n else sentinel for v in ids]
-    ru = ranks[u]
-    # the ranks of each row: one iterator zipped width times with itself
-    by_row = zip(*[iter(found)] * width)
-    if left:
-        return "".join(["Y" if top >= ru else "N" for top in map(max, by_row)])
-    return "".join(["Y" if low <= ru else "N" for low in map(min, by_row)])
+    if not _below(raw, ids, n_eff):
+        return f"ERR batch id outside padded universe of size {n_eff}"
+    # the table holds dummies up to 2n; a dummy past that reads slot n's
+    if n_eff > 2 * n and not _below(raw, ids, 2 * n):
+        ids = [min(v, n) for v in ids]
+    key = table[u]
+    # each row stops at its first hit; a loop inlined here costs less
+    # than a call of _first_hit per row
+    answer = []
+    for start in range(0, len(ids), width):
+        for v in ids[start:start + width]:
+            if table[v] >= key:
+                answer.append("Y")
+                break
+        else:
+            answer.append("N")
+    return "".join(answer)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -27,7 +27,7 @@ from .external import ExternalOracle
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .minfind import max_find, min_find, swap
 from .oracle import CountingOracle, GroupTestOracle, InstanceOracle, reversed_view
-from .order import exact_rank, make_instance
+from .order import TotalOrderInstance, exact_rank, make_instance
 from .ranktest import derive_params, rank_at_most
 from .selection import approximate_select, draw_candidate
 from .stats import binomial_margin, chi_square_uniformity
@@ -399,7 +399,9 @@ def check_apxselect_theorem(seed: int) -> tuple[bool, str]:
 ADAPTER_MAX_N = 64
 ADAPTER_MAX_PAD = 8  # padded sizes n_eff with n_eff - n < 8
 # the per-row path asks one single test per row; n <= 32 keeps it near a
-# second and still reaches the n_eff > 2n fold of every batch, at n < 8
+# second and still reaches the n_eff > 2n fold of every batch, at n < 8.
+# The reversal laws are asked through it up to the same n, so that each
+# view's single test is checked as well as its batch
 PER_ROW_MAX_N = 32
 
 
@@ -423,6 +425,28 @@ def _dummy_slot_problems(view: GroupTestOracle, view_ranks: np.ndarray,
     return problems
 
 
+def _reversal_law_problems(plain: GroupTestOracle, rev: GroupTestOracle,
+                           double: GroupTestOracle,
+                           instance: TotalOrderInstance) -> list[str]:
+    """Ask every subject x the n single-id tests of each law as one batch
+    of rows: the reversed view's right tests count rank n - rank(x) + 1
+    and answer as the plain left tests, and reversing twice changes
+    nothing."""
+    problems = []
+    n = plain.size
+    rows = np.arange(n)[:, None]
+    for x in range(n):
+        rev_right = rev.test_batch(x, rows, n, False)
+        if rev_right.sum() != n - exact_rank(instance, x) + 1:
+            problems.append(f"reversed rank mismatch n={n} x={x}")
+        if not np.array_equal(double.test_batch(x, rows, n, False),
+                              plain.test_batch(x, rows, n, False)):
+            problems.append(f"double reversal mismatch n={n}")
+        if not np.array_equal(rev_right, plain.test_batch(x, rows, n, True)):
+            problems.append(f"reversal does not swap directions n={n}")
+    return problems
+
+
 @_check()
 def check_reversal_padding(seed: int) -> tuple[bool, str]:
     """Reversal laws hold exhaustively for n <= 64, and batch dummy slots
@@ -434,16 +458,11 @@ def check_reversal_padding(seed: int) -> tuple[bool, str]:
         instance = make_instance(n, next(seeds))
         oracle = InstanceOracle(instance)
         rev = reversed_view(oracle)
-        double = reversed_view(rev)
-        for x in range(n):
-            rev_rank = sum(rev.right_test(x, [y]) for y in range(n))
-            if rev_rank != n - exact_rank(instance, x) + 1:
-                problems.append(f"reversed rank mismatch n={n} x={x}")
-            for y in range(n):
-                if double.right_test(x, [y]) != oracle.right_test(x, [y]):
-                    problems.append(f"double reversal mismatch n={n}")
-                if rev.right_test(x, [y]) != oracle.left_test(x, [y]):
-                    problems.append(f"reversal does not swap directions n={n}")
+        views = [(oracle, rev, reversed_view(rev))]
+        if n <= PER_ROW_MAX_N:
+            views.append(tuple(map(_PerQueryOracle, views[0])))
+        for plain, rev_view, double in views:
+            problems += _reversal_law_problems(plain, rev_view, double, instance)
         problems += _dummy_slot_problems(oracle, instance.ranks, "instance")
         problems += _dummy_slot_problems(rev, n + 1 - instance.ranks, "reversed")
         if n <= PER_ROW_MAX_N:

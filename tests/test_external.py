@@ -909,6 +909,11 @@ HEX_INVALID_LINES = {
     "R 3 2 0 7": "ERR malformed query",
     "BR 3 8 1 1 0": "ERR malformed batch",
     "BR 3 8 1 2 00000000 01000000": "ERR malformed batch",
+    # whitespace inside what would otherwise be one id, which
+    # bytes.fromhex skips between bytes
+    "R 3 1 0000 0000": "ERR malformed query",
+    "DR 3 1 0000\t0000": "ERR malformed query",
+    "BR 3 8 1 1 0000\x0b0000": "ERR malformed batch",
     # ASCII digits only, with no sign but a leading "-": no "+" and no "_"
     "R +3 1 01000000": "ERR malformed query",
     "DR 3 0_1 00000000": "ERR malformed query",
