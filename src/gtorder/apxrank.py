@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import check_integer, check_unit
 from .oracle import GroupTestOracle, QueryLedger, counted
 from .ranktest import rank_at_most
 
@@ -54,12 +54,8 @@ def approximate_rank(oracle: GroupTestOracle, x: int, delta: float, epsilon: flo
     epsilon / ceil(log2 n).
     """
     n = oracle.size
-    if not 0 <= x < n:
-        raise InvalidParameterError(f"element id {x} outside universe of size {n}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must lie in (0,1), got {delta}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must lie in (0,1), got {epsilon}")
+    check_integer("element id", x, 0, n - 1)
+    check_unit(delta=delta, epsilon=epsilon)
     if n == 1:
         return RankEstimate(rank=1, calls=0, ledger=QueryLedger())
     counting, ledger = counted(oracle)

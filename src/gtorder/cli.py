@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .errors import InvalidParameterError, OracleError
-from .harness import ExperimentConfig, run_experiment, write_report
+from .harness import ALGORITHMS, OPTIONAL_FIELDS, ExperimentConfig, run_experiment, write_report
 from .verify import ALL_CHECKS, run_checks
 
 
@@ -29,11 +30,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for builtin-oracle trials")
 
 
-def _add_band(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, required=True,
-                        help="relative rank accuracy in (0,1)")
-    parser.add_argument("--epsilon", type=float, required=True,
-                        help="failure probability in (0,1)")
+# the flag of each config field in harness.ALGORITHMS: its type and help
+_FIELD_FLAGS = {
+    "r": (float, "target rank threshold"),
+    "k": (int, "target rank"),
+    "delta": (float, "relative rank accuracy in (0,1)"),
+    "epsilon": (float, "failure probability in (0,1)"),
+    "x_rank": (int, "pin x to the element of this true rank (builtin oracle)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,28 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, blurb in (("minfind", "find the minimum element"),
-                        ("maxfind", "find the maximum element")):
+    for name, (blurb, takes) in ALGORITHMS.items():
         p = sub.add_parser(name, help=blurb)
         _add_common(p)
-
-    p = sub.add_parser("testle", help="threshold-test whether rank(x) <= r")
-    _add_common(p)
-    p.add_argument("--r", type=float, required=True, help="target rank threshold")
-    _add_band(p)
-    p.add_argument("--x-rank", type=int, default=None,
-                   help="pin x to the element of this true rank (builtin oracle)")
-
-    p = sub.add_parser("rank", help="estimate the rank of an element")
-    _add_common(p)
-    _add_band(p)
-    p.add_argument("--x-rank", type=int, default=None,
-                   help="pin x to the element of this true rank (builtin oracle)")
-
-    p = sub.add_parser("select", help="find an element of approximate rank k")
-    _add_common(p)
-    p.add_argument("--k", type=int, required=True, help="target rank")
-    _add_band(p)
+        for field in takes:
+            kind, text = _FIELD_FLAGS[field]
+            p.add_argument("--" + field.replace("_", "-"), type=kind, help=text,
+                           required=field not in OPTIONAL_FIELDS)
 
     p = sub.add_parser("verify", help="run the statistical verification suite")
     p.add_argument("--seed", type=int, default=0)
@@ -77,20 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        algorithm=args.command,
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        r=getattr(args, "r", None),
-        k=getattr(args, "k", None),
-        delta=getattr(args, "delta", None),
-        epsilon=getattr(args, "epsilon", None),
-        oracle=args.oracle,
-        fixed_instance=args.fixed_instance,
-        x_rank=getattr(args, "x_rank", None),
-        workers=args.workers,
-    )
+    names = {field.name for field in fields(ExperimentConfig)}
+    return ExperimentConfig(args.command, **{k: v for k, v in vars(args).items() if k in names})
 
 
 def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -125,11 +125,13 @@ conformance tests check this client against it.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import select
 import shlex
 import subprocess
 import time
+from numbers import Real
 from typing import Sequence, Union
 
 import numpy as np
@@ -141,6 +143,7 @@ from .errors import (
     OracleRejectedError,
     OracleSpawnError,
     OracleTimeoutError,
+    check_integer,
 )
 from .oracle import GroupTestOracle, IdSet, _checked_descent, _checked_ids, _checked_rows
 from .oracle_server import _FULL_FEATURES
@@ -213,8 +216,10 @@ class ExternalOracle(GroupTestOracle):
     """
 
     def __init__(self, command: Union[str, Sequence[str]], n: int, timeout: float = 10.0):
-        if n < 1:
-            raise InvalidParameterError(f"universe size must be positive, got {n}")
+        # every check comes before the spawn, so a bad one starts no process
+        check_integer("universe size", n, 1)
+        if not (isinstance(timeout, Real) and 0 < timeout < math.inf):
+            raise InvalidParameterError(f"timeout must be positive and finite: {timeout!r}")
         try:
             args = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:
@@ -246,7 +251,7 @@ class ExternalOracle(GroupTestOracle):
                 offer = basic
                 reply = self._exchange(offer)
             self._full = _full_session(reply, offer)
-        except OracleError:
+        except BaseException:
             self._proc.kill()
             self.close()
             raise

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .apxrank import approximate_rank
-from .errors import InvalidParameterError, OracleError
+from .errors import InvalidParameterError, OracleError, check_integer, check_unit
 from .external import ExternalOracle
 from .minfind import max_find, min_find
 from .oracle import GroupTestOracle, InstanceOracle
@@ -28,7 +28,16 @@ from .order import exact_rank, make_instance
 from .ranktest import rank_at_most
 from .selection import approximate_select
 
-ALGORITHMS = ("minfind", "maxfind", "testle", "rank", "select")
+# each algorithm's description and the config fields it takes beyond the
+# common ones: all are required but OPTIONAL_FIELDS; the rest must stay None
+ALGORITHMS = {
+    "minfind": ("find the minimum element", ()),
+    "maxfind": ("find the maximum element", ()),
+    "testle": ("threshold-test whether rank(x) <= r", ("r", "delta", "epsilon", "x_rank")),
+    "rank": ("estimate the rank of an element", ("delta", "epsilon", "x_rank")),
+    "select": ("find an element of approximate rank k", ("k", "delta", "epsilon")),
+}
+OPTIONAL_FIELDS = ("x_rank",)
 
 CSV_COLUMNS = (
     "algo,n,target,delta,epsilon,seed,trial,result_id,est_rank,true_rank,"
@@ -53,11 +62,7 @@ class ExperimentConfig:
 
     @property
     def target(self) -> Optional[float]:
-        if self.algorithm == "testle":
-            return self.r
-        if self.algorithm == "select":
-            return self.k
-        return None
+        return self.r if self.algorithm == "testle" else self.k
 
 
 @dataclass(frozen=True)
@@ -74,31 +79,27 @@ class TrialReport:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    if config.algorithm not in ALGORITHMS:
-        raise InvalidParameterError(f"unknown algorithm {config.algorithm!r}")
-    if config.n < 1:
-        raise InvalidParameterError(f"n must be positive, got {config.n}")
-    if config.trials < 1:
-        raise InvalidParameterError(f"trials must be positive, got {config.trials}")
-    if config.workers < 1:
-        raise InvalidParameterError(f"workers must be positive, got {config.workers}")
-    needs_band = config.algorithm in ("testle", "rank", "select")
-    if needs_band:
-        if config.delta is None or not 0.0 < config.delta < 1.0:
-            raise InvalidParameterError(f"{config.algorithm} needs delta in (0,1)")
-        if config.epsilon is None or not 0.0 < config.epsilon < 1.0:
-            raise InvalidParameterError(f"{config.algorithm} needs epsilon in (0,1)")
-    if config.algorithm == "testle" and (config.r is None or not 0 < config.r < config.n):
+    algorithm, n = config.algorithm, config.n
+    if algorithm not in ALGORITHMS:
+        raise InvalidParameterError(f"unknown algorithm {algorithm!r}")
+    for name in ("n", "trials", "workers"):
+        check_integer(name, getattr(config, name), 1)
+    takes = ALGORITHMS[algorithm][1]
+    for name in ("r", "k", "delta", "epsilon", "x_rank"):
+        value = getattr(config, name)
+        if value is None and name in takes and name not in OPTIONAL_FIELDS:
+            raise InvalidParameterError(f"{algorithm} needs {name}")
+        if value is not None and name not in takes:
+            raise InvalidParameterError(f"{algorithm} takes no {name}")
+    if "delta" in takes:
+        check_unit(delta=config.delta, epsilon=config.epsilon)
+    if algorithm == "testle" and not 0 < config.r < n:
         raise InvalidParameterError("testle needs a target rank r in (0, n)")
-    if config.algorithm == "select" and (config.k is None or not 1 <= config.k <= config.n):
-        raise InvalidParameterError("select needs a target rank k in 1..n")
-    if config.x_rank is not None:
-        if config.algorithm not in ("testle", "rank"):
-            raise InvalidParameterError("x_rank applies only to testle and rank")
-        if not 1 <= config.x_rank <= config.n:
-            raise InvalidParameterError(f"x_rank {config.x_rank} outside 1..{config.n}")
-        if not config.oracle == "builtin":
-            raise InvalidParameterError("x_rank requires the builtin oracle")
+    for name in ("k", "x_rank"):
+        if getattr(config, name) is not None:
+            check_integer(name, getattr(config, name), 1, n)
+    if config.x_rank is not None and config.oracle != "builtin":
+        raise InvalidParameterError("x_rank requires the builtin oracle")
     if config.oracle != "builtin" and not config.oracle.startswith("cmd:"):
         raise InvalidParameterError("oracle must be 'builtin' or 'cmd:<command>'")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_integer
 from .oracle import GroupTestOracle, QueryLedger, _id_array, counted, reversed_view
 
 
@@ -100,10 +100,7 @@ def min_find(oracle: GroupTestOracle, n: int, rng: np.random.Generator) -> MinFi
     iterations * ceil(log2(n-1)) + iterations + 1 for n > 1, and 0 for
     n = 1.
     """
-    if n < 1:
-        raise InvalidParameterError(f"universe size must be positive, got {n}")
-    if n > oracle.size:
-        raise InvalidParameterError(f"n={n} exceeds oracle universe {oracle.size}")
+    check_integer("universe size", n, 1, oracle.size)
     return min_find_among(oracle, np.arange(n, dtype=np.int64), rng)
 
 

@@ -59,7 +59,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_integer, is_integer_type
 from .order import TotalOrderInstance
 
 IdSet = Union[Sequence[int], np.ndarray, set, frozenset]
@@ -144,11 +144,6 @@ class QueryLedger:
                            self.right_count - start.right_count)
 
 
-def _is_id_type(t: type) -> bool:
-    """True for Python and numpy integer types; bool and floats are not ids."""
-    return issubclass(t, (int, np.integer)) and t is not bool
-
-
 def _id_array(ids, ndim: int, bound: int | None = None) -> tuple[np.ndarray, int | None]:
     """``ids`` as an ``ndim``-D integer array (any dtype if it holds no id)
     and its largest id: -1 if there is none, None if no ``bound`` is given.
@@ -164,7 +159,7 @@ def _id_array(ids, ndim: int, bound: int | None = None) -> tuple[np.ndarray, int
     if not isinstance(arr, np.ndarray):
         arr = np.array(arr, dtype=object)
         if arr.ndim == ndim:
-            if not all(map(_is_id_type, set(map(type, arr.flat)))):
+            if not all(map(is_integer_type, set(map(type, arr.flat)))):
                 raise InvalidParameterError("element ids must be integers")
             try:
                 arr = arr.astype(np.int64)
@@ -185,9 +180,10 @@ def _id_array(ids, ndim: int, bound: int | None = None) -> tuple[np.ndarray, int
 
 
 def _check_subject(u: int, size: int) -> None:
-    """Check that the subject u is an integer (a bool is not) in 0..size-1."""
-    if not (_is_id_type(type(u)) and 0 <= u < size):
-        raise InvalidParameterError(f"subject {u!r} is not an integer id in 0..{size - 1}")
+    """Check that the subject u is an integer id in 0..size-1.  Every
+    group test checks one, so a Python int skips the full rule's calls."""
+    if not (type(u) is int and 0 <= u < size):
+        check_integer("subject", u, 0, size - 1)
 
 
 def _checked_ids(u: int, V: IdSet, size: int) -> np.ndarray:
@@ -207,8 +203,7 @@ def _checked_rows(u: int, rows: np.ndarray, n_eff: int,
     size to answer them with.  Past n_eff = 2 * size every dummy id
     comes back as ``size`` and the padded size as size + 1, so no hit
     table or id token need span a huge padded universe."""
-    if not (_is_id_type(type(n_eff)) and n_eff >= size):
-        raise InvalidParameterError(f"padded size {n_eff!r} is not an integer >= {size}")
+    check_integer("padded size", n_eff, size)
     rows, top = _id_array(rows, 2, n_eff)
     _check_subject(u, size)
     if n_eff > 2 * size:

@@ -40,7 +40,7 @@ from array import array
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InvalidParameterError
+from .errors import check_integer
 
 # what the INIT line of a full session names after n, and its OK echoes
 _FULL_FEATURES = "BATCH DESCENT HEX"
@@ -101,8 +101,7 @@ def _seed_words(seed: int) -> list[int]:
 def instance_ranks(n: int, seed: int) -> list[int]:
     """``make_instance(n, seed).ranks.tolist()``, computed without numpy:
     ``ranks[i]`` is the rank of id ``i``."""
-    if n < 1:
-        raise InvalidParameterError(f"need at least one element, got n={n}")
+    check_integer("n", n, 1)
     words = _seed_words(seed & _MASK64)
     # PCG64 set_seed: state 0, step, add the seed, step
     inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import check_integer
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,11 @@ class TotalOrderInstance:
     ranks: np.ndarray  # ranks[i] is the rank of element i, a permutation of 1..n
 
     def rank_of(self, x: int) -> int:
-        if not 0 <= x < self.n:
-            raise InvalidParameterError(f"element id {x} outside universe of size {self.n}")
+        check_integer("element id", x, 0, self.n - 1)
         return int(self.ranks[x])
 
     def element_with_rank(self, r: int) -> int:
-        if not 1 <= r <= self.n:
-            raise InvalidParameterError(f"rank {r} outside 1..{self.n}")
+        check_integer("rank", r, 1, self.n)
         return int(np.nonzero(self.ranks == r)[0][0])
 
 
@@ -39,8 +37,7 @@ def make_instance(n: int, seed: int) -> TotalOrderInstance:
     always yields the same instance.  Seeds are taken modulo 2**64, so
     any 64-bit integer (signed included) is usable.
     """
-    if n < 1:
-        raise InvalidParameterError(f"need at least one element, got n={n}")
+    check_integer("n", n, 1)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     ranks = rng.permutation(n) + 1
     return TotalOrderInstance(n=n, ranks=ranks)

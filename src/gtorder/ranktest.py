@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_integer, check_unit
 from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
 
 # The most ids one batch of a threshold test draws and asks at once, unless
@@ -79,12 +79,8 @@ def derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPar
     size rounds up, which only widens the separation between p_low and
     p_high.
     """
-    if n < 1:
-        raise InvalidParameterError(f"universe size must be positive, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must lie in (0,1), got {delta}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must lie in (0,1), got {epsilon}")
+    check_integer("universe size", n, 1)
+    check_unit(delta=delta, epsilon=epsilon)
     if not 0 < r <= n / 2:
         raise InvalidParameterError(f"target rank {r} outside (0, n/2] for n={n}")
     divisor = math.ceil(r)
@@ -131,8 +127,7 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
     ``params.trials`` group tests.
     """
     n = oracle.size
-    if not 0 <= x < n:
-        raise InvalidParameterError(f"element id {x} outside universe of size {n}")
+    check_integer("element id", x, 0, n - 1)
     if not 0 < r < n:
         raise InvalidParameterError(f"target rank {r} outside (0, n) for n={n}")
     counting, ledger = counted(oracle)

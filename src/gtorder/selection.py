@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_integer, check_unit
 from .minfind import min_find_among
 from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
 from .ranktest import rank_at_most
@@ -46,12 +46,8 @@ class SelectOutcome:
 
 
 def select_params(k: int, delta: float, epsilon: float) -> SelectParams:
-    if k < 1:
-        raise InvalidParameterError(f"target rank must be positive, got {k}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must lie in (0,1), got {delta}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError(f"epsilon must lie in (0,1), got {epsilon}")
+    check_integer("target rank", k, 1)
+    check_unit(delta=delta, epsilon=epsilon)
     max_rounds = math.ceil(32.0 / delta**2)
     # split the failure budget over every test plus the final acceptance
     epsilon_round = epsilon / (max_rounds + 1)
@@ -80,12 +76,9 @@ def draw_candidate(oracle: GroupTestOracle, n: int, k: int, delta: float,
     hits the band often enough.  Dummies are never returned: a sample
     consisting solely of dummies is redrawn.
     """
-    if n < 1 or n > oracle.size:
-        raise InvalidParameterError(f"universe size {n} invalid for oracle of size {oracle.size}")
-    if not 1 <= k <= (n + 1) // 2:
-        raise InvalidParameterError(f"target rank {k} outside 1..ceil(n/2) for n={n}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must lie in (0,1), got {delta}")
+    check_integer("universe size", n, 1, oracle.size)
+    check_integer("target rank", k, 1, (n + 1) // 2)
+    check_unit(delta=delta)
     if k <= (1.0 - math.exp(-2.0 * delta)) * n / 2.0:
         n_eff = k * ((n + k - 1) // k)
         draws = n_eff // k
@@ -110,8 +103,7 @@ def approximate_select(oracle: GroupTestOracle, n: int, k: int, delta: float,
     """
     if n != oracle.size:
         raise InvalidParameterError(f"universe size {n} is not the oracle's size {oracle.size}")
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"target rank {k} outside 1..{n}")
+    check_integer("target rank", k, 1, n)
     work, ledger = counted(oracle)
     start = replace(ledger)
     if k > n / 2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_integer
 
 CHI_SQUARE_SIGNIFICANCE = 0.001
 
@@ -35,8 +35,7 @@ _CHI_SQUARE_CRITICAL = {
 
 def binomial_margin(trials: int, rate: float, sigmas: float) -> float:
     """Width of a sigmas-standard-error band around a binomial rate."""
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be positive, got {trials}")
+    check_integer("trials", trials, 1)
     if not 0.0 <= rate <= 1.0:
         raise InvalidParameterError(f"rate must lie in [0,1], got {rate}")
     return sigmas * math.sqrt(rate * (1.0 - rate) / trials)

@@ -1,14 +1,19 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 import json
 import sys
+from dataclasses import fields
 
 import pytest
 
 from gtorder import verify
-from gtorder.cli import main
-from gtorder.harness import CSV_COLUMNS
+from gtorder.cli import build_parser, main
+from gtorder.harness import ALGORITHMS, CSV_COLUMNS, OPTIONAL_FIELDS, ExperimentConfig
+
+COMMON_FLAGS = {"-h", "--help", "--n", "--trials", "--seed", "--oracle", "--fixed-instance",
+                "--out", "--format", "--workers"}
 
 
 def test_minfind_writes_csv_to_stdout(capsys):
@@ -49,6 +54,41 @@ def test_identical_commands_give_identical_output(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def subcommands():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_algorithm_has_a_subcommand():
+    assert set(subcommands()) == {*ALGORITHMS, "verify"}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_subcommand_flags_are_the_common_ones_and_the_table_fields(algorithm):
+    config_fields = {field.name for field in fields(ExperimentConfig)}
+    takes = ALGORITHMS[algorithm][1]
+    assert set(takes) <= config_fields
+    actions = subcommands()[algorithm]._actions
+    flags = {option for action in actions for option in action.option_strings}
+    assert flags == COMMON_FLAGS | {"--" + field.replace("_", "-") for field in takes}
+    for action in actions:
+        if action.dest in takes:
+            assert action.required == (action.dest not in OPTIONAL_FIELDS)
+        else:
+            assert action.dest in config_fields | {"help", "out", "format"}
+
+
+def test_every_flag_reaches_the_config(tmp_path):
+    path = tmp_path / "report.json"
+    assert main(["testle", "--n", "20", "--trials", "2", "--seed", "4", "--r", "5",
+                 "--delta", "0.5", "--epsilon", "0.25", "--x-rank", "3", "--workers", "2",
+                 "--fixed-instance", "--format", "json", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["config"] == dict(
+        algorithm="testle", n=20, trials=2, seed=4, r=5.0, k=None, delta=0.5, epsilon=0.25,
+        oracle="builtin", fixed_instance=True, x_rank=3, workers=2)
 
 
 def test_usage_error_exits_2():

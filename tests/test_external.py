@@ -202,6 +202,37 @@ class TestProtocolFailures:
             ExternalOracle(command, 4)
         assert not isinstance(info.value, OracleError)
 
+    @pytest.mark.parametrize("n, timeout", [
+        (2.5, 10.0), (0, 10.0), (True, 10.0), ("8", 10.0),
+        (8, float("nan")), (8, float("inf")), (8, 0.0), (8, -1.0), (8, "10"), (8, None)])
+    def test_bad_size_or_timeout_is_rejected_before_spawning(self, n, timeout, monkeypatch):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("spawned a process")
+
+        monkeypatch.setattr(external.subprocess, "Popen", no_spawn)
+        with pytest.raises(InvalidParameterError) as info:
+            ExternalOracle(reference_command(8, 0), n, timeout=timeout)
+        assert not isinstance(info.value, OracleError)
+
+    def test_any_handshake_failure_reaps_the_child(self, monkeypatch):
+        spawned = []
+        popen = external.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        def broken_exchange(self, line):
+            raise RuntimeError("handshake broke")
+
+        monkeypatch.setattr(external.subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(ExternalOracle, "_exchange", broken_exchange)
+        with pytest.raises(RuntimeError, match="handshake broke"):
+            ExternalOracle(reference_command(8, 0), 8)
+        (proc,) = spawned
+        assert proc.poll() is not None
+        assert proc.stdin.closed and proc.stdout.closed
+
     def test_malformed_reply(self, tmp_path):
         command = script_command(
             tmp_path,
