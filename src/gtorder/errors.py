@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the two numpy-free
-rules that check its integer and its (0,1) parameters."""
+"""Exception types shared across the library, and the numpy-free rules
+that check its integer and its real parameters."""
 
 from numbers import Integral, Real
 
@@ -47,8 +47,14 @@ def check_integer(name: str, value, low: int, high: int | None = None) -> None:
         raise InvalidParameterError(f"{name} must be an integer {span}, got {value!r}")
 
 
+def check_open(name: str, value, low: float, high: float) -> None:
+    """Raise InvalidParameterError unless ``value`` is a real, not a bool,
+    in the open interval (low, high) of finite ends: so finite, not NaN."""
+    if not (isinstance(value, Real) and not isinstance(value, bool) and low < value < high):
+        raise InvalidParameterError(f"{name} must lie in ({low},{high}), got {value!r}")
+
+
 def check_unit(**values) -> None:
-    """Raise InvalidParameterError unless each value is a real in (0,1), not NaN."""
+    """Raise InvalidParameterError unless each value is a real in (0,1)."""
     for name, value in values.items():
-        if not (isinstance(value, Real) and 0.0 < value < 1.0):
-            raise InvalidParameterError(f"{name} must lie in (0,1), got {value!r}")
+        check_open(name, value, 0, 1)

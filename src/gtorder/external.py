@@ -32,6 +32,8 @@ HEX token in a full one:
                                     server -> one "Y"/"N" per row    (full only)
     client -> "DL <u> <m> <ids>"    server -> a position in 0..m-1   (full only)
     client -> "DR <u> <m> <ids>"    server -> a position in 0..m-1   (full only)
+    client -> "DTL <u> <m> <ids>"   server -> "<p> Y" or "<p> N"     (full only)
+    client -> "DTR <u> <m> <ids>"   server -> "<p> Y" or "<p> N"     (full only)
 
 ``L`` asks the left test (u <=_Q V), ``R`` the right test (V <=_Q u), and
 ``m`` is the number of ids.  Ids are 0-based.  ``u``, ``m``, ``n_eff``,
@@ -60,6 +62,15 @@ the server answers them all at once; the ledger still counts ceil(log2 m)
 tests.  Descents carry no dummy slots, and a descent over one id asks no
 test, so the client sends none.
 
+``DTL``/``DTR`` run the same descent, ending at p, and then answer one
+more left/right test, of w = (the id at p) against the other ids and
+u, as ``GroupTestOracle.descent_and_test`` does.  The reply is the
+canonical decimal of p, one space, and ``Y`` or ``N``.  In min-finding
+that test is the next round's condition test, so a swap and the test
+after it are one line.  The ledger counts ceil(log2 m) + 1 tests, and a
+line over one id, which asks that one test, is sent like any other.
+The ``DESCENT`` feature of ``INIT`` names both op pairs.
+
 Worked examples, for n = 1024 ids where id i has rank i + 1 (``>`` marks
 a client line, ``<`` the server's reply)::
 
@@ -75,6 +86,8 @@ a client line, ``<`` the server's reply)::
     < 0
     > DL 5 3 0100000002000000ff030000
     < 2
+    > DTR 9 3 ff0300000500000002000000
+    < 1 Y
     > INIT 1024
     < OK
     > R 5 2 1023 9
@@ -85,10 +98,11 @@ a client line, ``<`` the server's reply)::
 The client offers the full session while n <= 2**31, so that every id and
 every padded id it sends fits 32 bits, and the basic one otherwise.  A
 server that answers the full offer with ``ERR`` is sent ``INIT <n>``.  In
-a basic session the client asks a batch one ``L``/``R`` line per row, and
-a descent one ``L``/``R`` line per level, each the test on one half of
-the range the answer before it left; the answers and the ledgers are
-those of a full session.  Any other ``INIT`` reply (``OK`` with some of
+a basic session the client asks a batch one ``L``/``R`` line per row, a
+descent one ``L``/``R`` line per level, each the test on one half of the
+range the answer before it left, and a ``DTL``/``DTR`` op as that
+descent and one more line; the answers and the ledgers are those of a
+full session.  Any other ``INIT`` reply (``OK`` with some of
 the features, say) raises OracleProtocolError: a server that agreed
 ``HEX`` alone would read decimal ids as hex.
 
@@ -102,8 +116,9 @@ answers False without a line.
 Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
 InvalidParameterError), any other unexpected reply (a batch reply of the
-wrong length, or a descent reply that is not the canonical decimal of a
-position in 0..m-1) raises OracleProtocolError, a missing reply (or a
+wrong length, a descent reply that is not the canonical decimal of a
+position in 0..m-1, or a ``DTL``/``DTR`` reply that is not such a decimal,
+one space and ``Y`` or ``N``) raises OracleProtocolError, a missing reply (or a
 query the server does not read) raises OracleTimeoutError, and a command
 that cannot be started raises OracleSpawnError.  After a timeout or a
 protocol error the stream can no longer be matched to its queries (a late
@@ -206,6 +221,16 @@ def _descent_answer(reply: str, m: int) -> int:
         if position < m and str(position) == reply:
             return position
     raise _reply_error(reply)
+
+
+def _descent_test_answer(reply: str, m: int) -> tuple[int, bool]:
+    """Where a descent over ``m`` ids ends and the test after it: the
+    position as ``_descent_answer`` reads it, one space, ``Y`` or ``N``."""
+    position, _, answer = reply.partition(" ")
+    try:
+        return _descent_answer(position, m), _test_answer(answer)
+    except OracleError:
+        raise _reply_error(reply) from None
 
 
 class ExternalOracle(GroupTestOracle):
@@ -382,3 +407,10 @@ class ExternalOracle(GroupTestOracle):
         if arr.size == 1:
             return 0  # a descent over one id asks no test
         return self._ask(self._line("DL" if left else "DR", u, arr), _descent_answer, arr.size)
+
+    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
+        arr = self._checked(_checked_descent, u, arr)
+        if not self._full:
+            return super().descent_and_test(u, arr, left)
+        return self._ask(self._line("DTL" if left else "DTR", u, arr),
+                         _descent_test_answer, arr.size)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .apxrank import approximate_rank
-from .errors import InvalidParameterError, OracleError, check_integer, check_unit
+from .errors import InvalidParameterError, OracleError, check_integer, check_open, check_unit
 from .external import ExternalOracle
 from .minfind import max_find, min_find
 from .oracle import GroupTestOracle, InstanceOracle
@@ -93,8 +93,8 @@ def validate_config(config: ExperimentConfig) -> None:
             raise InvalidParameterError(f"{algorithm} takes no {name}")
     if "delta" in takes:
         check_unit(delta=config.delta, epsilon=config.epsilon)
-    if algorithm == "testle" and not 0 < config.r < n:
-        raise InvalidParameterError("testle needs a target rank r in (0, n)")
+    if algorithm == "testle":
+        check_open("r", config.r, 0, n)
     for name in ("k", "x_rank"):
         if getattr(config, name) is not None:
             check_integer(name, getattr(config, name), 1, n)

@@ -12,10 +12,13 @@ At each of the exactly ceil(log2 |A|) levels it asks one right test on
 the occupied left half and moves into whichever half must contain an
 element below x.  The element returned is the one holding the smallest
 shuffled position among those below x, which is uniform over them.
-The descent is the oracle's ``right_descent``: the in-process oracle
-answers all of its levels from one gather, the line protocol with one
-``DR`` line when the server has the descent op, and any other oracle
-level by level.  Each level is one query on the ledger either way.
+The first round's condition test is asked alone.  After it, each swap
+is one ``descent_and_test`` call, which also answers the next round's
+condition test: the collection without the element found, which is the
+shuffled rest without it, plus x.  The in-process oracle answers the
+call from one gather, the line protocol with one ``DTR`` line in a full
+session, and any other oracle level by level and then the test.  Each
+level and each test is one query on the ledger either way.
 """
 
 from __future__ import annotations
@@ -37,16 +40,6 @@ class MinFindOutcome:
     ledger: QueryLedger
 
 
-def _swap(oracle: GroupTestOracle, arr: np.ndarray, x: int, rng: np.random.Generator) -> int:
-    """:func:`swap` over ``arr``, a nonempty 1-D id array that the caller
-    owns: it is shuffled in place.  ``Generator.permutation`` of a 1-D
-    array is a copy and this shuffle, so both draw the same order."""
-    if arr.size == 1:
-        return int(arr[0])
-    rng.shuffle(arr)
-    return int(arr[oracle.right_descent(x, arr)])
-
-
 def swap(oracle: GroupTestOracle, A, x: int, rng: np.random.Generator) -> int:
     """Return an element of A that is <= x, uniformly among those.
 
@@ -58,7 +51,9 @@ def swap(oracle: GroupTestOracle, A, x: int, rng: np.random.Generator) -> int:
     arr, _ = _id_array(A, 1)
     if arr.size == 0:
         raise InvalidParameterError("swap needs a nonempty candidate set")
-    return _swap(oracle, arr.copy(), x, rng)
+    arr = arr.copy()
+    rng.shuffle(arr)  # draws nothing for one id
+    return int(arr[oracle.right_descent(x, arr)])
 
 
 def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) -> MinFindOutcome:
@@ -72,12 +67,14 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
     idx = int(rng.integers(arr.size))
     x = int(arr[idx])
     iterations = 0
-    while arr.size > 1:
-        rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
-        if not counting.right_test(x, rest):
-            break
-        # rest is this round's own array, never read again
-        x = _swap(counting, rest, x, rng)
+    rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
+    below = rest.size > 0 and counting.right_test(x, rest)
+    while below:
+        # a swap over this round's own array, shuffled in place as swap()
+        # shuffles its copy; the same call answers the next round's test
+        rng.shuffle(rest)
+        p, below = counting.descent_and_test(x, rest, False)
+        x = int(rest[p])
         iterations += 1
         if iterations > arr.size:
             # the candidate's rank strictly decreases every round, so a
@@ -89,7 +86,9 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
                 raise InvalidParameterError(
                     f"the collection repeats ids {repeated[:10].tolist()}")
             raise RuntimeError("oracle answers are inconsistent with a total order")
-        idx = int((arr == x).argmax())
+        if below:
+            idx = int((arr == x).argmax())
+            rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
     return MinFindOutcome(element=x, iterations=iterations, ledger=ledger.since(start))
 
 

@@ -37,6 +37,14 @@ whose id satisfies the test, or at m - 1 if none does:
 :class:`InstanceOracle` finds that position with one gather, and the
 line protocol's ``DL``/``DR`` op asks the server for it in one line.
 
+``descent_and_test(u, arr, left)`` runs that descent, ending at p, and
+then asks one more test in the same direction: w = arr[p] against every
+other id of arr, plus u.  In min-finding, where arr is the collection
+without u, that is the next round's condition test, so one call answers
+a swap and the test after it.  The base class asks ``descent`` and then
+``test``; :class:`InstanceOracle` answers both from one gather, and the
+line protocol's ``DTL``/``DTR`` op in one line.
+
 Adapters compose around a base oracle:
 
 * :class:`CountingOracle` records how many queries of each kind were made,
@@ -107,6 +115,14 @@ class GroupTestOracle(ABC):
                 lo += half
             span = half
         return min(lo, m - 1)
+
+    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
+        """``descent(u, arr, left)``'s end p, and the test of w = arr[p]
+        against the other ids of ``arr`` and u: ceil(log2 m) + 1 group
+        tests, asked here as a descent and one single test."""
+        arr = _checked_descent(u, arr, self.size)
+        p = self.descent(u, arr, left)
+        return p, self.test(int(arr[p]), np.append(np.delete(arr, p).astype(np.int64), u), left)
 
     def left_test(self, u: int, V: IdSet) -> bool:
         return self.test(u, V, True)
@@ -264,6 +280,17 @@ class InstanceOracle(GroupTestOracle):
         first = int(hits.argmax())
         return first if hits[first] else hits.size - 1
 
+    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
+        compare = np.greater_equal if left else np.less_equal
+        found = self._ranks[_checked_descent(u, arr, self.size)]
+        hits = compare(found, self._ranks[u])
+        first = int(hits.argmax())
+        p = first if hits[first] else hits.size - 1
+        # the ids before p miss u: after a hit at p they miss w too, which
+        # hits u, and with no hit u hits w, so only u and the ids after p count
+        w = found[p]
+        return p, bool(compare(self._ranks[u], w) or np.count_nonzero(compare(found[p + 1 :], w)))
+
 
 class CountingOracle(GroupTestOracle):
     """Pass-through adapter that counts every query in a fresh ledger."""
@@ -297,6 +324,11 @@ class CountingOracle(GroupTestOracle):
         self._count(left, (len(arr) - 1).bit_length())
         return position
 
+    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
+        answer = self._inner.descent_and_test(u, arr, left)
+        self._count(left, (len(arr) - 1).bit_length() + 1)
+        return answer
+
 
 class _ReversedOracle(GroupTestOracle):
     """View of an oracle under the reversed order: left and right swap."""
@@ -313,6 +345,9 @@ class _ReversedOracle(GroupTestOracle):
 
     def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
         return self._inner.descent(u, arr, not left)
+
+    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
+        return self._inner.descent_and_test(u, arr, not left)
 
 
 def reversed_view(oracle: GroupTestOracle) -> GroupTestOracle:

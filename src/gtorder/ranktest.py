@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_integer, check_unit
+from .errors import InvalidParameterError, check_integer, check_open, check_unit
 from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
 
 # The most ids one batch of a threshold test draws and asks at once, unless
@@ -128,8 +128,7 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
     """
     n = oracle.size
     check_integer("element id", x, 0, n - 1)
-    if not 0 < r < n:
-        raise InvalidParameterError(f"target rank {r} outside (0, n) for n={n}")
+    check_open("target rank", r, 0, n)
     counting, ledger = counted(oracle)
     start = replace(ledger)
     if r >= n / 2 + 0.5:

@@ -481,7 +481,8 @@ def check_reversal_padding(seed: int) -> tuple[bool, str]:
 EXTERNAL_N = 128
 EXTERNAL_QUERIES = 1000
 EXTERNAL_BATCHES = 100
-# descent sizes: one id (no test asked), a power of two, and neither
+# descent sizes: one id (a descent asks no test), a power of two, and neither;
+# each is asked as a descent and as a descent with the test after it
 EXTERNAL_DESCENT_SIZES = (1, 2, 64, 100, EXTERNAL_N)
 EXTERNAL_DESCENTS_PER_SIZE = 20
 
@@ -517,6 +518,8 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
                 arr = rng.permutation(EXTERNAL_N)[:m]
                 for left in (True, False):
                     mismatches += remote.descent(u, arr, left) != builtin.descent(u, arr, left)
+                    mismatches += (remote.descent_and_test(u, arr, left)
+                                   != builtin.descent_and_test(u, arr, left))
         # whole runs: the same element and ledger as the builtin run at the same seed
         run_seed = int(rng.integers(0, 2**63))
         for find in (min_find, max_find):
@@ -524,7 +527,7 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
                     for oracle in (remote, builtin)]
             mismatches += runs[0] != runs[1]
     compared = (EXTERNAL_QUERIES + 2 * EXTERNAL_BATCHES
-                + 2 * len(EXTERNAL_DESCENT_SIZES) * EXTERNAL_DESCENTS_PER_SIZE + 2)
+                + 4 * len(EXTERNAL_DESCENT_SIZES) * EXTERNAL_DESCENTS_PER_SIZE + 2)
     return mismatches == 0, (
         f"{compared - mismatches}/{compared} protocol answers (single tests, batches, "
         f"descents, a min_find and a max_find run) match the builtin oracle at "

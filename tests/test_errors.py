@@ -1,9 +1,11 @@
-"""Tests for the two parameter rules and the entry points that use them.
+"""Tests for the parameter rules and the entry points that use them.
 
 Every integer size, rank and id is checked by ``check_integer`` (a
-Python or numpy integer, not a bool, in a range) and every delta and
-epsilon by ``check_unit`` (a real number in (0,1), not NaN).  A bad value
-raises InvalidParameterError before any group test is asked.
+Python or numpy integer, not a bool, in a range), every delta and
+epsilon by ``check_unit`` (a real number in (0,1), not NaN), and the
+threshold test's target rank r by ``check_open`` (a real, not a bool, in
+(0, n)).  A bad value raises InvalidParameterError before any group test
+is asked.
 """
 
 import math
@@ -25,7 +27,7 @@ from gtorder import (
     rank_at_most,
     select_params,
 )
-from gtorder.errors import check_integer, check_unit
+from gtorder.errors import check_integer, check_open, check_unit
 from gtorder.harness import ExperimentConfig, run_experiment, validate_config
 from gtorder.oracle import _check_subject
 from gtorder.oracle_server import instance_ranks
@@ -77,6 +79,24 @@ def test_unit_values_pass(value):
 def test_non_unit_values_fail(value):
     with pytest.raises(InvalidParameterError, match="epsilon must lie in"):
         check_unit(delta=0.5, epsilon=value)
+
+
+# target ranks r for n = 16: inside (0, 16), and not (bools, strings,
+# NaN, infinities, the ends)
+TARGETS = (0.5, 1, 4.0, 15.5, np.float64(8), np.int64(3), Fraction(7, 2))
+NOT_TARGETS = (True, False, np.bool_(True), "5", None, [4], complex(4), float("nan"),
+               float("inf"), -float("inf"), 0, 0.0, 16, 16.0, -1)
+
+
+@pytest.mark.parametrize("value", TARGETS)
+def test_open_interval_values_pass(value):
+    check_open("r", value, 0, 16)
+
+
+@pytest.mark.parametrize("value", NOT_TARGETS)
+def test_values_outside_the_open_interval_fail(value):
+    with pytest.raises(InvalidParameterError, match=r"r must lie in \(0,16\)"):
+        check_open("r", value, 0, 16)
 
 
 N = 16
@@ -156,6 +176,14 @@ BAND_CALLS = {
 def test_delta_and_epsilon_outside_0_1_are_rejected_everywhere(oracle, name, bad, which):
     delta, epsilon = (bad, 0.2) if which == "delta" else (0.5, bad)
     raises_before_any_query(oracle, lambda: BAND_CALLS[name](oracle, delta, epsilon))
+
+
+@pytest.mark.parametrize("bad", NOT_TARGETS)
+def test_testle_target_rank_has_one_rule(oracle, bad):
+    raises_before_any_query(oracle, lambda: rank_at_most(oracle, 3, bad, 0.5, 0.2, rng()))
+    config = ExperimentConfig("testle", N, 1, 0, r=bad, delta=0.5, epsilon=0.2)
+    with pytest.raises(InvalidParameterError):
+        validate_config(config)
 
 
 @pytest.mark.parametrize("bad", NOT_UNIT)

@@ -30,7 +30,13 @@ from gtorder import (
     reversed_view,
 )
 from gtorder import external
-from gtorder.external import _batch_answer, _descent_answer, _full_session, _test_answer
+from gtorder.external import (
+    _batch_answer,
+    _descent_answer,
+    _descent_test_answer,
+    _full_session,
+    _test_answer,
+)
 from gtorder.harness import ExperimentConfig, render_csv, run_experiment
 from gtorder.oracle import GroupTestOracle
 from gtorder.oracle_server import serve
@@ -447,7 +453,7 @@ class TestDescentOp:
         command, log = filtered_server(tmp_path, n, seed, hook)
         builtin = InstanceOracle(make_instance(n, seed))
         rng = np.random.default_rng(9)
-        singles = descents = levels = rows_sent = 0
+        singles = swaps = descents = levels = rows_sent = 0
         with ExternalOracle(command, n) as remote:
             for find in (min_find, max_find):
                 runs = [find(oracle, n, np.random.default_rng(3)) for oracle in (remote, builtin)]
@@ -455,7 +461,7 @@ class TestDescentOp:
                 # a condition test per swap and a last one; each swap
                 # descends over the n - 1 ids other than the candidate
                 singles += runs[0].iterations + 1
-                descents += runs[0].iterations
+                swaps += runs[0].iterations
                 levels += runs[0].iterations * (n - 2).bit_length()
             for m in (1, 2, 5, 8, 39):
                 u, arr = int(rng.integers(n)), rng.permutation(n)[:m]
@@ -479,13 +485,17 @@ class TestDescentOp:
         assert all(id_tokens_fit(line, full) for line in lines)
         queries = [op for op in ops if op != "INIT"]
         if full:
-            # one line per swap and per batch, none per level or row
+            # one line per run's first condition test, per swap (its
+            # descent and the next condition test), per explicit descent
+            # and per batch, none per level or row
+            assert queries.count("L") + queries.count("R") == 2
+            assert queries.count("DTL") + queries.count("DTR") == swaps
             assert queries.count("DL") + queries.count("DR") == descents
             assert queries.count("BL") == queries.count("BR") == 1
-            levels = rows_sent = 0
+            assert len(queries) == 2 + swaps + descents + 2
         else:
-            assert not {"BL", "BR", "DL", "DR"} & set(queries)
-        assert queries.count("L") + queries.count("R") == singles + levels + rows_sent
+            assert not {"BL", "BR", "DL", "DR", "DTL", "DTR"} & set(queries)
+            assert queries.count("L") + queries.count("R") == singles + levels + rows_sent
 
     @pytest.mark.parametrize("reply", ["-1", "8", "03", "+3", "3.0", "0x3", "Y", "3 3", "OK", ""])
     def test_malformed_descent_reply_ends_the_session(self, tmp_path, reply):
@@ -502,6 +512,38 @@ class TestDescentOp:
                 remote.right_test(3, [3])
             with pytest.raises(OracleProtocolError):
                 remote.left_descent(3, arr)
+
+    @pytest.mark.parametrize("reply", ["0", "8 Y", "03 Y", "0  Y", "0 y", "0 YN", "0 Y N",
+                                       "Y", "-0 N", "OK", ""])
+    def test_malformed_descent_and_test_reply_ends_the_session(self, tmp_path, reply):
+        command, _ = filtered_server(tmp_path, 8, 0, f"""
+            if line.startswith("DT"):
+                print({reply!r}, flush=True)
+                continue
+        """)
+        arr = np.array([6, 1, 7, 0, 2, 5, 3, 4])
+        with ExternalOracle(command, 8) as remote:
+            with pytest.raises(OracleProtocolError):
+                remote.descent_and_test(3, arr, False)
+            with pytest.raises(OracleProtocolError):
+                remote.right_test(3, [3])
+
+    def test_err_reply_to_a_descent_and_test_leaves_the_session_usable(self, tmp_path):
+        command, log = filtered_server(tmp_path, 8, 0, """
+            if line.startswith("DTR 3 "):
+                print("ERR busy", flush=True)
+                continue
+        """)
+        builtin = InstanceOracle(make_instance(8, 0))
+        arr = np.array([6, 1, 7, 0, 2, 5, 3, 4])
+        with ExternalOracle(command, 8) as remote:
+            with pytest.raises(OracleRejectedError):
+                remote.descent_and_test(3, arr, False)
+            for u, left, ids in ((4, False, arr), (3, True, arr), (3, True, arr[:1])):
+                assert (remote.descent_and_test(u, ids, left)
+                        == builtin.descent_and_test(u, ids, left))
+        # one id asks one test, so it is a line too
+        assert ops_received(log) == ["INIT", "DTR", "DTR", "DTL", "DTL"]
 
     def test_err_reply_to_a_descent_leaves_the_session_usable(self, tmp_path):
         command, log = filtered_server(tmp_path, 8, 0, """
@@ -777,7 +819,8 @@ HEX_INIT = FULL_INIT.format(FUZZ_N)
 # has, written here with decimal ids
 BASIC_LINES = ["L 3 2 0 7", "R 3 2 0 7", "L 5 0"]
 FULL_OPS = ["BL 3 10 2 3 0 1 8 9 9 9", "BR 3 10 2 3 0 1 8 9 9 9", "BR 0 8 1 1 0",
-            "DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 3 1 5", "DL 3 3 3 3 3"]
+            "DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 3 1 5", "DL 3 3 3 3 3",
+            "DTL 3 4 6 0 7 2", "DTR 3 4 6 0 7 2", "DTR 3 1 5", "DTL 3 3 3 3 3"]
 VALID_LINES = ["INIT 8", HEX_INIT, *BASIC_LINES]
 
 
@@ -795,7 +838,8 @@ HEX_VALID_LINES = [hexed(line) for line in BASIC_LINES + FULL_OPS] + [
 TOKENS = st.one_of(
     st.sampled_from(["\u00b2", "\u0663", "\uff11", "-1", "+1", "1_0", "0x1", "1e3", "08",
                      "9" * 5000, "BATCH", "DESCENT", "HEX", "INIT", "L", "R", "BL", "BR", "DL",
-                     "DR", "Y", "\x00", "0000000", "000000000", "0000000g", "0000000\u0663",
+                     "DR", "DTL", "DTR", "Y", "\x00", "0000000", "000000000", "0000000g",
+                     "0000000\u0663",
                      "00000000", "07000000", "08000000", "0a000000", "ffffffff", "0000000A",
                      "0000000000000000", "0" * 8000]),
     st.integers(-3, 12).map(str),
@@ -840,6 +884,9 @@ def well_formed(line, reply, full=False):
         return reply != "" and set(reply) <= {"Y", "N"} and len(reply) == int(parts[3])
     if parts[0] in ("DL", "DR"):
         return reply in {str(position) for position in range(int(parts[2]))}
+    if parts[0] in ("DTL", "DTR"):
+        return reply in {f"{position} {answer}" for position in range(int(parts[2]))
+                         for answer in "YN"}
     return False
 
 
@@ -890,6 +937,8 @@ INVALID_LINES = {
     "BL 3 10 1 2 -1 0": "ERR BL needs a full session",
     "DR 3 4 6 0 7 2": "ERR DR needs a full session",
     "DL 3 0": "ERR DL needs a full session",
+    "DTR 3 4 6 0 7 2": "ERR DTR needs a full session",
+    "DTL 3 1 00000000": "ERR DTL needs a full session",
     "BR 3 8 1 1 00000000": "ERR BR needs a full session",
     # only the basic and the full INIT: no partial, reordered, repeated
     # or unknown feature list
@@ -960,6 +1009,10 @@ HEX_INVALID_LINES = {
     "BR 3 8 1 2 00000000": "ERR id count mismatch",
     # m = 0 for a descent, rows or width 0
     "DR 3 0": "ERR malformed descent",
+    "DTL 3 0": "ERR malformed descent",
+    "DTR 3 2 00000000": "ERR id count mismatch",
+    "DTL 3 1 08000000": "ERR element id out of range",
+    "DTR 8 1 00000000": "ERR element id out of range",
     "BR 3 8 0 1": "ERR malformed batch",
     "BR 3 8 1 0": "ERR malformed batch",
     "BL 3 8 0 0": "ERR malformed batch",
@@ -1034,7 +1087,7 @@ ID_VALUES = st.one_of(st.integers(0, FUZZ_N + 5), st.integers(2 * FUZZ_N, 4 * FU
 @st.composite
 def decimal_queries(draw):
     """A query line of any op with decimal ids, some of them invalid."""
-    op = draw(st.sampled_from(["L", "R", "DL", "DR", "BL", "BR"]))
+    op = draw(st.sampled_from(["L", "R", "DL", "DR", "DTL", "DTR", "BL", "BR"]))
     u = draw(st.integers(0, FUZZ_N))
     if op in ("BL", "BR"):
         rows, width = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -1065,6 +1118,9 @@ def builtin_reply(line):
         u, _, *ids = numbers
         if op in ("DL", "DR"):
             return str(getattr(oracle, f"{side}_descent")(u, np.array(ids, dtype=np.int64)))
+        if op in ("DTL", "DTR"):
+            p, hit = oracle.descent_and_test(u, np.array(ids, dtype=np.int64), side == "left")
+            return f"{p} {'Y' if hit else 'N'}"
         return "Y" if getattr(oracle, f"{side}_test")(u, ids) else "N"
     except InvalidParameterError:
         return None
@@ -1115,8 +1171,9 @@ def test_documented_full_session_lines_are_what_the_client_writes(tmp_path):
         remote.right_test_batch(5, np.array([[1, 1028], [1023, 1029]]), 1030)
         remote.right_descent(5, np.array([1, 2, 1023]))
         remote.left_descent(5, np.array([1, 2, 1023]))
+        remote.descent_and_test(9, np.array([1023, 5, 2]), False)
     received = log.read_text().splitlines()
-    assert received == sent[:len(received)] and len(received) == 6
+    assert received == sent[:len(received)] and len(received) == 7
 
 
 # replies the client must parse: answers, near misses and noise
@@ -1126,7 +1183,8 @@ REPLIES = st.one_of(
                      "OK", "OK BATCH", "OK DESCENT", "OK BATCH DESCENT", "OK DESCENT BATCH",
                      "OK BATCH BATCH", "OK  BATCH", "OK RESTART", "OK BATCH DESCENT HEX",
                      "OK HEX", "OK BATCH HEX", "OK HEX BATCH", "OK DESCENT HEX", "OK DESCENT BATCH HEX",
-                     "OK BATCH DESCENT HEX HEX", "9" * 5000, ""]),
+                     "OK BATCH DESCENT HEX HEX", "9" * 5000, "", "0 Y", "0 N", "3 N", "8 Y",
+                     "03 Y", "0  Y", " 0 Y", "0 Y ", "0 y", "0 YN", "0\tY", "-0 N", "ERR 0 Y"]),
     st.integers(-3, 12).map(str),
     st.text(st.sampled_from("YN"), max_size=10),
     st.text(max_size=6),
@@ -1158,6 +1216,9 @@ def test_reply_parsers_answer_only_well_formed_replies(reply, size, offer):
         assert batch == error
     positions = {str(position): position for position in range(size)}
     assert parsed(_descent_answer, reply, size) == positions.get(reply, error)
+    ends = {f"{token} {answer}": (position, answer == "Y")
+            for token, position in positions.items() for answer in "YN"}
+    assert parsed(_descent_test_answer, reply, size) == ends.get(reply, error)
     # OK agrees a basic session, and the full one only answers its offer
     agreed = {"OK": False, "OK BATCH DESCENT HEX": True if offer != "INIT 8" else OracleProtocolError}
     assert parsed(_full_session, reply, offer) == agreed.get(reply, OracleProtocolError)

@@ -19,6 +19,7 @@ from gtorder import (
 )
 from gtorder.oracle import counted
 from gtorder.stats import chi_square_uniformity
+from gtorder.verify import _PerQueryOracle as PerLevelOracle
 
 
 def ceil_log2(m):
@@ -272,14 +273,48 @@ class TestSharedSwapCore:
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
+class TestOneCallPerRound:
+    @pytest.mark.parametrize("find", [min_find, max_find])
+    def test_fused_rounds_match_rounds_asked_test_by_test(self, find):
+        for n in [*range(1, 71), 127, 128, 129, 1000, 4095, 4096]:
+            instance = make_instance(n, seed=n)
+            asked = CountingOracle(InstanceOracle(instance))
+            rng = np.random.default_rng(n)
+            twin = copy.deepcopy(rng)
+            fused = find(InstanceOracle(instance), n, rng)
+            per_level = find(PerLevelOracle(asked), n, twin)
+            assert fused == per_level
+            assert fused.ledger == asked.ledger
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert exact_rank(instance, fused.element) == (1 if find is min_find else n)
+
+    def test_one_call_per_round(self):
+        calls = []
+
+        class Logged(InstanceOracle):
+            def test(self, u, V, left):
+                calls.append("test")
+                return super().test(u, V, left)
+
+            def descent_and_test(self, u, arr, left):
+                calls.append("descent_and_test")
+                return super().descent_and_test(u, arr, left)
+
+        outcome = min_find(Logged(make_instance(300, 4)), 300, np.random.default_rng(4))
+        assert outcome.iterations >= 1
+        assert calls == ["test"] + ["descent_and_test"] * outcome.iterations
+
+
 class RecordingOracle(InstanceOracle):
     """Test double that logs every query for transcript comparison.
 
-    Its descents take the base class's path, one single test per level,
-    so the swap tests reach the log too.
+    Its descents, and the condition tests that follow them, take the base
+    class's path, one single test per level, so the swap tests reach the
+    log too.
     """
 
     descent = GroupTestOracle.descent
+    descent_and_test = GroupTestOracle.descent_and_test
 
     def __init__(self, instance):
         super().__init__(instance)

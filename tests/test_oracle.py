@@ -786,6 +786,115 @@ class TestDescents:
                     descent(u, arr)
 
 
+class SingleTestOracle(GroupTestOracle):
+    """A user oracle that defines only ``test``, answered from a rank list
+    in Python, and logs each single test it is asked."""
+
+    def __init__(self, ranks):
+        self.ranks = list(ranks)
+        self.size = len(self.ranks)
+        self.asked = []
+
+    def test(self, u, V, left):
+        self.asked.append((u, left))
+        ranks = self.ranks
+        return any(ranks[v] >= ranks[u] if left else ranks[v] <= ranks[u]
+                   for v in np.asarray(V).tolist())
+
+
+# a server that turns every INIT into the basic one, so the client asks
+# each descent level and each condition test as one L/R line
+BASIC_SERVER = (
+    "import sys\n"
+    "from gtorder.oracle_server import instance_ranks, serve\n"
+    "lines = (' '.join(line.split()[:2]) + '\\n' if line.startswith('INIT ') else line\n"
+    "         for line in sys.stdin)\n"
+    "serve(instance_ranks(24, 24), lines, sys.stdout)\n"
+)
+
+
+@pytest.fixture(scope="module")
+def basic24():
+    with ExternalOracle([sys.executable, "-c", BASIC_SERVER], 24) as remote:
+        yield remote
+
+
+@st.composite
+def descent_queries(draw, n):
+    """(u, arr, left): m ids of 0..n-1, repeats and u itself allowed, with
+    m = 1, a power of two or any size up to 40."""
+    m = draw(st.sampled_from([1, 2, 4, 8, 16, 32]) | st.integers(1, 40))
+    arr = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    return draw(st.integers(0, n - 1)), arr, draw(st.booleans())
+
+
+class TestDescentAndTest:
+    """``descent_and_test`` is ``descent`` and then the test of w = arr[p]
+    against the other ids and u, at ceil(log2 m) + 1 tests."""
+
+    @pytest.mark.parametrize("view", ["instance", "reversed", "test_only", "full", "basic"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_a_descent_then_a_test(self, view, remote24, basic24, data):
+        builtin = oracle_of(24, seed=24)
+        oracle = {"instance": builtin, "reversed": reversed_view(builtin),
+                  "test_only": SingleTestOracle(builtin.instance.ranks),
+                  "full": remote24, "basic": basic24}[view]
+        u, arr, left = data.draw(descent_queries(24))
+        p = oracle.descent(u, arr, left)
+        others = np.concatenate((arr[:p], arr[p + 1 :], [u]))
+        expected = (p, oracle.test(int(arr[p]), others, left))
+        # the same answer as the builtin oracle's, in the view's frame
+        frame = left != (view == "reversed")
+        assert expected == (builtin.descent(u, arr, frame),
+                            builtin.test(int(arr[p]), others, frame))
+        counting = CountingOracle(oracle)
+        answer = counting.descent_and_test(u, arr, left)
+        assert answer == expected and type(answer[0]) is int and type(answer[1]) is bool
+        tests = (len(arr) - 1).bit_length() + 1
+        assert counting.ledger == (QueryLedger(tests, 0) if left else QueryLedger(0, tests))
+
+    def test_a_user_oracle_is_asked_each_level_then_the_test(self):
+        ranks = make_instance(40, seed=3).ranks
+        for m in (1, 2, 3, 8, 39):
+            oracle = SingleTestOracle(ranks)
+            arr = np.random.default_rng(m).permutation(40)[:m]
+            for left in (True, False):
+                p, _ = oracle.descent_and_test(7, arr, left)
+                # the levels' subject is u, the last test's is w = arr[p]
+                assert oracle.asked == [(7, left)] * (m - 1).bit_length() + [(int(arr[p]), left)]
+                oracle.asked.clear()
+
+    def test_lines_sent_in_each_session(self, remote24, basic24):
+        arr = np.random.default_rng(0).permutation(24)[:9]
+        for remote, ops in ((remote24, ["DTL", "DTR"]), (basic24, ["L"] * 5 + ["R"] * 5)):
+            lines = []
+            exchange = remote._exchange
+            remote._exchange = lambda line: lines.append(line) or exchange(line)
+            try:
+                for left in (True, False):
+                    remote.descent_and_test(3, arr, left)
+            finally:
+                del remote._exchange
+            assert [line.split()[0] for line in lines] == ops
+
+    @pytest.mark.parametrize("path", ["instance", "test_only", "reversed", "full"])
+    def test_validation(self, path, remote24):
+        oracle = {"instance": oracle_of(24, seed=24),
+                  "test_only": SingleTestOracle(range(1, 25)),
+                  "reversed": reversed_view(oracle_of(24, seed=24)),
+                  "full": remote24}[path]
+        bad = [(3, np.array([0, 24])), (3, np.array([-1, 2])), (24, np.arange(3)),
+               (3, np.array([], dtype=np.int64)), (True, np.arange(3)),
+               (3, np.arange(4).reshape(2, 2)), (3, np.array([0.0, 1.0]))]
+        for u, arr in bad:
+            counting = CountingOracle(oracle)
+            for left in (True, False):
+                with pytest.raises(InvalidParameterError):
+                    counting.descent_and_test(u, arr, left)
+            assert counting.ledger.total == 0
+
+
 # integer dtypes that are not int64: other widths, both byte orders, unsigned
 ODD_DTYPES = [">i8", ">i4", "<i2", "u1", "u8"]
 

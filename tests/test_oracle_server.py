@@ -71,6 +71,16 @@ def test_server_exits_at_eof_with_every_reply_and_no_teardown():
                                                for u, v in queries)]
 
 
+def test_server_ends_quietly_when_the_client_stops_reading():
+    server = subprocess.Popen([sys.executable, "-m", "gtorder.oracle_server", "--n", "8"],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE)
+    server.stdout.close()
+    _, stderr = server.communicate(b"INIT 8\nR 3 1 0\n", timeout=60)
+    assert server.returncode == 0
+    assert stderr == b""
+
+
 def test_main_returns_to_an_in_process_caller(monkeypatch):
     stdout = io.TextIOWrapper(io.BytesIO())
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"INIT 4\nR 0 1 0\n")))
@@ -149,18 +159,24 @@ def brute_force_reply(ranks, op, u, ids, n_eff, width):
                        for at in range(0, len(hits), width))
     if op in ("DL", "DR"):
         return str(hits.index(True) if any(hits) else len(hits) - 1)
+    if op in ("DTL", "DTR"):
+        p = hits.index(True) if any(hits) else len(hits) - 1
+        w = ids[p]
+        others = ids[:p] + ids[p + 1:] + [u]
+        hit = any(ranks[v] >= ranks[w] if op == "DTL" else ranks[v] <= ranks[w] for v in others)
+        return f"{p} {'Y' if hit else 'N'}"
     return "Y" if any(hits) else "N"
 
 
 @st.composite
 def full_session_lines(draw):
-    """A rank list and a line of one of the six ops, its ids in range but
+    """A rank list and a line of one of the eight ops, its ids in range but
     for a few bad ones anywhere, before or after the first hit."""
     n = draw(st.integers(1, 300))
     ranks = list(range(1, n + 1))
     # a seeded shuffle draws faster than st.permutations
     random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(ranks)
-    op = draw(st.sampled_from(["L", "R", "DL", "DR", "BL", "BR"]))
+    op = draw(st.sampled_from(["L", "R", "DL", "DR", "DTL", "DTR", "BL", "BR"]))
     # a dummy's sentinel is closest to a hit at the subjects of rank 1 and n
     u = draw(st.integers(0, n - 1) | st.sampled_from((ranks.index(1), ranks.index(n))))
     # padded sizes past 2n are rare among n..2n+3 at large n: draw them often
@@ -170,7 +186,7 @@ def full_session_lines(draw):
         rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
         count = rows * width
     else:
-        count = draw(st.integers(1 if op in ("DL", "DR") else 0, 24))
+        count = draw(st.integers(1 if op.startswith("D") else 0, 24))
     bound = n_eff if rows else n
     # ids at the edges: the last real id, the first dummy, the last dummy
     # a 2n table holds, the first past it and the last in range
