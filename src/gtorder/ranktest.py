@@ -20,8 +20,22 @@ row and one group test per trial.  A test draws and asks its trials in
 row blocks of at most ``_BLOCK_IDS`` ids (one row where a row alone is
 wider), so while rows fit a block its memory stays under about 400 KiB
 whatever its trial count, and the blocks stay in cache.  The blocks
-consume the generator exactly as one (trials x sample_size) draw
-does, so no answer, count or ledger depends on the block size.
+consume the generator exactly as one (trials x sample_size) draw does.
+
+A test stops at the first block after which its answer is fixed.  With
+limit = floor(p_mid * trials), positives > limit fixes "rank > r", and
+positives + (rows not yet asked) <= limit fixes "rank <= r"; the blocks
+after that are neither drawn nor asked.  The answer is always the one
+the full test would give on the same rows, since no value of the rows
+it skips could change it, so each test's Hoeffding bound holds as
+stated.  And with an ideal generator the stream after a stopping time
+is fresh, so the joint law of all the answers a run gives, and with it
+the rank and selection guarantees, is unchanged.  A test that fits one
+block asks all its rows and leaves the generator where the full test
+does.  One that spans several asks and draws only up to the deciding
+block, so the block size is part of the query count: changing
+``_BLOCK_IDS`` changes the ledgers of multi-block tests and the draws
+that follow them.
 
 Targets above n/2 are handled by running the test under the reversed
 order, where the rank of x becomes n - rank(x) + 1, and negating the
@@ -31,6 +45,7 @@ targets keep an exact decision boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -66,7 +81,7 @@ class RankTestParams:
 @dataclass(frozen=True)
 class RankTestOutcome:
     answer: bool        # True means "rank(x) <= r"
-    positives: int      # positive trials of the executed (possibly reversed) test
+    positives: int      # positives among the rows the executed (possibly reversed) test asked
     params: RankTestParams
     ledger: QueryLedger
 
@@ -77,8 +92,17 @@ def derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPar
     Requires 0 < r <= n/2; callers handle larger targets via reversal.
     Fractional targets arise from selection and are allowed: the sample
     size rounds up, which only widens the separation between p_low and
-    p_high.
+    p_high.  Results are memoized per argument values and types; the
+    arguments are validated on every miss.
     """
+    try:
+        return _derive_params(n, r, delta, epsilon)
+    except TypeError:  # an unhashable argument, never valid: raise its error
+        return _derive_params.__wrapped__(n, r, delta, epsilon)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestParams:
     check_integer("universe size", n, 1)
     check_unit(delta=delta, epsilon=epsilon)
     if not 0 < r <= n / 2:
@@ -109,13 +133,17 @@ def _run_trials(oracle: GroupTestOracle, x: int, r: float, delta: float,
     # blocks of at most _BLOCK_IDS ids, or of one row each when a row
     # alone is wider
     step = max(1, _BLOCK_IDS // width)
+    limit = math.floor(params.p_mid * trials)
     positives = 0
     for start in range(0, trials, step):
         rows = rng.integers(0, params.n_eff, size=(min(step, trials - start), width))
         # sampled dummy ids can never lie below the real element x, which
         # is what a dummy slot of the batch answers
         positives += int(np.count_nonzero(oracle.right_test_batch(x, rows, params.n_eff)))
-    return positives <= params.p_mid * trials, positives, params
+        # stop once no later row can change the answer (module docstring)
+        if positives > limit or positives + trials - start - len(rows) <= limit:
+            break
+    return positives <= limit, positives, params
 
 
 def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
@@ -123,8 +151,9 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
     """Decide whether rank(x) <= r, correct with probability 1 - epsilon
     whenever |rank(x) - r| >= delta * min(r, n - r).
 
-    Inside that band either answer is acceptable.  Costs exactly
-    ``params.trials`` group tests.
+    Inside that band either answer is acceptable.  Costs at most
+    ``params.trials`` group tests: the test stops at the first row block
+    after which no further row could change its answer.
     """
     n = oracle.size
     check_integer("element id", x, 0, n - 1)

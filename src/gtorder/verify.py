@@ -5,7 +5,8 @@ exactness of min-finding, per-call query counts, uniformity of the swap
 output, query-count scaling, error rates and the per-trial closed form
 of the threshold test, rank-search success, candidate hit rates, the
 selection theorem, the reversal law and batch dummy slots,
-external-protocol conformance and bit-for-bit reproducibility.
+external-protocol conformance, bit-for-bit reproducibility, and the
+curtailed threshold test's agreement with the full one.
 Probabilistic claims carry 3-sigma binomial margins or a chi-square test
 at significance 0.001; structural claims are exact.  All randomness
 derives from the suite seed.
@@ -13,6 +14,7 @@ derives from the suite seed.
 
 from __future__ import annotations
 
+import collections
 import copy
 import functools
 import sys
@@ -26,9 +28,9 @@ from .apxrank import approximate_rank
 from .external import ExternalOracle
 from .harness import ExperimentConfig, render_csv, run_experiment
 from .minfind import max_find, min_find, swap
-from .oracle import CountingOracle, GroupTestOracle, InstanceOracle, reversed_view
+from .oracle import CountingOracle, GroupTestOracle, InstanceOracle, QueryLedger, reversed_view
 from .order import TotalOrderInstance, exact_rank, make_instance
-from .ranktest import derive_params, rank_at_most
+from .ranktest import _BLOCK_IDS, derive_params, rank_at_most
 from .selection import approximate_select, draw_candidate
 from .stats import binomial_margin, chi_square_uniformity
 
@@ -291,13 +293,18 @@ def check_testle_trial_probability(seed: int) -> tuple[bool, str]:
         x = instance.element_with_rank(rank)
         outcome = rank_at_most(oracle, x, TRIAL_PROB_R, 0.5, TRIAL_PROB_EPSILON, rng)
         params = outcome.params
+        # positives / trials is unbiased only for a test that asked every
+        # row, which a test of one block does
+        if outcome.ledger.total != params.trials:
+            passed = False
         expected = 1.0 - ((params.n_eff - rank) / params.n_eff) ** params.sample_size
         freq = outcome.positives / params.trials
         tolerance = 3.0 * np.sqrt(expected * (1.0 - expected) / params.trials)
         if abs(freq - expected) > tolerance:
             passed = False
         details.append(f"rank {rank}: {freq:.3f} vs {expected:.3f} (+-{tolerance:.3f})")
-    return passed, f"sample size {int(TRIAL_PROB_N / TRIAL_PROB_R)}; " + "; ".join(details)
+    return passed, (f"sample size {int(TRIAL_PROB_N / TRIAL_PROB_R)}, every call asked all "
+                    f"{params.trials} rows; " + "; ".join(details))
 
 
 # --- 7. rank search succeeds within its band ---------------------------------
@@ -558,3 +565,77 @@ def check_reproducibility(seed: int) -> tuple[bool, str]:
             return False, f"CSV differs for {config.algorithm}"
     return True, "re-running each algorithm's config reproduced the CSV byte for byte"
 
+
+# --- 13. a curtailed threshold test answers as the full test ------------------
+
+# 381 rows in three blocks at either target: 200-id rows at r = 5 (163 +
+# 163 + 55 rows) and, reversed, 223-id rows at r = 996 (146 + 146 + 89)
+CURTAIL_N = 1000
+CURTAIL_TARGETS = (5.0, 996.0)
+CURTAIL_DELTA, CURTAIL_EPSILON = 0.5, 0.2
+
+
+def _full_test(oracle: GroupTestOracle, x: int, r: float,
+               rng: np.random.Generator) -> tuple[bool, np.ndarray, list, bool, int]:
+    """The full threshold test ``rank_at_most(oracle, x, r, ...)`` curtails,
+    drawn from ``rng`` in the same blocks: its answer, the positives after
+    each row, the generator state after each block, whether it runs
+    reversed, and the rows per block."""
+    n = oracle.size
+    reverse = r >= n / 2 + 0.5
+    params = derive_params(n, n - r + 0.5 if reverse else r, CURTAIL_DELTA, CURTAIL_EPSILON)
+    view = reversed_view(oracle) if reverse else oracle
+    step = max(1, _BLOCK_IDS // params.sample_size)
+    hits, states = [], []
+    for start in range(0, params.trials, step):
+        rows = rng.integers(0, params.n_eff,
+                            size=(min(step, params.trials - start), params.sample_size))
+        hits.append(view.test_batch(x, rows, params.n_eff, False))
+        states.append(rng.bit_generator.state)
+    counts = np.cumsum(np.concatenate(hits))
+    answer = bool(counts[-1] <= params.p_mid * params.trials) != reverse
+    return answer, counts, states, reverse, step
+
+
+@_check()
+def check_threshold_curtailment(seed: int) -> tuple[bool, str]:
+    """Curtailed threshold tests at n=1000, r in {5, 996}, give the full
+    test's answer at every rank, and ask and draw the rows up to the first
+    block boundary at or after the row that fixed it."""
+    # Each test is replayed in full from a copy of the generator; the row
+    # that fixed the answer is the first after which the positives exceed
+    # the threshold, or cannot reach it with every row left positive.
+    rng = _rng(seed, 13)
+    instance = make_instance(CURTAIL_N, next(_seed_stream(rng)))
+    oracle = InstanceOracle(instance)
+    bad = []
+    blocks_asked = collections.Counter()
+    asked_total = full_total = 0
+    for r in CURTAIL_TARGETS:
+        for rank in range(1, CURTAIL_N + 1):
+            x = instance.element_with_rank(rank)
+            answer, counts, states, reverse, step = _full_test(oracle, x, r, copy.deepcopy(rng))
+            outcome = rank_at_most(oracle, x, r, CURTAIL_DELTA, CURTAIL_EPSILON, rng)
+            trials = outcome.params.trials
+            threshold = outcome.params.p_mid * trials
+            left = trials - np.arange(1, trials + 1)
+            decided = 1 + int(np.flatnonzero((counts > threshold)
+                                             | (counts + left <= threshold))[0])
+            blocks = -(-decided // step)
+            asked = min(trials, blocks * step)
+            ledger = QueryLedger(asked, 0) if reverse else QueryLedger(0, asked)
+            # asked <= trials, so a matching ledger never exceeds the full test
+            if (outcome.answer != answer or outcome.ledger != ledger
+                    or outcome.positives != counts[asked - 1]
+                    or rng.bit_generator.state != states[blocks - 1]):
+                bad.append((r, rank, outcome.answer, answer, outcome.ledger.total, asked))
+            blocks_asked[blocks] += 1
+            asked_total += asked
+            full_total += trials
+    tests = len(CURTAIL_TARGETS) * CURTAIL_N
+    return not bad, (
+        f"{tests} tests at n={CURTAIL_N}, r in {CURTAIL_TARGETS}: answers equal the full "
+        f"test's, ledgers and generator states end at the deciding block; tests by "
+        f"blocks asked {dict(sorted(blocks_asked.items()))}, {asked_total}/{full_total} rows"
+        if not bad else f"deviations (r, rank, answer, full answer, asked, expected) "
+                        f"at {bad[:5]}")

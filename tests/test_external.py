@@ -778,9 +778,9 @@ class TestIdSafetyBasic(TestIdSafety):
 PARITY_N, PARITY_SEED = 150, 11
 PARITY_REPORTS = {
     "select_low_target": (dict(algorithm="select", k=30, delta=0.8, epsilon=0.3, trials=1),
-                          "d30eb77c014adfb97898f5a7b1885d8c053b9146cf0735c026153929d0f90839"),
+                          "d18413673b03d89093069abc83aa9fcc9a53a228c0a6f5455cc428938f4414d8"),
     "select_high_target": (dict(algorithm="select", k=120, delta=0.8, epsilon=0.3, trials=1),
-                           "5833976cf01c48c7aa4e20118c96e52b5a1a0044a8051fb366aedb181c1c5bb2"),
+                           "ebb494da88fc93c243995a883203cd20cc8b8a76223c9d941ebb19653f99e187"),
     "testle": (dict(algorithm="testle", r=60, delta=0.5, epsilon=0.2, trials=3),
                "60e089b378e673b8c974549bad11356c5bfb3fd8d2e308f20cd9edd14467b0fd"),
     "rank": (dict(algorithm="rank", delta=0.4, epsilon=0.2, trials=1),

@@ -116,10 +116,10 @@ GOLDEN_CSV_SHA256 = {
              "113d076572cc0b0cbd7d182e750b6516fc060773f298ac6f890f4b7b8631a70a"),
     "select_low_target": (dict(algorithm="select", n=150, trials=3, k=30,
                                delta=0.8, epsilon=0.3),
-                          "a04d91dbe2226fb7aa9c73d1e740f84820aa48307df7a544e2f87865b9a255f5"),
+                          "afb76647d26e62573cbc4d80af3b8f3a97ef1cc3ab31dfb14f5b4a2de9720a19"),
     "select_high_target": (dict(algorithm="select", n=150, trials=3, k=120,
                                 delta=0.8, epsilon=0.3),
-                           "151da4d2853a8a2e683cb47077b4ede796aefc3af33084e37fb7cc7d6650d2d0"),
+                           "5f5a899f2c039786495c74f7db68d33d831c432eb70a85b81eff170e1c273de4"),
     "external_maxfind": (dict(algorithm="maxfind", n=32, trials=5, fixed_instance=True,
                               oracle=reference_server(32, 0)),
                          "5fac91b14a633ddf01ea919a1843a8ae6839dab98e15f463debab80c8b187859"),

@@ -5,9 +5,12 @@ import logging
 import math
 import sys
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtorder import (
     ExternalOracle,
@@ -23,20 +26,42 @@ from gtorder import (
 from gtorder import ranktest
 
 
-def one_draw(oracle, x, r, delta, epsilon, seed):
-    """What ``rank_at_most`` must return, and the generator state after it,
-    from one (trials x sample_size) draw asked as single right tests over
-    the dummy-filtered rows."""
+class Expected(NamedTuple):
+    answer: bool
+    positives: int
+    ledger: QueryLedger
+    state: dict     # the generator state after the blocks asked
+    blocks: list    # the row count of each block asked
+    trials: int
+
+
+def one_draw(oracle, x, r, delta, epsilon, seed, block_ids=None):
+    """What ``rank_at_most`` must return from one (trials x sample_size)
+    draw asked as single right tests over the dummy-filtered rows: the
+    full test's answer, and the positives, ledger and blocks of the rows
+    up to the first block boundary at or after the row that fixed that
+    answer, with the state of a generator that drew just those blocks."""
     n = oracle.size
     reverse = r >= n / 2 + 0.5
     p = derive_params(n, n - r + 0.5 if reverse else min(r, n / 2), delta, epsilon)
-    rng = np.random.default_rng(seed)
-    samples = rng.integers(0, p.n_eff, size=(p.trials, p.sample_size))
+    samples = np.random.default_rng(seed).integers(0, p.n_eff, size=(p.trials, p.sample_size))
     right_test = (reversed_view(oracle) if reverse else oracle).right_test
-    positives = sum(right_test(x, [v for v in row if v < n]) for row in samples.tolist())
-    answer = (positives <= p.p_mid * p.trials) != reverse
-    ledger = QueryLedger(p.trials, 0) if reverse else QueryLedger(0, p.trials)
-    return answer, positives, ledger, rng.bit_generator.state
+    counts = np.cumsum([right_test(x, [v for v in row if v < n]) for row in samples.tolist()])
+    threshold = p.p_mid * p.trials
+    answer = bool(counts[-1] <= threshold) != reverse
+    # the first row after which the positives exceed the threshold, or
+    # cannot reach it with every row left positive
+    left = np.arange(p.trials - 1, -1, -1)
+    decided = 1 + np.flatnonzero((counts > threshold) | (counts + left <= threshold))[0]
+    step = max(1, (block_ids or ranktest._BLOCK_IDS) // p.sample_size)
+    asked = min(p.trials, -(-decided // step) * step)
+    blocks = [min(step, asked - start) for start in range(0, asked, step)]
+    rng = np.random.default_rng(seed)
+    for rows in blocks:
+        rng.integers(0, p.n_eff, size=(rows, p.sample_size))
+    ledger = QueryLedger(asked, 0) if reverse else QueryLedger(0, asked)
+    return Expected(answer, int(counts[asked - 1]), ledger, rng.bit_generator.state,
+                    blocks, p.trials)
 
 
 class TestDeriveParams:
@@ -88,6 +113,17 @@ class TestDeriveParams:
             derive_params(100, 10, 0.5, 0.0)
         with pytest.raises(InvalidParameterError):
             derive_params(100, 10, 0.5, 1.0)
+
+    @pytest.mark.parametrize("size", [True, 1.0, 2.0, float("nan")])
+    def test_memo_still_validates(self, size):
+        # results are memoized, but a size of another type that equals a
+        # cached one (or NaN) is still checked
+        assert derive_params(2, 1, 0.5, 0.1) is derive_params(2, 1, 0.5, 0.1)
+        derive_params(1, 0.5, 0.5, 0.1)
+        with pytest.raises(InvalidParameterError):
+            derive_params(size, 0.5, 0.5, 0.1)
+        with pytest.raises(InvalidParameterError):
+            derive_params(2, 1, [0.5], 0.1)  # unhashable, so never cached
 
     def test_threshold_separation_bound(self):
         # the decision gap stays above delta/(2e) across the valid range
@@ -192,9 +228,10 @@ class TestRankAtMost:
         rng = np.random.default_rng(12)
         outcome = rank_at_most(oracle, x, r, 0.3, 0.2, rng)
         assert outcome.params.n_eff > n
-        answer, positives, ledger, state = one_draw(oracle, x, r, 0.3, 0.2, 12)
-        assert (outcome.answer, outcome.positives, outcome.ledger) == (answer, positives, ledger)
-        assert rng.bit_generator.state == state
+        expected = one_draw(oracle, x, r, 0.3, 0.2, 12)
+        assert expected.blocks == [expected.trials]  # one block: the full test
+        assert (outcome.answer, outcome.positives, outcome.ledger) == expected[:3]
+        assert rng.bit_generator.state == expected.state
 
     def test_parameter_validation(self):
         oracle = InstanceOracle(make_instance(10, seed=0))
@@ -209,21 +246,71 @@ class TestRankAtMost:
             rank_at_most(oracle, 0, 3, 1.5, 0.1, rng)
 
 
+# universe sizes of the curtailment property, each with one reference
+# server spawned on first use
+CURTAIL_SIZES = (2, 3, 10, 64, 150, 400)
+
+
+@pytest.fixture(scope="module")
+def servers():
+    """``server(n)``: the reference server of ``make_instance(n, n)``."""
+    with contextlib.ExitStack() as stack:
+        spawned = {}
+
+        def server(n):
+            if n not in spawned:
+                command = [sys.executable, "-m", "gtorder.oracle_server",
+                           "--n", str(n), "--seed", str(n)]
+                spawned[n] = stack.enter_context(ExternalOracle(command, n))
+            return spawned[n]
+        yield server
+
+
+@given(view=st.sampled_from(["instance", "reversed", "external"]),
+       n=st.sampled_from(CURTAIL_SIZES), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_curtailed_test_stops_at_the_deciding_block(servers, view, n, data):
+    # both branches of rank_at_most, fractional and integer targets, and
+    # elements near the target, whose tests run longest; rows hold about
+    # n / r ids, so fractional targets start at 1/2
+    r = data.draw(st.one_of(st.integers(1, n - 1), st.floats(0.5, n, exclude_max=True)),
+                  label="r")
+    rank = data.draw(st.one_of(st.integers(1, n),
+                               st.integers(max(1, math.floor(r) - 2), min(n, math.ceil(r) + 2))),
+                     label="rank")
+    delta = data.draw(st.floats(0.4, 0.95), label="delta")
+    epsilon = data.draw(st.floats(0.1, 0.9), label="epsilon")
+    block_ids = data.draw(st.integers(1, 256), label="block_ids")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    instance = make_instance(n, n)
+    builtin = InstanceOracle(instance)
+    oracle = (servers(n) if view == "external"
+              else builtin if view == "instance" else reversed_view(builtin))
+    reference = builtin if view == "external" else oracle
+    x = instance.element_with_rank(rank)
+    shapes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranktest, "_BLOCK_IDS", block_ids)
+        for kind in (InstanceOracle, ExternalOracle):
+            patch.setattr(kind, "test_batch", lambda self, u, rows, *args, batch=kind.test_batch:
+                          shapes.append(np.shape(rows)) or batch(self, u, rows, *args))
+        rng = np.random.default_rng(seed)
+        outcome = rank_at_most(oracle, x, r, delta, epsilon, rng)
+    expected = one_draw(reference, x, r, delta, epsilon, seed, block_ids)
+    assert outcome.answer == expected.answer
+    assert outcome.positives == expected.positives
+    assert outcome.ledger == expected.ledger
+    assert [rows for rows, _ in shapes] == expected.blocks
+    assert rng.bit_generator.state == expected.state
+
+
 class TestBlocks:
-    # r = 1 has rows wider than a block, r = 40 a short last block,
+    # r = 1 has rows wider than a block, r = 40 several rows per block,
     # r = 270 the reversed branch
     N, SEED, X, TARGETS = 300, 21, 37, (1, 40, 270)
 
-    def expected_rows(self, r):
-        """The row count of each block a test at target r asks."""
-        n = self.N
-        p = derive_params(n, n - r + 0.5 if r >= n / 2 + 0.5 else r, 0.5, 0.2)
-        step = max(1, ranktest._BLOCK_IDS // p.sample_size)
-        full, last = divmod(p.trials, step)
-        return [step] * full + [last] * (last > 0)
-
     @pytest.mark.parametrize("view", ["instance", "reversed", "external"])
-    def test_blocks_change_nothing(self, view, monkeypatch, caplog):
+    def test_blocks_asked_up_to_the_deciding_one(self, view, monkeypatch, caplog):
         monkeypatch.setattr(ranktest, "_BLOCK_IDS", 100)
         builtin = InstanceOracle(make_instance(self.N, self.SEED))
         # the blocks each oracle answers: the builtin one's batches, and
@@ -247,19 +334,20 @@ class TestBlocks:
                 with caplog.at_level(logging.DEBUG, logger="gtorder.external"):
                     outcome = rank_at_most(oracle, self.X, r, 0.5, 0.2, rng)
                 lines = [m for m in caplog.messages if m.startswith(("BR:", "BL:"))]
-                expected = self.expected_rows(r)
-                assert len(expected) > 1
+                expected = one_draw(reference, self.X, r, 0.5, 0.2, seed, block_ids=100)
+                # the full test spans several blocks, and each of these
+                # stops before its last one
+                assert expected.trials > expected.blocks[0]
+                assert outcome.ledger.total < outcome.params.trials
                 if view == "external":
-                    assert len(lines) == len(expected)
+                    assert len(lines) == len(expected.blocks)
                 else:
                     rows = [block.shape for _, block, _, _ in batches]
-                    assert [shape[0] for shape in rows] == expected
+                    assert [shape[0] for shape in rows] == expected.blocks
                     # a block of several rows holds at most _BLOCK_IDS ids
                     assert all(k * w <= 100 for k, w in rows if k > 1)
-                answer, positives, ledger, state = one_draw(reference, self.X, r, 0.5, 0.2, seed)
-                assert (outcome.answer, outcome.positives, outcome.ledger) == (
-                    answer, positives, ledger)
-                assert rng.bit_generator.state == state
+                assert (outcome.answer, outcome.positives, outcome.ledger) == expected[:3]
+                assert rng.bit_generator.state == expected.state
 
     @staticmethod
     def traced_peak(n, rank, r, delta, epsilon):
