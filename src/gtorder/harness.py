@@ -6,6 +6,19 @@ config reproduces each report bit for bit with the builtin oracle.  The
 success flag of a trial is always recomputed from the ground-truth rank,
 never taken from the algorithm under test.  Trials can run in a worker
 pool; reports are assembled in trial order either way.
+
+Trial t's generator is ``default_rng(SeedSequence(entropy=(seed mod
+2**64, t, 1)))`` and its instance seed the first 64-bit word of the same
+with a last entropy word of 0.  Those hashes are computed for a chunk of
+trials at a time in one vectorized numpy pass (``_state_words``), and
+each generator is built straight from its words.  The pass is
+SeedSequence's own hash, with its constants taken from
+``oracle_server``, on the entropy words numpy would read: the seed's one
+or two 32-bit words, t's one word (``validate_config`` keeps t below
+2**32) and the lane's.  That is at most four words, all of which go into
+SeedSequence's pool of four, and uint32 arithmetic wraps as its C code
+does, so every generator, instance and report is bit for bit what the
+per-trial SeedSequence objects gave.
 """
 
 from __future__ import annotations
@@ -15,15 +28,18 @@ import multiprocessing
 import sys
 from dataclasses import asdict, dataclass
 from io import StringIO
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .apxrank import approximate_rank
 from .errors import InvalidParameterError, OracleError, check_integer, check_open, check_unit
 from .external import ExternalOracle
 from .minfind import max_find, min_find
 from .oracle import GroupTestOracle, InstanceOracle
+from .oracle_server import (_INIT_A, _INIT_B, _MASK32, _MASK64, _MIX_MULT_L, _MIX_MULT_R,
+                            _MULT_A, _MULT_B, _POOL_SIZE, _XSHIFT)
 from .order import exact_rank, make_instance
 from .ranktest import rank_at_most
 from .selection import approximate_select
@@ -82,8 +98,10 @@ def validate_config(config: ExperimentConfig) -> None:
     algorithm, n = config.algorithm, config.n
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}")
-    for name in ("n", "trials", "workers"):
+    for name in ("n", "workers"):
         check_integer(name, getattr(config, name), 1)
+    # trial indices are hashed as one 32-bit entropy word (_trial_seeds)
+    check_integer("trials", config.trials, 1, 2**32)
     takes = ALGORITHMS[algorithm][1]
     for name in ("r", "k", "delta", "epsilon", "x_rank"):
         value = getattr(config, name)
@@ -104,16 +122,87 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidParameterError("oracle must be 'builtin' or 'cmd:<command>'")
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    entropy = (seed & 0xFFFFFFFFFFFFFFFF, trial, 1)
-    return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+class _SeedWords(ISeedSequence):
+    """A SeedSequence's first four 64-bit state words, derived ahead of
+    time: all that ``PCG64`` asks its seed sequence for."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only four 64-bit state words were derived")
+        return self.words
 
 
-def _instance_seed(config: ExperimentConfig, trial: int) -> int:
-    if config.fixed_instance:
-        return config.seed
-    ss = np.random.SeedSequence(entropy=(config.seed & 0xFFFFFFFFFFFFFFFF, trial, 0))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash constants from ``init`` on, as two columns: hash
+    i of the ``count`` xors with row i of the first and multiplies by row
+    i of the second."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _MASK32)
+    column = np.array(values, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+# the pool hashes the entropy word by word, then each source word once
+# for each other word; the state is 2 * _POOL_SIZE hashes of the pool
+_XOR_A, _MUL_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_ENTROPY_HASH = (_XOR_A[:_POOL_SIZE], _MUL_A[:_POOL_SIZE])
+_SOURCE_HASH = [(_XOR_A[i:i + _POOL_SIZE - 1], _MUL_A[i:i + _POOL_SIZE - 1])
+                for i in range(_POOL_SIZE, _POOL_SIZE * _POOL_SIZE, _POOL_SIZE - 1)]
+_OTHER_WORDS = [[i for i in range(_POOL_SIZE) if i != src] for src in range(_POOL_SIZE)]
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_MIX_L, _MIX_R, _SHIFT = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R), np.uint32(_XSHIFT)
+# the last entropy word of a trial's generator, and of its instance seed
+_LANES = np.array([[1], [0]], dtype=np.uint32)
+_SEED_CHUNK = 1 << 12  # trials seeded per vectorized pass: about 1 MB of work arrays
+
+
+def _hash(values: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    # uint32 arithmetic wraps, as the masks of oracle_server._seed_words do
+    values = values ^ constants[0]
+    values *= constants[1]
+    values ^= values >> _SHIFT
+    return values
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=e).generate_state(4, uint64)`` for each column
+    e of a (_POOL_SIZE, m) uint32 array of entropy words padded with zeros,
+    which is exact when no entropy has more words than the pool: (m, 4)."""
+    pool = _hash(entropy, _ENTROPY_HASH)
+    for src, dst in enumerate(_OTHER_WORDS):
+        mixed = pool[dst] * _MIX_L
+        mixed -= _hash(pool[src], _SOURCE_HASH[src]) * _MIX_R
+        mixed ^= mixed >> _SHIFT
+        pool[dst] = mixed
+    state = _hash(np.concatenate((pool, pool)), _STATE_HASH)
+    # SeedSequence reads its 32-bit words as little-endian 64-bit ones
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def _trial_seeds(config: ExperimentConfig) -> Iterator[tuple[np.ndarray, int]]:
+    """Each trial's generator words and instance seed, in trial order, hashed
+    a chunk of trials at a time (module docstring); a fixed-instance config
+    hashes no instance lane."""
+    seed = config.seed & _MASK64
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    k = len(seed_words)
+    lanes = _LANES[:1] if config.fixed_instance else _LANES
+    for first in range(0, config.trials, _SEED_CHUNK):
+        trials = np.arange(first, min(first + _SEED_CHUNK, config.trials), dtype=np.uint32)
+        m = trials.size
+        entropy = np.zeros((_POOL_SIZE, len(lanes), m), dtype=np.uint32)
+        entropy[:k] = np.array(seed_words, dtype=np.uint32)[:, None, None]
+        entropy[k] = trials
+        entropy[k + 1] = lanes
+        words = _state_words(entropy.reshape(_POOL_SIZE, -1))
+        instance_seeds = [config.seed] * m if config.fixed_instance else words[m:, 0].tolist()
+        yield from zip(words[:m], instance_seeds)
 
 
 def _success(config: ExperimentConfig, outcome, true_rank: int) -> bool:
@@ -133,16 +222,17 @@ def _success(config: ExperimentConfig, outcome, true_rank: int) -> bool:
     return abs(true_rank - config.k) <= delta * min(config.k, n - config.k)
 
 
-def _run_trial(config: ExperimentConfig, trial: int,
+def _run_trial(config: ExperimentConfig, trial: int, words: np.ndarray, instance_seed: int,
                oracle: Optional[GroupTestOracle] = None) -> TrialReport:
-    """Run one trial on the given oracle, or on a fresh builtin instance
-    that also scores the result.  Behind an external oracle the hidden
-    order lives in the server, so true ranks and success flags stay empty.
+    """Run one trial, with the generator its ``_trial_seeds`` words seed, on
+    the given oracle or on the instance of ``instance_seed``, which also
+    scores the result.  Behind an external oracle the hidden order lives
+    in the server, so true ranks and success flags stay empty.
     """
-    rng = _trial_rng(config.seed, trial)
+    rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
     instance = None
     if oracle is None:
-        instance = make_instance(config.n, _instance_seed(config, trial))
+        instance = make_instance(config.n, instance_seed)
         oracle = InstanceOracle(instance)
     algorithm, n = config.algorithm, config.n
     est_rank = rounds = None
@@ -199,17 +289,18 @@ def summarize(config: ExperimentConfig, reports: Sequence[TrialReport]) -> dict:
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialReport], dict]:
     """Execute all trials of a config and aggregate the results."""
     validate_config(config)
+    seeds = enumerate(_trial_seeds(config))
     if config.oracle.startswith("cmd:"):
         # exclusive-use oracle: one worker, one shared server process
         with ExternalOracle(config.oracle[4:], config.n) as oracle:
-            reports = [_run_trial(config, t, oracle) for t in range(config.trials)]
+            reports = [_run_trial(config, t, words, s, oracle) for t, (words, s) in seeds]
     elif config.workers > 1 and config.trials > 1:
         with multiprocessing.Pool(config.workers) as pool:
             chunk = max(1, config.trials // (config.workers * 4))
-            args = [(config, t) for t in range(config.trials)]
+            args = [(config, t, words, s) for t, (words, s) in seeds]
             reports = pool.starmap(_run_trial, args, chunksize=chunk)
     else:
-        reports = [_run_trial(config, t) for t in range(config.trials)]
+        reports = [_run_trial(config, t, words, s) for t, (words, s) in seeds]
     return reports, summarize(config, reports)
 
 

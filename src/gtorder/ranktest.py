@@ -105,11 +105,16 @@ def derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPar
 def _derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestParams:
     check_integer("universe size", n, 1)
     check_unit(delta=delta, epsilon=epsilon)
-    if not 0 < r <= n / 2:
+    check_open("target rank", r, 0, n)
+    if r > n / 2:
         raise InvalidParameterError(f"target rank {r} outside (0, n/2] for n={n}")
     divisor = math.ceil(r)
     n_eff = divisor * ((n + divisor - 1) // divisor)
-    sample_size = max(2, math.ceil(n_eff / r))
+    try:
+        sample_size = max(2, math.ceil(n_eff / r))
+    except OverflowError:  # n_eff / r is infinite
+        raise InvalidParameterError(f"target rank {r} is too small for n={n}: "
+                                    f"a row of n_eff / r ids cannot be drawn") from None
     p_low = 1.0 - ((n_eff - (r - delta * r)) / n_eff) ** sample_size
     p_high = 1.0 - ((n_eff - (r + delta * r)) / n_eff) ** sample_size
     trials = max(1, math.ceil(8.0 * math.e**2 * math.log(1.0 / epsilon) / delta**2))

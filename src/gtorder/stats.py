@@ -2,9 +2,9 @@
 
 Probabilistic guarantees are checked as frequency bounds with 3-sigma
 binomial margins, and distributional claims with a Pearson chi-square
-test against the uniform at significance 0.001.  Critical values are
-pinned for the degrees of freedom the suite uses, so no special-function
-dependency is needed at runtime.
+test against the uniform, or another exact law, at significance 0.001.
+Critical values are pinned for the degrees of freedom the suite uses, so
+no special-function dependency is needed at runtime.
 """
 
 from __future__ import annotations
@@ -21,8 +21,11 @@ _CHI_SQUARE_CRITICAL = {
     1: 10.827566170662733,
     2: 13.815510557964274,
     3: 16.26623619623813,
+    6: 22.457744484825323,
     7: 24.321886347856854,
+    12: 32.90949040736021,
     15: 37.69729821835383,
+    20: 45.31474661812587,
     31: 61.098306081058126,
     63: 103.44237731987324,
     99: 148.23035916510173,
@@ -57,16 +60,29 @@ def chi_square_uniformity(counts) -> ChiSquareResult:
     critical value for len(counts) - 1 degrees of freedom.
     """
     counts = list(counts)
+    return chi_square_fit(counts, [1.0 / max(1, len(counts))] * len(counts))
+
+
+def chi_square_fit(counts, probabilities) -> ChiSquareResult:
+    """Pearson test of a histogram against the given category probabilities.
+
+    The same rules as :func:`chi_square_uniformity`: at least two
+    categories, an expected count of at least 5 in each, and a pinned
+    critical value for len(counts) - 1 degrees of freedom.
+    """
+    counts, probabilities = list(counts), list(probabilities)
     j = len(counts)
     if j < 2:
         raise InvalidParameterError("need at least two categories")
+    if len(probabilities) != j or not math.isclose(sum(probabilities), 1.0):
+        raise InvalidParameterError("need one probability per category, summing to 1")
     total = sum(counts)
-    expected = total / j
-    if expected < 5:
+    expected = [total * p for p in probabilities]
+    if min(expected) < 5:
         raise InvalidParameterError(
-            f"underpowered histogram: expected count per category {expected:.2f} < 5"
+            f"underpowered histogram: expected count per category {min(expected):.2f} < 5"
         )
-    statistic = sum((c - expected) ** 2 for c in counts) / expected
+    statistic = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
     df = j - 1
     critical = _CHI_SQUARE_CRITICAL.get(df)
     if critical is None:

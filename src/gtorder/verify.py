@@ -5,8 +5,9 @@ exactness of min-finding, per-call query counts, uniformity of the swap
 output, query-count scaling, error rates and the per-trial closed form
 of the threshold test, rank-search success, candidate hit rates, the
 selection theorem, the reversal law and batch dummy slots,
-external-protocol conformance, bit-for-bit reproducibility, and the
-curtailed threshold test's agreement with the full one.
+external-protocol conformance, bit-for-bit reproducibility, the
+curtailed threshold test's agreement with the full one, and the exact
+law of min-finding's swaps on its one shuffled order.
 Probabilistic claims carry 3-sigma binomial margins or a chi-square test
 at significance 0.001; structural claims are exact.  All randomness
 derives from the suite seed.
@@ -32,7 +33,7 @@ from .oracle import CountingOracle, GroupTestOracle, InstanceOracle, QueryLedger
 from .order import TotalOrderInstance, exact_rank, make_instance
 from .ranktest import _BLOCK_IDS, derive_params, rank_at_most
 from .selection import approximate_select, draw_candidate
-from .stats import binomial_margin, chi_square_uniformity
+from .stats import binomial_margin, chi_square_fit, chi_square_uniformity
 
 
 @dataclass(frozen=True)
@@ -639,3 +640,81 @@ def check_threshold_curtailment(seed: int) -> tuple[bool, str]:
         f"blocks asked {dict(sorted(blocks_asked.items()))}, {asked_total}/{full_total} rows"
         if not bad else f"deviations (r, rank, answer, full answer, asked, expected) "
                         f"at {bad[:5]}")
+
+
+# --- 14. min-finding's walk follows the chain law ------------------------------
+
+# runs per size: at these counts the swap-count law keeps 7 categories at
+# n = 8 and 13 at n = 64 once its upper tail is pooled to 5 expected runs;
+# at n = 8 each of the 21 cells of the first two moves expects over 100
+CHAIN_RUNS = {8: 40_000, 64: 50_000}
+CHAIN_INSTANCE_SEED = 20_240_602
+
+
+class _SwapRanks(InstanceOracle):
+    """Records the rank each swap of a min-finding run moves to."""
+
+    def __init__(self, instance: TotalOrderInstance):
+        super().__init__(instance)
+        self.moves: list[int] = []
+
+    def descent_and_test(self, u, arr, left):
+        p, below = super().descent_and_test(u, arr, left)
+        self.moves.append(int(self.instance.ranks[arr[p]]))
+        return p, below
+
+
+def _swap_count_law(n: int) -> list[float]:
+    """P(k swaps) for k = 0..n-1 when the start rank is uniform on 1..n and
+    rank r moves to a uniform rank in 1..r-1."""
+    from_rank = [[1.0]]  # from_rank[r - 1][k]: P(k swaps from rank r)
+    for r in range(2, n + 1):
+        law = [0.0] * r
+        for lower in from_rank:
+            for k, p in enumerate(lower):
+                law[k + 1] += p / (r - 1)
+        from_rank.append(law)
+    return [sum(law[k] for law in from_rank if k < len(law)) / n for k in range(n)]
+
+
+def _two_move_law(n: int) -> dict[tuple[int, int], float]:
+    """P(first move to rank j, second to rank r) over the runs that move
+    twice, under the same law: r is uniform on 1..j-1."""
+    first = {j: sum(1.0 / (s - 1) for s in range(j + 1, n + 1)) / n for j in range(2, n)}
+    total = sum(first.values())
+    return {(j, r): p / total / (j - 1) for j, p in first.items() for r in range(1, j)}
+
+
+@_check()
+def check_minfind_chain_law(seed: int) -> tuple[bool, str]:
+    """On a fixed instance, the number of swaps of min_find at n=8 and
+    n=64 fits its exact law, and at n=8 so do the first two moves: the
+    second is uniform below the first, by chi-square at 0.001."""
+    rng = _rng(seed, 14)
+    details = []
+    passed = True
+    for n, runs in CHAIN_RUNS.items():
+        oracle = _SwapRanks(make_instance(n, CHAIN_INSTANCE_SEED))
+        swaps = [0] * n
+        second = collections.Counter()  # (first move's rank, second move's rank)
+        for _ in range(runs):
+            oracle.moves.clear()
+            outcome = min_find(oracle, n, rng)
+            swaps[outcome.iterations] += 1
+            if len(oracle.moves) >= 2:
+                second[tuple(oracle.moves[:2])] += 1
+        law, moves = _swap_count_law(n), _two_move_law(n)
+        while law[-1] * runs < 5:  # pool the upper tail into its last category
+            law[-2:] = [law[-2] + law[-1]]
+            swaps[-2:] = [swaps[-2] + swaps[-1]]
+        fit = chi_square_fit(swaps, law)
+        passed &= fit.passed
+        details.append(f"swaps at n={n} over {runs} runs: chi-square {fit.statistic:.1f}, "
+                       f"critical {fit.critical:.1f} at df={fit.df}")
+        if n == 8:
+            fit = chi_square_fit([second[cell] for cell in moves], list(moves.values()))
+            passed &= fit.passed
+            details.append(f"first two moves at n={n} over {sum(second.values())} runs: "
+                           f"chi-square {fit.statistic:.1f}, critical {fit.critical:.1f} "
+                           f"at df={fit.df}")
+    return passed, "; ".join(details)

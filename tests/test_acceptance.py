@@ -5,8 +5,9 @@ and name.  Each prints the PASS/FAIL line ``gtorder verify`` prints (run
 with ``pytest -s`` to see them as they complete) and asserts the outcome;
 each check's docstring states its criterion.  Three mutation tests show
 that check 10 fails when a batch's dummy slot answers as a hit, or when
-the reversed view's single test keeps the direction.  The
-module runs in about 15 s; selection and min-finding scaling dominate.
+the reversed view's single test keeps the direction, and one that check
+14 fails when min-finding walks an order that was never shuffled.  The
+module runs in about 25 s; selection and min-finding dominate.
 """
 
 import numpy as np
@@ -51,3 +52,23 @@ def test_criterion_10_fails_when_reversed_single_tests_keep_the_direction(monkey
     result = verify.check_reversal_padding(ACCEPTANCE_SEED)
     assert not result.passed
     assert "reversed rank mismatch" in str(result)
+
+
+class _NeverShuffles:
+    """A generator whose shuffle leaves the array as it is."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def shuffle(self, x):
+        pass
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_criterion_14_fails_when_min_finding_never_shuffles(monkeypatch):
+    rng = verify._rng
+    monkeypatch.setattr(verify, "_rng", lambda seed, tag: _NeverShuffles(rng(seed, tag)))
+    monkeypatch.setattr(verify, "CHAIN_RUNS", {8: verify.CHAIN_RUNS[8]})  # n=64 adds nothing
+    assert not verify.check_minfind_chain_law(ACCEPTANCE_SEED).passed

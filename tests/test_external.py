@@ -786,9 +786,9 @@ PARITY_REPORTS = {
     "rank": (dict(algorithm="rank", delta=0.4, epsilon=0.2, trials=1),
              "a88462456ca8f115769615948fae80928e722a68a8380a2cafec2d20349c222b"),
     "minfind": (dict(algorithm="minfind", trials=3),
-                "da78773a657f020f7e0fb0dd5421c21c32d78aa9dfc6cee5d91e05027e4988d6"),
+                "c8db90d86867ba343f8d4fde6e30ee25c71e37e2078f09e8d02d7b9506533685"),
     "maxfind": (dict(algorithm="maxfind", trials=3),
-                "5b0d1c6dd073547c161b766c07869143b3f079d4c47296e7b60fec6f0260e630"),
+                "f62dad1e68241fca71d0a1f531f8e7a793faaa42b503ec2ffb599db34c8a0795"),
 }
 
 

@@ -1,12 +1,14 @@
 """Tests for the experiment runner and report emission."""
 
 import hashlib
+import itertools
 import json
 import sys
 
+import numpy as np
 import pytest
 
-from gtorder import InvalidParameterError
+from gtorder import InvalidParameterError, harness
 from gtorder.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -96,6 +98,60 @@ class TestRunExperiment:
         assert render_csv(config, a) == render_csv(config, b)
 
 
+class TestTrialSeeds:
+    """The one-pass seeding against numpy's per-trial SeedSequence."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -7])
+    def test_bit_for_bit_numpy_seed_sequences(self, seed):
+        entropy = seed & (2**64 - 1)
+        seeds = harness._trial_seeds(small_config(trials=300, seed=seed))
+        for t, (words, instance_seed) in enumerate(seeds):
+            reference = np.random.SeedSequence(entropy=(entropy, t, 1))
+            assert np.array_equal(words, reference.generate_state(4, np.uint64))
+            rng = np.random.Generator(np.random.PCG64(harness._SeedWords(words)))
+            assert rng.bit_generator.state == np.random.default_rng(reference).bit_generator.state
+            instance = np.random.SeedSequence(entropy=(entropy, t, 0))
+            assert instance_seed == int(instance.generate_state(1, np.uint64)[0])
+
+    def test_fixed_instance_hashes_no_instance_lane(self, monkeypatch):
+        columns = []
+        state_words = harness._state_words
+        monkeypatch.setattr(harness, "_state_words",
+                            lambda entropy: columns.append(entropy.shape[1]) or state_words(entropy))
+        fresh = list(harness._trial_seeds(small_config(trials=7)))
+        fixed = list(harness._trial_seeds(small_config(trials=7, fixed_instance=True)))
+        assert columns == [14, 7]
+        assert [s for _, s in fixed] == [1] * 7
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(fresh, fixed))
+
+    def test_large_configs_are_seeded_a_chunk_at_a_time(self, monkeypatch):
+        columns = []
+        state_words = harness._state_words
+        monkeypatch.setattr(harness, "_state_words",
+                            lambda entropy: columns.append(entropy.shape[1]) or state_words(entropy))
+        seeds = harness._trial_seeds(small_config(trials=10**9))
+        chunk = harness._SEED_CHUNK
+        first = list(itertools.islice(seeds, chunk + 1))
+        assert columns == [2 * chunk, 2 * chunk]
+        last, _ = first[-1]
+        reference = np.random.SeedSequence(entropy=(1, chunk, 1)).generate_state(4, np.uint64)
+        assert np.array_equal(last, reference)
+
+    @pytest.mark.parametrize("fixed_instance", [False, True])
+    def test_worker_pool_gives_the_sequential_reports(self, fixed_instance):
+        config = small_config(algorithm="maxfind", trials=12, fixed_instance=fixed_instance)
+        serial, _ = run_experiment(config)
+        pooled, _ = run_experiment(small_config(algorithm="maxfind", trials=12, workers=2,
+                                                fixed_instance=fixed_instance))
+        assert serial == pooled
+
+    def test_trial_indices_stay_one_entropy_word(self):
+        validate_config(small_config(trials=2**32))
+        for trials in (2**32 + 1, 2**40):
+            with pytest.raises(InvalidParameterError, match="trials"):
+                validate_config(small_config(trials=trials))
+
+
 def reference_server(n, seed):
     return f"cmd:{sys.executable} -m gtorder.oracle_server --n {n} --seed {seed}"
 
@@ -106,9 +162,9 @@ def reference_server(n, seed):
 # release that changes those streams changes them too.
 GOLDEN_CSV_SHA256 = {
     "minfind": (dict(algorithm="minfind", n=64, trials=20),
-                "34c6e872d768c8f4803a799212f16a2dea2bd363b323bd52a6e6511d18243013"),
+                "b5cf4acc5d77d5f3641cdaede9fb5caca1553ee17fc23b839045ba9c414230b0"),
     "maxfind": (dict(algorithm="maxfind", n=64, trials=20),
-                "d7463a1f41c9f9264745b594340e916fbb109c03b240d22d123ab79c8fa2ac58"),
+                "5e93971b62bcc4a31bac43ee423ab4722640c2593c82aec76cb4affeac2e2635"),
     "testle_high_target": (dict(algorithm="testle", n=200, trials=10, r=170,
                                 delta=0.5, epsilon=0.2),
                            "911eea40ae3294fa999ffd385a61d1c7f948691ebba4e2d698b76fc79377e255"),
@@ -116,13 +172,13 @@ GOLDEN_CSV_SHA256 = {
              "113d076572cc0b0cbd7d182e750b6516fc060773f298ac6f890f4b7b8631a70a"),
     "select_low_target": (dict(algorithm="select", n=150, trials=3, k=30,
                                delta=0.8, epsilon=0.3),
-                          "afb76647d26e62573cbc4d80af3b8f3a97ef1cc3ab31dfb14f5b4a2de9720a19"),
+                          "6816e573b50128c6d815598fc34d9b673dd853b84d6d53c3c852ac2f0dcd6ded"),
     "select_high_target": (dict(algorithm="select", n=150, trials=3, k=120,
                                 delta=0.8, epsilon=0.3),
-                           "5f5a899f2c039786495c74f7db68d33d831c432eb70a85b81eff170e1c273de4"),
+                           "17f5bda282b27ec92dae26539e416eca7b1ab659a651a2934103f5b1f9b6940d"),
     "external_maxfind": (dict(algorithm="maxfind", n=32, trials=5, fixed_instance=True,
                               oracle=reference_server(32, 0)),
-                         "5fac91b14a633ddf01ea919a1843a8ae6839dab98e15f463debab80c8b187859"),
+                         "3af1588e3a03f253be6b832aca8eebc187d3acc4b85496dfb756cad332385824"),
 }
 
 

@@ -228,20 +228,25 @@ class TestSwap:
         assert result == next(v for v in shuffled if instance.ranks[v] <= instance.ranks[x])
 
 
-def min_find_by_public_swap(oracle, n, rng):
-    """min_find's loop with a public, copying :func:`swap` every round."""
+def min_find_by_one_order(oracle, n, rng):
+    """min_find's walk written out with public oracle calls: one shuffle of
+    the ids other than the start, then per round one swap over that order,
+    a descent to the first id below x and x moved into its slot, and the
+    condition test asked alone."""
     counting, ledger = counted(oracle)
-    arr = np.arange(n, dtype=np.int64)
-    idx = int(rng.integers(arr.size))
-    x = int(arr[idx])
+    ids = np.arange(n, dtype=np.int64)
+    start = int(rng.integers(n))
+    x, order = int(ids[start]), np.delete(ids, start)
     iterations = 0
-    while arr.size > 1:
-        rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
-        if not counting.right_test(x, rest):
-            break
-        x = swap(counting, rest, x, rng)
-        iterations += 1
-        idx = int((arr == x).argmax())
+    if order.size and counting.right_test(x, order):
+        order = rng.permutation(order)
+        while True:
+            p = counting.right_descent(x, order)
+            assert not any(oracle.test(int(v), [x], True) for v in order[:p])
+            x, order[p] = int(order[p]), x
+            iterations += 1
+            if not counting.right_test(x, order):
+                break
     return x, iterations, ledger
 
 
@@ -267,7 +272,7 @@ class TestSharedSwapCore:
             rng = np.random.default_rng([n, seed])
             twin = copy.deepcopy(rng)
             outcome = min_find(oracle, n, rng)
-            element, iterations, ledger = min_find_by_public_swap(oracle, n, twin)
+            element, iterations, ledger = min_find_by_one_order(oracle, n, twin)
             assert (outcome.element, outcome.iterations, outcome.ledger) == (
                 element, iterations, ledger)
             assert rng.bit_generator.state == twin.bit_generator.state

@@ -114,6 +114,14 @@ class TestDeriveParams:
         with pytest.raises(InvalidParameterError):
             derive_params(100, 10, 0.5, 1.0)
 
+    @pytest.mark.parametrize("r", [5e-324, [1]])
+    def test_target_checked_before_any_arithmetic(self, r):
+        # a row of n_eff / 5e-324 ids overflows; a list is no real
+        with pytest.raises(InvalidParameterError):
+            derive_params(2, r, 0.5, 0.5)
+        with pytest.raises(InvalidParameterError):
+            derive_params(2, r, 0.5, 0.1)
+
     @pytest.mark.parametrize("size", [True, 1.0, 2.0, float("nan")])
     def test_memo_still_validates(self, size):
         # results are memoized, but a size of another type that equals a
