@@ -6,6 +6,13 @@ failure budget is epsilon split evenly over the ceil(log2 n) levels, and
 halves the interval accordingly.  A failed midpoint test moves the lower
 bound to m + 1 (not m) so the search always terminates; the band around
 m still covers m + 1.
+
+Below rank 1/delta the band is under one rank wide, so there "rank <= m"
+is asked at target m + 1/2, as ``rank_at_most`` does for the targets it
+reverses: at target m, rank m sits inside the test's band and mostly
+tests no, one step too far.  Above it that step stays in the band, and
+target m keeps the rows about one id narrower than the padding of
+m + 1/2 makes them.
 """
 
 from __future__ import annotations
@@ -47,8 +54,9 @@ def binary_rank_search(n: int, rank_is_at_most: Callable[[int], bool]) -> tuple[
 
 def approximate_rank(oracle: GroupTestOracle, x: int, delta: float, epsilon: float,
                      rng: np.random.Generator) -> RankEstimate:
-    """Estimate rank(x) to within delta * min(r, n - r) with probability
-    at least 1 - epsilon.
+    """Estimate rank(x): with probability at least 1 - epsilon the
+    estimate r has |rank(x) - r| <= delta * min(r, n - r), a band relative
+    to the estimate, as the harness and ``gtorder verify`` score it.
 
     Uses at most ceil(log2 n) threshold tests, each budgeted
     epsilon / ceil(log2 n).
@@ -64,7 +72,8 @@ def approximate_rank(oracle: GroupTestOracle, x: int, delta: float, epsilon: flo
     per_call_epsilon = epsilon / levels
 
     def decide(m: int) -> bool:
-        return rank_at_most(counting, x, m, delta, per_call_epsilon, rng).answer
+        target = m + 0.5 if delta * m < 1 and m + 0.5 <= n / 2 else m  # module docstring
+        return rank_at_most(counting, x, target, delta, per_call_epsilon, rng).answer
 
     rank, calls = binary_rank_search(n, decide)
     return RankEstimate(rank=rank, calls=calls, ledger=ledger.since(start))

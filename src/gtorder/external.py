@@ -30,8 +30,6 @@ HEX token in a full one:
                                     server -> one "Y"/"N" per row    (full only)
     client -> "BR <u> <n_eff> <rows> <width> <ids>"
                                     server -> one "Y"/"N" per row    (full only)
-    client -> "DL <u> <m> <ids>"    server -> a position in 0..m-1   (full only)
-    client -> "DR <u> <m> <ids>"    server -> a position in 0..m-1   (full only)
     client -> "DTL <u> <m> <ids>"   server -> "<p> Y" or "<p> N"     (full only)
     client -> "DTR <u> <m> <ids>"   server -> "<p> Y" or "<p> N"     (full only)
 
@@ -40,10 +38,10 @@ HEX token in a full one:
 ``rows`` and ``width`` are ASCII base-10 integers in both sessions, and so
 are the ids of a basic session.  In a full session each id is a
 little-endian unsigned 32-bit word written as 8 hex digits, and a line's
-ids are one token (``ids.astype("<u4").tobytes().hex()``): ``DR 5 3
-0100000002000000ff030000`` is a descent over ids 1, 2 and 1023.  The
-token holds exactly the declared number of ids; a line of no ids carries
-no token.  The server replies ``ERR <message>`` to any invalid line,
+ids are one token (``ids.astype("<u4").tobytes().hex()``): ``DTR 5 3
+0100000002000000ff030000`` is a descent and a test over ids 1, 2 and
+1023.  The token holds exactly the declared number of ids; a line of no
+ids carries no token.  The server replies ``ERR <message>`` to any invalid line,
 non-ASCII digits and a batch or descent op in a basic session included.
 
 ``BL``/``BR`` ask one left/right test per row of a ``rows`` x ``width``
@@ -53,23 +51,18 @@ neither test; ``rows`` and ``width`` are at least 1.  The reply is one
 line of ``rows`` characters, each ``Y`` or ``N``.  Batches serve
 non-adaptive tests, such as the trials of a threshold test.
 
-``DL``/``DR`` run a whole swap descent of left/right tests over the
-``m >= 1`` ids, as ``GroupTestOracle.descent`` does with ``left``
-true/false, and the reply is the canonical decimal of the position where
-it ends: the first position whose id satisfies the test, or ``m - 1`` if
-none does.  Every level of a descent depends only on the hidden order, so
-the server answers them all at once; the ledger still counts ceil(log2 m)
-tests.  Descents carry no dummy slots, and a descent over one id asks no
-test, so the client sends none.
-
-``DTL``/``DTR`` run the same descent, ending at p, and then answer one
-more left/right test, of w = (the id at p) against the other ids and
-u, as ``GroupTestOracle.descent_and_test`` does.  The reply is the
-canonical decimal of p, one space, and ``Y`` or ``N``.  In min-finding
-that test is the next round's condition test, so a swap and the test
-after it are one line.  The ledger counts ceil(log2 m) + 1 tests, and a
-line over one id, which asks that one test, is sent like any other.
-The ``DESCENT`` feature of ``INIT`` names both op pairs.
+``DTL``/``DTR`` run a whole swap descent of left/right tests over the
+``m >= 1`` ids, ending at p, the first position whose id satisfies the
+test, or ``m - 1`` if none does; then they answer one more left/right
+test, of w = (the id at p) against the other ids and u, as
+``GroupTestOracle.descent_and_test`` does with ``left`` true/false.  The
+reply is the canonical decimal of p, one space, and ``Y`` or ``N``.
+Every level of a descent depends only on the hidden order, so the server
+answers them all at once; the ledger still counts ceil(log2 m) + 1
+tests.  In min-finding the last test is the next round's condition test,
+so a swap and the test after it are one line.  These lines carry no
+dummy slots, and a line over one id, which asks that one test, is sent
+like any other.  The ``DESCENT`` feature of ``INIT`` names this op pair.
 
 Worked examples, for n = 1024 ids where id i has rank i + 1 (``>`` marks
 a client line, ``<`` the server's reply)::
@@ -82,28 +75,28 @@ a client line, ``<`` the server's reply)::
     < Y
     > BR 5 1030 2 2 0100000004040000ff03000005040000
     < YN
-    > DR 5 3 0100000002000000ff030000
-    < 0
-    > DL 5 3 0100000002000000ff030000
-    < 2
+    > DTR 5 3 0100000002000000ff030000
+    < 0 N
+    > DTL 5 3 0100000002000000ff030000
+    < 2 N
     > DTR 9 3 ff0300000500000002000000
     < 1 Y
     > INIT 1024
     < OK
     > R 5 2 1023 9
     < N
-    > DR 5 3 1 2 1023
-    < ERR DR needs a full session
+    > DTR 5 3 1 2 1023
+    < ERR DTR needs a full session
 
 The client offers the full session while n <= 2**31, so that every id and
 every padded id it sends fits 32 bits, and the basic one otherwise.  A
 server that answers the full offer with ``ERR`` is sent ``INIT <n>``.  In
-a basic session the client asks a batch one ``L``/``R`` line per row, a
-descent one ``L``/``R`` line per level, each the test on one half of the
-range the answer before it left, and a ``DTL``/``DTR`` op as that
-descent and one more line; the answers and the ledgers are those of a
-full session.  Any other ``INIT`` reply (``OK`` with some of
-the features, say) raises OracleProtocolError: a server that agreed
+a basic session the client asks a batch one ``L``/``R`` line per row,
+and a ``DTL``/``DTR`` op one ``L``/``R`` line per level, each the test on
+one half of the range the answer before it left, and one more line for
+the test after it; the answers and the ledgers are those of a full
+session.  Any other ``INIT`` reply (``OK`` with some of the features,
+say) raises OracleProtocolError: a server that agreed
 ``HEX`` alone would read decimal ids as hex.
 
 The client checks every query before it writes a line, in both sessions:
@@ -116,11 +109,11 @@ answers False without a line.
 Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
 InvalidParameterError), any other unexpected reply (a batch reply of the
-wrong length, a descent reply that is not the canonical decimal of a
-position in 0..m-1, or a ``DTL``/``DTR`` reply that is not such a decimal,
-one space and ``Y`` or ``N``) raises OracleProtocolError, a missing reply (or a
-query the server does not read) raises OracleTimeoutError, and a command
-that cannot be started raises OracleSpawnError.  After a timeout or a
+wrong length, or a ``DTL``/``DTR`` reply that is not the canonical
+decimal of a position in 0..m-1, one space and ``Y`` or ``N``) raises
+OracleProtocolError, a missing reply (or a query the server does not
+read) raises OracleTimeoutError, and a command that cannot be started
+raises OracleSpawnError.  After a timeout or a
 protocol error the stream can no longer be matched to its queries (a late
 reply would answer the next one), so every later query raises
 OracleProtocolError; an ``ERR`` reply leaves the session usable, and the
@@ -212,25 +205,18 @@ def _batch_answer(reply: str, count: int) -> np.ndarray:
     raise _reply_error(reply)
 
 
-def _descent_answer(reply: str, m: int) -> int:
-    """Where a descent over ``m`` ids ends: the canonical ASCII decimal of
-    an integer in 0..m-1."""
-    # the length bound keeps int() off replies longer than it parses
-    if reply.isascii() and reply.isdigit() and len(reply) <= len(str(m)):
-        position = int(reply)
-        if position < m and str(position) == reply:
-            return position
-    raise _reply_error(reply)
-
-
 def _descent_test_answer(reply: str, m: int) -> tuple[int, bool]:
     """Where a descent over ``m`` ids ends and the test after it: the
-    position as ``_descent_answer`` reads it, one space, ``Y`` or ``N``."""
+    canonical ASCII decimal of a position in 0..m-1, one space, ``Y`` or
+    ``N``."""
     position, _, answer = reply.partition(" ")
-    try:
-        return _descent_answer(position, m), _test_answer(answer)
-    except OracleError:
-        raise _reply_error(reply) from None
+    # the length bound keeps int() off positions longer than it parses
+    if (position.isascii() and position.isdigit() and len(position) <= len(str(m))
+            and answer in ("Y", "N")):
+        p = int(position)
+        if p < m and str(p) == position:
+            return p, answer == "Y"
+    raise _reply_error(reply)
 
 
 class ExternalOracle(GroupTestOracle):
@@ -370,7 +356,7 @@ class ExternalOracle(GroupTestOracle):
             raise
 
     def _line(self, kind: str, u: int, ids: np.ndarray) -> str:
-        """``kind u m <ids>``, the line of a single test or a descent."""
+        """``kind u m <ids>``, the line of a single test or a fused descent."""
         if self._full:
             return f"{kind} {u} {ids.size} {_hex_token(ids)}"
         return " ".join((kind, str(u), str(ids.size), *map(str, ids.tolist())))
@@ -399,14 +385,6 @@ class ExternalOracle(GroupTestOracle):
         count, width = rows.shape
         line = f"{'BL' if left else 'BR'} {u} {n_eff} {count} {width} {_hex_token(rows)}"
         return self._ask(line, _batch_answer, count)
-
-    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
-        arr = self._checked(_checked_descent, u, arr)
-        if not self._full:
-            return super().descent(u, arr, left)
-        if arr.size == 1:
-            return 0  # a descent over one id asks no test
-        return self._ask(self._line("DL" if left else "DR", u, arr), _descent_answer, arr.size)
 
     def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
         arr = self._checked(_checked_descent, u, arr)

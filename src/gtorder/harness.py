@@ -34,7 +34,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .apxrank import approximate_rank
-from .errors import InvalidParameterError, OracleError, check_integer, check_open, check_unit
+from .errors import (InvalidParameterError, OracleError, check_integer, check_open, check_unit,
+                     is_integer_type)
 from .external import ExternalOracle
 from .minfind import max_find, min_find
 from .oracle import GroupTestOracle, InstanceOracle
@@ -100,6 +101,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidParameterError(f"unknown algorithm {algorithm!r}")
     for name in ("n", "workers"):
         check_integer(name, getattr(config, name), 1)
+    # any integer seeds a config (taken mod 2**64), but not a bool
+    if not is_integer_type(type(config.seed)):
+        raise InvalidParameterError(f"seed must be an integer, got {config.seed!r}")
+    if type(config.fixed_instance) is not bool:
+        raise InvalidParameterError(f"fixed_instance must be a bool: {config.fixed_instance!r}")
     # trial indices are hashed as one 32-bit entropy word (_trial_seeds)
     check_integer("trials", config.trials, 1, 2**32)
     takes = ALGORITHMS[algorithm][1]
@@ -118,7 +124,8 @@ def validate_config(config: ExperimentConfig) -> None:
             check_integer(name, getattr(config, name), 1, n)
     if config.x_rank is not None and config.oracle != "builtin":
         raise InvalidParameterError("x_rank requires the builtin oracle")
-    if config.oracle != "builtin" and not config.oracle.startswith("cmd:"):
+    if config.oracle != "builtin" and not (isinstance(config.oracle, str)
+                                           and config.oracle.startswith("cmd:")):
         raise InvalidParameterError("oracle must be 'builtin' or 'cmd:<command>'")
 
 

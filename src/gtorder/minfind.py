@@ -9,10 +9,10 @@ the true minimum; only the number of queries is random.
 :func:`swap` is one such replacement: it descends over a uniformly
 shuffled copy of its input laid out on a power-of-two index range (the
 tail positions are simply vacant).  At each of the exactly
-ceil(log2 |A|) levels it asks one right test on the occupied left half
-and moves into whichever half must contain an element below x.  The
-element returned is the one holding the smallest shuffled position among
-those below x, which is uniform over them.
+ceil(log2 |A|) levels it asks one right test on the occupied left half,
+one ``test`` call, and moves into whichever half must contain an element
+below x.  The element returned is the one holding the smallest shuffled
+position among those below x, which is uniform over them.
 
 A min-finding run shuffles once and walks that one order from swap to
 swap.  After the first condition test answers yes, it shuffles ``rest``,
@@ -27,12 +27,12 @@ without a shuffle of its own.  The descent still spans all |rest| = n - 1
 ids, so a run of ``iterations`` rounds costs exactly
 iterations * (ceil(log2(n-1)) + 1) + 1 tests, as with a fresh shuffle.
 The first round's condition test is asked alone.  After it, each round
-is one ``descent_and_test`` call, which also answers the next round's
-condition test, the one on ``rest`` after the swap.  The in-process
-oracle answers the call from one gather, the line protocol with one
-``DTR`` line in a full session, and any other oracle level by level and
-then the test.  Each level and each test is one query on the ledger
-either way.
+is one ``descent_and_test`` call, the descent ``swap`` asks level by
+level and then the next round's condition test, the one on ``rest``
+after the swap.  The in-process oracle answers the call from one gather,
+the line protocol with one ``DTR`` line in a full session, and any other
+oracle level by level and then the test.  Each level and each test is
+one query on the ledger either way.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, check_integer
-from .oracle import GroupTestOracle, QueryLedger, _id_array, counted, reversed_view
+from .oracle import (GroupTestOracle, QueryLedger, _checked_descent, _descend, _id_array, counted,
+                     reversed_view)
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,9 @@ def swap(oracle: GroupTestOracle, A, x: int, rng: np.random.Generator) -> int:
     the element returned is incorrect.  |A| = 1 costs no queries.  A itself
     is never written.
     """
-    arr, _ = _id_array(A, 1)
-    if arr.size == 0:
-        raise InvalidParameterError("swap needs a nonempty candidate set")
-    arr = arr.copy()
+    arr = _checked_descent(x, A, oracle.size).copy()
     rng.shuffle(arr)  # draws nothing for one id
-    return int(arr[oracle.right_descent(x, arr)])
+    return int(arr[_descend(oracle, x, arr, False)])
 
 
 def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) -> MinFindOutcome:

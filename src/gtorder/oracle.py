@@ -11,11 +11,12 @@ existential).  Answers are noiseless functions of the hidden order.
 
 Each query takes its direction as an argument, ``left`` for the left
 test and ``not left`` for the right one: a subclass defines ``test(u, V,
-left)``, and ``test_batch`` and ``descent`` default to asking it per row
-or level; ``left_test`` ... ``right_descent`` are one-line forms of these
-three.  V may be any collection of integer ids; it is checked into one
-1-D integer array, and :class:`InstanceOracle` answers every single test
-and descent from one gather of the ranks of such an array.
+left)``, and ``test_batch`` and ``descent_and_test`` default to asking
+it per row or level; ``left_test`` ... ``right_test_batch`` are one-line
+forms of ``test`` and ``test_batch``.  V may be any collection of
+integer ids; it is checked into one 1-D integer array, and
+:class:`InstanceOracle` answers every single test and fused descent from
+one gather of the ranks of such an array.
 
 ``test_batch(u, rows, n_eff, left)`` asks one test per row of a 2-D id
 array, for non-adaptive tests whose sets are all drawn before any answer
@@ -28,22 +29,20 @@ satisfies the test in a 0/1 hit table, then counts each row's hits with
 one gather from that table and one matrix-vector product, and answers
 true where the count is positive.
 
-``descent(u, arr, left)`` runs the binary descent of min-finding's swap
-over an id array: one test per level on the occupied left half of the
-current range, ceil(log2 m) tests in all.  The base class asks them one
-at a time, each an ordinary single test.  Every level tests a contiguous
-slice of the same array, so the descent ends at the first position
-whose id satisfies the test, or at m - 1 if none does:
-:class:`InstanceOracle` finds that position with one gather, and the
-line protocol's ``DL``/``DR`` op asks the server for it in one line.
-
+Min-finding's swap is a binary descent over an id array: one test per
+level on the occupied left half of the current range, ceil(log2 m)
+tests in all.  Every level tests a contiguous slice of the same array,
+so the descent ends at the first position whose id satisfies the test,
+or at m - 1 if none does.  :func:`_descend` asks the levels one at a
+time, each an ordinary single test; ``minfind.swap`` descends so.
 ``descent_and_test(u, arr, left)`` runs that descent, ending at p, and
 then asks one more test in the same direction: w = arr[p] against every
 other id of arr, plus u.  In min-finding, where arr is the collection
 without u, that is the next round's condition test, so one call answers
-a swap and the test after it.  The base class asks ``descent`` and then
-``test``; :class:`InstanceOracle` answers both from one gather, and the
-line protocol's ``DTL``/``DTR`` op in one line.
+a swap and the test after it.  The base class asks the levels through
+:func:`_descend` and then ``test``; :class:`InstanceOracle` answers all
+of them from one gather, and the line protocol's ``DTL``/``DTR`` op in
+one line.
 
 Adapters compose around a base oracle:
 
@@ -95,33 +94,13 @@ class GroupTestOracle(ABC):
         return np.fromiter((self.test(u, row[row < size], left) for row in rows),
                            dtype=bool, count=len(rows))
 
-    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
-        """Where a descent of tests over the 1-D id array ``arr`` ends.
-
-        Lays ``arr`` on a power-of-two index range and, at each of the
-        ceil(log2 m) levels, asks one test on the occupied left half of
-        the current range, moving right when it answers false.  The
-        result is the first position whose id satisfies the test, or
-        m - 1 if none does.  Each level costs one group test, asked here
-        as one single test.
-        """
-        arr = _checked_descent(u, arr, self.size)
-        m = arr.size
-        lo = 0
-        span = 1 << (m - 1).bit_length()
-        while span > 1:
-            half = span >> 1
-            if not self.test(u, arr[lo : min(lo + half, m)], left):
-                lo += half
-            span = half
-        return min(lo, m - 1)
-
     def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
-        """``descent(u, arr, left)``'s end p, and the test of w = arr[p]
-        against the other ids of ``arr`` and u: ceil(log2 m) + 1 group
-        tests, asked here as a descent and one single test."""
+        """Where a descent of tests over the 1-D id array ``arr`` ends, p,
+        and the test of w = arr[p] against the other ids of ``arr`` and u:
+        ceil(log2 m) + 1 group tests, asked here as the single tests of
+        :func:`_descend` and one more."""
         arr = _checked_descent(u, arr, self.size)
-        p = self.descent(u, arr, left)
+        p = _descend(self, u, arr, left)
         return p, self.test(int(arr[p]), np.append(np.delete(arr, p).astype(np.int64), u), left)
 
     def left_test(self, u: int, V: IdSet) -> bool:
@@ -135,12 +114,6 @@ class GroupTestOracle(ABC):
 
     def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
         return self.test_batch(u, rows, n_eff, False)
-
-    def left_descent(self, u: int, arr: np.ndarray) -> int:
-        return self.descent(u, arr, True)
-
-    def right_descent(self, u: int, arr: np.ndarray) -> int:
-        return self.descent(u, arr, False)
 
 
 @dataclass(slots=True)
@@ -240,6 +213,22 @@ def _checked_descent(u: int, arr: np.ndarray, size: int) -> np.ndarray:
     return arr
 
 
+def _descend(oracle: GroupTestOracle, u: int, arr: np.ndarray, left: bool) -> int:
+    """Where a descent over ``arr``, a checked nonempty 1-D id array, ends
+    (module docstring), asked as one ``oracle.test`` per level: each of
+    the ceil(log2 m) levels tests the occupied left half of the current
+    power-of-two index range, and moves right when it answers false."""
+    m = arr.size
+    lo = 0
+    span = 1 << (m - 1).bit_length()
+    while span > 1:
+        half = span >> 1
+        if not oracle.test(u, arr[lo : min(lo + half, m)], left):
+            lo += half
+        span = half
+    return min(lo, m - 1)
+
+
 class InstanceOracle(GroupTestOracle):
     """Oracle backed by a concrete :class:`TotalOrderInstance`."""
 
@@ -274,11 +263,6 @@ class InstanceOracle(GroupTestOracle):
         hit = np.zeros(n_eff, dtype=np.float32)
         (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])
         return hit[rows] @ np.ones(rows.shape[1], dtype=np.float32) > 0
-
-    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
-        hits = self._hits(u, _checked_descent(u, arr, self.size), left)
-        first = int(hits.argmax())
-        return first if hits[first] else hits.size - 1
 
     def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
         compare = np.greater_equal if left else np.less_equal
@@ -318,12 +302,8 @@ class CountingOracle(GroupTestOracle):
         self._count(left, len(rows))
         return answers
 
-    # a descent over m ids asks ceil(log2 m) tests, however it is answered
-    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
-        position = self._inner.descent(u, arr, left)
-        self._count(left, (len(arr) - 1).bit_length())
-        return position
-
+    # a descent over m ids and the test after it are ceil(log2 m) + 1
+    # tests, however they are answered
     def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
         answer = self._inner.descent_and_test(u, arr, left)
         self._count(left, (len(arr) - 1).bit_length() + 1)
@@ -342,9 +322,6 @@ class _ReversedOracle(GroupTestOracle):
 
     def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
         return self._inner.test_batch(u, rows, n_eff, not left)
-
-    def descent(self, u: int, arr: np.ndarray, left: bool) -> int:
-        return self._inner.descent(u, arr, not left)
 
     def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
         return self._inner.descent_and_test(u, arr, not left)

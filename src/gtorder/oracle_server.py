@@ -14,9 +14,9 @@ the id token once with ``bytes.fromhex`` and checks all the ids against
 the bound in one range check, a single big-int test over the line's
 32-bit words (an id-by-id check past bounds of 2**31).  Then it scans
 the ids in order and stops at the first that satisfies the test: ``L``
-and ``R`` reply ``Y`` there, ``DL`` and ``DR`` reply its position,
-``DTL`` and ``DTR`` scan on from it for the test after the descent, and
-each row of ``BL`` or ``BR`` stops at its own first hit.  The scans read
+and ``R`` reply ``Y`` there, ``DTL`` and ``DTR`` take its position as
+the descent's end and scan on from it for the test after the descent,
+and each row of ``BL`` or ``BR`` stops at its own first hit.  The scans read
 one table per direction, built at the direction's first query and kept
 until EOF: the ranks for the left test, their negations for the right
 one, each padded with n dummy sentinels.  A basic session keeps the
@@ -231,12 +231,12 @@ def serve(ranks: list[int], infile, outfile) -> None:
                 full = len(parts) > 2
         elif op in ("L", "R"):
             answer = _answer_test(line, table(op == "L"), n, full)
-        elif op in ("BL", "BR", "DL", "DR", "DTL", "DTR") and not full:
+        elif op in ("BL", "BR", "DTL", "DTR") and not full:
             answer = f"ERR {op} needs a full session"
         elif op in ("BL", "BR"):
             answer = _answer_batch(line, table(op == "BL"), n)
-        elif op in ("DL", "DR", "DTL", "DTR"):
-            answer = _answer_descent(line, table(op[-1] == "L"), n, op.startswith("DT"))
+        elif op in ("DTL", "DTR"):
+            answer = _answer_descent(line, table(op == "DTL"), n)
         else:
             answer = f"ERR unknown op {op}"
         outfile.write(answer + "\n")
@@ -285,11 +285,10 @@ def _answer_test(line: str, table: list[int], n: int, full: bool) -> str:
     return "N" if _first_hit(ids, table, table[u]) is None else "Y"
 
 
-def _answer_descent(line: str, table: list[int], n: int, then_test: bool) -> str:
-    """The reply to one ``DL``/``DR`` line of a full session, the first
-    position p whose id satisfies the test, or m - 1 if none does; and to
-    one ``DTL``/``DTR`` line, p, a space, and the answer of the test of
-    w = ids[p] against the other ids and u."""
+def _answer_descent(line: str, table: list[int], n: int) -> str:
+    """The reply to one ``DTL``/``DTR`` line of a full session: the first
+    position p whose id satisfies the test, or m - 1 if none does, and
+    the answer of the test of w = ids[p] against the other ids and u."""
     operands = _operands(line, n, True)
     if isinstance(operands, str):
         return operands
@@ -298,8 +297,6 @@ def _answer_descent(line: str, table: list[int], n: int, then_test: bool) -> str
         return "ERR malformed descent: no ids"
     hit = _first_hit(ids, table, table[u])
     p = len(ids) - 1 if hit is None else ids.index(hit)
-    if not then_test:
-        return str(p)
     # the ids before p miss u: after a hit at p they miss w too, which
     # hits u, and with no hit u hits w, so only u and the ids after p count
     key = table[ids[p]]

@@ -5,15 +5,19 @@ and name.  Each prints the PASS/FAIL line ``gtorder verify`` prints (run
 with ``pytest -s`` to see them as they complete) and asserts the outcome;
 each check's docstring states its criterion.  Three mutation tests show
 that check 10 fails when a batch's dummy slot answers as a hit, or when
-the reversed view's single test keeps the direction, and one that check
-14 fails when min-finding walks an order that was never shuffled.  The
-module runs in about 25 s; selection and min-finding dominate.
+the reversed view's single test keeps the direction, one that check 14
+fails when min-finding walks an order that was never shuffled, and one
+that check 15 fails when rank search asks "rank <= m" at the integer
+target m.  The module runs in about 35 s; selection, min-finding and the
+rank searches dominate.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from gtorder import oracle, verify
+from gtorder import apxrank, oracle, verify
 
 ACCEPTANCE_SEED = 20_250_801
 
@@ -72,3 +76,13 @@ def test_criterion_14_fails_when_min_finding_never_shuffles(monkeypatch):
     monkeypatch.setattr(verify, "_rng", lambda seed, tag: _NeverShuffles(rng(seed, tag)))
     monkeypatch.setattr(verify, "CHAIN_RUNS", {8: verify.CHAIN_RUNS[8]})  # n=64 adds nothing
     assert not verify.check_minfind_chain_law(ACCEPTANCE_SEED).passed
+
+
+def test_criterion_15_fails_without_the_half_step(monkeypatch):
+    # every target below n/2 back at the integer m it stands for
+    rank_at_most = apxrank.rank_at_most
+    monkeypatch.setattr(apxrank, "rank_at_most", lambda oracle, x, r, *args: rank_at_most(
+        oracle, x, math.floor(r) if r < oracle.size / 2 else r, *args))
+    # ranks 1 and 2 miss in nearly every run, so a few runs show it
+    monkeypatch.setattr(verify, "APXRANK_ENDS_RUNS", 20)
+    assert not verify.check_apxrank_ends(ACCEPTANCE_SEED).passed

@@ -24,15 +24,16 @@ from gtorder import (
     OracleRejectedError,
     OracleSpawnError,
     OracleTimeoutError,
+    QueryLedger,
     make_instance,
     max_find,
     min_find,
     reversed_view,
+    swap,
 )
 from gtorder import external
 from gtorder.external import (
     _batch_answer,
-    _descent_answer,
     _descent_test_answer,
     _full_session,
     _test_answer,
@@ -104,8 +105,9 @@ class TestReferenceServer:
                 for name in ("left_test_batch", "right_test_batch"):
                     assert np.array_equal(getattr(remote, name)(u, rows, n + 3),
                                           getattr(builtin, name)(u, rows, n + 3))
-                for name in ("left_descent", "right_descent"):
-                    assert getattr(remote, name)(u, arr) == getattr(builtin, name)(u, arr)
+                for left in (True, False):
+                    assert (remote.descent_and_test(u, arr, left)
+                            == builtin.descent_and_test(u, arr, left))
             for find in (min_find, max_find):
                 assert (find(remote, n, np.random.default_rng(3))
                         == find(builtin, n, np.random.default_rng(3)))
@@ -465,12 +467,13 @@ class TestDescentOp:
                 levels += runs[0].iterations * (n - 2).bit_length()
             for m in (1, 2, 5, 8, 39):
                 u, arr = int(rng.integers(n)), rng.permutation(n)[:m]
-                for name in ("left_descent", "right_descent"):
+                for left in (True, False):
                     counting = [CountingOracle(oracle) for oracle in (remote, builtin)]
-                    ends = [getattr(oracle, name)(u, arr) for oracle in counting]
+                    ends = [oracle.descent_and_test(u, arr, left) for oracle in counting]
                     assert ends[0] == ends[1]
                     assert counting[0].ledger == counting[1].ledger
-                    descents += m > 1
+                    descents += 1
+                    singles += 1
                     levels += (m - 1).bit_length()
             rows = rng.integers(0, n + 2, size=(3, 4))
             for name in ("left_test_batch", "right_test_batch"):
@@ -487,34 +490,19 @@ class TestDescentOp:
         if full:
             # one line per run's first condition test, per swap (its
             # descent and the next condition test), per explicit descent
-            # and per batch, none per level or row
+            # with its test, one id included, and per batch, none per
+            # level or row
             assert queries.count("L") + queries.count("R") == 2
-            assert queries.count("DTL") + queries.count("DTR") == swaps
-            assert queries.count("DL") + queries.count("DR") == descents
+            assert queries.count("DTL") + queries.count("DTR") == swaps + descents
             assert queries.count("BL") == queries.count("BR") == 1
             assert len(queries) == 2 + swaps + descents + 2
         else:
-            assert not {"BL", "BR", "DL", "DR", "DTL", "DTR"} & set(queries)
+            assert not {"BL", "BR", "DTL", "DTR"} & set(queries)
             assert queries.count("L") + queries.count("R") == singles + levels + rows_sent
 
-    @pytest.mark.parametrize("reply", ["-1", "8", "03", "+3", "3.0", "0x3", "Y", "3 3", "OK", ""])
-    def test_malformed_descent_reply_ends_the_session(self, tmp_path, reply):
-        command, _ = filtered_server(tmp_path, 8, 0, f"""
-            if line.startswith("D"):
-                print({reply!r}, flush=True)
-                continue
-        """)
-        arr = np.array([6, 1, 7, 0, 2, 5, 3, 4])
-        with ExternalOracle(command, 8) as remote:
-            with pytest.raises(OracleProtocolError):
-                remote.right_descent(3, arr)
-            with pytest.raises(OracleProtocolError):
-                remote.right_test(3, [3])
-            with pytest.raises(OracleProtocolError):
-                remote.left_descent(3, arr)
-
     @pytest.mark.parametrize("reply", ["0", "8 Y", "03 Y", "0  Y", "0 y", "0 YN", "0 Y N",
-                                       "Y", "-0 N", "OK", ""])
+                                       "Y", "-0 N", "-1 Y", "+3 N", "3.0 Y", "0x3 N", "3 3",
+                                       "OK", ""])
     def test_malformed_descent_and_test_reply_ends_the_session(self, tmp_path, reply):
         command, _ = filtered_server(tmp_path, 8, 0, f"""
             if line.startswith("DT"):
@@ -545,22 +533,35 @@ class TestDescentOp:
         # one id asks one test, so it is a line too
         assert ops_received(log) == ["INIT", "DTR", "DTR", "DTL", "DTL"]
 
-    def test_err_reply_to_a_descent_leaves_the_session_usable(self, tmp_path):
-        command, log = filtered_server(tmp_path, 8, 0, """
-            if line.startswith("DR 3 "):
-                print("ERR busy", flush=True)
-                continue
-        """)
-        builtin = InstanceOracle(make_instance(8, 0))
-        arr = np.array([6, 1, 7, 0, 2, 5, 3, 4])
-        with ExternalOracle(command, 8) as remote:
-            with pytest.raises(OracleRejectedError):
-                remote.right_descent(3, arr)
-            assert remote.right_descent(4, arr) == builtin.right_descent(4, arr)
-            assert remote.left_descent(3, arr) == builtin.left_descent(3, arr)
-            # one id: the descent ends at 0 without a line
-            assert remote.right_descent(3, arr[:1]) == 0
-        assert ops_received(log) == ["INIT", "DR", "DR", "DL"]
+    # swap's descent has no op of its own: each session asks its levels as
+    # single tests, the full one with HEX ids
+    @pytest.mark.parametrize("view", ["full", "basic", "reversed"])
+    def test_swap_asks_its_levels_as_single_tests(self, tmp_path, view):
+        n, seed = 40, 6
+        hook = BASIC_HOOKS["plain_ok"] if view == "basic" else "pass\n"
+        command, log = filtered_server(tmp_path, n, seed, hook)
+        builtin = InstanceOracle(make_instance(n, seed))
+        ids = np.random.default_rng(5).permutation(n)
+        levels = 0
+        with ExternalOracle(command, n) as remote:
+            views = (remote, builtin)
+            if view == "reversed":
+                views = tuple(map(reversed_view, views))
+            for m in (1, 2, 5, 8, 33, 39):
+                # x among the candidates keeps the precondition: something lies below it
+                A, x = ids[:m], int(ids[m // 2])
+                runs = []
+                for oracle in views:
+                    counting, rng = CountingOracle(oracle), np.random.default_rng(m)
+                    runs.append((swap(counting, A, x, rng), rng.bit_generator.state,
+                                 counting.ledger))
+                assert runs[0] == runs[1]
+                assert runs[0][2] == QueryLedger(0, (m - 1).bit_length())
+                levels += (m - 1).bit_length()
+        lines = [line for line in log.read_text().splitlines() if not line.startswith("INIT")]
+        assert len(lines) == levels
+        assert {line.split()[0] for line in lines} == {"L" if view == "reversed" else "R"}
+        assert all(id_tokens_fit(line, view != "basic") for line in lines)
 
 
 def outcome(test, *args):
@@ -655,9 +656,9 @@ class TestIdSafety:
     def test_descent(self, oracles, case):
         remote, builtin = oracles
         u, arr = self.DESCENT[case]
-        for name in ("left_descent", "right_descent"):
-            assert (outcome(getattr(remote, name), u, np.array(arr))
-                    == outcome(getattr(builtin, name), u, np.array(arr)))
+        for left in (True, False):
+            assert (outcome(remote.descent_and_test, u, np.array(arr), left)
+                    == outcome(builtin.descent_and_test, u, np.array(arr), left))
 
     def test_bools_never_reach_the_pipe(self, tmp_path):
         # nor do floats, nor id arrays that are not 1-D
@@ -672,8 +673,9 @@ class TestIdSafety:
                  ("right_test_batch", True, rows, self.N),
                  ("left_test_batch", 3, rows.astype(bool), self.N),
                  ("right_test_batch", 3, rows.astype(float), self.N),
-                 ("right_descent", True, arr), ("left_descent", 3, arr.astype(bool)),
-                 ("left_descent", 3, arr.astype(float))]
+                 ("descent_and_test", True, arr, False),
+                 ("descent_and_test", 3, arr.astype(bool), True),
+                 ("descent_and_test", 3, arr.astype(float), True)]
         with ExternalOracle(command, self.N) as remote:
             remote.right_test(1, [1])  # the text of id 1 is now cached
             for name, *args in calls:
@@ -701,13 +703,13 @@ class TestIdSafety:
                  ("right_test_batch", 3, [[0, 1], [10, 2]], 10),
                  ("left_test_batch", 3, np.array([[0, 2**40]]), 2**40),
                  ("right_test_batch", -1, [[0, 1]], 10), ("left_test_batch", 8, [[0, 1]], 10),
-                 ("right_descent", 3, [0, 9]), ("left_descent", 3, [0, -1]),
-                 ("right_descent", 3, [8, 0, 1]), ("left_descent", -1, [0, 1]),
-                 ("right_descent", 8, [0, 1])]
+                 ("descent_and_test", 3, [0, 9], False), ("descent_and_test", 3, [0, -1], True),
+                 ("descent_and_test", 3, [8, 0, 1], False),
+                 ("descent_and_test", -1, [0, 1], True), ("descent_and_test", 8, [0, 1], False)]
         with ExternalOracle(command, self.N) as remote:
-            for name, u, ids, *n_eff in calls:
+            for name, u, ids, last in calls:
                 with pytest.raises(OracleRejectedError):
-                    getattr(remote, name)(u, np.array(ids), *n_eff)
+                    getattr(remote, name)(u, np.array(ids), last)
                 assert remote.right_test(1, [1]) is True
         assert log.read_text().splitlines()[1:] == [self.ONE_QUERY] * len(calls)
 
@@ -718,19 +720,20 @@ class TestIdSafety:
             assert oracle.right_test(u=3, V=[1, 5]) == builtin.right_test(3, [1, 5])
             assert (oracle.left_test_batch(u=3, rows=rows, n_eff=10).tolist()
                     == builtin.left_test_batch(3, rows, 10).tolist())
-            assert oracle.right_descent(u=3, arr=arr) == builtin.right_descent(3, arr)
+            assert (oracle.descent_and_test(u=3, arr=arr, left=False)
+                    == builtin.descent_and_test(3, arr, False))
 
     def test_an_err_reply_inside_a_batch_or_descent_is_raised_unchanged(self, tmp_path):
         # a basic session asks each row or level as a single test
         hook = textwrap.dedent(self.HOOK) + textwrap.dedent("""
-            if line.startswith(("R 3 ", "BR 3 ", "DR 3 ")):
+            if line.startswith(("R 3 ", "BR 3 ", "DTR 3 ")):
                 print("ERR busy", flush=True)
                 continue
         """)
         command, _ = filtered_server(tmp_path, self.N, 11, hook)
         with ExternalOracle(command, self.N) as remote:
             for query in (lambda: remote.right_test_batch(3, np.array([[0, 1]]), 8),
-                          lambda: remote.right_descent(3, np.array([0, 1, 2]))):
+                          lambda: remote.descent_and_test(3, np.array([0, 1, 2]), False)):
                 with pytest.raises(OracleRejectedError, match="busy") as excinfo:
                     query()
                 # raised where the reply was parsed, not re-raised above it
@@ -819,7 +822,6 @@ HEX_INIT = FULL_INIT.format(FUZZ_N)
 # has, written here with decimal ids
 BASIC_LINES = ["L 3 2 0 7", "R 3 2 0 7", "L 5 0"]
 FULL_OPS = ["BL 3 10 2 3 0 1 8 9 9 9", "BR 3 10 2 3 0 1 8 9 9 9", "BR 0 8 1 1 0",
-            "DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 3 1 5", "DL 3 3 3 3 3",
             "DTL 3 4 6 0 7 2", "DTR 3 4 6 0 7 2", "DTR 3 1 5", "DTL 3 3 3 3 3"]
 VALID_LINES = ["INIT 8", HEX_INIT, *BASIC_LINES]
 
@@ -882,8 +884,6 @@ def well_formed(line, reply, full=False):
         return reply in ("Y", "N")
     if parts[0] in ("BL", "BR"):
         return reply != "" and set(reply) <= {"Y", "N"} and len(reply) == int(parts[3])
-    if parts[0] in ("DL", "DR"):
-        return reply in {str(position) for position in range(int(parts[2]))}
     if parts[0] in ("DTL", "DTR"):
         return reply in {f"{position} {answer}" for position in range(int(parts[2]))
                          for answer in "YN"}
@@ -935,8 +935,9 @@ INVALID_LINES = {
     # batches and descents, in decimal or HEX, need a full session
     "BR 3 8 1 1 0": "ERR BR needs a full session",
     "BL 3 10 1 2 -1 0": "ERR BL needs a full session",
-    "DR 3 4 6 0 7 2": "ERR DR needs a full session",
-    "DL 3 0": "ERR DL needs a full session",
+    # a descent without the test after it is no op of either session
+    "DR 3 4 6 0 7 2": "ERR unknown op DR",
+    "DL 3 0": "ERR unknown op DL",
     "DTR 3 4 6 0 7 2": "ERR DTR needs a full session",
     "DTL 3 1 00000000": "ERR DTL needs a full session",
     "BR 3 8 1 1 00000000": "ERR BR needs a full session",
@@ -980,7 +981,7 @@ HEX_INVALID_LINES = {
     "R 3 1 0x000000": "ERR malformed query",
     "R 3 1 0000000\u0663": "ERR malformed query",
     "R 3 1 \uff10\uff10\uff10\uff10\uff10\uff10\uff10\uff10": "ERR malformed query",
-    "DL 3 1 000000\u00b2\u00b2": "ERR malformed query",
+    "DTL 3 1 000000\u00b2\u00b2": "ERR malformed query",
     "BR 3 8 1 1 0000000": "ERR malformed batch",
     "BL 3 \uff18 1 1 00000000": "ERR malformed batch",
     "BR 3 8 \u0661 1 00000000": "ERR malformed batch",
@@ -992,23 +993,23 @@ HEX_INVALID_LINES = {
     # whitespace inside what would otherwise be one id, which
     # bytes.fromhex skips between bytes
     "R 3 1 0000 0000": "ERR malformed query",
-    "DR 3 1 0000\t0000": "ERR malformed query",
+    "DTR 3 1 0000\t0000": "ERR malformed query",
     "BR 3 8 1 1 0000\x0b0000": "ERR malformed batch",
     # ASCII digits only, with no sign but a leading "-": no "+" and no "_"
     "R +3 1 01000000": "ERR malformed query",
-    "DR 3 0_1 00000000": "ERR malformed query",
+    "DTR 3 0_1 00000000": "ERR malformed query",
     "BR 3 0_8 1 1 00000000": "ERR malformed batch",
     "BR +1 8 1 1 00000000": "ERR malformed batch",
     "BL 3 8 +1 1 00000000": "ERR malformed batch",
     # whole ids, but not as many as declared
     "R 3 2 00000000": "ERR id count mismatch",
     "L 3 0 00000000": "ERR id count mismatch",
-    "DR 3 1": "ERR id count mismatch",
-    "DR 3 2 00000000": "ERR id count mismatch",
+    "DTR 3 1": "ERR id count mismatch",
+    "DTL 3 2 00000000": "ERR id count mismatch",
     "R 3 -1": "ERR id count mismatch",
     "BR 3 8 1 2 00000000": "ERR id count mismatch",
     # m = 0 for a descent, rows or width 0
-    "DR 3 0": "ERR malformed descent",
+    "DTR 3 0": "ERR malformed descent",
     "DTL 3 0": "ERR malformed descent",
     "DTR 3 2 00000000": "ERR id count mismatch",
     "DTL 3 1 08000000": "ERR element id out of range",
@@ -1018,15 +1019,18 @@ HEX_INVALID_LINES = {
     "BL 3 8 0 0": "ERR malformed batch",
     # ids outside 0..n-1, batch ids outside 0..n_eff-1
     "R 3 1 08000000": "ERR element id out of range",
-    "DR 3 1 08000000": "ERR element id out of range",
-    "DL 3 2 00000000ffffffff": "ERR element id out of range",
+    "DTR 3 1 08000000": "ERR element id out of range",
+    "DTL 3 2 00000000ffffffff": "ERR element id out of range",
     "R 8 1 00000000": "ERR element id out of range",
-    "DR 8 1 00000000": "ERR element id out of range",
+    "DTL 8 1 00000000": "ERR element id out of range",
     "R -1 1 00000000": "ERR element id out of range",
     "BR 3 10 1 2 000000000a000000": "ERR batch id outside",
     "BL 3 8 1 1 08000000": "ERR batch id outside",
     "BR 3 10 1 1 ffffffff": "ERR batch id outside",
     "BR 8 10 1 1 00000000": "ERR element id out of range",
+    # a descent without the test after it is no op of either session
+    "DR 3 1 00000000": "ERR unknown op DR",
+    "DL 3 4 06000000000000000700000002000000": "ERR unknown op DL",
 }
 
 
@@ -1064,7 +1068,7 @@ def test_only_an_accepted_init_switches_the_id_encoding():
 def test_each_accepted_init_starts_a_session_of_its_kind():
     # full -> basic -> full: each session takes the ops and the id
     # encoding of its own INIT, whatever session came before it
-    test, batch, descent = "R 3 2 0 7", "BR 3 10 2 3 0 1 8 9 9 9", "DL 3 4 6 0 7 2"
+    test, batch, descent = "R 3 2 0 7", "BR 3 10 2 3 0 1 8 9 9 9", "DTL 3 4 6 0 7 2"
     full_lines = [hexed(test), hexed(batch), hexed(descent), test]
     full = served(HEX_INIT, *full_lines)
     answer = full[1]
@@ -1073,7 +1077,8 @@ def test_each_accepted_init_starts_a_session_of_its_kind():
     basic = served(HEX_INIT, *full_lines, "INIT 8", test, batch, descent, hexed(test))
     assert basic[:5] == full
     assert basic[5:] == ["OK", answer, "ERR BR needs a full session",
-                         "ERR DL needs a full session", "ERR id count mismatch: declared 2, got 1"]
+                         "ERR DTL needs a full session",
+                         "ERR id count mismatch: declared 2, got 1"]
     again = served(HEX_INIT, *full_lines, "INIT 8", test, batch, descent, hexed(test),
                    HEX_INIT, *full_lines)
     assert again[:10] == basic and again[10:] == full
@@ -1087,7 +1092,7 @@ ID_VALUES = st.one_of(st.integers(0, FUZZ_N + 5), st.integers(2 * FUZZ_N, 4 * FU
 @st.composite
 def decimal_queries(draw):
     """A query line of any op with decimal ids, some of them invalid."""
-    op = draw(st.sampled_from(["L", "R", "DL", "DR", "DTL", "DTR", "BL", "BR"]))
+    op = draw(st.sampled_from(["L", "R", "DTL", "DTR", "BL", "BR"]))
     u = draw(st.integers(0, FUZZ_N))
     if op in ("BL", "BR"):
         rows, width = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -1116,8 +1121,6 @@ def builtin_reply(line):
             hits = batch(u, np.reshape(ids, (rows, width)), n_eff)
             return "".join("Y" if hit else "N" for hit in hits)
         u, _, *ids = numbers
-        if op in ("DL", "DR"):
-            return str(getattr(oracle, f"{side}_descent")(u, np.array(ids, dtype=np.int64)))
         if op in ("DTL", "DTR"):
             p, hit = oracle.descent_and_test(u, np.array(ids, dtype=np.int64), side == "left")
             return f"{p} {'Y' if hit else 'N'}"
@@ -1138,12 +1141,13 @@ def test_sessions_answer_like_the_builtin_oracle(line):
         assert served("INIT 8", line) == ["OK", full[1]]
 
 
-@pytest.mark.parametrize("line", ["DL 3 4 6 0 7 2", "DR 3 4 6 0 7 2", "DR 6 3 6 6 6", "DL 3 2 0 1"])
+@pytest.mark.parametrize("line", ["DTL 3 4 6 0 7 2", "DTR 3 4 6 0 7 2", "DTR 6 3 6 6 6",
+                                  "DTL 3 2 0 1"])
 def test_serve_descent_ends_where_the_builtin_descent_does(line):
     op, u, _, *ids = line.split()
     builtin = InstanceOracle(make_instance(FUZZ_N, 5))
-    descent = builtin.left_descent if op == "DL" else builtin.right_descent
-    assert served(HEX_INIT, hexed(line))[1] == str(descent(int(u), np.array(ids, dtype=np.int64)))
+    p, hit = builtin.descent_and_test(int(u), np.array(ids, dtype=np.int64), op == "DTL")
+    assert served(HEX_INIT, hexed(line))[1] == f"{p} {'Y' if hit else 'N'}"
 
 
 def documented_exchanges():
@@ -1169,8 +1173,8 @@ def test_documented_full_session_lines_are_what_the_client_writes(tmp_path):
         remote.right_test(5, [1023, 9])
         remote.left_test(5, np.array([1023, 9]))
         remote.right_test_batch(5, np.array([[1, 1028], [1023, 1029]]), 1030)
-        remote.right_descent(5, np.array([1, 2, 1023]))
-        remote.left_descent(5, np.array([1, 2, 1023]))
+        remote.descent_and_test(5, np.array([1, 2, 1023]), False)
+        remote.descent_and_test(5, np.array([1, 2, 1023]), True)
         remote.descent_and_test(9, np.array([1023, 5, 2]), False)
     received = log.read_text().splitlines()
     assert received == sent[:len(received)] and len(received) == 7
@@ -1215,7 +1219,6 @@ def test_reply_parsers_answer_only_well_formed_replies(reply, size, offer):
     else:
         assert batch == error
     positions = {str(position): position for position in range(size)}
-    assert parsed(_descent_answer, reply, size) == positions.get(reply, error)
     ends = {f"{token} {answer}": (position, answer == "Y")
             for token, position in positions.items() for answer in "YN"}
     assert parsed(_descent_test_answer, reply, size) == ends.get(reply, error)

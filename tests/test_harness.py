@@ -216,6 +216,22 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             validate_config(small_config(oracle="telnet:host"))
 
+    # each once raised a TypeError or AttributeError, or ran as another
+    # value: True as seed 1, "no" as a fixed instance
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", "3"), ("seed", None), ("seed", True), ("oracle", None),
+        ("fixed_instance", "no")])
+    def test_rejects_a_field_of_the_wrong_type(self, field, value):
+        config = small_config(**{field: value})
+        for call in (validate_config, run_experiment):
+            with pytest.raises(InvalidParameterError, match=field):
+                call(config)
+
+    def test_takes_any_integer_seed_and_a_bool_fixed_instance(self):
+        for seed in (0, -1, 2**70, np.int64(3), np.uint64(2**63)):
+            for fixed in (False, True):
+                validate_config(small_config(seed=seed, fixed_instance=fixed))
+
 
 class TestReports:
     def test_csv_schema(self):

@@ -17,7 +17,7 @@ from gtorder import (
     min_find_among,
     swap,
 )
-from gtorder.oracle import counted
+from gtorder.oracle import _descend, counted
 from gtorder.stats import chi_square_uniformity
 from gtorder.verify import _PerQueryOracle as PerLevelOracle
 
@@ -229,10 +229,10 @@ class TestSwap:
 
 
 def min_find_by_one_order(oracle, n, rng):
-    """min_find's walk written out with public oracle calls: one shuffle of
-    the ids other than the start, then per round one swap over that order,
-    a descent to the first id below x and x moved into its slot, and the
-    condition test asked alone."""
+    """min_find's walk written out with single tests: one shuffle of the
+    ids other than the start, then per round one swap over that order, a
+    descent level by level (``_descend``) to the first id below x and x
+    moved into its slot, and the condition test asked alone."""
     counting, ledger = counted(oracle)
     ids = np.arange(n, dtype=np.int64)
     start = int(rng.integers(n))
@@ -241,7 +241,7 @@ def min_find_by_one_order(oracle, n, rng):
     if order.size and counting.right_test(x, order):
         order = rng.permutation(order)
         while True:
-            p = counting.right_descent(x, order)
+            p = _descend(counting, x, order, False)
             assert not any(oracle.test(int(v), [x], True) for v in order[:p])
             x, order[p] = int(order[p]), x
             iterations += 1
@@ -318,7 +318,6 @@ class RecordingOracle(InstanceOracle):
     log too.
     """
 
-    descent = GroupTestOracle.descent
     descent_and_test = GroupTestOracle.descent_and_test
 
     def __init__(self, instance):

@@ -1,5 +1,6 @@
 """Tests for group-test semantics and the oracle adapters."""
 
+import functools
 import itertools
 import sys
 
@@ -28,7 +29,7 @@ from gtorder import (
     rank_at_most,
     reversed_view,
 )
-from gtorder.oracle import _id_array
+from gtorder.oracle import _descend, _id_array
 from gtorder.verify import _PerQueryOracle as PerRowOracle
 
 
@@ -163,8 +164,10 @@ class TestContract:
     """An oracle defines each query once, with its direction an argument;
     the direction-named forms live on the base class alone."""
 
-    DIRECTION_NAMED = {"left_test", "right_test", "left_test_batch", "right_test_batch",
-                       "left_descent", "right_descent"}
+    DIRECTION_NAMED = {"left_test", "right_test", "left_test_batch", "right_test_batch"}
+    # min-finding's swap descends through the single tests, and its rounds
+    # ask descent_and_test: no oracle has a descent op of its own
+    NO_SUCH_OP = {"descent", "left_descent", "right_descent"}
 
     def test_the_single_test_is_the_one_abstract_method(self):
         assert GroupTestOracle.__abstractmethods__ == {"test"}
@@ -177,6 +180,7 @@ class TestContract:
             if cls.__module__.startswith("gtorder."):
                 library.add(cls)
                 assert not self.DIRECTION_NAMED & vars(cls).keys(), cls
+                assert not self.NO_SUCH_OP & set(dir(cls)), cls
         assert {InstanceOracle, CountingOracle, ExternalOracle, PerRowOracle,
                 type(reversed_view(oracle_of(2)))} <= library
 
@@ -203,7 +207,7 @@ def test_ids_mixing_uint64_with_other_integers_answer_as_int64():
         return [ids] if isinstance(ids, list) else ids[None, :]
 
     calls = (lambda ids: oracle.right_test(3, ids),
-             lambda ids: oracle.right_descent(3, ids),
+             lambda ids: oracle.descent_and_test(3, ids, False),
              lambda ids: oracle.right_test_batch(3, rows(ids), 8).tolist(),
              lambda ids: min_find_among(oracle, ids, np.random.default_rng(0)))
     for call in calls:
@@ -245,8 +249,8 @@ class TestCountingAdapter:
                     lambda: counting.left_test_batch(0, np.array([[0], [1]]), 7),
                     lambda: counting.right_test(0, [9]),
                     lambda: counting.left_test(8, [0]),
-                    lambda: counting.right_descent(0, np.array([0, 1, 9])),
-                    lambda: counting.left_descent(0, np.array([0.0, 1.0]))]
+                    lambda: counting.descent_and_test(0, np.array([0, 1, 9]), False),
+                    lambda: counting.descent_and_test(0, np.array([0.0, 1.0]), True)]
         for ask in rejected:
             with pytest.raises(InvalidParameterError):
                 ask()
@@ -417,6 +421,19 @@ class TestPaddedView:
         assert not any(dummy_rows.any() for _, _, dummy_rows in asked)
 
 
+def descent_and_test_reference(ranks, rank_u, left):
+    """What ``descent_and_test`` answers for ids of ranks ``ranks`` and a
+    subject of rank ``rank_u``: the first position p satisfying the test,
+    else m - 1, and the test of the id at p against the others and u."""
+    def hit(rank, against):
+        return rank >= against if left else rank <= against
+
+    hits = [hit(rank, rank_u) for rank in ranks]
+    p = hits.index(True) if any(hits) else len(ranks) - 1
+    others = ranks[:p] + ranks[p + 1:] + [rank_u]
+    return p, any(hit(rank, ranks[p]) for rank in others)
+
+
 # the containers a single test takes its ids in
 ID_CONTAINERS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset,
                  "int64": lambda ids: np.array(ids, dtype=np.int64),
@@ -427,8 +444,9 @@ ID_CONTAINERS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozense
 @settings(max_examples=100, deadline=None)
 def test_adapters_agree_with_definitions(n, container, data):
     """The instance oracle, its reversal and the per-row path answer
-    single tests, one-row batches and descents exactly per the rank
-    definition, whatever container holds the ids and however many."""
+    single tests, one-row batches and descents with the test after them
+    exactly per the rank definition, whatever container holds the ids and
+    however many."""
     instance = make_instance(n, seed=99)
     base = InstanceOracle(instance)
     # near the ends of the order a test has few hits, so each one counts
@@ -450,8 +468,9 @@ def test_adapters_agree_with_definitions(n, container, data):
         assert oracle.right_test_batch(u, row, n).tolist() == [any(below)]
         assert oracle.left_test_batch(u, row, n).tolist() == [any(above)]
         if m:
-            assert oracle.right_descent(u, row[0]) == (below.index(True) if any(below) else m - 1)
-            assert oracle.left_descent(u, row[0]) == (above.index(True) if any(above) else m - 1)
+            for left in (True, False):
+                assert oracle.descent_and_test(u, row[0], left) == descent_and_test_reference(
+                    [rank(v) for v in ids], rank(u), left)
 
 
 @st.composite
@@ -716,9 +735,9 @@ def descent_cases(m):
 
 
 def descent_end(ranks, u, arr, left):
-    """The reference: the first position satisfying the test, else m - 1."""
-    hits = [(ranks[v] >= ranks[u]) if left else (ranks[v] <= ranks[u]) for v in arr]
-    return hits.index(True) if any(hits) else len(arr) - 1
+    """The reference: the first position satisfying the test, else m - 1,
+    and the test of the id there against the other ids and u."""
+    return descent_and_test_reference([ranks[v] for v in arr], ranks[u], left)
 
 
 class TestDescents:
@@ -736,31 +755,40 @@ class TestDescents:
                 if view == "reversed":
                     top, per_level = reversed_view(top), reversed_view(per_level)
                     ranks = m + 2 - ranks
-                for left, name in ((True, "left_descent"), (False, "right_descent")):
-                    end = getattr(top, name)(u, arr)
-                    assert type(end) is int
-                    assert end == getattr(per_level, name)(u, arr) == descent_end(
+                for left in (True, False):
+                    answer = top.descent_and_test(u, arr, left)
+                    assert type(answer[0]) is int and type(answer[1]) is bool
+                    assert answer == per_level.descent_and_test(u, arr, left) == descent_end(
                         ranks, u, arr, left)
-                # the base ledger: one test per level on each side, answered
-                # or not, and the fused ledgers charge exactly that
+                    assert answer[0] == _descend(per_level, u, arr, left)
+                # the base ledger: per side, one test per level of each of
+                # the two descents, answered or not, and the test after the
+                # fused one; the fused ledgers charge exactly that
                 levels = (m - 1).bit_length()
-                assert (asked.ledger.left_count, asked.ledger.right_count) == (levels, levels)
-                assert all(counting.ledger == asked.ledger for counting in fused)
+                assert asked.ledger == QueryLedger(2 * levels + 1, 2 * levels + 1)
+                assert all(counting.ledger == QueryLedger(levels + 1, levels + 1)
+                           for counting in fused)
 
     def test_no_hit_ends_at_the_last_position_at_full_cost(self):
         for m in (2, 3, 5, 64, 65, 4096):
             instance, u, arr = next(descent_cases(m))  # u above every id of arr
             for oracle in (InstanceOracle(instance), PerRowOracle(InstanceOracle(instance))):
                 counting = CountingOracle(oracle)
-                assert counting.left_descent(u, arr) == m - 1
-                assert counting.ledger.left_count == (m - 1).bit_length()
+                assert counting.descent_and_test(u, arr, True) == (m - 1, True)
+                assert counting.ledger.left_count == (m - 1).bit_length() + 1
+                assert _descend(counting, u, arr, True) == m - 1
+                assert counting.ledger.left_count == 2 * (m - 1).bit_length() + 1
 
     def test_single_id_ends_at_zero_without_a_test(self):
         fused, asked = CountingOracle(oracle_of(4)), CountingOracle(oracle_of(4))
         for oracle in (fused, PerRowOracle(asked)):
-            assert oracle.right_descent(2, np.array([1])) == 0
-            assert oracle.left_descent(2, np.array([3])) == 0
+            assert _descend(oracle, 2, np.array([1]), False) == 0
+            assert _descend(oracle, 2, np.array([3]), True) == 0
         assert fused.ledger.total == asked.ledger.total == 0
+        # the test after it is the one test a fused descent over one id asks
+        for oracle in (fused, PerRowOracle(asked)):
+            assert oracle.descent_and_test(2, np.array([1]), False)[0] == 0
+        assert fused.ledger.total == asked.ledger.total == 1
 
     @pytest.mark.parametrize("path", ["fused", "per_level", "reversed"])
     def test_descent_validation(self, path):
@@ -781,9 +809,9 @@ class TestDescents:
                 (True, np.arange(7)), (1, np.array([True, False])),
                 (1, {0, 1, 2})]  # a set has no positions to descend over
         for u, arr in bad:
-            for descent in (oracle.left_descent, oracle.right_descent):
+            for left in (True, False):
                 with pytest.raises(InvalidParameterError):
-                    descent(u, arr)
+                    oracle.descent_and_test(u, arr, left)
 
 
 class SingleTestOracle(GroupTestOracle):
@@ -829,8 +857,9 @@ def descent_queries(draw, n):
 
 
 class TestDescentAndTest:
-    """``descent_and_test`` is ``descent`` and then the test of w = arr[p]
-    against the other ids and u, at ceil(log2 m) + 1 tests."""
+    """``descent_and_test`` is the per-level descent of ``_descend`` and
+    then the test of w = arr[p] against the other ids and u, at
+    ceil(log2 m) + 1 tests."""
 
     @pytest.mark.parametrize("view", ["instance", "reversed", "test_only", "full", "basic"])
     @given(data=st.data())
@@ -841,12 +870,12 @@ class TestDescentAndTest:
                   "test_only": SingleTestOracle(builtin.instance.ranks),
                   "full": remote24, "basic": basic24}[view]
         u, arr, left = data.draw(descent_queries(24))
-        p = oracle.descent(u, arr, left)
+        p = _descend(oracle, u, arr, left)
         others = np.concatenate((arr[:p], arr[p + 1 :], [u]))
         expected = (p, oracle.test(int(arr[p]), others, left))
         # the same answer as the builtin oracle's, in the view's frame
         frame = left != (view == "reversed")
-        assert expected == (builtin.descent(u, arr, frame),
+        assert expected == (_descend(builtin, u, arr, frame),
                             builtin.test(int(arr[p]), others, frame))
         counting = CountingOracle(oracle)
         answer = counting.descent_and_test(u, arr, left)
@@ -932,7 +961,7 @@ class TestOddIdArrays:
         for left in (True, False):
             test = oracle.left_test if left else oracle.right_test
             batch = oracle.left_test_batch if left else oracle.right_test_batch
-            descent = oracle.left_descent if left else oracle.right_descent
+            descent = functools.partial(oracle.descent_and_test, left=left)
             yield test, self.SINGLE, 24
             yield test, self.SHORT, 24
             for n_eff, rows in self.ROWS.items():

@@ -157,8 +157,6 @@ def brute_force_reply(ranks, op, u, ids, n_eff, width):
     if batch:
         return "".join("Y" if any(hits[at:at + width]) else "N"
                        for at in range(0, len(hits), width))
-    if op in ("DL", "DR"):
-        return str(hits.index(True) if any(hits) else len(hits) - 1)
     if op in ("DTL", "DTR"):
         p = hits.index(True) if any(hits) else len(hits) - 1
         w = ids[p]
@@ -170,13 +168,13 @@ def brute_force_reply(ranks, op, u, ids, n_eff, width):
 
 @st.composite
 def full_session_lines(draw):
-    """A rank list and a line of one of the eight ops, its ids in range but
+    """A rank list and a line of one of the six ops, its ids in range but
     for a few bad ones anywhere, before or after the first hit."""
     n = draw(st.integers(1, 300))
     ranks = list(range(1, n + 1))
     # a seeded shuffle draws faster than st.permutations
     random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(ranks)
-    op = draw(st.sampled_from(["L", "R", "DL", "DR", "DTL", "DTR", "BL", "BR"]))
+    op = draw(st.sampled_from(["L", "R", "DTL", "DTR", "BL", "BR"]))
     # a dummy's sentinel is closest to a hit at the subjects of rank 1 and n
     u = draw(st.integers(0, n - 1) | st.sampled_from((ranks.index(1), ranks.index(n))))
     # padded sizes past 2n are rare among n..2n+3 at large n: draw them often
