@@ -30,19 +30,19 @@ HEX token in a full one:
                                     server -> one "Y"/"N" per row    (full only)
     client -> "BR <u> <n_eff> <rows> <width> <ids>"
                                     server -> one "Y"/"N" per row    (full only)
-    client -> "DTL <u> <m> <ids>"   server -> "<p> Y" or "<p> N"     (full only)
-    client -> "DTR <u> <m> <ids>"   server -> "<p> Y" or "<p> N"     (full only)
+    client -> "WL <u> <m> <ids>"    server -> "<p1> ... <pk>"       (full only)
+    client -> "WR <u> <m> <ids>"    server -> "<p1> ... <pk>"       (full only)
 
 ``L`` asks the left test (u <=_Q V), ``R`` the right test (V <=_Q u), and
 ``m`` is the number of ids.  Ids are 0-based.  ``u``, ``m``, ``n_eff``,
 ``rows`` and ``width`` are ASCII base-10 integers in both sessions, and so
 are the ids of a basic session.  In a full session each id is a
 little-endian unsigned 32-bit word written as 8 hex digits, and a line's
-ids are one token (``ids.astype("<u4").tobytes().hex()``): ``DTR 5 3
-0100000002000000ff030000`` is a descent and a test over ids 1, 2 and
-1023.  The token holds exactly the declared number of ids; a line of no
-ids carries no token.  The server replies ``ERR <message>`` to any invalid line,
-non-ASCII digits and a batch or descent op in a basic session included.
+ids are one token (``ids.astype("<u4").tobytes().hex()``): ``WR 5 3
+0100000002000000ff030000`` is a walk over ids 1, 2 and 1023.  The token
+holds exactly the declared number of ids; a line of no ids carries no
+token.  The server replies ``ERR <message>`` to any invalid line,
+non-ASCII digits and a batch or walk op in a basic session included.
 
 ``BL``/``BR`` ask one left/right test per row of a ``rows`` x ``width``
 id array, sent row after row; they mirror ``GroupTestOracle.test_batch``
@@ -51,18 +51,15 @@ neither test; ``rows`` and ``width`` are at least 1.  The reply is one
 line of ``rows`` characters, each ``Y`` or ``N``.  Batches serve
 non-adaptive tests, such as the trials of a threshold test.
 
-``DTL``/``DTR`` run a whole swap descent of left/right tests over the
-``m >= 1`` ids, ending at p, the first position whose id satisfies the
-test, or ``m - 1`` if none does; then they answer one more left/right
-test, of w = (the id at p) against the other ids and u, as
-``GroupTestOracle.descent_and_test`` does with ``left`` true/false.  The
-reply is the canonical decimal of p, one space, and ``Y`` or ``N``.
-Every level of a descent depends only on the hidden order, so the server
-answers them all at once; the ledger still counts ceil(log2 m) + 1
-tests.  In min-finding the last test is the next round's condition test,
-so a swap and the test after it are one line.  These lines carry no
-dummy slots, and a line over one id, which asks that one test, is sent
-like any other.  The ``DESCENT`` feature of ``INIT`` names this op pair.
+``WL``/``WR`` run a whole min-finding walk of left/right tests over the
+``m >= 1`` ids from u, as ``GroupTestOracle.walk`` does with ``left``
+true/false: a round ends at each id that satisfies the test against u
+and every id before it, a record of the order.  The reply is those ends
+as canonical decimals, strictly increasing and one space apart, or an
+empty line if a record only ties (a repeated id) or there is none.  The
+server answers the whole walk at once; the ledger counts ceil(log2 m) +
+1 tests a round, so a min-finding run is two lines, its first condition
+test and its walk.  The ``DESCENT`` feature of ``INIT`` names this op pair.
 
 Worked examples, for n = 1024 ids where id i has rank i + 1 (``>`` marks
 a client line, ``<`` the server's reply)::
@@ -75,42 +72,40 @@ a client line, ``<`` the server's reply)::
     < Y
     > BR 5 1030 2 2 0100000004040000ff03000005040000
     < YN
-    > DTR 5 3 0100000002000000ff030000
-    < 0 N
-    > DTL 5 3 0100000002000000ff030000
-    < 2 N
-    > DTR 9 3 ff0300000500000002000000
-    < 1 Y
+    > WR 5 3 0100000002000000ff030000
+    < 0
+    > WL 5 3 0100000002000000ff030000
+    < 2
+    > WR 9 3 ff0300000500000002000000
+    < 1 2
     > INIT 1024
     < OK
     > R 5 2 1023 9
     < N
-    > DTR 5 3 1 2 1023
-    < ERR DTR needs a full session
+    > WR 5 3 1 2 1023
+    < ERR WR needs a full session
 
 The client offers the full session while n <= 2**31, so that every id and
 every padded id it sends fits 32 bits, and the basic one otherwise.  A
 server that answers the full offer with ``ERR`` is sent ``INIT <n>``.  In
-a basic session the client asks a batch one ``L``/``R`` line per row,
-and a ``DTL``/``DTR`` op one ``L``/``R`` line per level, each the test on
-one half of the range the answer before it left, and one more line for
-the test after it; the answers and the ledgers are those of a full
-session.  Any other ``INIT`` reply (``OK`` with some of the features,
-say) raises OracleProtocolError: a server that agreed
+a basic session the client asks a batch one ``L``/``R`` line per row, and
+a walk one per level and per round's last test, with the answers and
+ledgers of a full session.  Any other ``INIT`` reply (``OK`` with some of
+the features, say) raises OracleProtocolError: a server that agreed
 ``HEX`` alone would read decimal ids as hex.
 
 The client checks every query before it writes a line, in both sessions:
 a bad subject, padded size or id raises OracleRejectedError, as the
 server's ``ERR`` would.  That covers an id outside 0..n-1 of a single
-test or a descent, a batch id outside 0..n_eff-1, an id that is not an
+test or a walk, a batch id outside 0..n_eff-1, an id that is not an
 integer and an id array of the wrong shape.  A single test over no ids
 answers False without a line.
 
 Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
 InvalidParameterError), any other unexpected reply (a batch reply of the
-wrong length, or a ``DTL``/``DTR`` reply that is not the canonical
-decimal of a position in 0..m-1, one space and ``Y`` or ``N``) raises
+wrong length, or a ``WL``/``WR`` reply that is not canonical decimals
+of strictly increasing positions in 0..m-1, one space apart) raises
 OracleProtocolError, a missing reply (or a query the server does not
 read) raises OracleTimeoutError, and a command that cannot be started
 raises OracleSpawnError.  After a timeout or a
@@ -205,18 +200,17 @@ def _batch_answer(reply: str, count: int) -> np.ndarray:
     raise _reply_error(reply)
 
 
-def _descent_test_answer(reply: str, m: int) -> tuple[int, bool]:
-    """Where a descent over ``m`` ids ends and the test after it: the
-    canonical ASCII decimal of a position in 0..m-1, one space, ``Y`` or
-    ``N``."""
-    position, _, answer = reply.partition(" ")
-    # the length bound keeps int() off positions longer than it parses
-    if (position.isascii() and position.isdigit() and len(position) <= len(str(m))
-            and answer in ("Y", "N")):
-        p = int(position)
-        if p < m and str(p) == position:
-            return p, answer == "Y"
-    raise _reply_error(reply)
+def _walk_answer(reply: str, m: int) -> list[int]:
+    """Where the rounds of a walk over ``m`` ids end: canonical ASCII decimals of
+    strictly increasing positions in 0..m-1, one space apart, or none."""
+    ends = [-1]
+    for position in reply.split(" ") if reply else ():
+        # the length bound keeps int() off positions longer than it parses
+        if not (position.isascii() and position.isdigit() and len(position) <= len(str(m))
+                and ends[-1] < int(position) < m and str(int(position)) == position):
+            raise _reply_error(reply)
+        ends.append(int(position))
+    return ends[1:]
 
 
 class ExternalOracle(GroupTestOracle):
@@ -356,7 +350,7 @@ class ExternalOracle(GroupTestOracle):
             raise
 
     def _line(self, kind: str, u: int, ids: np.ndarray) -> str:
-        """``kind u m <ids>``, the line of a single test or a fused descent."""
+        """``kind u m <ids>``, the line of a single test or a walk."""
         if self._full:
             return f"{kind} {u} {ids.size} {_hex_token(ids)}"
         return " ".join((kind, str(u), str(ids.size), *map(str, ids.tolist())))
@@ -386,9 +380,8 @@ class ExternalOracle(GroupTestOracle):
         line = f"{'BL' if left else 'BR'} {u} {n_eff} {count} {width} {_hex_token(rows)}"
         return self._ask(line, _batch_answer, count)
 
-    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
         arr = self._checked(_checked_descent, u, arr)
         if not self._full:
-            return super().descent_and_test(u, arr, left)
-        return self._ask(self._line("DTL" if left else "DTR", u, arr),
-                         _descent_test_answer, arr.size)
+            return super().walk(u, arr, left)
+        return self._ask(self._line("WL" if left else "WR", u, arr), _walk_answer, arr.size)

@@ -14,25 +14,17 @@ one ``test`` call, and moves into whichever half must contain an element
 below x.  The element returned is the one holding the smallest shuffled
 position among those below x, which is uniform over them.
 
-A min-finding run shuffles once and walks that one order from swap to
-swap.  After the first condition test answers yes, it shuffles ``rest``,
-the collection without x; each round then descends over all of ``rest``
-to p, the first position below x, and swaps x into that slot.  So
-``rest`` stays the collection without the new x, every id at or before p
-is above the new x, and every id below it lies after p.  The descent
-reveals nothing of the order after p, so that part is still uniformly
-shuffled given the run so far, and the first id below the new x in it is
-uniform among those below: each round moves as a fresh ``swap`` would,
-without a shuffle of its own.  The descent still spans all |rest| = n - 1
-ids, so a run of ``iterations`` rounds costs exactly
-iterations * (ceil(log2(n-1)) + 1) + 1 tests, as with a fresh shuffle.
-The first round's condition test is asked alone.  After it, each round
-is one ``descent_and_test`` call, the descent ``swap`` asks level by
-level and then the next round's condition test, the one on ``rest``
-after the swap.  The in-process oracle answers the call from one gather,
-the line protocol with one ``DTR`` line in a full session, and any other
-oracle level by level and then the test.  Each level and each test is
-one query on the ledger either way.
+A min-finding run shuffles once and walks that one order.  After the
+first condition test answers yes, it shuffles ``rest``, the collection
+without x; each round descends over all of ``rest`` to p, the first
+position below x, and swaps x into that slot.  Every id up to p is then
+above the new x, and the order after p, never read, is still uniformly
+shuffled given the run, so each round moves as a fresh ``swap`` would.
+Each descent spans all n - 1 ids: a run of ``iterations`` rounds costs
+exactly iterations * (ceil(log2(n-1)) + 1) + 1 tests.  All rounds are
+one ``walk(x, rest, False)`` call, answered from one gather in process,
+with one ``WR`` line in a full session, and level by level by any other
+oracle, each level and test one query either way.
 """
 
 from __future__ import annotations
@@ -83,27 +75,21 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
     start = replace(ledger)
     idx = int(rng.integers(arr.size))
     x = int(arr[idx])
-    iterations = 0
     rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
-    below = rest.size > 0 and counting.right_test(x, rest)
-    if below:
+    ends = []
+    if rest.size and counting.right_test(x, rest):
         rng.shuffle(rest)
-    while below:
-        # rest[p] is the first id below x; x takes its slot
-        p, below = counting.descent_and_test(x, rest, False)
-        x, rest[p] = int(rest[p]), x
-        iterations += 1
-        if iterations > arr.size:
-            # the candidate's rank strictly decreases every round, so a
-            # consistent oracle can never sustain this many swaps, unless
-            # an id repeats and a swap can return the candidate's twin
+        ends = counting.walk(x, rest, False)
+        if not ends:
+            # on a consistent oracle only a twin of some candidate breaks a walk
             values, counts = np.unique(arr, return_counts=True)
             repeated = values[counts > 1]
             if repeated.size:
                 raise InvalidParameterError(
                     f"the collection repeats ids {repeated[:10].tolist()}")
             raise RuntimeError("oracle answers are inconsistent with a total order")
-    return MinFindOutcome(element=x, iterations=iterations, ledger=ledger.since(start))
+        x = int(rest[ends[-1]])
+    return MinFindOutcome(element=x, iterations=len(ends), ledger=ledger.since(start))
 
 
 def min_find(oracle: GroupTestOracle, n: int, rng: np.random.Generator) -> MinFindOutcome:

@@ -11,12 +11,12 @@ existential).  Answers are noiseless functions of the hidden order.
 
 Each query takes its direction as an argument, ``left`` for the left
 test and ``not left`` for the right one: a subclass defines ``test(u, V,
-left)``, and ``test_batch`` and ``descent_and_test`` default to asking
-it per row or level; ``left_test`` ... ``right_test_batch`` are one-line
-forms of ``test`` and ``test_batch``.  V may be any collection of
-integer ids; it is checked into one 1-D integer array, and
-:class:`InstanceOracle` answers every single test and fused descent from
-one gather of the ranks of such an array.
+left)``, and ``test_batch`` and ``walk`` default to asking it per row or
+level; ``left_test`` ... ``right_test_batch`` are one-line forms of
+``test`` and ``test_batch``.  V may be any collection of integer ids; it
+is checked into one 1-D integer array, and :class:`InstanceOracle`
+answers every single test and walk from one gather of the ranks of such
+an array.
 
 ``test_batch(u, rows, n_eff, left)`` asks one test per row of a 2-D id
 array, for non-adaptive tests whose sets are all drawn before any answer
@@ -30,19 +30,20 @@ one gather from that table and one matrix-vector product, and answers
 true where the count is positive.
 
 Min-finding's swap is a binary descent over an id array: one test per
-level on the occupied left half of the current range, ceil(log2 m)
-tests in all.  Every level tests a contiguous slice of the same array,
-so the descent ends at the first position whose id satisfies the test,
-or at m - 1 if none does.  :func:`_descend` asks the levels one at a
-time, each an ordinary single test; ``minfind.swap`` descends so.
-``descent_and_test(u, arr, left)`` runs that descent, ending at p, and
-then asks one more test in the same direction: w = arr[p] against every
-other id of arr, plus u.  In min-finding, where arr is the collection
-without u, that is the next round's condition test, so one call answers
-a swap and the test after it.  The base class asks the levels through
-:func:`_descend` and then ``test``; :class:`InstanceOracle` answers all
-of them from one gather, and the line protocol's ``DTL``/``DTR`` op in
-one line.
+level on the occupied left half of the current range, ceil(log2 m) in
+all, so it ends at the first position whose id satisfies the test, or
+at m - 1 if none does.  :func:`_descend` asks the levels one at a time.
+
+``walk(u, arr, left)`` is a whole min-finding run over one order: each
+round descends over arr to its end p, tests w = arr[p] against the other
+ids plus the subject, and swaps the subject into slot p of a private
+copy, w becoming the subject, while that test answers true.  It returns
+the rounds' ends, which strictly increase: the records of the order that
+beat u.  A round that ends at or before the one before it (a repeated
+id, a first round with no hit, or an inconsistent oracle) breaks the
+walk, which then returns no end.  The base class asks each round level
+by level and then its test; :class:`InstanceOracle` finds every end from
+one gather, and the line protocol's ``WL``/``WR`` op in one line.
 
 Adapters compose around a base oracle:
 
@@ -94,14 +95,20 @@ class GroupTestOracle(ABC):
         return np.fromiter((self.test(u, row[row < size], left) for row in rows),
                            dtype=bool, count=len(rows))
 
-    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
-        """Where a descent of tests over the 1-D id array ``arr`` ends, p,
-        and the test of w = arr[p] against the other ids of ``arr`` and u:
-        ceil(log2 m) + 1 group tests, asked here as the single tests of
-        :func:`_descend` and one more."""
-        arr = _checked_descent(u, arr, self.size)
-        p = _descend(self, u, arr, left)
-        return p, self.test(int(arr[p]), np.append(np.delete(arr, p).astype(np.int64), u), left)
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
+        """Where the rounds of a walk over ``arr`` from u end (module docstring):
+        ceil(log2 m) + 1 tests a round, asked as :func:`_descend`'s and one more."""
+        arr = _checked_descent(u, arr, self.size).astype(np.int64)  # the copy it swaps in
+        ends: list[int] = []
+        while True:
+            p = _descend(self, u, arr, left)
+            if ends and p <= ends[-1]:
+                return []
+            ends.append(p)
+            w = int(arr[p])
+            if not self.test(w, np.append(np.delete(arr, p), u), left):
+                return ends
+            arr[p], u = u, w
 
     def left_test(self, u: int, V: IdSet) -> bool:
         return self.test(u, V, True)
@@ -264,16 +271,15 @@ class InstanceOracle(GroupTestOracle):
         (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])
         return hit[rows] @ np.ones(rows.shape[1], dtype=np.float32) > 0
 
-    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
-        compare = np.greater_equal if left else np.less_equal
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
+        # a round ends at each record beating u; a tie (a repeated id), or none, breaks it
         found = self._ranks[_checked_descent(u, arr, self.size)]
-        hits = compare(found, self._ranks[u])
-        first = int(hits.argmax())
-        p = first if hits[first] else hits.size - 1
-        # the ids before p miss u: after a hit at p they miss w too, which
-        # hits u, and with no hit u hits w, so only u and the ids after p count
-        w = found[p]
-        return p, bool(compare(self._ranks[u], w) or np.count_nonzero(compare(found[p + 1 :], w)))
+        ru = self._ranks[u]
+        compare, extreme = (np.greater_equal, np.maximum) if left else (np.less_equal, np.minimum)
+        ends = ((found == extreme.accumulate(found)) & compare(found, ru)).nonzero()[0]
+        record = found[ends]
+        sound = ends.size and record[0] != ru and (record[1:] != record[:-1]).all()
+        return ends.tolist() if sound else []
 
 
 class CountingOracle(GroupTestOracle):
@@ -302,12 +308,11 @@ class CountingOracle(GroupTestOracle):
         self._count(left, len(rows))
         return answers
 
-    # a descent over m ids and the test after it are ceil(log2 m) + 1
-    # tests, however they are answered
-    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
-        answer = self._inner.descent_and_test(u, arr, left)
-        self._count(left, (len(arr) - 1).bit_length() + 1)
-        return answer
+    # a walk's round is a descent and one test, however they are answered
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
+        ends = self._inner.walk(u, arr, left)
+        self._count(left, len(ends) * ((len(arr) - 1).bit_length() + 1))
+        return ends
 
 
 class _ReversedOracle(GroupTestOracle):
@@ -323,8 +328,8 @@ class _ReversedOracle(GroupTestOracle):
     def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
         return self._inner.test_batch(u, rows, n_eff, not left)
 
-    def descent_and_test(self, u: int, arr: np.ndarray, left: bool) -> tuple[int, bool]:
-        return self._inner.descent_and_test(u, arr, not left)
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
+        return self._inner.walk(u, arr, not left)
 
 
 def reversed_view(oracle: GroupTestOracle) -> GroupTestOracle:

@@ -7,20 +7,16 @@ protocol and its client.  ``serve`` answers the protocol for any rank
 list and never raises on a bad line: every input line gets exactly one
 reply line, ``ERR ...`` for an invalid one.  It serves both sessions:
 each accepted ``INIT`` starts a basic one (decimal ``L``/``R`` only) or
-a full one (every op, ``HEX`` ids).  Past decoding and one range check,
-a full session's work on a line grows with where its answer is decided,
-not with the line's length.  It splits off only the line's head, decodes
-the id token once with ``bytes.fromhex`` and checks all the ids against
-the bound in one range check, a single big-int test over the line's
-32-bit words (an id-by-id check past bounds of 2**31).  Then it scans
-the ids in order and stops at the first that satisfies the test: ``L``
-and ``R`` reply ``Y`` there, ``DTL`` and ``DTR`` take its position as
-the descent's end and scan on from it for the test after the descent,
-and each row of ``BL`` or ``BR`` stops at its own first hit.  The scans read
-one table per direction, built at the direction's first query and kept
-until EOF: the ranks for the left test, their negations for the right
-one, each padded with n dummy sentinels.  A basic session keeps the
-per-id path: decimal ids, checked one by one.
+a full one (every op, ``HEX`` ids).  A full session splits off only the
+line's head, decodes the id token once with ``bytes.fromhex`` and checks
+all the ids against the bound in one big-int test over the line's 32-bit
+words (an id-by-id check past bounds of 2**31).  Then it scans the ids
+in order: ``L`` and ``R`` stop at the first that satisfies the test,
+each row of ``BL`` or ``BR`` at its own first hit, and ``WL`` and ``WR``
+read every id once, noting each new record.  The scans read one table
+per direction, built at its first query and kept until EOF: the ranks
+for the left test, their negations for the right one, each padded with n
+dummy sentinels.  A basic session checks its decimal ids one by one.
 
 The server imports no numpy, which would cost most of its start-up time.
 ``instance_ranks`` rebuilds ``make_instance``'s ranks in pure Python by
@@ -191,15 +187,6 @@ def _search_table(ranks: list[int], left: bool) -> list[int]:
     return [-rank for rank in ranks] + [-(n + 1)] * n
 
 
-def _first_hit(ids: Sequence[int], table: list[int], key: int) -> int | None:
-    """The first of ``ids`` that satisfies the test, ``table[v] >= key``,
-    or None if none does."""
-    for v in ids:
-        if table[v] >= key:
-            return v
-    return None
-
-
 def serve(ranks: list[int], infile, outfile) -> None:
     """Answer protocol queries until EOF for the order where ``ranks[i]``
     is the rank of id ``i``, a permutation of 1..n.
@@ -231,12 +218,12 @@ def serve(ranks: list[int], infile, outfile) -> None:
                 full = len(parts) > 2
         elif op in ("L", "R"):
             answer = _answer_test(line, table(op == "L"), n, full)
-        elif op in ("BL", "BR", "DTL", "DTR") and not full:
+        elif op in ("BL", "BR", "WL", "WR") and not full:
             answer = f"ERR {op} needs a full session"
         elif op in ("BL", "BR"):
             answer = _answer_batch(line, table(op == "BL"), n)
-        elif op in ("DTL", "DTR"):
-            answer = _answer_descent(line, table(op == "DTL"), n)
+        elif op in ("WL", "WR"):
+            answer = _answer_walk(line, table(op == "WL"), n)
         else:
             answer = f"ERR unknown op {op}"
         outfile.write(answer + "\n")
@@ -282,26 +269,28 @@ def _answer_test(line: str, table: list[int], n: int, full: bool) -> str:
     if isinstance(operands, str):
         return operands
     u, ids = operands
-    return "N" if _first_hit(ids, table, table[u]) is None else "Y"
+    key = table[u]
+    return "Y" if any(table[v] >= key for v in ids) else "N"
 
 
-def _answer_descent(line: str, table: list[int], n: int) -> str:
-    """The reply to one ``DTL``/``DTR`` line of a full session: the first
-    position p whose id satisfies the test, or m - 1 if none does, and
-    the answer of the test of w = ids[p] against the other ids and u."""
+def _answer_walk(line: str, table: list[int], n: int) -> str:
+    """The reply to one ``WL``/``WR`` line of a full session: each
+    record that beats u, or nothing when the walk breaks."""
     operands = _operands(line, n, True)
     if isinstance(operands, str):
         return operands
     u, ids = operands
     if not ids:
-        return "ERR malformed descent: no ids"
-    hit = _first_hit(ids, table, table[u])
-    p = len(ids) - 1 if hit is None else ids.index(hit)
-    # the ids before p miss u: after a hit at p they miss w too, which
-    # hits u, and with no hit u hits w, so only u and the ids after p count
-    key = table[ids[p]]
-    found = table[u] >= key or _first_hit(ids[p + 1:], table, key) is not None
-    return f"{p} {'Y' if found else 'N'}"
+        return "ERR malformed walk: no ids"
+    key = table[u]
+    ends = []
+    for p, value in enumerate(map(table.__getitem__, ids)):
+        if value >= key:
+            if value == key:
+                return ""  # a repeated id: the next round would end here again
+            ends.append(str(p))
+            key = value
+    return " ".join(ends)  # no end at all breaks the walk too
 
 
 def _answer_batch(line: str, table: list[int], n: int) -> str:

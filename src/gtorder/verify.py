@@ -7,8 +7,8 @@ of the threshold test, rank-search success, candidate hit rates, the
 selection theorem, the reversal law and batch dummy slots,
 external-protocol conformance, bit-for-bit reproducibility, the
 curtailed threshold test's agreement with the full one, the exact law of
-min-finding's swaps on its one shuffled order, and rank estimates at both
-ends of the order.
+min-finding's swaps on its one shuffled order, rank estimates at both
+ends of the order, and min-finding's exact mean cost.
 Probabilistic claims carry 3-sigma binomial margins or a chi-square test
 at significance 0.001; structural claims are exact.  All randomness
 derives from the suite seed.
@@ -132,9 +132,9 @@ SWAP_LEDGER_RUNS = 25
 
 
 class _PerQueryOracle(GroupTestOracle):
-    """Forwards single tests only, so every batch and fused descent takes
-    the base class's path and each row, level and test reaches the oracle
-    below as one single test."""
+    """Forwards single tests only, so every batch and walk takes the base
+    class's path and each row, level and test reaches the oracle below as
+    one single test."""
 
     def __init__(self, inner: GroupTestOracle):
         self._inner = inner
@@ -147,11 +147,11 @@ class _PerQueryOracle(GroupTestOracle):
 @_check()
 def check_swap_query_count(seed: int) -> tuple[bool, str]:
     """Every swap costs exactly ceil(log2(n-1)) tests for n in 3..1025."""
-    # swap asks its levels one single test at a time.  min_find's fused
-    # descent_and_test is answered from one gather and charged
-    # ceil(log2 m) + 1 by formula, so each run is also replayed from the
-    # same generator state with every level and test asked and counted one
-    # by one; both must give the same element, rounds and ledger.
+    # swap asks its levels one single test at a time.  min_find's walk is
+    # answered from one gather and charged ceil(log2 m) + 1 a round by
+    # formula, so each run is also replayed from the same generator state
+    # with every level and test asked and counted one by one; both must
+    # give the same element, rounds, ledger and generator state.
     rng = _rng(seed, 2)
     seeds = _seed_stream(rng)
     bad = []
@@ -169,16 +169,17 @@ def check_swap_query_count(seed: int) -> tuple[bool, str]:
         per_swap = _ceil_log2(n - 1)
         for _ in range(SWAP_LEDGER_RUNS):
             instance = make_instance(n, next(seeds))
-            asked = CountingOracle(InstanceOracle(instance))
-            replay = min_find(_PerQueryOracle(asked), n, copy.deepcopy(rng))
+            asked, twin = CountingOracle(InstanceOracle(instance)), copy.deepcopy(rng)
+            replay = min_find(_PerQueryOracle(asked), n, twin)
             outcome = min_find(InstanceOracle(instance), n, rng)
             expected_total = (outcome.iterations + 1) + outcome.iterations * per_swap
             if (asked.ledger.total != expected_total or outcome.ledger != asked.ledger
                     or (outcome.element, outcome.iterations)
-                    != (replay.element, replay.iterations)):
+                    != (replay.element, replay.iterations)
+                    or rng.bit_generator.state != twin.bit_generator.state):
                 bad.append((n, outcome.ledger.total, asked.ledger.total, expected_total))
     return not bad, ("exact ceil(log2(n-1)) tests per swap for all n in 3..1025, and "
-                     "min_find's fused descent_and_test matches its per-level replay"
+                     "min_find's one-call walk matches its per-level replay"
                      if not bad else f"deviations (n, counted[, per level], expected) "
                                      f"at {bad[:5]}")
 
@@ -217,9 +218,9 @@ SCALING_RATIO_HIGH = 2.9
 SCALING_TIME_LIMIT = 120.0
 
 
-@_check(time_limit=SCALING_TIME_LIMIT)
-def check_minfind_scaling(seed: int) -> tuple[bool, str]:
-    """Mean query cost grows like log^2 n: the 4096/256 ratio is near 2.25."""
+@functools.lru_cache(maxsize=1)  # checks 4 and 16 read the same runs
+def _scaling_means(seed: int) -> dict[int, float]:
+    """The mean query cost of min_find at each size, over fresh instances."""
     rng = _rng(seed, 4)
     seeds = _seed_stream(rng)
     means = {}
@@ -229,6 +230,13 @@ def check_minfind_scaling(seed: int) -> tuple[bool, str]:
             instance = make_instance(n, next(seeds))
             totals += min_find(InstanceOracle(instance), n, rng).ledger.total
         means[n] = totals / SCALING_RUNS
+    return means
+
+
+@_check(time_limit=SCALING_TIME_LIMIT)
+def check_minfind_scaling(seed: int) -> tuple[bool, str]:
+    """Mean query cost grows like log^2 n: the 4096/256 ratio is near 2.25."""
+    means = _scaling_means(seed)
     ratio = means[4096] / means[256]
     return SCALING_RATIO_LOW <= ratio <= SCALING_RATIO_HIGH, (
         f"mean queries {means}; ratio mean(4096)/mean(256) = {ratio:.2f}, "
@@ -494,10 +502,9 @@ def check_reversal_padding(seed: int) -> tuple[bool, str]:
 EXTERNAL_N = 128
 EXTERNAL_QUERIES = 1000
 EXTERNAL_BATCHES = 100
-# descent sizes: one id (the descent asks no test, only the test after
-# it), a power of two, and neither
-EXTERNAL_DESCENT_SIZES = (1, 2, 64, 100, EXTERNAL_N)
-EXTERNAL_DESCENTS_PER_SIZE = 20
+# walk sizes: one id (no descent test), a power of two, neither, all but u
+EXTERNAL_WALK_SIZES = (1, 2, 64, 100, EXTERNAL_N - 1)
+EXTERNAL_WALKS_PER_SIZE = 20
 
 
 @_check()
@@ -525,13 +532,13 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
             for left in (True, False):
                 mismatches += not np.array_equal(remote.test_batch(u, rows, n_eff, left),
                                                  builtin.test_batch(u, rows, n_eff, left))
-        for m in EXTERNAL_DESCENT_SIZES:
-            for _ in range(EXTERNAL_DESCENTS_PER_SIZE):
+        # walks over ids other than u; one that no id beats breaks
+        for m in EXTERNAL_WALK_SIZES:
+            for _ in range(EXTERNAL_WALKS_PER_SIZE):
                 u = int(rng.integers(0, EXTERNAL_N))
-                arr = rng.permutation(EXTERNAL_N)[:m]
+                arr = rng.permutation(np.delete(np.arange(EXTERNAL_N), u))[:m]
                 for left in (True, False):
-                    mismatches += (remote.descent_and_test(u, arr, left)
-                                   != builtin.descent_and_test(u, arr, left))
+                    mismatches += remote.walk(u, arr, left) != builtin.walk(u, arr, left)
         # whole runs: the same element and ledger as the builtin run at the same seed
         run_seed = int(rng.integers(0, 2**63))
         for find in (min_find, max_find):
@@ -539,11 +546,11 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
                     for oracle in (remote, builtin)]
             mismatches += runs[0] != runs[1]
     compared = (EXTERNAL_QUERIES + 2 * EXTERNAL_BATCHES
-                + 2 * len(EXTERNAL_DESCENT_SIZES) * EXTERNAL_DESCENTS_PER_SIZE + 2)
+                + 2 * len(EXTERNAL_WALK_SIZES) * EXTERNAL_WALKS_PER_SIZE + 2)
     return mismatches == 0, (
         f"{compared - mismatches}/{compared} protocol answers (single tests, batches, "
-        f"descents with the test after them, a min_find and a max_find run) match "
-        f"the builtin oracle at n={EXTERNAL_N}")
+        f"walks, a min_find and a max_find run) match the builtin oracle at "
+        f"n={EXTERNAL_N}")
 
 
 # --- 12. byte-identical reruns -----------------------------------------------
@@ -662,10 +669,10 @@ class _SwapRanks(InstanceOracle):
         super().__init__(instance)
         self.moves: list[int] = []
 
-    def descent_and_test(self, u, arr, left):
-        p, below = super().descent_and_test(u, arr, left)
-        self.moves.append(int(self.instance.ranks[arr[p]]))
-        return p, below
+    def walk(self, u, arr, left):
+        ends = super().walk(u, arr, left)
+        self.moves += self.instance.ranks[np.asarray(arr)[ends]].tolist()
+        return ends
 
 
 def _swap_count_law(n: int) -> list[float]:
@@ -750,3 +757,23 @@ def check_apxrank_ends(seed: int) -> tuple[bool, str]:
     bound = APXRANK_EPSILON + binomial_margin(runs, APXRANK_EPSILON, 3.0)
     return worst <= bound, (f"misses per rank {misses} over {runs} runs each at n={n}; "
                             f"worst rate {worst:.3f}, bound {bound:.3f}")
+
+
+# --- 16. min-finding's mean cost is exact --------------------------------------
+
+
+@_check(time_limit=SCALING_TIME_LIMIT)
+def check_minfind_mean(seed: int) -> tuple[bool, str]:
+    """At each of check 4's sizes the mean query cost lies within 3 sigma
+    of its exact value, (H_n - 1)(ceil(log2(n-1)) + 1) + 1."""
+    # from a uniform start a run visits rank j in 2..n with probability
+    # 1/j independently: H_n - 1 rounds in the mean, variance H_n - H_n^(2)
+    zs, scores = [], []
+    for n, mean in _scaling_means(seed).items():
+        harmonic, squares = (sum(1 / j**k for j in range(1, n + 1)) for k in (1, 2))
+        per_round = _ceil_log2(n - 1) + 1
+        expected = (harmonic - 1) * per_round + 1
+        zs.append((mean - expected) / (per_round * math.sqrt((harmonic - squares) / SCALING_RUNS)))
+        scores.append(f"n={n}: {mean:.2f} vs {expected:.2f} (z {zs[-1]:+.2f})")
+    return max(map(abs, zs)) <= 3, (f"mean queries over {SCALING_RUNS} runs against the exact "
+                                    f"mean, within 3 sigma: {'; '.join(scores)}")

@@ -3,12 +3,12 @@
 One test per registered check, in suite order, each id the check's number
 and name.  Each prints the PASS/FAIL line ``gtorder verify`` prints (run
 with ``pytest -s`` to see them as they complete) and asserts the outcome;
-each check's docstring states its criterion.  Three mutation tests show
-that check 10 fails when a batch's dummy slot answers as a hit, or when
-the reversed view's single test keeps the direction, one that check 14
-fails when min-finding walks an order that was never shuffled, and one
-that check 15 fails when rank search asks "rank <= m" at the integer
-target m.  The module runs in about 35 s; selection, min-finding and the
+each check's docstring states its criterion.  Mutation tests show that
+check 2 fails when the one-call walk drops its last round, check 10 when
+a batch's dummy slot answers as a hit or the reversed view's single test
+keeps the direction, check 14 when min-finding walks an order that was
+never shuffled, and check 15 when rank search asks "rank <= m" at the
+integer target m.  The module runs in about 35 s; selection, min-finding and the
 rank searches dominate.
 """
 
@@ -28,6 +28,20 @@ def test_criterion(name):
     result = verify.ALL_CHECKS[name](ACCEPTANCE_SEED)
     print(result)
     assert result.passed, str(result)
+
+
+def test_criterion_2_fails_when_the_walk_drops_a_round(monkeypatch):
+    walk = oracle.InstanceOracle.walk
+
+    def dropped(self, u, arr, left):
+        # a walk of one round keeps it: the run would raise, not return
+        ends = walk(self, u, arr, left)
+        return ends[:-1] or ends
+
+    monkeypatch.setattr(oracle.InstanceOracle, "walk", dropped)
+    result = verify.check_swap_query_count(ACCEPTANCE_SEED)
+    assert not result.passed
+    assert "deviations" in str(result)
 
 
 def _dummies_hit(answer, rows, size):

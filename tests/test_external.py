@@ -28,19 +28,21 @@ from gtorder import (
     make_instance,
     max_find,
     min_find,
+    min_find_among,
     reversed_view,
     swap,
 )
 from gtorder import external
 from gtorder.external import (
     _batch_answer,
-    _descent_test_answer,
     _full_session,
     _test_answer,
+    _walk_answer,
 )
 from gtorder.harness import ExperimentConfig, render_csv, run_experiment
 from gtorder.oracle import GroupTestOracle
 from gtorder.oracle_server import serve
+from gtorder.verify import _PerQueryOracle
 
 FULL_INIT = "INIT {} BATCH DESCENT HEX"
 
@@ -106,8 +108,7 @@ class TestReferenceServer:
                     assert np.array_equal(getattr(remote, name)(u, rows, n + 3),
                                           getattr(builtin, name)(u, rows, n + 3))
                 for left in (True, False):
-                    assert (remote.descent_and_test(u, arr, left)
-                            == builtin.descent_and_test(u, arr, left))
+                    assert remote.walk(u, arr, left) == builtin.walk(u, arr, left)
             for find in (min_find, max_find):
                 assert (find(remote, n, np.random.default_rng(3))
                         == find(builtin, n, np.random.default_rng(3)))
@@ -447,34 +448,34 @@ def id_tokens_fit(line, hex_ids):
     return len(tokens) == count and all(tok.isdigit() for tok in tokens)
 
 
-class TestDescentOp:
+class TestWalkOp:
     @pytest.mark.parametrize("server", sorted(SERVERS))
     def test_every_server_gives_the_builtin_answers(self, tmp_path, server):
         hook, full = SERVERS[server]
         n, seed = 40, 6
         command, log = filtered_server(tmp_path, n, seed, hook)
         builtin = InstanceOracle(make_instance(n, seed))
+        # each test of a run or walk asked one by one and counted: the
+        # lines a basic session sends for it
+        asked = CountingOracle(builtin)
+        per_level = _PerQueryOracle(asked)
         rng = np.random.default_rng(9)
-        singles = swaps = descents = levels = rows_sent = 0
+        walks = rows_sent = 0
         with ExternalOracle(command, n) as remote:
             for find in (min_find, max_find):
-                runs = [find(oracle, n, np.random.default_rng(3)) for oracle in (remote, builtin)]
-                assert runs[0] == runs[1]
-                # a condition test per swap and a last one; each swap
-                # descends over the n - 1 ids other than the candidate
-                singles += runs[0].iterations + 1
-                swaps += runs[0].iterations
-                levels += runs[0].iterations * (n - 2).bit_length()
+                runs = [find(oracle, n, np.random.default_rng(3))
+                        for oracle in (remote, builtin, per_level)]
+                assert runs[0] == runs[1] == runs[2]
+                # a first condition test, then one walk if it answered yes
+                walks += runs[0].iterations > 0
             for m in (1, 2, 5, 8, 39):
                 u, arr = int(rng.integers(n)), rng.permutation(n)[:m]
                 for left in (True, False):
                     counting = [CountingOracle(oracle) for oracle in (remote, builtin)]
-                    ends = [oracle.descent_and_test(u, arr, left) for oracle in counting]
-                    assert ends[0] == ends[1]
+                    ends = [oracle.walk(u, arr, left) for oracle in counting]
+                    assert ends[0] == ends[1] == per_level.walk(u, arr, left)
                     assert counting[0].ledger == counting[1].ledger
-                    descents += 1
-                    singles += 1
-                    levels += (m - 1).bit_length()
+                    walks += 1
             rows = rng.integers(0, n + 2, size=(3, 4))
             for name in ("left_test_batch", "right_test_batch"):
                 assert (getattr(remote, name)(3, rows, n + 2).tolist()
@@ -488,37 +489,60 @@ class TestDescentOp:
         assert all(id_tokens_fit(line, full) for line in lines)
         queries = [op for op in ops if op != "INIT"]
         if full:
-            # one line per run's first condition test, per swap (its
-            # descent and the next condition test), per explicit descent
-            # with its test, one id included, and per batch, none per
-            # level or row
+            # one line per run's first condition test, per walk, a run's
+            # or an explicit one over one id or more, and per batch; none
+            # per round, level or row
             assert queries.count("L") + queries.count("R") == 2
-            assert queries.count("DTL") + queries.count("DTR") == swaps + descents
+            assert queries.count("WL") + queries.count("WR") == walks
             assert queries.count("BL") == queries.count("BR") == 1
-            assert len(queries) == 2 + swaps + descents + 2
+            assert len(queries) == 2 + walks + 2
         else:
-            assert not {"BL", "BR", "DTL", "DTR"} & set(queries)
-            assert queries.count("L") + queries.count("R") == singles + levels + rows_sent
+            assert not {"BL", "BR", "WL", "WR"} & set(queries)
+            assert queries.count("L") + queries.count("R") == asked.ledger.total + rows_sent
 
-    @pytest.mark.parametrize("reply", ["0", "8 Y", "03 Y", "0  Y", "0 y", "0 YN", "0 Y N",
-                                       "Y", "-0 N", "-1 Y", "+3 N", "3.0 Y", "0x3 N", "3 3",
-                                       "OK", ""])
-    def test_malformed_descent_and_test_reply_ends_the_session(self, tmp_path, reply):
+    @pytest.mark.parametrize("server", ["full", "basic_plain_ok"])
+    def test_a_repeated_id_raises_as_in_process(self, tmp_path, server):
+        hook, full = SERVERS[server]
+        n, seed = 300, 7
+        command, log = filtered_server(tmp_path, n, seed, hook)
+        instance = make_instance(n, seed)
+        low = instance.element_with_rank(1)
+        elements = np.append(np.arange(n), low)  # a twin of the minimum
+        with ExternalOracle(command, n) as remote:
+            errors = []
+            for oracle in (InstanceOracle(instance), remote):
+                with pytest.raises(InvalidParameterError) as info:
+                    min_find_among(oracle, elements, np.random.default_rng(1))
+                errors.append((info.type, str(info.value)))
+        assert errors[0] == errors[1] == (InvalidParameterError,
+                                          f"the collection repeats ids [{low}]")
+        queries = [line for line in log.read_text().splitlines() if not line.startswith("INIT")]
+        if full:
+            # the first condition test, and one walk that breaks at the twin
+            assert [line.split()[0] for line in queries] == ["R", "WR"]
+        else:
+            # the rounds up to the twin, not n + 1 of them
+            assert len(queries) < 20 * ((n - 1).bit_length() + 1)
+
+    @pytest.mark.parametrize("reply", ["8", "03", "0  1", "1 0", "0 0", "2 1", "0 8", "0 1 1",
+                                       "0 Y", "0 N", "Y", "N", "-0", "-1", "+3", "3.0", "0x3",
+                                       "1\t2", "1,2", "\u0663", "OK"])
+    def test_malformed_walk_reply_ends_the_session(self, tmp_path, reply):
         command, _ = filtered_server(tmp_path, 8, 0, f"""
-            if line.startswith("DT"):
+            if line.startswith("W"):
                 print({reply!r}, flush=True)
                 continue
         """)
         arr = np.array([6, 1, 7, 0, 2, 5, 3, 4])
         with ExternalOracle(command, 8) as remote:
             with pytest.raises(OracleProtocolError):
-                remote.descent_and_test(3, arr, False)
+                remote.walk(3, arr, False)
             with pytest.raises(OracleProtocolError):
                 remote.right_test(3, [3])
 
-    def test_err_reply_to_a_descent_and_test_leaves_the_session_usable(self, tmp_path):
+    def test_err_reply_to_a_walk_leaves_the_session_usable(self, tmp_path):
         command, log = filtered_server(tmp_path, 8, 0, """
-            if line.startswith("DTR 3 "):
+            if line.startswith("WR 3 "):
                 print("ERR busy", flush=True)
                 continue
         """)
@@ -526,12 +550,11 @@ class TestDescentOp:
         arr = np.array([6, 1, 7, 0, 2, 5, 3, 4])
         with ExternalOracle(command, 8) as remote:
             with pytest.raises(OracleRejectedError):
-                remote.descent_and_test(3, arr, False)
+                remote.walk(3, arr, False)
             for u, left, ids in ((4, False, arr), (3, True, arr), (3, True, arr[:1])):
-                assert (remote.descent_and_test(u, ids, left)
-                        == builtin.descent_and_test(u, ids, left))
+                assert remote.walk(u, ids, left) == builtin.walk(u, ids, left)
         # one id asks one test, so it is a line too
-        assert ops_received(log) == ["INIT", "DTR", "DTR", "DTL", "DTL"]
+        assert ops_received(log) == ["INIT", "WR", "WR", "WL", "WL"]
 
     # swap's descent has no op of its own: each session asks its levels as
     # single tests, the full one with HEX ids
@@ -653,12 +676,12 @@ class TestIdSafety:
                            "invalid")
 
     @pytest.mark.parametrize("case", sorted(DESCENT))
-    def test_descent(self, oracles, case):
+    def test_walk(self, oracles, case):
         remote, builtin = oracles
         u, arr = self.DESCENT[case]
         for left in (True, False):
-            assert (outcome(remote.descent_and_test, u, np.array(arr), left)
-                    == outcome(builtin.descent_and_test, u, np.array(arr), left))
+            assert (outcome(remote.walk, u, np.array(arr), left)
+                    == outcome(builtin.walk, u, np.array(arr), left))
 
     def test_bools_never_reach_the_pipe(self, tmp_path):
         # nor do floats, nor id arrays that are not 1-D
@@ -673,9 +696,9 @@ class TestIdSafety:
                  ("right_test_batch", True, rows, self.N),
                  ("left_test_batch", 3, rows.astype(bool), self.N),
                  ("right_test_batch", 3, rows.astype(float), self.N),
-                 ("descent_and_test", True, arr, False),
-                 ("descent_and_test", 3, arr.astype(bool), True),
-                 ("descent_and_test", 3, arr.astype(float), True)]
+                 ("walk", True, arr, False),
+                 ("walk", 3, arr.astype(bool), True),
+                 ("walk", 3, arr.astype(float), True)]
         with ExternalOracle(command, self.N) as remote:
             remote.right_test(1, [1])  # the text of id 1 is now cached
             for name, *args in calls:
@@ -695,17 +718,17 @@ class TestIdSafety:
                 getattr(remote, name)(self.N, [3])
             assert getattr(remote, name)(3, [5, 0]) == getattr(builtin, name)(3, [5, 0])
 
-    def test_bad_batch_and_descent_ids_are_rejected_before_any_line(self, tmp_path):
+    def test_bad_batch_and_walk_ids_are_rejected_before_any_line(self, tmp_path):
         # the harness turns only an OracleError into an error row, so a
-        # bad batch or descent id must be one, as a bad single-test id is
+        # bad batch or walk id must be one, as a bad single-test id is
         command, log = filtered_server(tmp_path, self.N, 11, self.HOOK)
         calls = [("right_test_batch", 3, [[9]], self.N), ("left_test_batch", 3, [[0, -1]], 10),
                  ("right_test_batch", 3, [[0, 1], [10, 2]], 10),
                  ("left_test_batch", 3, np.array([[0, 2**40]]), 2**40),
                  ("right_test_batch", -1, [[0, 1]], 10), ("left_test_batch", 8, [[0, 1]], 10),
-                 ("descent_and_test", 3, [0, 9], False), ("descent_and_test", 3, [0, -1], True),
-                 ("descent_and_test", 3, [8, 0, 1], False),
-                 ("descent_and_test", -1, [0, 1], True), ("descent_and_test", 8, [0, 1], False)]
+                 ("walk", 3, [0, 9], False), ("walk", 3, [0, -1], True),
+                 ("walk", 3, [8, 0, 1], False),
+                 ("walk", -1, [0, 1], True), ("walk", 8, [0, 1], False)]
         with ExternalOracle(command, self.N) as remote:
             for name, u, ids, last in calls:
                 with pytest.raises(OracleRejectedError):
@@ -720,20 +743,19 @@ class TestIdSafety:
             assert oracle.right_test(u=3, V=[1, 5]) == builtin.right_test(3, [1, 5])
             assert (oracle.left_test_batch(u=3, rows=rows, n_eff=10).tolist()
                     == builtin.left_test_batch(3, rows, 10).tolist())
-            assert (oracle.descent_and_test(u=3, arr=arr, left=False)
-                    == builtin.descent_and_test(3, arr, False))
+            assert oracle.walk(u=3, arr=arr, left=False) == builtin.walk(3, arr, False)
 
-    def test_an_err_reply_inside_a_batch_or_descent_is_raised_unchanged(self, tmp_path):
+    def test_an_err_reply_inside_a_batch_or_walk_is_raised_unchanged(self, tmp_path):
         # a basic session asks each row or level as a single test
         hook = textwrap.dedent(self.HOOK) + textwrap.dedent("""
-            if line.startswith(("R 3 ", "BR 3 ", "DTR 3 ")):
+            if line.startswith(("R 3 ", "BR 3 ", "WR 3 ")):
                 print("ERR busy", flush=True)
                 continue
         """)
         command, _ = filtered_server(tmp_path, self.N, 11, hook)
         with ExternalOracle(command, self.N) as remote:
             for query in (lambda: remote.right_test_batch(3, np.array([[0, 1]]), 8),
-                          lambda: remote.descent_and_test(3, np.array([0, 1, 2]), False)):
+                          lambda: remote.walk(3, np.array([0, 1, 2]), False)):
                 with pytest.raises(OracleRejectedError, match="busy") as excinfo:
                     query()
                 # raised where the reply was parsed, not re-raised above it
@@ -822,7 +844,7 @@ HEX_INIT = FULL_INIT.format(FUZZ_N)
 # has, written here with decimal ids
 BASIC_LINES = ["L 3 2 0 7", "R 3 2 0 7", "L 5 0"]
 FULL_OPS = ["BL 3 10 2 3 0 1 8 9 9 9", "BR 3 10 2 3 0 1 8 9 9 9", "BR 0 8 1 1 0",
-            "DTL 3 4 6 0 7 2", "DTR 3 4 6 0 7 2", "DTR 3 1 5", "DTL 3 3 3 3 3"]
+            "WL 3 4 6 0 7 2", "WR 3 4 6 0 7 2", "WR 3 1 5", "WL 3 3 3 3 3", "WR 7 3 0 5 1"]
 VALID_LINES = ["INIT 8", HEX_INIT, *BASIC_LINES]
 
 
@@ -840,7 +862,8 @@ HEX_VALID_LINES = [hexed(line) for line in BASIC_LINES + FULL_OPS] + [
 TOKENS = st.one_of(
     st.sampled_from(["\u00b2", "\u0663", "\uff11", "-1", "+1", "1_0", "0x1", "1e3", "08",
                      "9" * 5000, "BATCH", "DESCENT", "HEX", "INIT", "L", "R", "BL", "BR", "DL",
-                     "DR", "DTL", "DTR", "Y", "\x00", "0000000", "000000000", "0000000g",
+                     "DR", "DTL", "DTR", "WL", "WR", "Y", "\x00", "0000000", "000000000",
+                     "0000000g",
                      "0000000\u0663",
                      "00000000", "07000000", "08000000", "0a000000", "ffffffff", "0000000A",
                      "0000000000000000", "0" * 8000]),
@@ -884,9 +907,11 @@ def well_formed(line, reply, full=False):
         return reply in ("Y", "N")
     if parts[0] in ("BL", "BR"):
         return reply != "" and set(reply) <= {"Y", "N"} and len(reply) == int(parts[3])
-    if parts[0] in ("DTL", "DTR"):
-        return reply in {f"{position} {answer}" for position in range(int(parts[2]))
-                         for answer in "YN"}
+    if parts[0] in ("WL", "WR"):
+        ends = reply.split(" ") if reply else []
+        return (all(end.isdigit() and str(int(end)) == end for end in ends)
+                and [int(end) for end in ends] == sorted(set(map(int, ends)))
+                and all(int(end) < int(parts[2]) for end in ends))
     return False
 
 
@@ -932,14 +957,16 @@ INVALID_LINES = {
     "R 3 1 +1": "ERR malformed query",
     "L +3 1 0": "ERR malformed query",
     "L 3 +1 0": "ERR malformed query",
-    # batches and descents, in decimal or HEX, need a full session
+    # batches and walks, in decimal or HEX, need a full session
     "BR 3 8 1 1 0": "ERR BR needs a full session",
     "BL 3 10 1 2 -1 0": "ERR BL needs a full session",
-    # a descent without the test after it is no op of either session
+    "WR 3 4 6 0 7 2": "ERR WR needs a full session",
+    "WL 3 1 00000000": "ERR WL needs a full session",
+    # a lone descent and a descent with one test are no ops of either session
     "DR 3 4 6 0 7 2": "ERR unknown op DR",
     "DL 3 0": "ERR unknown op DL",
-    "DTR 3 4 6 0 7 2": "ERR DTR needs a full session",
-    "DTL 3 1 00000000": "ERR DTL needs a full session",
+    "DTR 3 4 6 0 7 2": "ERR unknown op DTR",
+    "DTL 3 1 00000000": "ERR unknown op DTL",
     "BR 3 8 1 1 00000000": "ERR BR needs a full session",
     # only the basic and the full INIT: no partial, reordered, repeated
     # or unknown feature list
@@ -981,7 +1008,7 @@ HEX_INVALID_LINES = {
     "R 3 1 0x000000": "ERR malformed query",
     "R 3 1 0000000\u0663": "ERR malformed query",
     "R 3 1 \uff10\uff10\uff10\uff10\uff10\uff10\uff10\uff10": "ERR malformed query",
-    "DTL 3 1 000000\u00b2\u00b2": "ERR malformed query",
+    "WL 3 1 000000\u00b2\u00b2": "ERR malformed query",
     "BR 3 8 1 1 0000000": "ERR malformed batch",
     "BL 3 \uff18 1 1 00000000": "ERR malformed batch",
     "BR 3 8 \u0661 1 00000000": "ERR malformed batch",
@@ -993,44 +1020,46 @@ HEX_INVALID_LINES = {
     # whitespace inside what would otherwise be one id, which
     # bytes.fromhex skips between bytes
     "R 3 1 0000 0000": "ERR malformed query",
-    "DTR 3 1 0000\t0000": "ERR malformed query",
+    "WR 3 1 0000\t0000": "ERR malformed query",
     "BR 3 8 1 1 0000\x0b0000": "ERR malformed batch",
     # ASCII digits only, with no sign but a leading "-": no "+" and no "_"
     "R +3 1 01000000": "ERR malformed query",
-    "DTR 3 0_1 00000000": "ERR malformed query",
+    "WR 3 0_1 00000000": "ERR malformed query",
     "BR 3 0_8 1 1 00000000": "ERR malformed batch",
     "BR +1 8 1 1 00000000": "ERR malformed batch",
     "BL 3 8 +1 1 00000000": "ERR malformed batch",
     # whole ids, but not as many as declared
     "R 3 2 00000000": "ERR id count mismatch",
     "L 3 0 00000000": "ERR id count mismatch",
-    "DTR 3 1": "ERR id count mismatch",
-    "DTL 3 2 00000000": "ERR id count mismatch",
+    "WR 3 1": "ERR id count mismatch",
+    "WL 3 2 00000000": "ERR id count mismatch",
     "R 3 -1": "ERR id count mismatch",
     "BR 3 8 1 2 00000000": "ERR id count mismatch",
-    # m = 0 for a descent, rows or width 0
-    "DTR 3 0": "ERR malformed descent",
-    "DTL 3 0": "ERR malformed descent",
-    "DTR 3 2 00000000": "ERR id count mismatch",
-    "DTL 3 1 08000000": "ERR element id out of range",
-    "DTR 8 1 00000000": "ERR element id out of range",
+    # m = 0 for a walk, rows or width 0
+    "WR 3 0": "ERR malformed walk",
+    "WL 3 0": "ERR malformed walk",
+    "WR 3 2 00000000": "ERR id count mismatch",
+    "WL 3 1 08000000": "ERR element id out of range",
+    "WR 8 1 00000000": "ERR element id out of range",
     "BR 3 8 0 1": "ERR malformed batch",
     "BR 3 8 1 0": "ERR malformed batch",
     "BL 3 8 0 0": "ERR malformed batch",
     # ids outside 0..n-1, batch ids outside 0..n_eff-1
     "R 3 1 08000000": "ERR element id out of range",
-    "DTR 3 1 08000000": "ERR element id out of range",
-    "DTL 3 2 00000000ffffffff": "ERR element id out of range",
+    "WR 3 1 08000000": "ERR element id out of range",
+    "WL 3 2 00000000ffffffff": "ERR element id out of range",
     "R 8 1 00000000": "ERR element id out of range",
-    "DTL 8 1 00000000": "ERR element id out of range",
+    "WL 8 1 00000000": "ERR element id out of range",
     "R -1 1 00000000": "ERR element id out of range",
     "BR 3 10 1 2 000000000a000000": "ERR batch id outside",
     "BL 3 8 1 1 08000000": "ERR batch id outside",
     "BR 3 10 1 1 ffffffff": "ERR batch id outside",
     "BR 8 10 1 1 00000000": "ERR element id out of range",
-    # a descent without the test after it is no op of either session
+    # a lone descent and a descent with one test are no ops of either session
     "DR 3 1 00000000": "ERR unknown op DR",
     "DL 3 4 06000000000000000700000002000000": "ERR unknown op DL",
+    "DTR 3 1 00000000": "ERR unknown op DTR",
+    "DTL 3 4 06000000000000000700000002000000": "ERR unknown op DTL",
 }
 
 
@@ -1068,18 +1097,18 @@ def test_only_an_accepted_init_switches_the_id_encoding():
 def test_each_accepted_init_starts_a_session_of_its_kind():
     # full -> basic -> full: each session takes the ops and the id
     # encoding of its own INIT, whatever session came before it
-    test, batch, descent = "R 3 2 0 7", "BR 3 10 2 3 0 1 8 9 9 9", "DTL 3 4 6 0 7 2"
-    full_lines = [hexed(test), hexed(batch), hexed(descent), test]
+    test, batch, walk = "R 3 2 0 7", "BR 3 10 2 3 0 1 8 9 9 9", "WL 3 4 6 0 7 2"
+    full_lines = [hexed(test), hexed(batch), hexed(walk), test]
     full = served(HEX_INIT, *full_lines)
     answer = full[1]
     assert answer in ("Y", "N") and not full[2].startswith("ERR")
     assert not full[3].startswith("ERR") and full[4] == "ERR malformed query"
-    basic = served(HEX_INIT, *full_lines, "INIT 8", test, batch, descent, hexed(test))
+    basic = served(HEX_INIT, *full_lines, "INIT 8", test, batch, walk, hexed(test))
     assert basic[:5] == full
     assert basic[5:] == ["OK", answer, "ERR BR needs a full session",
-                         "ERR DTL needs a full session",
+                         "ERR WL needs a full session",
                          "ERR id count mismatch: declared 2, got 1"]
-    again = served(HEX_INIT, *full_lines, "INIT 8", test, batch, descent, hexed(test),
+    again = served(HEX_INIT, *full_lines, "INIT 8", test, batch, walk, hexed(test),
                    HEX_INIT, *full_lines)
     assert again[:10] == basic and again[10:] == full
 
@@ -1092,7 +1121,7 @@ ID_VALUES = st.one_of(st.integers(0, FUZZ_N + 5), st.integers(2 * FUZZ_N, 4 * FU
 @st.composite
 def decimal_queries(draw):
     """A query line of any op with decimal ids, some of them invalid."""
-    op = draw(st.sampled_from(["L", "R", "DTL", "DTR", "BL", "BR"]))
+    op = draw(st.sampled_from(["L", "R", "WL", "WR", "BL", "BR"]))
     u = draw(st.integers(0, FUZZ_N))
     if op in ("BL", "BR"):
         rows, width = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -1121,9 +1150,9 @@ def builtin_reply(line):
             hits = batch(u, np.reshape(ids, (rows, width)), n_eff)
             return "".join("Y" if hit else "N" for hit in hits)
         u, _, *ids = numbers
-        if op in ("DTL", "DTR"):
-            p, hit = oracle.descent_and_test(u, np.array(ids, dtype=np.int64), side == "left")
-            return f"{p} {'Y' if hit else 'N'}"
+        if op in ("WL", "WR"):
+            return " ".join(map(str, oracle.walk(u, np.array(ids, dtype=np.int64),
+                                                 side == "left")))
         return "Y" if getattr(oracle, f"{side}_test")(u, ids) else "N"
     except InvalidParameterError:
         return None
@@ -1141,13 +1170,13 @@ def test_sessions_answer_like_the_builtin_oracle(line):
         assert served("INIT 8", line) == ["OK", full[1]]
 
 
-@pytest.mark.parametrize("line", ["DTL 3 4 6 0 7 2", "DTR 3 4 6 0 7 2", "DTR 6 3 6 6 6",
-                                  "DTL 3 2 0 1"])
-def test_serve_descent_ends_where_the_builtin_descent_does(line):
+@pytest.mark.parametrize("line", ["WL 3 4 6 0 7 2", "WR 3 4 6 0 7 2", "WR 6 3 6 6 6",
+                                  "WL 3 2 0 1", "WR 7 7 0 1 2 3 4 5 6", "WL 7 7 0 1 2 3 4 5 6"])
+def test_serve_walk_ends_where_the_builtin_walk_does(line):
     op, u, _, *ids = line.split()
     builtin = InstanceOracle(make_instance(FUZZ_N, 5))
-    p, hit = builtin.descent_and_test(int(u), np.array(ids, dtype=np.int64), op == "DTL")
-    assert served(HEX_INIT, hexed(line))[1] == f"{p} {'Y' if hit else 'N'}"
+    ends = builtin.walk(int(u), np.array(ids, dtype=np.int64), op == "WL")
+    assert served(HEX_INIT, hexed(line))[1] == " ".join(map(str, ends))
 
 
 def documented_exchanges():
@@ -1173,9 +1202,9 @@ def test_documented_full_session_lines_are_what_the_client_writes(tmp_path):
         remote.right_test(5, [1023, 9])
         remote.left_test(5, np.array([1023, 9]))
         remote.right_test_batch(5, np.array([[1, 1028], [1023, 1029]]), 1030)
-        remote.descent_and_test(5, np.array([1, 2, 1023]), False)
-        remote.descent_and_test(5, np.array([1, 2, 1023]), True)
-        remote.descent_and_test(9, np.array([1023, 5, 2]), False)
+        remote.walk(5, np.array([1, 2, 1023]), False)
+        remote.walk(5, np.array([1, 2, 1023]), True)
+        remote.walk(9, np.array([1023, 5, 2]), False)
     received = log.read_text().splitlines()
     assert received == sent[:len(received)] and len(received) == 7
 
@@ -1188,7 +1217,9 @@ REPLIES = st.one_of(
                      "OK BATCH BATCH", "OK  BATCH", "OK RESTART", "OK BATCH DESCENT HEX",
                      "OK HEX", "OK BATCH HEX", "OK HEX BATCH", "OK DESCENT HEX", "OK DESCENT BATCH HEX",
                      "OK BATCH DESCENT HEX HEX", "9" * 5000, "", "0 Y", "0 N", "3 N", "8 Y",
-                     "03 Y", "0  Y", " 0 Y", "0 Y ", "0 y", "0 YN", "0\tY", "-0 N", "ERR 0 Y"]),
+                     "03 Y", "0  Y", " 0 Y", "0 Y ", "0 y", "0 YN", "0\tY", "-0 N", "ERR 0 Y",
+                     "0 1", "1 0", "0 0", "0 2 5", "01 2", "0  1", "0 1 ", " 0 1", "2 8",
+                     "1 2 3 4 5 6 7 8", "0\t1", "0 -1", "ERR 0 1"]),
     st.integers(-3, 12).map(str),
     st.text(st.sampled_from("YN"), max_size=10),
     st.text(max_size=6),
@@ -1218,10 +1249,14 @@ def test_reply_parsers_answer_only_well_formed_replies(reply, size, offer):
         assert batch.dtype == bool and batch.tolist() == [c == "Y" for c in reply]
     else:
         assert batch == error
-    positions = {str(position): position for position in range(size)}
-    ends = {f"{token} {answer}": (position, answer == "Y")
-            for token, position in positions.items() for answer in "YN"}
-    assert parsed(_descent_test_answer, reply, size) == ends.get(reply, error)
+    # a walk: canonical positions below size, strictly increasing, one
+    # space apart, or none
+    tokens = reply.split(" ") if reply else []
+    ends = [int(token) if token.isascii() and token.isdigit() and len(token) <= len(str(size))
+            else -1 for token in tokens]
+    walk = (ends if all(str(end) == token for end, token in zip(ends, tokens))
+            and ends == sorted(set(ends)) and all(0 <= end < size for end in ends) else error)
+    assert parsed(_walk_answer, reply, size) == walk
     # OK agrees a basic session, and the full one only answers its offer
     agreed = {"OK": False, "OK BATCH DESCENT HEX": True if offer != "INIT 8" else OracleProtocolError}
     assert parsed(_full_session, reply, offer) == agreed.get(reply, OracleProtocolError)

@@ -110,8 +110,46 @@ class TestMinFind:
         low, high = instance.element_with_rank(1), instance.element_with_rank(5)
         rng = np.random.default_rng(0)
         for elements in ([low, low, high], [low, low]):
+            for oracle in (InstanceOracle(instance), PerLevelOracle(InstanceOracle(instance))):
+                with pytest.raises(InvalidParameterError, match=f"repeats ids \\[{low}\\]"):
+                    min_find_among(oracle, elements, rng)
+
+    @pytest.mark.parametrize("n", [1000, 16000])
+    def test_a_twin_of_the_minimum_raises_after_one_walk(self, n):
+        # the walk breaks at the round that finds the twin, so the run
+        # asks one condition test and one walk, not n + 1 rounds
+        instance = make_instance(n, seed=n)
+        low = instance.element_with_rank(1)
+        elements = np.append(np.arange(n), low)
+        calls = []
+
+        class Logged(InstanceOracle):
+            def test(self, u, V, left):
+                calls.append("test")
+                return super().test(u, V, left)
+
+            def walk(self, u, arr, left):
+                calls.append("walk")
+                return super().walk(u, arr, left)
+
+        for seed in range(5):
+            calls.clear()
             with pytest.raises(InvalidParameterError, match=f"repeats ids \\[{low}\\]"):
-                min_find_among(InstanceOracle(instance), elements, rng)
+                min_find_among(Logged(instance), elements, np.random.default_rng(seed))
+            assert calls == ["test", "walk"]
+
+    def test_an_inconsistent_oracle_is_named(self):
+        # every test answers yes: the walk's second round ends where its
+        # first did, so the run stops at once
+        class AlwaysBelow(GroupTestOracle):
+            size = 50
+
+            def test(self, u, V, left):
+                return True
+
+        for oracle in (AlwaysBelow(), CountingOracle(AlwaysBelow())):
+            with pytest.raises(RuntimeError, match="inconsistent"):
+                min_find(oracle, 50, np.random.default_rng(0))
 
     def test_min_find_among_accepts_any_integer_dtype(self):
         instance = make_instance(40, seed=6)
@@ -278,7 +316,7 @@ class TestSharedSwapCore:
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
-class TestOneCallPerRound:
+class TestOneCallPerRun:
     @pytest.mark.parametrize("find", [min_find, max_find])
     def test_fused_rounds_match_rounds_asked_test_by_test(self, find):
         for n in [*range(1, 71), 127, 128, 129, 1000, 4095, 4096]:
@@ -293,7 +331,7 @@ class TestOneCallPerRound:
             assert rng.bit_generator.state == twin.bit_generator.state
             assert exact_rank(instance, fused.element) == (1 if find is min_find else n)
 
-    def test_one_call_per_round(self):
+    def test_one_call_per_run(self):
         calls = []
 
         class Logged(InstanceOracle):
@@ -301,24 +339,23 @@ class TestOneCallPerRound:
                 calls.append("test")
                 return super().test(u, V, left)
 
-            def descent_and_test(self, u, arr, left):
-                calls.append("descent_and_test")
-                return super().descent_and_test(u, arr, left)
+            def walk(self, u, arr, left):
+                calls.append("walk")
+                return super().walk(u, arr, left)
 
         outcome = min_find(Logged(make_instance(300, 4)), 300, np.random.default_rng(4))
-        assert outcome.iterations >= 1
-        assert calls == ["test"] + ["descent_and_test"] * outcome.iterations
+        assert outcome.iterations >= 2
+        assert calls == ["test", "walk"]
 
 
 class RecordingOracle(InstanceOracle):
     """Test double that logs every query for transcript comparison.
 
-    Its descents, and the condition tests that follow them, take the base
-    class's path, one single test per level, so the swap tests reach the
-    log too.
+    Its walks take the base class's path, one single test per level and
+    one per condition test, so the swap tests reach the log too.
     """
 
-    descent_and_test = GroupTestOracle.descent_and_test
+    walk = GroupTestOracle.walk
 
     def __init__(self, instance):
         super().__init__(instance)

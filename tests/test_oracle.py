@@ -1,6 +1,7 @@
 """Tests for group-test semantics and the oracle adapters."""
 
 import functools
+import hashlib
 import itertools
 import sys
 
@@ -165,9 +166,10 @@ class TestContract:
     the direction-named forms live on the base class alone."""
 
     DIRECTION_NAMED = {"left_test", "right_test", "left_test_batch", "right_test_batch"}
-    # min-finding's swap descends through the single tests, and its rounds
-    # ask descent_and_test: no oracle has a descent op of its own
-    NO_SUCH_OP = {"descent", "left_descent", "right_descent"}
+    # min-finding's swap descends through the single tests, and its runs
+    # ask walk: no oracle has a descent op of its own, nor the old fused
+    # round op
+    NO_SUCH_OP = {"descent", "left_descent", "right_descent", "descent_and_test"}
 
     def test_the_single_test_is_the_one_abstract_method(self):
         assert GroupTestOracle.__abstractmethods__ == {"test"}
@@ -207,7 +209,7 @@ def test_ids_mixing_uint64_with_other_integers_answer_as_int64():
         return [ids] if isinstance(ids, list) else ids[None, :]
 
     calls = (lambda ids: oracle.right_test(3, ids),
-             lambda ids: oracle.descent_and_test(3, ids, False),
+             lambda ids: oracle.walk(7, ids, False),
              lambda ids: oracle.right_test_batch(3, rows(ids), 8).tolist(),
              lambda ids: min_find_among(oracle, ids, np.random.default_rng(0)))
     for call in calls:
@@ -249,8 +251,8 @@ class TestCountingAdapter:
                     lambda: counting.left_test_batch(0, np.array([[0], [1]]), 7),
                     lambda: counting.right_test(0, [9]),
                     lambda: counting.left_test(8, [0]),
-                    lambda: counting.descent_and_test(0, np.array([0, 1, 9]), False),
-                    lambda: counting.descent_and_test(0, np.array([0.0, 1.0]), True)]
+                    lambda: counting.walk(0, np.array([0, 1, 9]), False),
+                    lambda: counting.walk(0, np.array([0.0, 1.0]), True)]
         for ask in rejected:
             with pytest.raises(InvalidParameterError):
                 ask()
@@ -421,17 +423,26 @@ class TestPaddedView:
         assert not any(dummy_rows.any() for _, _, dummy_rows in asked)
 
 
-def descent_and_test_reference(ranks, rank_u, left):
-    """What ``descent_and_test`` answers for ids of ranks ``ranks`` and a
-    subject of rank ``rank_u``: the first position p satisfying the test,
-    else m - 1, and the test of the id at p against the others and u."""
+def walk_reference(ranks, rank_u, left):
+    """What ``walk`` answers for ids of ranks ``ranks`` and a subject of
+    rank ``rank_u``, round by round: the first position p satisfying the
+    test, else m - 1; the test of the id at p against the others and the
+    subject; then the subject in slot p and that id the subject.  No end
+    once a round ends at or before the one before it."""
     def hit(rank, against):
         return rank >= against if left else rank <= against
 
-    hits = [hit(rank, rank_u) for rank in ranks]
-    p = hits.index(True) if any(hits) else len(ranks) - 1
-    others = ranks[:p] + ranks[p + 1:] + [rank_u]
-    return p, any(hit(rank, ranks[p]) for rank in others)
+    ranks, ends = list(ranks), []
+    while True:
+        hits = [hit(rank, rank_u) for rank in ranks]
+        p = hits.index(True) if any(hits) else len(ranks) - 1
+        if ends and p <= ends[-1]:
+            return []
+        ends.append(p)
+        others = ranks[:p] + ranks[p + 1:] + [rank_u]
+        if not any(hit(rank, ranks[p]) for rank in others):
+            return ends
+        ranks[p], rank_u = rank_u, ranks[p]
 
 
 # the containers a single test takes its ids in
@@ -444,9 +455,8 @@ ID_CONTAINERS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozense
 @settings(max_examples=100, deadline=None)
 def test_adapters_agree_with_definitions(n, container, data):
     """The instance oracle, its reversal and the per-row path answer
-    single tests, one-row batches and descents with the test after them
-    exactly per the rank definition, whatever container holds the ids and
-    however many."""
+    single tests, one-row batches and walks exactly per the rank
+    definition, whatever container holds the ids and however many."""
     instance = make_instance(n, seed=99)
     base = InstanceOracle(instance)
     # near the ends of the order a test has few hits, so each one counts
@@ -469,7 +479,7 @@ def test_adapters_agree_with_definitions(n, container, data):
         assert oracle.left_test_batch(u, row, n).tolist() == [any(above)]
         if m:
             for left in (True, False):
-                assert oracle.descent_and_test(u, row[0], left) == descent_and_test_reference(
+                assert oracle.walk(u, row[0], left) == walk_reference(
                     [rank(v) for v in ids], rank(u), left)
 
 
@@ -720,8 +730,9 @@ def test_batches_of_empty_rows_answer_false_whatever_their_dtype(path):
             assert test(3, rows, 10).tolist() == answer
 
 
-# sizes of the descent tests: every m up to 70, and a few up to 4096
-DESCENT_SIZES = [*range(2, 71), 127, 128, 129, 1000, 4095, 4096]
+# sizes of the walk tests: every m up to 70, powers of two and their
+# neighbours, and a few up to 4096
+DESCENT_SIZES = [*range(1, 71), 127, 128, 129, 255, 256, 257, 1000, 4095, 4096]
 
 
 def descent_cases(m):
@@ -734,16 +745,16 @@ def descent_cases(m):
         yield instance, u, rng.permutation(np.delete(np.arange(m + 1), u))
 
 
-def descent_end(ranks, u, arr, left):
-    """The reference: the first position satisfying the test, else m - 1,
-    and the test of the id there against the other ids and u."""
-    return descent_and_test_reference([ranks[v] for v in arr], ranks[u], left)
+def walk_ends(ranks, u, arr, left):
+    """The reference walk, from the rank of each id."""
+    return walk_reference([ranks[v] for v in arr], ranks[u], left)
 
 
 class TestDescents:
     @pytest.mark.parametrize("view", ["direct", "reversed", "stacked"])
-    def test_fused_descent_matches_the_per_level_descent(self, view):
+    def test_one_call_walk_matches_the_per_level_walk(self, view):
         for m in DESCENT_SIZES:
+            levels = (m - 1).bit_length()
             for instance, u, arr in descent_cases(m):
                 base = InstanceOracle(instance)
                 fused = [CountingOracle(base)]
@@ -755,39 +766,42 @@ class TestDescents:
                 if view == "reversed":
                     top, per_level = reversed_view(top), reversed_view(per_level)
                     ranks = m + 2 - ranks
+                rounds = 0
                 for left in (True, False):
-                    answer = top.descent_and_test(u, arr, left)
-                    assert type(answer[0]) is int and type(answer[1]) is bool
-                    assert answer == per_level.descent_and_test(u, arr, left) == descent_end(
-                        ranks, u, arr, left)
-                    assert answer[0] == _descend(per_level, u, arr, left)
-                # the base ledger: per side, one test per level of each of
-                # the two descents, answered or not, and the test after the
-                # fused one; the fused ledgers charge exactly that
-                levels = (m - 1).bit_length()
-                assert asked.ledger == QueryLedger(2 * levels + 1, 2 * levels + 1)
-                assert all(counting.ledger == QueryLedger(levels + 1, levels + 1)
-                           for counting in fused)
+                    before = asked.ledger.total
+                    ends = top.walk(u, arr, left)
+                    assert all(type(p) is int for p in ends)
+                    assert ends == per_level.walk(u, arr, left) == walk_ends(ranks, u, arr, left)
+                    # a sound walk asks a descent and a test a round; one
+                    # that breaks asks its first round and the next descent
+                    spent = len(ends) * (levels + 1) if ends else 2 * levels + 1
+                    assert asked.ledger.total - before == spent
+                    rounds += len(ends)
+                # the fused ledgers charge a descent and a test a round
+                assert all(counting.ledger.total == rounds * (levels + 1) for counting in fused)
 
-    def test_no_hit_ends_at_the_last_position_at_full_cost(self):
-        for m in (2, 3, 5, 64, 65, 4096):
+    def test_a_walk_from_a_subject_no_id_beats_breaks_at_no_cost(self):
+        for m in (1, 2, 3, 5, 64, 65, 4096):
             instance, u, arr = next(descent_cases(m))  # u above every id of arr
             for oracle in (InstanceOracle(instance), PerRowOracle(InstanceOracle(instance))):
                 counting = CountingOracle(oracle)
-                assert counting.descent_and_test(u, arr, True) == (m - 1, True)
-                assert counting.ledger.left_count == (m - 1).bit_length() + 1
+                assert counting.walk(u, arr, True) == []
+                assert counting.ledger.total == 0
+                # its first round's descent ends at the last position
                 assert _descend(counting, u, arr, True) == m - 1
-                assert counting.ledger.left_count == 2 * (m - 1).bit_length() + 1
+                assert counting.ledger.left_count == (m - 1).bit_length()
 
-    def test_single_id_ends_at_zero_without_a_test(self):
-        fused, asked = CountingOracle(oracle_of(4)), CountingOracle(oracle_of(4))
+    def test_single_id_ends_at_zero_without_a_descent_test(self):
+        instance = make_instance(4, seed=0)
+        top, bottom = instance.element_with_rank(4), instance.element_with_rank(1)
+        fused, asked = (CountingOracle(InstanceOracle(instance)) for _ in range(2))
         for oracle in (fused, PerRowOracle(asked)):
-            assert _descend(oracle, 2, np.array([1]), False) == 0
-            assert _descend(oracle, 2, np.array([3]), True) == 0
+            assert _descend(oracle, top, np.array([bottom]), False) == 0
+            assert _descend(oracle, bottom, np.array([top]), True) == 0
         assert fused.ledger.total == asked.ledger.total == 0
-        # the test after it is the one test a fused descent over one id asks
+        # the test after the descent is the one test a round over one id asks
         for oracle in (fused, PerRowOracle(asked)):
-            assert oracle.descent_and_test(2, np.array([1]), False)[0] == 0
+            assert oracle.walk(top, np.array([bottom]), False) == [0]
         assert fused.ledger.total == asked.ledger.total == 1
 
     @pytest.mark.parametrize("path", ["fused", "per_level", "reversed"])
@@ -811,7 +825,7 @@ class TestDescents:
         for u, arr in bad:
             for left in (True, False):
                 with pytest.raises(InvalidParameterError):
-                    oracle.descent_and_test(u, arr, left)
+                    oracle.walk(u, arr, left)
 
 
 class SingleTestOracle(GroupTestOracle):
@@ -847,65 +861,120 @@ def basic24():
         yield remote
 
 
+# walk sizes: one id, powers of two and their neighbours
+WALK_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+
+
 @st.composite
-def descent_queries(draw, n):
-    """(u, arr, left): m ids of 0..n-1, repeats and u itself allowed, with
-    m = 1, a power of two or any size up to 40."""
-    m = draw(st.sampled_from([1, 2, 4, 8, 16, 32]) | st.integers(1, 40))
-    arr = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
-    return draw(st.integers(0, n - 1)), arr, draw(st.booleans())
+def walk_queries(draw, n):
+    """(u, arr, left): m ids of 0..n-1 with m as in WALK_SIZES or up to 40,
+    either distinct and other than u or with repeats and u itself allowed."""
+    u = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        others = draw(st.permutations([v for v in range(n) if v != u]))
+        arr = np.array(others[:draw(st.sampled_from([m for m in WALK_SIZES if m < n]))])
+    else:
+        m = draw(st.sampled_from(WALK_SIZES) | st.integers(1, 40))
+        arr = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    return u, arr, draw(st.booleans())
 
 
-class TestDescentAndTest:
-    """``descent_and_test`` is the per-level descent of ``_descend`` and
-    then the test of w = arr[p] against the other ids and u, at
-    ceil(log2 m) + 1 tests."""
+class TestWalk:
+    """``walk`` is round after round of the per-level descent of
+    ``_descend``, the test of w = arr[p] against the other ids and the
+    subject, and a swap, at ceil(log2 m) + 1 tests a round."""
 
     @pytest.mark.parametrize("view", ["instance", "reversed", "test_only", "full", "basic"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_equals_a_descent_then_a_test(self, view, remote24, basic24, data):
+    def test_equals_the_per_level_walk(self, view, remote24, basic24, data):
         builtin = oracle_of(24, seed=24)
         oracle = {"instance": builtin, "reversed": reversed_view(builtin),
                   "test_only": SingleTestOracle(builtin.instance.ranks),
                   "full": remote24, "basic": basic24}[view]
-        u, arr, left = data.draw(descent_queries(24))
-        p = _descend(oracle, u, arr, left)
-        others = np.concatenate((arr[:p], arr[p + 1 :], [u]))
-        expected = (p, oracle.test(int(arr[p]), others, left))
-        # the same answer as the builtin oracle's, in the view's frame
+        u, arr, left = data.draw(walk_queries(24))
+        expected = GroupTestOracle.walk(oracle, u, arr, left)
+        # the same ends as the builtin oracle's, in the view's frame
         frame = left != (view == "reversed")
-        assert expected == (_descend(builtin, u, arr, frame),
-                            builtin.test(int(arr[p]), others, frame))
+        assert expected == walk_ends(builtin.instance.ranks, u, arr, frame)
         counting = CountingOracle(oracle)
-        answer = counting.descent_and_test(u, arr, left)
-        assert answer == expected and type(answer[0]) is int and type(answer[1]) is bool
-        tests = (len(arr) - 1).bit_length() + 1
+        ends = counting.walk(u, arr, left)
+        assert ends == expected and all(type(p) is int for p in ends)
+        tests = len(ends) * ((len(arr) - 1).bit_length() + 1)
         assert counting.ledger == (QueryLedger(tests, 0) if left else QueryLedger(0, tests))
 
+    @pytest.mark.parametrize("m", [4095, 4096])
+    def test_long_walks_equal_the_per_level_walk(self, m):
+        instance = make_instance(m + 1, seed=m)
+        builtin = InstanceOracle(instance)
+        rng = np.random.default_rng(m)
+        command = [sys.executable, "-m", "gtorder.oracle_server", "--n", str(m + 1),
+                   "--seed", str(m)]
+        with ExternalOracle(command, m + 1) as remote:
+            for rank in (m + 1, 1, m // 2 + 1):
+                u = instance.element_with_rank(rank)
+                arr = rng.permutation(np.delete(np.arange(m + 1), u))
+                for left in (True, False):
+                    expected = walk_ends(instance.ranks, u, arr, left)
+                    assert (builtin.walk(u, arr, left)
+                            == reversed_view(builtin).walk(u, arr, not left)
+                            == remote.walk(u, arr, left)
+                            == GroupTestOracle.walk(SingleTestOracle(instance.ranks), u, arr,
+                                                    left)
+                            == expected)
+
     def test_a_user_oracle_is_asked_each_level_then_the_test(self):
-        ranks = make_instance(40, seed=3).ranks
+        instance = make_instance(40, seed=3)
         for m in (1, 2, 3, 8, 39):
-            oracle = SingleTestOracle(ranks)
-            arr = np.random.default_rng(m).permutation(40)[:m]
+            oracle = SingleTestOracle(instance.ranks)
             for left in (True, False):
-                p, _ = oracle.descent_and_test(7, arr, left)
-                # the levels' subject is u, the last test's is w = arr[p]
-                assert oracle.asked == [(7, left)] * (m - 1).bit_length() + [(int(arr[p]), left)]
+                # a subject at the far end of the order: every id beats it
+                u = instance.element_with_rank(1 if left else 40)
+                arr = np.random.default_rng(m).permutation(np.delete(np.arange(40), u))[:m]
+                ends = oracle.walk(u, arr, left)
+                assert ends
+                # each round's levels ask its subject, its last test the id at its end
+                subjects = [u, *(int(arr[p]) for p in ends)]
+                assert oracle.asked == [
+                    asked for now, after in zip(subjects, subjects[1:])
+                    for asked in [(now, left)] * (m - 1).bit_length() + [(after, left)]]
                 oracle.asked.clear()
 
     def test_lines_sent_in_each_session(self, remote24, basic24):
-        arr = np.random.default_rng(0).permutation(24)[:9]
-        for remote, ops in ((remote24, ["DTL", "DTR"]), (basic24, ["L"] * 5 + ["R"] * 5)):
+        instance = make_instance(24, seed=24)
+        u = instance.element_with_rank(12)
+        arr = np.random.default_rng(0).permutation(np.delete(np.arange(24), u))[:9]
+        rounds = [len(InstanceOracle(instance).walk(u, arr, left)) for left in (True, False)]
+        assert all(rounds)
+        per_round = (9 - 1).bit_length() + 1
+        for remote, ops in ((remote24, ["WL", "WR"]),
+                            (basic24, ["L"] * rounds[0] * per_round
+                             + ["R"] * rounds[1] * per_round)):
             lines = []
             exchange = remote._exchange
             remote._exchange = lambda line: lines.append(line) or exchange(line)
             try:
                 for left in (True, False):
-                    remote.descent_and_test(3, arr, left)
+                    remote.walk(u, arr, left)
             finally:
                 del remote._exchange
             assert [line.split()[0] for line in lines] == ops
+
+    def test_a_basic_session_sends_the_lines_of_round_by_round_min_finding(self, basic24):
+        # the L/R lines of eight fixed-seed runs, byte for byte as the
+        # client sent them when every round was its own call
+        lines = []
+        exchange = basic24._exchange
+        basic24._exchange = lambda line: lines.append(line) or exchange(line)
+        try:
+            for find in (min_find, max_find):
+                for seed in range(4):
+                    find(basic24, 24, np.random.default_rng(seed))
+        finally:
+            del basic24._exchange
+        assert len(lines) == 170
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "3ce4190e607d937fce1accfc3d3f4477300bed0516cefdc5ee933fabb0a86945")
 
     @pytest.mark.parametrize("path", ["instance", "test_only", "reversed", "full"])
     def test_validation(self, path, remote24):
@@ -920,7 +989,7 @@ class TestDescentAndTest:
             counting = CountingOracle(oracle)
             for left in (True, False):
                 with pytest.raises(InvalidParameterError):
-                    counting.descent_and_test(u, arr, left)
+                    counting.walk(u, arr, left)
             assert counting.ledger.total == 0
 
 
@@ -961,12 +1030,12 @@ class TestOddIdArrays:
         for left in (True, False):
             test = oracle.left_test if left else oracle.right_test
             batch = oracle.left_test_batch if left else oracle.right_test_batch
-            descent = functools.partial(oracle.descent_and_test, left=left)
+            walk = functools.partial(oracle.walk, left=left)
             yield test, self.SINGLE, 24
             yield test, self.SHORT, 24
             for n_eff, rows in self.ROWS.items():
                 yield lambda u, rows, batch=batch, n_eff=n_eff: batch(u, rows, n_eff), rows, n_eff
-            yield descent, self.DESCENT, 24
+            yield walk, self.DESCENT, 24
 
     @pytest.mark.parametrize("dtype", ODD_DTYPES)
     def test_in_range_ids_answer_as_their_int64_copy(self, oracle, dtype):

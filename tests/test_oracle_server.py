@@ -157,13 +157,30 @@ def brute_force_reply(ranks, op, u, ids, n_eff, width):
     if batch:
         return "".join("Y" if any(hits[at:at + width]) else "N"
                        for at in range(0, len(hits), width))
-    if op in ("DTL", "DTR"):
-        p = hits.index(True) if any(hits) else len(hits) - 1
-        w = ids[p]
-        others = ids[:p] + ids[p + 1:] + [u]
-        hit = any(ranks[v] >= ranks[w] if op == "DTL" else ranks[v] <= ranks[w] for v in others)
-        return f"{p} {'Y' if hit else 'N'}"
+    if op in ("WL", "WR"):
+        return " ".join(map(str, walk_ends(ranks, u, ids, op == "WL")))
     return "Y" if any(hits) else "N"
+
+
+def walk_ends(ranks, u, ids, left):
+    """Where the rounds of a walk over ``ids`` from u end, round by round:
+    a descent to the first id that satisfies the test, a test of that id
+    w against the rest and the subject, and a swap; no end when a round
+    ends at or before the one before it."""
+    def hit(v, subject):
+        return ranks[v] >= ranks[subject] if left else ranks[v] <= ranks[subject]
+
+    ids, ends = list(ids), []
+    while True:
+        hits = [hit(v, u) for v in ids]
+        p = hits.index(True) if any(hits) else len(ids) - 1
+        if ends and p <= ends[-1]:
+            return []
+        ends.append(p)
+        w = ids[p]
+        if not any(hit(v, w) for v in ids[:p] + ids[p + 1:] + [u]):
+            return ends
+        ids[p], u = u, w
 
 
 @st.composite
@@ -174,7 +191,7 @@ def full_session_lines(draw):
     ranks = list(range(1, n + 1))
     # a seeded shuffle draws faster than st.permutations
     random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(ranks)
-    op = draw(st.sampled_from(["L", "R", "DTL", "DTR", "BL", "BR"]))
+    op = draw(st.sampled_from(["L", "R", "WL", "WR", "BL", "BR"]))
     # a dummy's sentinel is closest to a hit at the subjects of rank 1 and n
     u = draw(st.integers(0, n - 1) | st.sampled_from((ranks.index(1), ranks.index(n))))
     # padded sizes past 2n are rare among n..2n+3 at large n: draw them often
@@ -184,7 +201,7 @@ def full_session_lines(draw):
         rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
         count = rows * width
     else:
-        count = draw(st.integers(1 if op.startswith("D") else 0, 24))
+        count = draw(st.integers(1 if op.startswith("W") else 0, 24))
     bound = n_eff if rows else n
     # ids at the edges: the last real id, the first dummy, the last dummy
     # a 2n table holds, the first past it and the last in range
