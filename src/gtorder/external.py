@@ -8,11 +8,11 @@ A session is one of two kinds, fixed by its ``INIT`` line:
 
 * **basic**: ``INIT <n>``, answered ``OK``.  It has the single tests
   only, with decimal ids; it is the least a server must speak.
-* **full**: ``INIT <n> BATCH DESCENT HEX``, answered ``OK BATCH DESCENT
+* **full**: ``INIT <n> BATCH WALK HEX``, answered ``OK BATCH WALK
   HEX``.  It has every op, and the ids of each line are one HEX token.
 
 Nothing in between is agreed: a server answers the full ``INIT`` with
-exactly ``OK BATCH DESCENT HEX``, or with ``OK`` to give a basic session,
+exactly ``OK BATCH WALK HEX``, or with ``OK`` to give a basic session,
 or with ``ERR``.  Before any accepted ``INIT`` the session is basic.
 
 An ``INIT`` may come at any point, not only first.  An accepted one ends
@@ -59,13 +59,15 @@ as canonical decimals, strictly increasing and one space apart, or an
 empty line if a record only ties (a repeated id) or there is none.  The
 server answers the whole walk at once; the ledger counts ceil(log2 m) +
 1 tests a round, so a min-finding run is two lines, its first condition
-test and its walk.  The ``DESCENT`` feature of ``INIT`` names this op pair.
+test and its walk.  The ``WALK`` feature of ``INIT`` names this op pair,
+so a server whose full session has other ops names other features, and
+the client then falls back to a basic session.
 
 Worked examples, for n = 1024 ids where id i has rank i + 1 (``>`` marks
 a client line, ``<`` the server's reply)::
 
-    > INIT 1024 BATCH DESCENT HEX
-    < OK BATCH DESCENT HEX
+    > INIT 1024 BATCH WALK HEX
+    < OK BATCH WALK HEX
     > R 5 2 ff03000009000000
     < N
     > L 5 2 ff03000009000000
@@ -175,7 +177,7 @@ def _reply_error(reply: str) -> OracleError:
 
 def _full_session(reply: str, offer: str) -> bool:
     """Whether the reply to the ``INIT`` line ``offer`` agrees a full
-    session: ``OK`` agrees a basic one, and ``OK BATCH DESCENT HEX`` a full
+    session: ``OK`` agrees a basic one, and ``OK BATCH WALK HEX`` a full
     one, but only in answer to the full offer."""
     if reply == "OK":
         return False

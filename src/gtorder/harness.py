@@ -28,7 +28,7 @@ import multiprocessing
 import sys
 from dataclasses import asdict, dataclass
 from io import StringIO
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -347,8 +347,9 @@ def render_json(config: ExperimentConfig, reports: Sequence[TrialReport],
 
 def write_report(config: ExperimentConfig, reports: Sequence[TrialReport],
                  summary: dict, fmt: str = "csv",
-                 path: Optional[str] = None, stream: Optional[TextIO] = None) -> None:
-    """Emit the report as CSV (schema-fixed columns) or JSON."""
+                 path: Optional[str] = None) -> None:
+    """Emit the report as CSV (schema-fixed columns) or JSON, to ``path``
+    or, without one, to standard output."""
     if fmt == "csv":
         text = render_csv(config, reports)
     elif fmt == "json":
@@ -362,4 +363,4 @@ def write_report(config: ExperimentConfig, reports: Sequence[TrialReport],
         except OSError as exc:
             raise OSError(f"cannot write report to {path}: {exc}") from exc
     else:
-        (stream or sys.stdout).write(text)
+        sys.stdout.write(text)

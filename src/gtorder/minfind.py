@@ -77,7 +77,7 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
     x = int(arr[idx])
     rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
     ends = []
-    if rest.size and counting.right_test(x, rest):
+    if rest.size and counting.test(x, rest, False):
         rng.shuffle(rest)
         ends = counting.walk(x, rest, False)
         if not ends:

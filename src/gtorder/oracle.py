@@ -9,14 +9,13 @@ A group test is a one-to-many order query against a hidden total order:
 against u itself are always true.  An empty V answers false (an empty
 existential).  Answers are noiseless functions of the hidden order.
 
-Each query takes its direction as an argument, ``left`` for the left
-test and ``not left`` for the right one: a subclass defines ``test(u, V,
-left)``, and ``test_batch`` and ``walk`` default to asking it per row or
-level; ``left_test`` ... ``right_test_batch`` are one-line forms of
-``test`` and ``test_batch``.  V may be any collection of integer ids; it
-is checked into one 1-D integer array, and :class:`InstanceOracle`
-answers every single test and walk from one gather of the ranks of such
-an array.
+An oracle has three query methods, one per op, and each takes its
+direction as an argument, ``left`` for the left test and ``not left``
+for the right one: a subclass defines ``test(u, V, left)``, and
+``test_batch`` and ``walk`` default to asking it per row or level.  V
+may be any collection of integer ids; it is checked into one 1-D
+integer array, and :class:`InstanceOracle` answers every single test
+and walk from one gather of the ranks of such an array.
 
 ``test_batch(u, rows, n_eff, left)`` asks one test per row of a 2-D id
 array, for non-adaptive tests whose sets are all drawn before any answer
@@ -109,18 +108,6 @@ class GroupTestOracle(ABC):
             if not self.test(w, np.append(np.delete(arr, p), u), left):
                 return ends
             arr[p], u = u, w
-
-    def left_test(self, u: int, V: IdSet) -> bool:
-        return self.test(u, V, True)
-
-    def right_test(self, u: int, V: IdSet) -> bool:
-        return self.test(u, V, False)
-
-    def left_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        return self.test_batch(u, rows, n_eff, True)
-
-    def right_test_batch(self, u: int, rows: np.ndarray, n_eff: int) -> np.ndarray:
-        return self.test_batch(u, rows, n_eff, False)
 
 
 @dataclass(slots=True)
@@ -248,14 +235,12 @@ class InstanceOracle(GroupTestOracle):
     def instance(self) -> TotalOrderInstance:
         return self._instance
 
-    def _hits(self, u: int, ids: np.ndarray, left: bool) -> np.ndarray:
-        """Which ids satisfy the left (u <= v) or right (v <= u) test."""
-        ranks = self._ranks
-        return (np.greater_equal if left else np.less_equal)(ranks[ids], ranks[u])
-
     # count_nonzero skips the per-call setup of a ufunc reduction such as any()
     def test(self, u: int, V: IdSet, left: bool) -> bool:
-        return bool(np.count_nonzero(self._hits(u, _checked_ids(u, V, self.size), left)))
+        ranks = self._ranks
+        found = ranks[_checked_ids(u, V, self.size)]
+        compare = np.greater_equal if left else np.less_equal
+        return bool(np.count_nonzero(compare(found, ranks[u])))
 
     def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
         # count each row's hits with one gather from a 0/1 hit table

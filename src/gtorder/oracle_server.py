@@ -40,7 +40,7 @@ from typing import Sequence
 from .errors import check_integer
 
 # what the INIT line of a full session names after n, and its OK echoes
-_FULL_FEATURES = "BATCH DESCENT HEX"
+_FULL_FEATURES = "BATCH WALK HEX"
 # an array typecode of unsigned 32-bit words, the width of a HEX id
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
@@ -232,7 +232,7 @@ def serve(ranks: list[int], infile, outfile) -> None:
 
 def _answer_init(parts: list[str], n: int) -> str:
     """The reply to one ``INIT`` line, split into ``parts``: ``OK`` to a
-    basic one, ``OK BATCH DESCENT HEX`` to a full one."""
+    basic one, ``OK BATCH WALK HEX`` to a full one."""
     if (len(parts) < 2 or " ".join(parts[2:]) not in ("", _FULL_FEATURES)
             or not (parts[1].isascii() and parts[1].isdigit())):
         return "ERR malformed INIT"

@@ -15,7 +15,7 @@ Hoeffding bound caps the error probability at epsilon whenever the true
 rank is outside the band r +- delta * min(r, n - r).
 
 No trial's sample depends on any answer, so the trials are
-non-adaptive and go to the oracle in batches (``right_test_batch``), one
+non-adaptive and go to the oracle in batches (``test_batch``), one
 row and one group test per trial.  A test draws and asks its trials in
 row blocks of at most ``_BLOCK_IDS`` ids (one row where a row alone is
 wider), so while rows fit a block its memory stays under about 400 KiB
@@ -144,7 +144,7 @@ def _run_trials(oracle: GroupTestOracle, x: int, r: float, delta: float,
         rows = rng.integers(0, params.n_eff, size=(min(step, trials - start), width))
         # sampled dummy ids can never lie below the real element x, which
         # is what a dummy slot of the batch answers
-        positives += int(np.count_nonzero(oracle.right_test_batch(x, rows, params.n_eff)))
+        positives += int(np.count_nonzero(oracle.test_batch(x, rows, params.n_eff, False)))
         # stop once no later row can change the answer (module docstring)
         if positives > limit or positives + trials - start - len(rows) <= limit:
             break

@@ -44,7 +44,7 @@ from gtorder.oracle import GroupTestOracle
 from gtorder.oracle_server import serve
 from gtorder.verify import _PerQueryOracle
 
-FULL_INIT = "INIT {} BATCH DESCENT HEX"
+FULL_INIT = "INIT {} BATCH WALK HEX"
 
 
 def reference_command(n, seed):
@@ -91,8 +91,8 @@ class TestReferenceServer:
             for _ in range(300):
                 u = int(rng.integers(n))
                 V = rng.integers(0, n, size=int(rng.integers(1, 9))).tolist()
-                assert remote.left_test(u, V) == builtin.left_test(u, V)
-                assert remote.right_test(u, V) == builtin.right_test(u, V)
+                assert remote.test(u, V, True) == builtin.test(u, V, True)
+                assert remote.test(u, V, False) == builtin.test(u, V, False)
 
     def test_matches_builtin_oracle_at_a_seed_of_two_words(self):
         # seeds above 2**32 enter the seed sequence as two 32-bit words
@@ -104,9 +104,9 @@ class TestReferenceServer:
                 u = int(rng.integers(n))
                 rows = rng.integers(0, n + 3, size=(int(rng.integers(1, 9)), 4))
                 arr = rng.permutation(n)[:int(rng.integers(1, n + 1))]
-                for name in ("left_test_batch", "right_test_batch"):
-                    assert np.array_equal(getattr(remote, name)(u, rows, n + 3),
-                                          getattr(builtin, name)(u, rows, n + 3))
+                for left in (True, False):
+                    assert np.array_equal(remote.test_batch(u, rows, n + 3, left),
+                                          builtin.test_batch(u, rows, n + 3, left))
                 for left in (True, False):
                     assert remote.walk(u, arr, left) == builtin.walk(u, arr, left)
             for find in (min_find, max_find):
@@ -116,13 +116,13 @@ class TestReferenceServer:
     def test_logs_each_exchange_at_debug_level(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="gtorder.external"):
             with ExternalOracle(reference_command(8, 0), 8) as remote:
-                remote.right_test(3, [3, 5])
-                remote.left_test_batch(3, np.array([[0, 1], [2, 3]]), 8)
+                remote.test(3, [3, 5], False)
+                remote.test_batch(3, np.array([[0, 1], [2, 3]]), 8, True)
         messages = [r.getMessage() for r in caplog.records
                     if r.name == "gtorder.external" and r.levelno == logging.DEBUG]
         assert len(messages) == 3
-        # "INIT 8 BATCH DESCENT HEX\n" and "OK BATCH DESCENT HEX\n"
-        assert re.fullmatch(r"INIT: 25 bytes out, 21 bytes in, \d+ us", messages[0])
+        # "INIT 8 BATCH WALK HEX\n" and "OK BATCH WALK HEX\n"
+        assert re.fullmatch(r"INIT: 22 bytes out, 18 bytes in, \d+ us", messages[0])
         # "R 3 2 " and 16 hex digits, and "Y\n"
         assert re.fullmatch(r"R: 23 bytes out, 2 bytes in, \d+ us", messages[1])
         # "BL 3 8 2 2 " and 32 hex digits, and two answers
@@ -135,20 +135,20 @@ class TestReferenceServer:
         monkeypatch.setattr(external._log, "debug", unguarded)
         with caplog.at_level(logging.INFO, logger="gtorder.external"):
             with ExternalOracle(reference_command(8, 0), 8) as remote:
-                assert remote.right_test(3, [3]) is True
+                assert remote.test(3, [3], False) is True
         assert not [r for r in caplog.records if r.name == "gtorder.external"]
 
     def test_empty_sets_answer_false(self):
         with ExternalOracle(reference_command(8, 0), 8) as remote:
-            assert remote.left_test(3, []) is False
-            assert remote.right_test(3, []) is False
+            assert remote.test(3, [], True) is False
+            assert remote.test(3, [], False) is False
 
     def test_out_of_range_id_raises_invalid_parameter(self):
         with ExternalOracle(reference_command(8, 0), 8) as remote:
             with pytest.raises(InvalidParameterError):
-                remote.right_test(3, [8])
+                remote.test(3, [8], False)
             # the connection stays usable after a rejected query
-            assert remote.right_test(3, [3]) is True
+            assert remote.test(3, [3], False) is True
 
     def test_dummy_ids_past_32_bits_answer_as_dummies(self, tmp_path):
         # a HEX id is 32 bits wide; dummy slots past that still answer alike
@@ -157,11 +157,11 @@ class TestReferenceServer:
         builtin = InstanceOracle(make_instance(n, 0))
         rows = np.array([[0, 2**32], [2**32 + 5, n_eff - 1], [3, n]])
         with ExternalOracle(command, n) as remote:
-            for name in ("left_test_batch", "right_test_batch"):
+            for left in (True, False):
                 for u in range(n):
-                    assert (getattr(remote, name)(u, rows, n_eff).tolist()
-                            == getattr(builtin, name)(u, np.minimum(rows, n), n + 1).tolist())
-        assert log.read_text().splitlines()[0] == "INIT 8 BATCH DESCENT HEX"
+                    assert (remote.test_batch(u, rows, n_eff, left).tolist()
+                            == builtin.test_batch(u, np.minimum(rows, n), n + 1, left).tolist())
+        assert log.read_text().splitlines()[0] == "INIT 8 BATCH WALK HEX"
 
     def test_a_huge_padded_size_answers_like_the_per_row_path(self, tmp_path):
         # a hit table or a token spanning n_eff = 2**45 would not fit in memory
@@ -169,11 +169,11 @@ class TestReferenceServer:
         builtin = InstanceOracle(make_instance(8, 0))
         with ExternalOracle(reference_command(8, 0), 8) as remote:
             for oracle in (builtin, reversed_view(builtin), remote):
-                assert (oracle.right_test_batch(3, rows, 2**45).tolist()
+                assert (oracle.test_batch(3, rows, 2**45, False).tolist()
                         == GroupTestOracle.test_batch(oracle, 3, rows, 2**45, False).tolist())
-                assert (oracle.left_test_batch(3, rows, 2**45).tolist()
+                assert (oracle.test_batch(3, rows, 2**45, True).tolist()
                         == GroupTestOracle.test_batch(oracle, 3, rows, 2**45, True).tolist())
-        assert builtin.right_test_batch(3, rows, 2**45).tolist() == [True]
+        assert builtin.test_batch(3, rows, 2**45, False).tolist() == [True]
 
     @pytest.mark.parametrize("n, offer", [(2**31, FULL_INIT.format(2**31)),
                                           (2**31 + 1, f"INIT {2**31 + 1}")])
@@ -254,10 +254,10 @@ class TestProtocolFailures:
         )
         with ExternalOracle(command, 8) as remote:
             with pytest.raises(OracleProtocolError):
-                remote.left_test(0, [1])
+                remote.test(0, [1], True)
             # the session is over: a later well-formed reply is not trusted
             with pytest.raises(OracleProtocolError):
-                remote.left_test(0, [1])
+                remote.test(0, [1], True)
 
     def test_timeout(self, tmp_path):
         command = script_command(
@@ -269,7 +269,7 @@ class TestProtocolFailures:
         )
         with ExternalOracle(command, 8, timeout=0.3) as remote:
             with pytest.raises(OracleTimeoutError):
-                remote.left_test(0, [1])
+                remote.test(0, [1], True)
 
     def test_server_exit_is_a_protocol_error(self, tmp_path):
         command = script_command(
@@ -280,7 +280,7 @@ class TestProtocolFailures:
         )
         with ExternalOracle(command, 8) as remote:
             with pytest.raises(OracleProtocolError):
-                remote.right_test(0, [1])
+                remote.test(0, [1], False)
 
     def test_late_reply_never_answers_a_later_query(self, tmp_path):
         # the first reply arrives after the client gave up on it; answering
@@ -297,11 +297,11 @@ class TestProtocolFailures:
         )
         with ExternalOracle(command, 8, timeout=0.3) as remote:
             with pytest.raises(OracleTimeoutError):
-                remote.left_test(0, [1])
+                remote.test(0, [1], True)
             with pytest.raises(OracleProtocolError):
-                remote.left_test(0, [1])
+                remote.test(0, [1], True)
             with pytest.raises(OracleProtocolError):
-                remote.right_test(0, [1])
+                remote.test(0, [1], False)
 
     def test_init_timeout_reaps_the_child(self, tmp_path):
         pid_file = tmp_path / "server.pid"
@@ -325,7 +325,9 @@ class TestProtocolFailures:
 
 
 # INIT hooks of servers with the basic session only: one answers the
-# full offer with ERR, the other answers it with a plain OK
+# full offer with ERR, another answers it with a plain OK, and the third
+# is the reference server as it was before the walk op, whose full
+# session is BATCH DESCENT HEX and so rejects this client's offer
 BASIC_HOOKS = {
     "err_then_ok": """
         if line.startswith("INIT ") and line.split()[2:]:
@@ -335,6 +337,10 @@ BASIC_HOOKS = {
     "plain_ok": """
         if line.startswith("INIT "):
             line = " ".join(line.split()[:2]) + "\\n"
+    """,
+    "pre_walk": """
+        import gtorder.oracle_server
+        gtorder.oracle_server._FULL_FEATURES = "BATCH DESCENT HEX"
     """,
 }
 
@@ -352,9 +358,9 @@ class TestBatchOp:
                 u = int(rng.integers(n))
                 n_eff = n + int(rng.integers(0, 4))
                 rows = rng.integers(0, n_eff, size=(int(rng.integers(1, 6)), 3))
-                for name in ("left_test_batch", "right_test_batch"):
-                    assert (getattr(remote, name)(u, rows, n_eff).tolist()
-                            == getattr(builtin, name)(u, rows, n_eff).tolist())
+                for left in (True, False):
+                    assert (remote.test_batch(u, rows, n_eff, left).tolist()
+                            == builtin.test_batch(u, rows, n_eff, left).tolist())
                 rows_sent += 2 * len(rows)
         ops = ops_received(log)
         assert ops[0] == "INIT" and "BL" not in ops and "BR" not in ops
@@ -370,11 +376,11 @@ class TestBatchOp:
         rows = np.array([[0, 1], [2, 3], [4, 5]])
         with ExternalOracle(command, 8) as remote:
             with pytest.raises(OracleProtocolError):
-                remote.right_test_batch(3, rows, 8)
+                remote.test_batch(3, rows, 8, False)
             with pytest.raises(OracleProtocolError):
-                remote.right_test(3, [3])
+                remote.test(3, [3], False)
             with pytest.raises(OracleProtocolError):
-                remote.left_test_batch(3, rows, 8)
+                remote.test_batch(3, rows, 8, True)
 
     def test_err_reply_to_a_batch_leaves_the_session_usable(self, tmp_path):
         command, log = filtered_server(tmp_path, 8, 0, """
@@ -386,19 +392,20 @@ class TestBatchOp:
         rows = np.array([[0, 1], [2, 3], [4, 5]])
         with ExternalOracle(command, 8) as remote:
             with pytest.raises(OracleRejectedError):
-                remote.right_test_batch(3, rows, 8)
-            assert (remote.right_test_batch(4, rows, 8).tolist()
-                    == builtin.right_test_batch(4, rows, 8).tolist())
-            assert remote.left_test(3, [5]) == builtin.left_test(3, [5])
+                remote.test_batch(3, rows, 8, False)
+            assert (remote.test_batch(4, rows, 8, False).tolist()
+                    == builtin.test_batch(4, rows, 8, False).tolist())
+            assert remote.test(3, [5], True) == builtin.test(3, [5], True)
         assert ops_received(log) == ["INIT", "BR", "BR", "L"]
 
     # the client offers the full session, then the basic one after ERR;
-    # only OK, or OK BATCH DESCENT HEX to the full offer, agrees a session
+    # only OK, or OK BATCH WALK HEX to the full offer, agrees a session
     @pytest.mark.parametrize("replies", [
-        ("MAYBE",), ("ERR no", "MAYBE"), ("OK BATCH OK",), ("OK DESCENT BATCH",),
-        ("OK BATCH BATCH",), ("OK HEX BATCH",), ("OK BATCH",), ("OK BATCH DESCENT",),
-        ("OK HEX",), ("OK DESCENT BATCH HEX",), ("OK  BATCH DESCENT HEX",),
-        ("ERR no", "OK BATCH DESCENT HEX"), ("ERR no", "OK HEX"), ("ERR no", "ERR no")])
+        ("MAYBE",), ("ERR no", "MAYBE"), ("OK BATCH OK",), ("OK WALK BATCH",),
+        ("OK BATCH BATCH",), ("OK HEX BATCH",), ("OK BATCH",), ("OK BATCH WALK",),
+        ("OK HEX",), ("OK WALK BATCH HEX",), ("OK  BATCH WALK HEX",),
+        ("ERR no", "OK BATCH WALK HEX"), ("ERR no", "OK HEX"), ("ERR no", "ERR no"),
+        ("OK BATCH DESCENT HEX",)])
     def test_bad_handshake_is_a_protocol_error(self, tmp_path, replies):
         command = script_command(
             tmp_path,
@@ -418,15 +425,15 @@ class TestBatchOp:
             tmp_path,
             "import sys, time\n"
             "sys.stdin.readline()\n"
-            "print('OK BATCH DESCENT HEX', flush=True)\n"
+            "print('OK BATCH WALK HEX', flush=True)\n"
             "time.sleep(60)\n",
         )
         rows = np.full((2000, 50), 999)
         with ExternalOracle(command, 1000, timeout=0.5) as remote:
             with pytest.raises(OracleTimeoutError):
-                remote.right_test_batch(3, rows, 1000)
+                remote.test_batch(3, rows, 1000, False)
             with pytest.raises(OracleProtocolError):
-                remote.right_test(3, [3])
+                remote.test(3, [3], False)
 
 
 # each kind of server, its INIT hook, and whether the session should be full
@@ -477,14 +484,15 @@ class TestWalkOp:
                     assert counting[0].ledger == counting[1].ledger
                     walks += 1
             rows = rng.integers(0, n + 2, size=(3, 4))
-            for name in ("left_test_batch", "right_test_batch"):
-                assert (getattr(remote, name)(3, rows, n + 2).tolist()
-                        == getattr(builtin, name)(3, rows, n + 2).tolist())
+            for left in (True, False):
+                assert (remote.test_batch(3, rows, n + 2, left).tolist()
+                        == builtin.test_batch(3, rows, n + 2, left).tolist())
                 rows_sent += len(rows)
         ops = ops_received(log)
         inits = [line for line in log.read_text().splitlines() if line.startswith("INIT")]
         # the basic INIT follows only an ERR to the full one
-        assert inits == [FULL_INIT.format(n)] + [f"INIT {n}"] * (server == "basic_err_then_ok")
+        assert inits == [FULL_INIT.format(n)] + [f"INIT {n}"] * (
+            server in ("basic_err_then_ok", "basic_pre_walk"))
         lines = [line for line in log.read_text().splitlines() if not line.startswith("INIT")]
         assert all(id_tokens_fit(line, full) for line in lines)
         queries = [op for op in ops if op != "INIT"]
@@ -538,7 +546,7 @@ class TestWalkOp:
             with pytest.raises(OracleProtocolError):
                 remote.walk(3, arr, False)
             with pytest.raises(OracleProtocolError):
-                remote.right_test(3, [3])
+                remote.test(3, [3], False)
 
     def test_err_reply_to_a_walk_leaves_the_session_usable(self, tmp_path):
         command, log = filtered_server(tmp_path, 8, 0, """
@@ -649,7 +657,7 @@ class TestIdSafety:
         "uint8": (3, np.array([7, 0, 5], dtype=np.uint8)),
     }
 
-    # the server's INIT hook, and the line it receives for right_test(1, [1])
+    # the server's INIT hook, and the line it receives for test(1, [1], False)
     HOOK, ONE_QUERY = "pass\n", "R 1 1 01000000"
 
     @pytest.fixture(scope="class")
@@ -662,17 +670,17 @@ class TestIdSafety:
     def test_single_query(self, oracles, case):
         remote, builtin = oracles
         u, V = self.SINGLE[case]
-        for name in ("left_test", "right_test"):
-            got = outcome(getattr(remote, name), u, V)
-            assert got in (outcome(getattr(builtin, name), u, V), "invalid")
+        for left in (True, False):
+            got = outcome(remote.test, u, V, left)
+            assert got in (outcome(builtin.test, u, V, left), "invalid")
 
     @pytest.mark.parametrize("case", sorted(BATCH))
     def test_batch(self, oracles, case):
         remote, builtin = oracles
         u, rows, n_eff = self.BATCH[case]
-        for name in ("left_test_batch", "right_test_batch"):
-            got = outcome(getattr(remote, name), u, np.array(rows), n_eff)
-            assert got in (outcome(getattr(builtin, name), u, np.array(rows), n_eff),
+        for left in (True, False):
+            got = outcome(remote.test_batch, u, np.array(rows), n_eff, left)
+            assert got in (outcome(builtin.test_batch, u, np.array(rows), n_eff, left),
                            "invalid")
 
     @pytest.mark.parametrize("case", sorted(DESCENT))
@@ -687,20 +695,21 @@ class TestIdSafety:
         # nor do floats, nor id arrays that are not 1-D
         command, log = filtered_server(tmp_path, self.N, 11, self.HOOK)
         rows, arr = np.array([[0, 1], [2, 3]]), np.array([0, 1, 2])
-        calls = [("right_test", 5, [True]), ("right_test", True, [3]),
-                 ("left_test", 5, np.array([True])), ("left_test", 5, [1, np.bool_(False)]),
-                 ("right_test", 5, [1.0]), ("left_test", 5, np.array([1.0])),
-                 ("right_test", 1.0, [1]), ("left_test", 5, [1, 1.5]),
-                 ("right_test", 5, np.array(3)), ("left_test", 5, np.array([[1, 2], [3, 4]])),
-                 ("right_test", 5, np.arange(100).reshape(10, 10) % 8),
-                 ("right_test_batch", True, rows, self.N),
-                 ("left_test_batch", 3, rows.astype(bool), self.N),
-                 ("right_test_batch", 3, rows.astype(float), self.N),
+        calls = [("test", 5, [True], False), ("test", True, [3], False),
+                 ("test", 5, np.array([True]), True), ("test", 5, [1, np.bool_(False)], True),
+                 ("test", 5, [1.0], False), ("test", 5, np.array([1.0]), True),
+                 ("test", 1.0, [1], False), ("test", 5, [1, 1.5], True),
+                 ("test", 5, np.array(3), False),
+                 ("test", 5, np.array([[1, 2], [3, 4]]), True),
+                 ("test", 5, np.arange(100).reshape(10, 10) % 8, False),
+                 ("test_batch", True, rows, self.N, False),
+                 ("test_batch", 3, rows.astype(bool), self.N, True),
+                 ("test_batch", 3, rows.astype(float), self.N, False),
                  ("walk", True, arr, False),
                  ("walk", 3, arr.astype(bool), True),
                  ("walk", 3, arr.astype(float), True)]
         with ExternalOracle(command, self.N) as remote:
-            remote.right_test(1, [1])  # the text of id 1 is now cached
+            remote.test(1, [1], False)  # the text of id 1 is now cached
             for name, *args in calls:
                 with pytest.raises(InvalidParameterError):
                     getattr(remote, name)(*args)
@@ -711,38 +720,38 @@ class TestIdSafety:
                                    np.array([-1, 2], dtype=np.int32)])
     def test_out_of_range_single_test_is_rejected_and_the_session_goes_on(self, oracles, V):
         remote, builtin = oracles
-        for name in ("left_test", "right_test"):
+        for left in (True, False):
             with pytest.raises(OracleRejectedError):
-                getattr(remote, name)(3, V)
+                remote.test(3, V, left)
             with pytest.raises(OracleRejectedError):
-                getattr(remote, name)(self.N, [3])
-            assert getattr(remote, name)(3, [5, 0]) == getattr(builtin, name)(3, [5, 0])
+                remote.test(self.N, [3], left)
+            assert remote.test(3, [5, 0], left) == builtin.test(3, [5, 0], left)
 
     def test_bad_batch_and_walk_ids_are_rejected_before_any_line(self, tmp_path):
         # the harness turns only an OracleError into an error row, so a
         # bad batch or walk id must be one, as a bad single-test id is
         command, log = filtered_server(tmp_path, self.N, 11, self.HOOK)
-        calls = [("right_test_batch", 3, [[9]], self.N), ("left_test_batch", 3, [[0, -1]], 10),
-                 ("right_test_batch", 3, [[0, 1], [10, 2]], 10),
-                 ("left_test_batch", 3, np.array([[0, 2**40]]), 2**40),
-                 ("right_test_batch", -1, [[0, 1]], 10), ("left_test_batch", 8, [[0, 1]], 10),
+        calls = [("test_batch", 3, [[9]], self.N, False), ("test_batch", 3, [[0, -1]], 10, True),
+                 ("test_batch", 3, [[0, 1], [10, 2]], 10, False),
+                 ("test_batch", 3, np.array([[0, 2**40]]), 2**40, True),
+                 ("test_batch", -1, [[0, 1]], 10, False), ("test_batch", 8, [[0, 1]], 10, True),
                  ("walk", 3, [0, 9], False), ("walk", 3, [0, -1], True),
                  ("walk", 3, [8, 0, 1], False),
                  ("walk", -1, [0, 1], True), ("walk", 8, [0, 1], False)]
         with ExternalOracle(command, self.N) as remote:
-            for name, u, ids, last in calls:
+            for name, u, ids, *rest in calls:
                 with pytest.raises(OracleRejectedError):
-                    getattr(remote, name)(u, np.array(ids), last)
-                assert remote.right_test(1, [1]) is True
+                    getattr(remote, name)(u, np.array(ids), *rest)
+                assert remote.test(1, [1], False) is True
         assert log.read_text().splitlines()[1:] == [self.ONE_QUERY] * len(calls)
 
     def test_queries_take_keyword_arguments(self, oracles):
         remote, builtin = oracles
         rows, arr = np.array([[0, 1], [2, 9]]), np.array([5, 0, 7])
         for oracle in (remote, builtin):
-            assert oracle.right_test(u=3, V=[1, 5]) == builtin.right_test(3, [1, 5])
-            assert (oracle.left_test_batch(u=3, rows=rows, n_eff=10).tolist()
-                    == builtin.left_test_batch(3, rows, 10).tolist())
+            assert oracle.test(u=3, V=[1, 5], left=False) == builtin.test(3, [1, 5], False)
+            assert (oracle.test_batch(u=3, rows=rows, n_eff=10, left=True).tolist()
+                    == builtin.test_batch(3, rows, 10, True).tolist())
             assert oracle.walk(u=3, arr=arr, left=False) == builtin.walk(3, arr, False)
 
     def test_an_err_reply_inside_a_batch_or_walk_is_raised_unchanged(self, tmp_path):
@@ -754,29 +763,29 @@ class TestIdSafety:
         """)
         command, _ = filtered_server(tmp_path, self.N, 11, hook)
         with ExternalOracle(command, self.N) as remote:
-            for query in (lambda: remote.right_test_batch(3, np.array([[0, 1]]), 8),
+            for query in (lambda: remote.test_batch(3, np.array([[0, 1]]), 8, False),
                           lambda: remote.walk(3, np.array([0, 1, 2]), False)):
                 with pytest.raises(OracleRejectedError, match="busy") as excinfo:
                     query()
                 # raised where the reply was parsed, not re-raised above it
                 assert excinfo.traceback[-1].name.endswith("_answer")
-                assert remote.right_test(1, [1]) is True
+                assert remote.test(1, [1], False) is True
 
     @pytest.mark.parametrize("V", [[], set(), np.array([], dtype=np.int64), np.array([])])
     def test_empty_set_answers_false(self, oracles, V):
         remote, _ = oracles
-        assert remote.left_test(3, V) is False
-        assert remote.right_test(3, V) is False
+        assert remote.test(3, V, True) is False
+        assert remote.test(3, V, False) is False
         with pytest.raises(OracleRejectedError):
-            remote.right_test(-1, V)
+            remote.test(-1, V, False)
 
     def test_empty_set_sends_no_line(self, tmp_path):
         command, log = filtered_server(tmp_path, self.N, 11, self.HOOK)
         with ExternalOracle(command, self.N) as remote:
             counting = CountingOracle(remote)
-            assert counting.right_test(3, []) is False and counting.left_test(3, []) is False
+            assert counting.test(3, [], False) is False and counting.test(3, [], True) is False
             assert counting.ledger.total == 2
-            remote.right_test(1, [1])
+            remote.test(1, [1], False)
         assert log.read_text().splitlines()[1:] == [self.ONE_QUERY]
 
     def test_negative_id_is_never_read_as_another(self, oracles):
@@ -785,10 +794,10 @@ class TestIdSafety:
         u = int(np.argsort(builtin.instance.ranks)[-1])
         for V in ([-1], [np.int64(-1)], np.array([-1])):
             with pytest.raises(InvalidParameterError):
-                remote.right_test(u, V)
+                remote.test(u, V, False)
         with pytest.raises(InvalidParameterError):
-            remote.right_test_batch(u, np.array([[-1, -1]]), self.N)
-        assert remote.right_test(u, [self.N - 1]) == builtin.right_test(u, [self.N - 1])
+            remote.test_batch(u, np.array([[-1, -1]]), self.N, False)
+        assert remote.test(u, [self.N - 1], False) == builtin.test(u, [self.N - 1], False)
 
 
 
@@ -861,7 +870,7 @@ HEX_VALID_LINES = [hexed(line) for line in BASIC_LINES + FULL_OPS] + [
     hexed("BR 3 100 2 2 0 99 50 1"), "BR 3 16 1 1 0A000000"]
 TOKENS = st.one_of(
     st.sampled_from(["\u00b2", "\u0663", "\uff11", "-1", "+1", "1_0", "0x1", "1e3", "08",
-                     "9" * 5000, "BATCH", "DESCENT", "HEX", "INIT", "L", "R", "BL", "BR", "DL",
+                     "9" * 5000, "BATCH", "WALK", "DESCENT", "HEX", "INIT", "L", "R", "BL", "BR", "DL",
                      "DR", "DTL", "DTR", "WL", "WR", "Y", "\x00", "0000000", "000000000",
                      "0000000g",
                      "0000000\u0663",
@@ -920,7 +929,7 @@ def well_formed(line, reply, full=False):
     min_size=1, max_size=8))
 @example(opening=[], lines=["INIT \u00b2"])
 @example(opening=[HEX_INIT], lines=["R 3 1 0000000\u0663", "INIT 8", "R 3 1 00000000"])
-@example(opening=[HEX_INIT], lines=["INIT 8 BATCH DESCENT", "BR 3 8 1 1 00000000"])
+@example(opening=[HEX_INIT], lines=["INIT 8 BATCH WALK", "BR 3 8 1 1 00000000"])
 @settings(max_examples=400, deadline=None)
 def test_serve_answers_every_line_and_never_raises(opening, lines):
     lines = opening + lines
@@ -941,7 +950,7 @@ INVALID_LINES = {
     # digits outside ASCII
     "INIT \u00b2": "ERR malformed INIT",
     "INIT \u0668": "ERR malformed INIT",
-    "INIT \u0668 BATCH DESCENT HEX": "ERR malformed INIT",
+    "INIT \u0668 BATCH WALK HEX": "ERR malformed INIT",
     "L 3 1 \u0663": "ERR malformed query",
     "R \u0663 1 3": "ERR malformed query",
     "L 3 \u0661 3": "ERR malformed query",
@@ -971,12 +980,14 @@ INVALID_LINES = {
     # only the basic and the full INIT: no partial, reordered, repeated
     # or unknown feature list
     "INIT 8 BATCH": "ERR malformed INIT",
-    "INIT 8 BATCH DESCENT": "ERR malformed INIT",
-    "INIT 8 DESCENT": "ERR malformed INIT",
+    "INIT 8 BATCH WALK": "ERR malformed INIT",
+    "INIT 8 WALK": "ERR malformed INIT",
     "INIT 8 HEX": "ERR malformed INIT",
-    "INIT 8 DESCENT BATCH HEX": "ERR malformed INIT",
-    "INIT 8 BATCH DESCENT HEX HEX": "ERR malformed INIT",
-    "INIT 8 DESCENT BATCH": "ERR malformed INIT",
+    "INIT 8 WALK BATCH HEX": "ERR malformed INIT",
+    "INIT 8 BATCH WALK HEX HEX": "ERR malformed INIT",
+    "INIT 8 WALK BATCH": "ERR malformed INIT",
+    # the full offer from before the walk op
+    "INIT 8 BATCH DESCENT HEX": "ERR malformed INIT",
     "INIT 8 BATCH BATCH": "ERR malformed INIT",
     "INIT 8 RESTART": "ERR malformed INIT",
 }
@@ -1073,7 +1084,7 @@ def served(*lines, ranks=FUZZ_RANKS):
 @pytest.mark.parametrize("line", sorted(HEX_INVALID_LINES))
 def test_serve_rejects_invalid_hex_lines(line):
     agreed, reply = served(HEX_INIT, line)
-    assert agreed == "OK BATCH DESCENT HEX"
+    assert agreed == "OK BATCH WALK HEX"
     assert reply.startswith(HEX_INVALID_LINES[line])
 
 
@@ -1140,20 +1151,18 @@ def builtin_reply(line):
     op, *tokens = line.split()
     numbers = list(map(int, tokens))
     oracle = InstanceOracle(make_instance(FUZZ_N, 5))
-    side = "left" if op[-1] == "L" else "right"
+    left = op[-1] == "L"
     try:
         if op in ("BL", "BR"):
             u, n_eff, rows, width, *ids = numbers
             if not (rows and width):
                 return None
-            batch = getattr(oracle, f"{side}_test_batch")
-            hits = batch(u, np.reshape(ids, (rows, width)), n_eff)
+            hits = oracle.test_batch(u, np.reshape(ids, (rows, width)), n_eff, left)
             return "".join("Y" if hit else "N" for hit in hits)
         u, _, *ids = numbers
         if op in ("WL", "WR"):
-            return " ".join(map(str, oracle.walk(u, np.array(ids, dtype=np.int64),
-                                                 side == "left")))
-        return "Y" if getattr(oracle, f"{side}_test")(u, ids) else "N"
+            return " ".join(map(str, oracle.walk(u, np.array(ids, dtype=np.int64), left)))
+        return "Y" if oracle.test(u, ids, left) else "N"
     except InvalidParameterError:
         return None
 
@@ -1162,7 +1171,7 @@ def builtin_reply(line):
 @settings(max_examples=400, deadline=None)
 def test_sessions_answer_like_the_builtin_oracle(line):
     full = served(HEX_INIT, hexed(line))
-    assert full[0] == "OK BATCH DESCENT HEX"
+    assert full[0] == "OK BATCH WALK HEX"
     expected = builtin_reply(line)
     assert full[1] == expected if expected is not None else full[1].startswith("ERR ")
     if line.split()[0] in ("L", "R"):
@@ -1199,9 +1208,9 @@ def test_documented_full_session_lines_are_what_the_client_writes(tmp_path):
     sent, _ = documented_exchanges()
     command, log = filtered_server(tmp_path, 1024, 0, "pass\n")
     with ExternalOracle(command, 1024) as remote:
-        remote.right_test(5, [1023, 9])
-        remote.left_test(5, np.array([1023, 9]))
-        remote.right_test_batch(5, np.array([[1, 1028], [1023, 1029]]), 1030)
+        remote.test(5, [1023, 9], False)
+        remote.test(5, np.array([1023, 9]), True)
+        remote.test_batch(5, np.array([[1, 1028], [1023, 1029]]), 1030, False)
         remote.walk(5, np.array([1, 2, 1023]), False)
         remote.walk(5, np.array([1, 2, 1023]), True)
         remote.walk(9, np.array([1023, 5, 2]), False)
@@ -1213,10 +1222,10 @@ def test_documented_full_session_lines_are_what_the_client_writes(tmp_path):
 REPLIES = st.one_of(
     st.sampled_from(["Y", "N", "y", "YN", "0", "3", "8", "03", "00", "-0", "-1", "+1", "1_0",
                      "3.0", "0x3", "\u0663", "\u00b2", "\uff13", "\ufffd", "ERR", "ERR busy",
-                     "OK", "OK BATCH", "OK DESCENT", "OK BATCH DESCENT", "OK DESCENT BATCH",
-                     "OK BATCH BATCH", "OK  BATCH", "OK RESTART", "OK BATCH DESCENT HEX",
-                     "OK HEX", "OK BATCH HEX", "OK HEX BATCH", "OK DESCENT HEX", "OK DESCENT BATCH HEX",
-                     "OK BATCH DESCENT HEX HEX", "9" * 5000, "", "0 Y", "0 N", "3 N", "8 Y",
+                     "OK", "OK BATCH", "OK WALK", "OK BATCH WALK", "OK WALK BATCH",
+                     "OK BATCH BATCH", "OK  BATCH", "OK RESTART", "OK BATCH WALK HEX",
+                     "OK HEX", "OK BATCH HEX", "OK HEX BATCH", "OK WALK HEX", "OK WALK BATCH HEX",
+                     "OK BATCH WALK HEX HEX", "OK BATCH DESCENT HEX", "9" * 5000, "", "0 Y", "0 N", "3 N", "8 Y",
                      "03 Y", "0  Y", " 0 Y", "0 Y ", "0 y", "0 YN", "0\tY", "-0 N", "ERR 0 Y",
                      "0 1", "1 0", "0 0", "0 2 5", "01 2", "0  1", "0 1 ", " 0 1", "2 8",
                      "1 2 3 4 5 6 7 8", "0\t1", "0 -1", "ERR 0 1"]),
@@ -1258,5 +1267,5 @@ def test_reply_parsers_answer_only_well_formed_replies(reply, size, offer):
             and ends == sorted(set(ends)) and all(0 <= end < size for end in ends) else error)
     assert parsed(_walk_answer, reply, size) == walk
     # OK agrees a basic session, and the full one only answers its offer
-    agreed = {"OK": False, "OK BATCH DESCENT HEX": True if offer != "INIT 8" else OracleProtocolError}
+    agreed = {"OK": False, "OK BATCH WALK HEX": True if offer != "INIT 8" else OracleProtocolError}
     assert parsed(_full_session, reply, offer) == agreed.get(reply, OracleProtocolError)

@@ -83,13 +83,6 @@ class TestRunExperiment:
             r.queries_left + r.queries_right for r in reports
         )
 
-    def test_worker_pool_matches_serial(self):
-        serial_cfg = small_config(trials=30)
-        pool_cfg = small_config(trials=30, workers=2)
-        serial, _ = run_experiment(serial_cfg)
-        pooled, _ = run_experiment(pool_cfg)
-        assert render_csv(serial_cfg, serial) == render_csv(pool_cfg, pooled)
-
     def test_rerun_is_byte_identical(self):
         config = small_config(algorithm="rank", n=64, trials=5,
                               delta=0.4, epsilon=0.2)
@@ -138,12 +131,15 @@ class TestTrialSeeds:
         assert np.array_equal(last, reference)
 
     @pytest.mark.parametrize("fixed_instance", [False, True])
-    def test_worker_pool_gives_the_sequential_reports(self, fixed_instance):
-        config = small_config(algorithm="maxfind", trials=12, fixed_instance=fixed_instance)
+    @pytest.mark.parametrize("algorithm", ["minfind", "maxfind"])
+    def test_worker_pool_gives_the_sequential_reports(self, algorithm, fixed_instance):
+        config = small_config(algorithm=algorithm, trials=24, fixed_instance=fixed_instance)
+        pool_config = small_config(algorithm=algorithm, trials=24, workers=2,
+                                   fixed_instance=fixed_instance)
         serial, _ = run_experiment(config)
-        pooled, _ = run_experiment(small_config(algorithm="maxfind", trials=12, workers=2,
-                                                fixed_instance=fixed_instance))
+        pooled, _ = run_experiment(pool_config)
         assert serial == pooled
+        assert render_csv(config, serial) == render_csv(pool_config, pooled)
 
     def test_trial_indices_stay_one_entropy_word(self):
         validate_config(small_config(trials=2**32))

@@ -276,14 +276,14 @@ def min_find_by_one_order(oracle, n, rng):
     start = int(rng.integers(n))
     x, order = int(ids[start]), np.delete(ids, start)
     iterations = 0
-    if order.size and counting.right_test(x, order):
+    if order.size and counting.test(x, order, False):
         order = rng.permutation(order)
         while True:
             p = _descend(counting, x, order, False)
             assert not any(oracle.test(int(v), [x], True) for v in order[:p])
             x, order[p] = int(order[p]), x
             iterations += 1
-            if not counting.right_test(x, order):
+            if not counting.test(x, order, False):
                 break
     return x, iterations, ledger
 

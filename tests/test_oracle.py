@@ -42,40 +42,46 @@ def padded_rows(oracle, n_eff):
     """The oracle's left and right batch tests, each asked of one row over
     a universe padded to ``n_eff`` ids, as single tests."""
     return tuple(lambda u, V, batch=batch: bool(batch(u, np.asarray(V)[None, :], n_eff)[0])
-                 for batch in (oracle.left_test_batch, oracle.right_test_batch))
+                 for batch in directions(oracle.test_batch))
+
+
+def directions(method):
+    """``method``, an oracle's ``test`` or ``test_batch``, asked left and
+    asked right."""
+    return functools.partial(method, left=True), functools.partial(method, left=False)
 
 
 class TestGroupTestSemantics:
     def test_empty_set_answers_false(self):
         oracle = oracle_of(5)
-        assert oracle.right_test(2, []) is False
-        assert oracle.left_test(2, []) is False
-        assert oracle.right_test(2, np.array([], dtype=np.int64)) is False
+        assert oracle.test(2, [], False) is False
+        assert oracle.test(2, [], True) is False
+        assert oracle.test(2, np.array([], dtype=np.int64), False) is False
 
     def test_reflexivity(self):
         oracle = oracle_of(5)
         for u in range(5):
-            assert oracle.right_test(u, [u])
-            assert oracle.left_test(u, [u])
+            assert oracle.test(u, [u], False)
+            assert oracle.test(u, [u], True)
 
     def test_direct_evaluation_against_ranks(self):
         instance = make_instance(5, seed=11)
         oracle = InstanceOracle(instance)
         u = instance.element_with_rank(3)
         above = [instance.element_with_rank(4), instance.element_with_rank(5)]
-        assert oracle.right_test(u, above) is False
-        assert oracle.left_test(u, above) is True
+        assert oracle.test(u, above, False) is False
+        assert oracle.test(u, above, True) is True
 
     def test_out_of_range_ids_rejected(self):
         oracle = oracle_of(4)
         with pytest.raises(InvalidParameterError):
-            oracle.right_test(4, [0])
+            oracle.test(4, [0], False)
         with pytest.raises(InvalidParameterError):
-            oracle.right_test(0, [1, 4])
+            oracle.test(0, [1, 4], False)
         with pytest.raises(InvalidParameterError):
-            oracle.left_test(0, [-1])
+            oracle.test(0, [-1], True)
         with pytest.raises(InvalidParameterError):
-            oracle.right_test(0, np.arange(100))  # long id arrays are checked too
+            oracle.test(0, np.arange(100), False)  # long id arrays are checked too
 
     @pytest.mark.parametrize("view", ["instance", "padded", "reversed"])
     def test_non_integer_ids_rejected(self, view):
@@ -86,7 +92,7 @@ class TestGroupTestSemantics:
                (5, [True, False]), (5, [1, False]), (5, {0.0}),
                (5, np.arange(70, dtype=float) % 8), (5, np.array([1.0, 2.0])),
                (5, np.array([True, False])), (np.float64(5), np.array([1, 2]))]
-        tests = (oracle.left_test, oracle.right_test)
+        tests = directions(oracle.test)
         if view == "padded":
             # a batch row is an id array, so [1, False] (all ints) and the
             # set {0.0} (no row) have no batch form; 8 and 9 are dummy slots
@@ -107,7 +113,7 @@ class TestGroupTestSemantics:
             oracle = reversed_view(oracle)
         u = int(instance.element_with_rank(4))
         ids = [0, 1, 2, 3, 4, 5, 6, 7]
-        tests = (oracle.left_test, oracle.right_test)
+        tests = directions(oracle.test)
         if view == "padded":
             ids += [8, 9]  # the dummy slots of a padded universe of 10
             tests = padded_rows(oracle, np.int64(10))
@@ -125,7 +131,7 @@ class TestGroupTestSemantics:
                   "per_row": PerRowOracle(oracle)}[view]
         # 0-d, and 2-D of 4 and of 100 ids
         for V in (np.array(3), np.array([[1, 2], [3, 4]]), np.arange(100).reshape(10, 10) % 8):
-            for test in (oracle.left_test, oracle.right_test):
+            for test in directions(oracle.test):
                 with pytest.raises(InvalidParameterError, match="1-D"):
                     test(0, V)
 
@@ -134,8 +140,8 @@ class TestGroupTestSemantics:
         oracle = InstanceOracle(instance)
         minimum = instance.element_with_rank(1)
         everyone_else = np.delete(np.arange(300), minimum)
-        assert oracle.right_test(minimum, everyone_else) is False
-        assert oracle.left_test(minimum, everyone_else) is True
+        assert oracle.test(minimum, everyone_else, False) is False
+        assert oracle.test(minimum, everyone_else, True) is True
 
     @given(st.integers(2, 40), st.data())
     @settings(max_examples=60, deadline=None)
@@ -143,7 +149,7 @@ class TestGroupTestSemantics:
         oracle = oracle_of(n, seed=5)
         u = data.draw(st.integers(0, n - 1))
         V = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
-        assert oracle.left_test(u, V) or oracle.right_test(u, V)
+        assert oracle.test(u, V, True) or oracle.test(u, V, False)
 
     def test_group_test_is_or_of_singletons_exhaustively(self):
         # every compound answer decomposes into singleton answers, n=16, |V|<=4
@@ -153,51 +159,46 @@ class TestGroupTestSemantics:
         for size in (1, 2, 3, 4):
             for V in itertools.combinations(ids, size):
                 for u in ids:
-                    assert oracle.right_test(u, V) == any(
-                        oracle.right_test(u, [v]) for v in V
+                    assert oracle.test(u, V, False) == any(
+                        oracle.test(u, [v], False) for v in V
                     )
-                    assert oracle.left_test(u, V) == any(
-                        oracle.left_test(u, [v]) for v in V
+                    assert oracle.test(u, V, True) == any(
+                        oracle.test(u, [v], True) for v in V
                     )
 
 
 class TestContract:
-    """An oracle defines each query once, with its direction an argument;
-    the direction-named forms live on the base class alone."""
+    """An oracle has one method per op of the line protocol, each taking
+    its direction as an argument."""
 
-    DIRECTION_NAMED = {"left_test", "right_test", "left_test_batch", "right_test_batch"}
-    # min-finding's swap descends through the single tests, and its runs
-    # ask walk: no oracle has a descent op of its own, nor the old fused
-    # round op
-    NO_SUCH_OP = {"descent", "left_descent", "right_descent", "descent_and_test"}
+    QUERIES = {"test", "test_batch", "walk"}
 
     def test_the_single_test_is_the_one_abstract_method(self):
         assert GroupTestOracle.__abstractmethods__ == {"test"}
 
-    def test_no_library_oracle_defines_a_direction_named_method(self):
+    def test_the_query_methods_are_test_test_batch_and_walk(self):
+        assert {name for name in dir(GroupTestOracle) if not name.startswith("_")} == self.QUERIES
         pending, library = GroupTestOracle.__subclasses__(), set()
         while pending:
             cls = pending.pop()
             pending.extend(cls.__subclasses__())
             if cls.__module__.startswith("gtorder."):
                 library.add(cls)
-                assert not self.DIRECTION_NAMED & vars(cls).keys(), cls
-                assert not self.NO_SUCH_OP & set(dir(cls)), cls
+                methods = {name for name, value in vars(cls).items()
+                           if callable(value) and not name.startswith("_")}
+                assert methods <= self.QUERIES | {"close"}, cls
         assert {InstanceOracle, CountingOracle, ExternalOracle, PerRowOracle,
                 type(reversed_view(oracle_of(2)))} <= library
 
-    def test_an_oracle_of_direction_named_tests_only_cannot_be_built(self):
-        class DirectionNamed(GroupTestOracle):
+    def test_an_oracle_without_the_single_test_cannot_be_built(self):
+        class NoSingleTest(GroupTestOracle):
             size = 4
 
-            def left_test(self, u, V):
-                return True
-
-            def right_test(self, u, V):
-                return True
+            def test_batch(self, u, rows, n_eff, left):
+                return np.ones(len(rows), dtype=bool)
 
         with pytest.raises(TypeError, match="test"):
-            DirectionNamed()
+            NoSingleTest()
 
 
 def test_ids_mixing_uint64_with_other_integers_answer_as_int64():
@@ -208,9 +209,9 @@ def test_ids_mixing_uint64_with_other_integers_answer_as_int64():
     def rows(ids):
         return [ids] if isinstance(ids, list) else ids[None, :]
 
-    calls = (lambda ids: oracle.right_test(3, ids),
+    calls = (lambda ids: oracle.test(3, ids, False),
              lambda ids: oracle.walk(7, ids, False),
-             lambda ids: oracle.right_test_batch(3, rows(ids), 8).tolist(),
+             lambda ids: oracle.test_batch(3, rows(ids), 8, False).tolist(),
              lambda ids: min_find_among(oracle, ids, np.random.default_rng(0)))
     for call in calls:
         assert call([np.uint64(5), 3]) == call(np.array([5, 3]))
@@ -236,10 +237,10 @@ class TestCountingAdapter:
             u = int(rng.integers(10))
             V = rng.integers(0, 10, size=int(rng.integers(1, 5))).tolist()
             if rng.integers(2):
-                counting.left_test(u, V)
+                counting.test(u, V, True)
                 lefts += 1
             else:
-                counting.right_test(u, V)
+                counting.test(u, V, False)
                 rights += 1
         assert counting.ledger.left_count == lefts
         assert counting.ledger.right_count == rights
@@ -247,10 +248,10 @@ class TestCountingAdapter:
 
     def test_rejected_queries_are_not_counted(self):
         counting = CountingOracle(oracle_of(8, seed=1))
-        rejected = [lambda: counting.right_test_batch(0, np.array([[9]]), 8),
-                    lambda: counting.left_test_batch(0, np.array([[0], [1]]), 7),
-                    lambda: counting.right_test(0, [9]),
-                    lambda: counting.left_test(8, [0]),
+        rejected = [lambda: counting.test_batch(0, np.array([[9]]), 8, False),
+                    lambda: counting.test_batch(0, np.array([[0], [1]]), 7, True),
+                    lambda: counting.test(0, [9], False),
+                    lambda: counting.test(8, [0], True),
                     lambda: counting.walk(0, np.array([0, 1, 9]), False),
                     lambda: counting.walk(0, np.array([0.0, 1.0]), True)]
         for ask in rejected:
@@ -317,12 +318,12 @@ class TestReversedView:
             rng = np.random.default_rng(n)
             for u in range(n):
                 for v in range(n):
-                    assert double.right_test(u, [v]) == oracle.right_test(u, [v])
+                    assert double.test(u, [v], False) == oracle.test(u, [v], False)
             for _ in range(100):
                 u = int(rng.integers(n))
                 V = rng.integers(0, n, size=int(rng.integers(1, n + 1))).tolist()
-                assert double.right_test(u, V) == oracle.right_test(u, V)
-                assert double.left_test(u, V) == oracle.left_test(u, V)
+                assert double.test(u, V, False) == oracle.test(u, V, False)
+                assert double.test(u, V, True) == oracle.test(u, V, True)
 
     def test_reversed_right_is_original_left(self):
         n = 64
@@ -332,14 +333,14 @@ class TestReversedView:
         for _ in range(100):
             u = int(rng.integers(n))
             V = rng.integers(0, n, size=int(rng.integers(1, 9))).tolist()
-            assert rev.right_test(u, V) == oracle.left_test(u, V)
-            assert rev.left_test(u, V) == oracle.right_test(u, V)
+            assert rev.test(u, V, False) == oracle.test(u, V, True)
+            assert rev.test(u, V, True) == oracle.test(u, V, False)
 
     def test_reversed_rank_is_mirrored(self):
         instance = make_instance(5, seed=3)
         rev = reversed_view(InstanceOracle(instance))
         x = instance.element_with_rank(2)
-        rank_in_reverse = sum(rev.right_test(x, [y]) for y in range(5))
+        rank_in_reverse = sum(rev.test(x, [y], False) for y in range(5))
         assert rank_in_reverse == 4
 
 
@@ -360,8 +361,8 @@ class TestPaddedView:
         for view in (oracle, reversed_view(oracle), PerRowOracle(oracle)):
             for x in range(10):
                 rows = np.array([[10, 10], [11, 11], [11, 10]])
-                assert view.right_test_batch(x, rows, 12).tolist() == [False] * 3
-                assert view.left_test_batch(x, rows, 12).tolist() == [False] * 3
+                assert view.test_batch(x, rows, 12, False).tolist() == [False] * 3
+                assert view.test_batch(x, rows, 12, True).tolist() == [False] * 3
 
     def test_padding_preserves_real_ranks(self):
         for n in (3, 10, 23):
@@ -372,9 +373,9 @@ class TestPaddedView:
                 singles = np.arange(n_eff)[:, None]
                 for x in range(n):
                     rank = exact_rank(instance, x)
-                    assert oracle.right_test_batch(x, singles, n_eff).sum() == rank
-                    assert oracle.left_test_batch(x, singles, n_eff).sum() == n + 1 - rank
-                    mirrored = reversed_view(oracle).right_test_batch(x, singles, n_eff)
+                    assert oracle.test_batch(x, singles, n_eff, False).sum() == rank
+                    assert oracle.test_batch(x, singles, n_eff, True).sum() == n + 1 - rank
+                    mirrored = reversed_view(oracle).test_batch(x, singles, n_eff, False)
                     assert mirrored.sum() == n + 1 - rank
 
     def test_mixed_queries_with_dummy_subject(self):
@@ -385,18 +386,18 @@ class TestPaddedView:
         low, high = instance.element_with_rank(1), instance.element_with_rank(6)
         rows = np.array([[low, 7], [7, 6], [high, 6]])
         u = instance.element_with_rank(3)
-        assert oracle.right_test_batch(u, rows, 8).tolist() == [True, False, False]
-        assert oracle.left_test_batch(u, rows, 8).tolist() == [False, False, True]
+        assert oracle.test_batch(u, rows, 8, False).tolist() == [True, False, False]
+        assert oracle.test_batch(u, rows, 8, True).tolist() == [False, False, True]
         for subject in (6, 7):
             with pytest.raises(InvalidParameterError):
-                oracle.right_test_batch(subject, rows, 8)
+                oracle.test_batch(subject, rows, 8, False)
             with pytest.raises(InvalidParameterError):
-                oracle.left_test_batch(subject, rows, 8)
+                oracle.test_batch(subject, rows, 8, True)
 
     def test_padded_ids_validated(self):
         oracle = oracle_of(6)
         for view in (oracle, reversed_view(oracle), PerRowOracle(oracle)):
-            for test in (view.left_test_batch, view.right_test_batch):
+            for test in directions(view.test_batch):
                 with pytest.raises(InvalidParameterError):
                     test(0, np.array([[8]]), 8)
                 with pytest.raises(InvalidParameterError):
@@ -472,11 +473,11 @@ def test_adapters_agree_with_definitions(n, container, data):
         ru = rank(u)
         below = [rank(v) <= ru for v in ids]
         above = [rank(v) >= ru for v in ids]
-        assert oracle.right_test(u, V) is any(below)
-        assert oracle.left_test(u, V) is any(above)
+        assert oracle.test(u, V, False) is any(below)
+        assert oracle.test(u, V, True) is any(above)
         row = np.array(ids, dtype=np.int64).reshape(1, m)
-        assert oracle.right_test_batch(u, row, n).tolist() == [any(below)]
-        assert oracle.left_test_batch(u, row, n).tolist() == [any(above)]
+        assert oracle.test_batch(u, row, n, False).tolist() == [any(below)]
+        assert oracle.test_batch(u, row, n, True).tolist() == [any(above)]
         if m:
             for left in (True, False):
                 assert oracle.walk(u, row[0], left) == walk_reference(
@@ -495,9 +496,9 @@ def batches(draw, n):
     return u, np.array(ids, dtype=np.int64).reshape(trials, width), n_eff
 
 
-def per_row(test, u, rows, n):
+def per_row(oracle, u, rows, n, left):
     """The reference answer: one single test per row, dummy ids dropped."""
-    return [test(u, [v for v in row if v < n]) for row in rows.tolist()]
+    return [oracle.test(u, [v for v in row if v < n], left) for row in rows.tolist()]
 
 
 class TestBatches:
@@ -511,23 +512,23 @@ class TestBatches:
         if view.endswith("reversed"):
             oracle = reversed_view(oracle)
         u, rows, n_eff = data.draw(batches(n))
-        left = oracle.left_test_batch(u, rows, n_eff)
-        right = oracle.right_test_batch(u, rows, n_eff)
+        left = oracle.test_batch(u, rows, n_eff, True)
+        right = oracle.test_batch(u, rows, n_eff, False)
         assert left.dtype == right.dtype == bool
-        assert left.tolist() == per_row(oracle.left_test, u, rows, n)
-        assert right.tolist() == per_row(oracle.right_test, u, rows, n)
+        assert left.tolist() == per_row(oracle, u, rows, n, True)
+        assert right.tolist() == per_row(oracle, u, rows, n, False)
 
     @given(n=st.integers(1, 24), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_counting_adds_one_query_per_row(self, n, data):
         counting = CountingOracle(oracle_of(n, seed=n))
         u, rows, n_eff = data.draw(batches(n))
-        left = counting.left_test_batch(u, rows, n_eff)
+        left = counting.test_batch(u, rows, n_eff, True)
         assert (counting.ledger.left_count, counting.ledger.right_count) == (len(rows), 0)
-        right = counting.right_test_batch(u, rows, n_eff)
+        right = counting.test_batch(u, rows, n_eff, False)
         assert (counting.ledger.left_count, counting.ledger.right_count) == (len(rows),) * 2
-        assert left.tolist() == per_row(counting.left_test, u, rows, n)
-        assert right.tolist() == per_row(counting.right_test, u, rows, n)
+        assert left.tolist() == per_row(counting, u, rows, n, True)
+        assert right.tolist() == per_row(counting, u, rows, n, False)
 
     @given(n=st.integers(1, 24), divisor=st.integers(1, 7), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -539,8 +540,8 @@ class TestBatches:
         u, rows, _ = data.draw(batches(n))
         rows = rows % n_eff
         for view in (oracle_of(n, seed=n), reversed_view(oracle_of(n, seed=n))):
-            assert view.right_test_batch(u, rows, n_eff).tolist() == [
-                view.right_test(u, [v for v in row if v < n]) for row in rows.tolist()]
+            assert view.test_batch(u, rows, n_eff, False).tolist() == [
+                view.test(u, [v for v in row if v < n], False) for row in rows.tolist()]
 
     @pytest.mark.parametrize("view", ["instance", "reversed", "per_row"])
     def test_far_padding_answers_as_one_dummy_slot(self, view):
@@ -556,7 +557,7 @@ class TestBatches:
         rows[::2, 0] %= n  # half the rows hold a real id
         folded = np.minimum(rows, n)
         for u in range(n):
-            for batch in (oracle.left_test_batch, oracle.right_test_batch):
+            for batch in directions(oracle.test_batch):
                 assert batch(u, rows, 10**9).tolist() == batch(u, folded, n + 1).tolist()
 
 
@@ -597,11 +598,10 @@ class TestBatchKernel:
     def test_kernel_matches_the_per_row_path(self, n, data):
         u, rows, n_eff = data.draw(wide_batches(n))
         for view, ledgers in kernel_views(oracle_of(n, seed=n)):
-            for batch, single in ((view.left_test_batch, view.left_test),
-                                  (view.right_test_batch, view.right_test)):
-                answer = batch(u, rows, n_eff)
+            for left in (True, False):
+                answer = view.test_batch(u, rows, n_eff, left)
                 assert answer.dtype == bool and answer.shape == (len(rows),)
-                assert answer.tolist() == per_row(single, u, rows, n)
+                assert answer.tolist() == per_row(view, u, rows, n, left)
             # each batch row and each per-row single test is one query
             for counting in ledgers:
                 assert counting.ledger.total == 4 * len(rows)
@@ -615,10 +615,10 @@ class TestBatchKernel:
         top, bottom = instance.element_with_rank(10), instance.element_with_rank(1)
         rows = np.tile(np.arange(10), (3, width // 10 + 1))[:, :width]
         for view in (oracle, reversed_view(oracle)):
-            below_all = view.right_test_batch if view is oracle else view.left_test_batch
-            above_all = view.left_test_batch if view is oracle else view.right_test_batch
-            assert below_all(top, rows, 12).tolist() == [True] * 3
-            assert above_all(bottom, rows, 12).tolist() == [True] * 3
+            # top lies above every id: the bare oracle's right test, its reversal's left one
+            left = view is not oracle
+            assert view.test_batch(top, rows, 12, left).tolist() == [True] * 3
+            assert view.test_batch(bottom, rows, 12, not left).tolist() == [True] * 3
 
     @pytest.mark.parametrize("width", [7, 4097, 2**15 + 1])
     def test_rows_hit_once_in_the_last_column(self, width):
@@ -634,14 +634,13 @@ class TestBatchKernel:
             # the view's minimum is hit by its right tests only through
             # itself, its maximum by its left tests
             low, high = (bottom, top) if view is oracle else (top, bottom)
-            for batch, single, u in ((view.right_test_batch, view.right_test, low),
-                                     (view.left_test_batch, view.left_test, high)):
+            for left, u in ((False, low), (True, high)):
                 misses = np.setdiff1d(np.arange(n_eff), [u])
                 rows = rng.choice(misses, size=(4, width))
                 rows[:-1, -1] = u
-                answer = batch(u, rows, n_eff)
+                answer = view.test_batch(u, rows, n_eff, left)
                 assert answer.tolist() == [True, True, True, False]
-                assert answer.tolist() == per_row(single, u, rows, n)
+                assert answer.tolist() == per_row(view, u, rows, n, left)
 
     def test_reflexive_and_dummy_rows(self):
         # a row holding only u hits in both directions; a row of dummies,
@@ -651,17 +650,17 @@ class TestBatchKernel:
             u = instance.element_with_rank(rank)
             for view in (InstanceOracle(instance), reversed_view(InstanceOracle(instance))):
                 rows = np.array([[u, u], [9, 10], [10, 9]])
-                assert view.left_test_batch(u, rows, 11).tolist() == [True, False, False]
-                assert view.right_test_batch(u, rows, 11).tolist() == [True, False, False]
+                assert view.test_batch(u, rows, 11, True).tolist() == [True, False, False]
+                assert view.test_batch(u, rows, 11, False).tolist() == [True, False, False]
         top = instance.element_with_rank(9)
         bottom = instance.element_with_rank(1)
         oracle = InstanceOracle(instance)
         rows = np.array([[top, 9, 10, 9]])
-        assert oracle.right_test_batch(bottom, rows, 11).tolist() == [False]
-        assert oracle.left_test_batch(bottom, rows, 11).tolist() == [True]
+        assert oracle.test_batch(bottom, rows, 11, False).tolist() == [False]
+        assert oracle.test_batch(bottom, rows, 11, True).tolist() == [True]
         rows = np.array([[bottom, 9, 10]])
-        assert oracle.left_test_batch(top, rows, 11).tolist() == [False]
-        assert oracle.right_test_batch(top, rows, 11).tolist() == [True]
+        assert oracle.test_batch(top, rows, 11, True).tolist() == [False]
+        assert oracle.test_batch(top, rows, 11, False).tolist() == [True]
 
 
 @pytest.fixture(scope="module")
@@ -680,10 +679,10 @@ def test_external_batch_matches_builtin_per_row(remote24, data):
     exchange = remote24._exchange
     remote24._exchange = lambda line: lines.append(line) or exchange(line)
     try:
-        assert remote24.left_test_batch(u, rows, n_eff).tolist() == per_row(
-            builtin.left_test, u, rows, 24)
-        assert remote24.right_test_batch(u, rows, n_eff).tolist() == per_row(
-            builtin.right_test, u, rows, 24)
+        assert remote24.test_batch(u, rows, n_eff, True).tolist() == per_row(
+            builtin, u, rows, 24, True)
+        assert remote24.test_batch(u, rows, n_eff, False).tolist() == per_row(
+            builtin, u, rows, 24, False)
     finally:
         del remote24._exchange
     # the reference server has the batch op: one line per non-empty batch
@@ -711,7 +710,7 @@ def test_batch_validation(path, case):
     if path == "per_row":
         oracle = PerRowOracle(oracle)
     u, rows, n_eff = BAD_BATCHES[case]
-    for test in (oracle.left_test_batch, oracle.right_test_batch):
+    for test in directions(oracle.test_batch):
         with pytest.raises(InvalidParameterError):
             test(u, np.array(rows), n_eff)
 
@@ -726,7 +725,7 @@ def test_batches_of_empty_rows_answer_false_whatever_their_dtype(path):
     # np.asarray([[]]) is float64: rows of no ids hold no non-integer id
     for rows, answer in ((np.asarray([[]]), [False]), (np.asarray([[], []]), [False, False]),
                          (np.empty((0, 3)), [])):
-        for test in (oracle.left_test_batch, oracle.right_test_batch):
+        for test in directions(oracle.test_batch):
             assert test(3, rows, 10).tolist() == answer
 
 
@@ -1028,8 +1027,8 @@ class TestOddIdArrays:
     def calls(self, oracle):
         """(call, int64 ids, bound): each entry point with its ids."""
         for left in (True, False):
-            test = oracle.left_test if left else oracle.right_test
-            batch = oracle.left_test_batch if left else oracle.right_test_batch
+            test = functools.partial(oracle.test, left=left)
+            batch = functools.partial(oracle.test_batch, left=left)
             walk = functools.partial(oracle.walk, left=left)
             yield test, self.SINGLE, 24
             yield test, self.SHORT, 24

@@ -97,10 +97,10 @@ def hexed(ids):
 def full_session(ranks, *lines):
     """The replies of a full session over ``ranks`` to ``lines``."""
     out = io.StringIO()
-    text = "".join(f"{line}\n" for line in [f"INIT {len(ranks)} BATCH DESCENT HEX", *lines])
+    text = "".join(f"{line}\n" for line in [f"INIT {len(ranks)} BATCH WALK HEX", *lines])
     serve(ranks, io.StringIO(text), out)
     replies = out.getvalue().splitlines()
-    assert replies[0] == "OK BATCH DESCENT HEX"
+    assert replies[0] == "OK BATCH WALK HEX"
     return replies[1:]
 
 

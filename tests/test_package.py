@@ -63,15 +63,55 @@ def test_unknown_names_raise_attribute_error():
     assert verify.__name__ == "gtorder.verify"
 
 
-def test_benchmark_call_sites_exist(monkeypatch):
-    # the benchmark's tracer patches these by name, and a missing one is
-    # skipped or added without a word, so a refactor that moves one must
-    # fail here
+def load_tracing(monkeypatch):
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_call_sites_exist(monkeypatch):
+    # the benchmark's tracer patches these by name, and a missing one is
+    # skipped or added without a word, so a refactor that moves one must
+    # fail here
+    tracing = load_tracing(monkeypatch)
     assert [(owner.__name__, name) for owner, name in tracing.CALL_SITES
             if not hasattr(owner, name)] == []
     assert callable(getattr(tracing.ExternalOracle, "_exchange", None))
+
+
+# one tiny builtin config per algorithm
+TRACED_CONFIGS = [
+    dict(algorithm="minfind", n=16),
+    dict(algorithm="maxfind", n=16),
+    dict(algorithm="testle", n=64, r=8.0, delta=0.5, epsilon=0.2, x_rank=5),
+    dict(algorithm="rank", n=64, delta=0.5, epsilon=0.2),
+    dict(algorithm="select", n=64, k=8, delta=0.5, epsilon=0.2),
+]
+
+
+def test_benchmark_tracer_runs_every_algorithm(monkeypatch, tmp_path):
+    # the tracer reads outcome fields and argument names of the library,
+    # so renaming one fails here rather than in a traced benchmark run
+    from gtorder.harness import ExperimentConfig, run_experiment, write_report
+
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    run = tracer.span("run_experiment", run_experiment)
+    write = tracer.span("write_report", write_report)
+    trials = 0
+    with tracer.installed():
+        for fields in TRACED_CONFIGS:
+            config = ExperimentConfig(trials=2, seed=1, **fields)
+            tracer.algorithm = config.algorithm
+            reports, summary = run(config)
+            write(config, reports, summary, path=str(tmp_path / f"{config.algorithm}.csv"))
+            trials += config.trials
+    assert tracer.entry_calls() == trials
+    metrics = tracer.metrics(1.0, 1.0, 1.0, 0)
+    assert metrics["ranktest.calls"] > 0
+    assert tracer.counts["apxrank.estimates"] > 0
+    assert tracer.counts["selection.trials"] > 0

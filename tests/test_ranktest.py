@@ -45,8 +45,8 @@ def one_draw(oracle, x, r, delta, epsilon, seed, block_ids=None):
     reverse = r >= n / 2 + 0.5
     p = derive_params(n, n - r + 0.5 if reverse else min(r, n / 2), delta, epsilon)
     samples = np.random.default_rng(seed).integers(0, p.n_eff, size=(p.trials, p.sample_size))
-    right_test = (reversed_view(oracle) if reverse else oracle).right_test
-    counts = np.cumsum([right_test(x, [v for v in row if v < n]) for row in samples.tolist()])
+    test = (reversed_view(oracle) if reverse else oracle).test
+    counts = np.cumsum([test(x, [v for v in row if v < n], False) for row in samples.tolist()])
     threshold = p.p_mid * p.trials
     answer = bool(counts[-1] <= threshold) != reverse
     # the first row after which the positives exceed the threshold, or
