@@ -17,13 +17,13 @@ m + 1/2 makes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import check_integer, check_unit
-from .oracle import GroupTestOracle, QueryLedger, counted
+from .oracle import CountingOracle, GroupTestOracle, QueryLedger
 from .ranktest import rank_at_most
 
 
@@ -66,8 +66,7 @@ def approximate_rank(oracle: GroupTestOracle, x: int, delta: float, epsilon: flo
     check_unit(delta=delta, epsilon=epsilon)
     if n == 1:
         return RankEstimate(rank=1, calls=0, ledger=QueryLedger())
-    counting, ledger = counted(oracle)
-    start = replace(ledger)
+    counting = CountingOracle(oracle)
     levels = (n - 1).bit_length()  # ceil(log2 n) for n >= 2
     per_call_epsilon = epsilon / levels
 
@@ -76,4 +75,4 @@ def approximate_rank(oracle: GroupTestOracle, x: int, delta: float, epsilon: flo
         return rank_at_most(counting, x, target, delta, per_call_epsilon, rng).answer
 
     rank, calls = binary_rank_search(n, decide)
-    return RankEstimate(rank=rank, calls=calls, ledger=ledger.since(start))
+    return RankEstimate(rank=rank, calls=calls, ledger=counting.ledger)

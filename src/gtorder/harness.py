@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import operator
 import sys
 from dataclasses import asdict, dataclass
 from io import StringIO
@@ -196,7 +197,7 @@ def _trial_seeds(config: ExperimentConfig) -> Iterator[tuple[np.ndarray, int]]:
     """Each trial's generator words and instance seed, in trial order, hashed
     a chunk of trials at a time (module docstring); a fixed-instance config
     hashes no instance lane."""
-    seed = config.seed & _MASK64
+    seed = operator.index(config.seed) & _MASK64
     seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
     k = len(seed_words)
     lanes = _LANES[:1] if config.fixed_instance else _LANES
@@ -266,7 +267,7 @@ def _run_trial(config: ExperimentConfig, trial: int, words: np.ndarray, instance
     true_rank = success = None
     if instance is not None and element is not None:
         true_rank = exact_rank(instance, element)
-        success = _success(config, outcome, true_rank)
+        success = bool(_success(config, outcome, true_rank))  # numpy fields compare to np.bool_
     return TrialReport(trial, element, est_rank, true_rank, success,
                        outcome.ledger.left_count, outcome.ledger.right_count, rounds)
 
@@ -335,6 +336,13 @@ def render_csv(config: ExperimentConfig, reports: Sequence[TrialReport]) -> str:
     return out.getvalue()
 
 
+def _json_scalar(value):
+    """A numpy scalar, such as a config's seed, as the Python number it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(config: ExperimentConfig, reports: Sequence[TrialReport],
                 summary: dict) -> str:
     payload = {
@@ -342,7 +350,7 @@ def render_json(config: ExperimentConfig, reports: Sequence[TrialReport],
         "summary": summary,
         "trials": [asdict(r) for r in reports],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar) + "\n"
 
 
 def write_report(config: ExperimentConfig, reports: Sequence[TrialReport],

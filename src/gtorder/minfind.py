@@ -29,13 +29,13 @@ oracle, each level and test one query either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, check_integer
-from .oracle import (GroupTestOracle, QueryLedger, _checked_descent, _descend, _id_array, counted,
-                     reversed_view)
+from .oracle import (CountingOracle, GroupTestOracle, QueryLedger, _checked_descent, _descend,
+                     _id_array, reversed_view)
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
     if arr.size == 0:
         raise InvalidParameterError("cannot take the minimum of an empty collection")
     arr = arr.astype(np.int64, copy=False)
-    counting, ledger = counted(oracle)
-    start = replace(ledger)
+    counting = CountingOracle(oracle)
     idx = int(rng.integers(arr.size))
     x = int(arr[idx])
     rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
@@ -89,7 +88,7 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
                     f"the collection repeats ids {repeated[:10].tolist()}")
             raise RuntimeError("oracle answers are inconsistent with a total order")
         x = int(rest[ends[-1]])
-    return MinFindOutcome(element=x, iterations=len(ends), ledger=ledger.since(start))
+    return MinFindOutcome(element=x, iterations=len(ends), ledger=counting.ledger)
 
 
 def min_find(oracle: GroupTestOracle, n: int, rng: np.random.Generator) -> MinFindOutcome:
@@ -106,7 +105,9 @@ def min_find(oracle: GroupTestOracle, n: int, rng: np.random.Generator) -> MinFi
 def max_find(oracle: GroupTestOracle, n: int, rng: np.random.Generator) -> MinFindOutcome:
     """Find the element of rank n: min-finding with every test reversed.
 
-    The reversal sits above the ledger, so the ledger counts left and
-    right tests as ``oracle`` sees them.
+    The run counts before it reverses, so its ledger holds the left and
+    right tests ``oracle`` answered.
     """
-    return min_find(reversed_view(counted(oracle)[0]), n, rng)
+    counting = CountingOracle(oracle)
+    outcome = min_find(reversed_view(counting), n, rng)
+    return MinFindOutcome(outcome.element, outcome.iterations, counting.ledger)

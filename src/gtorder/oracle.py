@@ -50,12 +50,10 @@ Adapters compose around a base oracle:
 * :func:`reversed_view` swaps the direction of every test.
 
 All oracles are immutable after construction; only the counting adapter's
-ledger mutates.  Each run keeps one ledger: :func:`counted` gives an
-algorithm the caller's :class:`CountingOracle` when there is one, so
-nested calls share it, and each call reports its own queries as the
-ledger's growth over the call.  An algorithm that reverses the order does
-so above the ledger, so the ledger counts in the frame of the oracle the
-caller passed.
+ledger mutates.  Every algorithm counts its own queries in a
+:class:`CountingOracle` around the oracle it is given, and reverses the
+order only above that adapter, so its ledger holds the left and right
+tests that oracle answered.
 """
 
 from __future__ import annotations
@@ -120,11 +118,6 @@ class QueryLedger:
     @property
     def total(self) -> int:
         return self.left_count + self.right_count
-
-    def since(self, start: QueryLedger) -> QueryLedger:
-        """Queries counted after ``start``, an earlier copy of this ledger."""
-        return QueryLedger(self.left_count - start.left_count,
-                           self.right_count - start.right_count)
 
 
 def _id_array(ids, ndim: int, bound: int | None = None) -> tuple[np.ndarray, int | None]:
@@ -325,17 +318,3 @@ def reversed_view(oracle: GroupTestOracle) -> GroupTestOracle:
     if isinstance(oracle, _ReversedOracle):
         return oracle._inner
     return _ReversedOracle(oracle)
-
-
-def counted(oracle: GroupTestOracle) -> tuple[GroupTestOracle, QueryLedger]:
-    """The oracle an algorithm should query, and the ledger that counts it.
-
-    A :class:`CountingOracle`, passed bare or under one reversed view, is
-    reused as it is, so nested calls count into one ledger; any other
-    oracle gets exactly one new counting adapter.
-    """
-    below = oracle._inner if isinstance(oracle, _ReversedOracle) else oracle
-    if isinstance(below, CountingOracle):
-        return oracle, below.ledger
-    counting = CountingOracle(oracle)
-    return counting, counting.ledger

@@ -7,6 +7,7 @@ reference that tests use to verify algorithm output.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,10 @@ def make_instance(n: int, seed: int) -> TotalOrderInstance:
 
     The order is a pure function of the seed: the same (n, seed) pair
     always yields the same instance.  Seeds are taken modulo 2**64, so
-    any 64-bit integer (signed included) is usable.
+    any integer, Python or numpy, signed included, is usable.
     """
     check_integer("n", n, 1)
-    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
     ranks = rng.permutation(n) + 1
     return TotalOrderInstance(n=n, ranks=ranks)
 

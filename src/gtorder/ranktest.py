@@ -47,12 +47,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, check_integer, check_open, check_unit
-from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
+from .oracle import CountingOracle, GroupTestOracle, QueryLedger, reversed_view
 
 # The most ids one batch of a threshold test draws and asks at once, unless
 # one row alone is wider.  A block's working set is about 12 bytes per id
@@ -163,8 +163,7 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
     n = oracle.size
     check_integer("element id", x, 0, n - 1)
     check_open("target rank", r, 0, n)
-    counting, ledger = counted(oracle)
-    start = replace(ledger)
+    counting = CountingOracle(oracle)
     if r >= n / 2 + 0.5:
         # rank(x) <= r iff not (reversed rank(x) <= n - r + 1/2): the half
         # step centers the reversed target between the integer ranks on
@@ -181,4 +180,4 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
         answer, positives, params = _run_trials(counting, x, min(r, n / 2),
                                                 delta, epsilon, rng)
     return RankTestOutcome(answer=answer, positives=positives, params=params,
-                           ledger=ledger.since(start))
+                           ledger=counting.ledger)

@@ -13,14 +13,14 @@ legitimate outcome, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidParameterError, check_integer, check_unit
 from .minfind import min_find_among
-from .oracle import GroupTestOracle, QueryLedger, counted, reversed_view
+from .oracle import CountingOracle, GroupTestOracle, QueryLedger, reversed_view
 from .ranktest import rank_at_most
 
 
@@ -98,16 +98,16 @@ def approximate_select(oracle: GroupTestOracle, n: int, k: int, delta: float,
     Returns an element with probability at least 1/2; conditioned on
     returning one, it satisfies the band with probability at least
     1 - epsilon.  Targets above n/2 run under the reversed order with
-    k replaced by n - k + 1; the reversal sits above the ledger.  n must
-    be ``oracle.size``: the screens rank x in the whole universe.
+    k replaced by n - k + 1; the run counts before it reverses, so its
+    ledger holds the left and right tests ``oracle`` answered.  n must be
+    ``oracle.size``: the screens rank x in the whole universe.
     """
     if n != oracle.size:
         raise InvalidParameterError(f"universe size {n} is not the oracle's size {oracle.size}")
     check_integer("target rank", k, 1, n)
-    work, ledger = counted(oracle)
-    start = replace(ledger)
+    counting = work = CountingOracle(oracle)
     if k > n / 2:
-        work = reversed_view(work)
+        work = reversed_view(counting)
         k = n - k + 1
     params = select_params(k, delta, epsilon)
     upper_target = k + 0.75 * delta * k
@@ -122,6 +122,6 @@ def approximate_select(oracle: GroupTestOracle, n: int, k: int, delta: float,
                                    params.epsilon_round, rng)
         if not below_lower.answer:
             return SelectOutcome(found=True, element=x, rounds_used=round_index,
-                                 ledger=ledger.since(start))
+                                 ledger=counting.ledger)
     return SelectOutcome(found=False, element=None, rounds_used=params.max_rounds,
-                         ledger=ledger.since(start))
+                         ledger=counting.ledger)

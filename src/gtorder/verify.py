@@ -20,6 +20,7 @@ import collections
 import copy
 import functools
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -89,7 +90,7 @@ def run_checks(seed: int, names: Optional[Iterable[str]] = None) -> Iterator[Che
 def _rng(seed: int, tag: int) -> np.random.Generator:
     # seeds are taken modulo 2**64, as the harness takes them
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=(seed & 0xFFFFFFFFFFFFFFFF, tag)))
+        np.random.SeedSequence(entropy=(operator.index(seed) & 0xFFFFFFFFFFFFFFFF, tag)))
 
 
 def _seed_stream(rng: np.random.Generator):

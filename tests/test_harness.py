@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from gtorder import InvalidParameterError, harness
+from gtorder import InvalidParameterError, harness, make_instance, verify
 from gtorder.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -141,6 +141,21 @@ class TestTrialSeeds:
         assert serial == pooled
         assert render_csv(config, serial) == render_csv(pool_config, pooled)
 
+    # each once raised OverflowError where the seed is taken mod 2**64
+    @pytest.mark.parametrize("seed", [np.int64(5), np.int64(-3), np.int64(-2**63), np.uint32(7),
+                                      np.uint32(2**32 - 1), np.uint64(5), np.uint64(2**64 - 1)],
+                             ids=repr)
+    def test_numpy_integer_seeds_run_as_their_python_ints(self, seed):
+        assert np.array_equal(make_instance(8, seed).ranks, make_instance(8, int(seed)).ranks)
+        for fixed_instance in (False, True):
+            config = small_config(trials=3, seed=seed, fixed_instance=fixed_instance)
+            twin = small_config(trials=3, seed=int(seed), fixed_instance=fixed_instance)
+            assert (render_csv(config, run_experiment(config)[0])
+                    == render_csv(twin, run_experiment(twin)[0]))
+        assert (verify._rng(seed, 4).bit_generator.state
+                == verify._rng(int(seed), 4).bit_generator.state)
+        assert verify.ALL_CHECKS["reproducibility"](seed).passed
+
     def test_trial_indices_stay_one_entropy_word(self):
         validate_config(small_config(trials=2**32))
         for trials in (2**32 + 1, 2**40):
@@ -253,6 +268,22 @@ class TestReports:
         assert payload["summary"]["trials"] == 4
         assert len(payload["trials"]) == 4
         assert payload["config"]["algorithm"] == "minfind"
+
+    # a numpy field once raised TypeError in render_json after the run,
+    # and a numpy target or tolerance wrote success as "True" in the CSV
+    @pytest.mark.parametrize("fields", [
+        dict(seed=np.uint64(5)), dict(seed=np.int64(-3)),
+        dict(algorithm="testle", r=np.float32(4.0), delta=np.float64(0.5), epsilon=0.2),
+        dict(algorithm="select", n=64, k=np.int64(8), delta=np.float32(0.5), epsilon=0.25)])
+    def test_numpy_fields_report_as_python_numbers(self, fields):
+        config = small_config(trials=3, **fields)
+        plain = small_config(trials=3, **{name: value.item() if isinstance(value, np.generic)
+                                          else value for name, value in fields.items()})
+        reports, summary = run_experiment(config)
+        plain_reports, plain_summary = run_experiment(plain)
+        assert render_json(config, reports, summary) == render_json(plain, plain_reports,
+                                                                    plain_summary)
+        assert render_csv(config, reports) == render_csv(plain, plain_reports)
 
     def test_write_report_to_file(self, tmp_path):
         config = small_config(trials=3)

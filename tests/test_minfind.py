@@ -17,7 +17,7 @@ from gtorder import (
     min_find_among,
     swap,
 )
-from gtorder.oracle import _descend, counted
+from gtorder.oracle import _descend
 from gtorder.stats import chi_square_uniformity
 from gtorder.verify import _PerQueryOracle as PerLevelOracle
 
@@ -271,7 +271,7 @@ def min_find_by_one_order(oracle, n, rng):
     ids other than the start, then per round one swap over that order, a
     descent level by level (``_descend``) to the first id below x and x
     moved into its slot, and the condition test asked alone."""
-    counting, ledger = counted(oracle)
+    counting = CountingOracle(oracle)
     ids = np.arange(n, dtype=np.int64)
     start = int(rng.integers(n))
     x, order = int(ids[start]), np.delete(ids, start)
@@ -285,7 +285,7 @@ def min_find_by_one_order(oracle, n, rng):
             iterations += 1
             if not counting.test(x, order, False):
                 break
-    return x, iterations, ledger
+    return x, iterations, counting.ledger
 
 
 class TestSharedSwapCore:
