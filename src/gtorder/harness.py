@@ -23,12 +23,13 @@ per-trial SeedSequence objects gave.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
-import operator
 import sys
 from dataclasses import asdict, dataclass
 from io import StringIO
+from numbers import Real
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -77,6 +78,17 @@ class ExperimentConfig:
     fixed_instance: bool = False
     x_rank: Optional[int] = None
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        # hold plain Python numbers, so a report prints and serializes the
+        # values its run used; bools and non-numbers stay for validate_config
+        for name, value in list(vars(self).items()):
+            if is_integer_type(type(value)):
+                value = int(value)
+            elif isinstance(value, Real) and not isinstance(value, bool):
+                with contextlib.suppress(OverflowError):  # too large to be valid anyway
+                    value = float(value)
+            object.__setattr__(self, name, value)
 
     @property
     def target(self) -> Optional[float]:
@@ -197,7 +209,7 @@ def _trial_seeds(config: ExperimentConfig) -> Iterator[tuple[np.ndarray, int]]:
     """Each trial's generator words and instance seed, in trial order, hashed
     a chunk of trials at a time (module docstring); a fixed-instance config
     hashes no instance lane."""
-    seed = operator.index(config.seed) & _MASK64
+    seed = config.seed & _MASK64
     seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
     k = len(seed_words)
     lanes = _LANES[:1] if config.fixed_instance else _LANES
@@ -267,7 +279,7 @@ def _run_trial(config: ExperimentConfig, trial: int, words: np.ndarray, instance
     true_rank = success = None
     if instance is not None and element is not None:
         true_rank = exact_rank(instance, element)
-        success = bool(_success(config, outcome, true_rank))  # numpy fields compare to np.bool_
+        success = _success(config, outcome, true_rank)
     return TrialReport(trial, element, est_rank, true_rank, success,
                        outcome.ledger.left_count, outcome.ledger.right_count, rounds)
 
@@ -336,13 +348,6 @@ def render_csv(config: ExperimentConfig, reports: Sequence[TrialReport]) -> str:
     return out.getvalue()
 
 
-def _json_scalar(value):
-    """A numpy scalar, such as a config's seed, as the Python number it holds."""
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def render_json(config: ExperimentConfig, reports: Sequence[TrialReport],
                 summary: dict) -> str:
     payload = {
@@ -350,7 +355,7 @@ def render_json(config: ExperimentConfig, reports: Sequence[TrialReport],
         "summary": summary,
         "trials": [asdict(r) for r in reports],
     }
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_scalar) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_report(config: ExperimentConfig, reports: Sequence[TrialReport],

@@ -22,10 +22,6 @@ class TotalOrderInstance:
     n: int
     ranks: np.ndarray  # ranks[i] is the rank of element i, a permutation of 1..n
 
-    def rank_of(self, x: int) -> int:
-        check_integer("element id", x, 0, self.n - 1)
-        return int(self.ranks[x])
-
     def element_with_rank(self, r: int) -> int:
         check_integer("rank", r, 1, self.n)
         return int(np.nonzero(self.ranks == r)[0][0])
@@ -46,4 +42,5 @@ def make_instance(n: int, seed: int) -> TotalOrderInstance:
 
 def exact_rank(instance: TotalOrderInstance, x: int) -> int:
     """Rank of x, i.e. the number of elements y with y <= x (including x)."""
-    return instance.rank_of(x)
+    check_integer("element id", x, 0, instance.n - 1)
+    return int(instance.ranks[x])

@@ -37,10 +37,11 @@ block, so the block size is part of the query count: changing
 ``_BLOCK_IDS`` changes the ledgers of multi-block tests and the draws
 that follow them.
 
-Targets above n/2 are handled by running the test under the reversed
-order, where the rank of x becomes n - rank(x) + 1, and negating the
-answer; the reversed target sits half a step past n - r so that integer
-targets keep an exact decision boundary.
+``rank_at_most`` chooses its frame once and runs one block loop in it.
+A target r >= n/2 + 1/2 is tested under the reversed order, where the
+rank of x becomes n - rank(x) + 1, at n - r + 1/2 (the half step keeps
+an exact decision boundary for integer targets), and the answer is
+negated; any other target is tested directly at min(r, n/2).
 """
 
 from __future__ import annotations
@@ -65,14 +66,12 @@ _BLOCK_IDS = 1 << 15
 
 @dataclass(frozen=True)
 class RankTestParams:
-    """Derived quantities for one threshold-test configuration."""
+    """What one threshold test derives from (n, r, delta, epsilon), for the
+    target r it executes: at most n/2, as ``rank_at_most`` reverses above."""
 
-    n_eff: int          # universe size after dummy padding
-    r: float            # target rank, may be fractional
-    delta: float
-    epsilon: float
-    sample_size: int    # ids drawn per trial, at least 2
-    trials: int         # group tests per call, at least 1
+    n_eff: int          # universe size after dummy padding, a multiple of ceil(r)
+    sample_size: int    # ids drawn per trial, ceil(n_eff / r) >= 2
+    trials: int         # group tests of a full test; a curtailed one asks fewer
     p_low: float        # positive-rate bound when rank <= r - delta*r
     p_high: float       # positive-rate bound when rank >= r + delta*r
     p_mid: float        # decision threshold (midpoint of the two bounds)
@@ -111,44 +110,25 @@ def _derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPa
     divisor = math.ceil(r)
     n_eff = divisor * ((n + divisor - 1) // divisor)
     try:
-        sample_size = max(2, math.ceil(n_eff / r))
+        sample_size = math.ceil(n_eff / r)  # at least 2, as r <= n/2 <= n_eff/2
     except OverflowError:  # n_eff / r is infinite
         raise InvalidParameterError(f"target rank {r} is too small for n={n}: "
                                     f"a row of n_eff / r ids cannot be drawn") from None
+    try:  # at least 1, as 0 < epsilon < 1
+        trials = math.ceil(8.0 * math.e**2 * math.log(1.0 / epsilon) / delta**2)
+    except (OverflowError, ZeroDivisionError):  # the count is infinite, or delta**2 is 0
+        raise InvalidParameterError(f"delta {delta} and epsilon {epsilon} leave no finite "
+                                    f"trial count 8e^2 ln(1/epsilon) / delta^2") from None
     p_low = 1.0 - ((n_eff - (r - delta * r)) / n_eff) ** sample_size
     p_high = 1.0 - ((n_eff - (r + delta * r)) / n_eff) ** sample_size
-    trials = max(1, math.ceil(8.0 * math.e**2 * math.log(1.0 / epsilon) / delta**2))
     return RankTestParams(
         n_eff=n_eff,
-        r=float(r),
-        delta=delta,
-        epsilon=epsilon,
         sample_size=sample_size,
         trials=trials,
         p_low=p_low,
         p_high=p_high,
         p_mid=0.5 * (p_low + p_high),
     )
-
-
-def _run_trials(oracle: GroupTestOracle, x: int, r: float, delta: float,
-                epsilon: float, rng: np.random.Generator) -> tuple[bool, int, RankTestParams]:
-    params = derive_params(oracle.size, r, delta, epsilon)
-    trials, width = params.trials, params.sample_size
-    # blocks of at most _BLOCK_IDS ids, or of one row each when a row
-    # alone is wider
-    step = max(1, _BLOCK_IDS // width)
-    limit = math.floor(params.p_mid * trials)
-    positives = 0
-    for start in range(0, trials, step):
-        rows = rng.integers(0, params.n_eff, size=(min(step, trials - start), width))
-        # sampled dummy ids can never lie below the real element x, which
-        # is what a dummy slot of the batch answers
-        positives += int(np.count_nonzero(oracle.test_batch(x, rows, params.n_eff, False)))
-        # stop once no later row can change the answer (module docstring)
-        if positives > limit or positives + trials - start - len(rows) <= limit:
-            break
-    return positives <= limit, positives, params
 
 
 def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
@@ -164,20 +144,29 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
     check_integer("element id", x, 0, n - 1)
     check_open("target rank", r, 0, n)
     counting = CountingOracle(oracle)
-    if r >= n / 2 + 0.5:
-        # rank(x) <= r iff not (reversed rank(x) <= n - r + 1/2): the half
-        # step centers the reversed target between the integer ranks on
-        # either side of the decision boundary, which keeps the guarantee
-        # band honest at the extremes (an integer target n - r would sit
-        # exactly on a rank and bias the edge case)
-        inner, positives, params = _run_trials(
-            reversed_view(counting), x, n - r + 0.5, delta, epsilon, rng
-        )
-        answer = not inner
-    else:
-        # a target in (n/2, n/2 + 1/2) separates the same integer ranks
-        # as n/2 itself, which the direct branch can test
-        answer, positives, params = _run_trials(counting, x, min(r, n / 2),
-                                                delta, epsilon, rng)
-    return RankTestOutcome(answer=answer, positives=positives, params=params,
-                           ledger=counting.ledger)
+    # rank(x) <= r iff not (reversed rank(x) <= n - r + 1/2): the half
+    # step centers the reversed target between the integer ranks on
+    # either side of the decision boundary, which keeps the guarantee
+    # band honest at the extremes (an integer target n - r would sit
+    # exactly on a rank and bias the edge case).  A target in
+    # (n/2, n/2 + 1/2) separates the same integer ranks as n/2 itself,
+    # which the direct frame can test.
+    flip = r >= n / 2 + 0.5
+    view = reversed_view(counting) if flip else counting
+    params = derive_params(n, n - r + 0.5 if flip else min(r, n / 2), delta, epsilon)
+    trials, width = params.trials, params.sample_size
+    # blocks of at most _BLOCK_IDS ids, or of one row each when a row
+    # alone is wider
+    step = max(1, _BLOCK_IDS // width)
+    limit = math.floor(params.p_mid * trials)
+    positives = 0
+    for start in range(0, trials, step):
+        rows = rng.integers(0, params.n_eff, size=(min(step, trials - start), width))
+        # sampled dummy ids can never lie below the real element x, which
+        # is what a dummy slot of the batch answers
+        positives += int(np.count_nonzero(view.test_batch(x, rows, params.n_eff, False)))
+        # stop once no later row can change the answer (module docstring)
+        if positives > limit or positives + trials - start - len(rows) <= limit:
+            break
+    return RankTestOutcome(answer=(positives <= limit) != flip, positives=positives,
+                           params=params, ledger=counting.ledger)

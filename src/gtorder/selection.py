@@ -26,15 +26,13 @@ from .ranktest import rank_at_most
 
 @dataclass(frozen=True)
 class SelectParams:
-    """Round budget and the derived tolerances for the two screening tests."""
+    """What selection derives from (k, delta, epsilon): the round budget and
+    the tolerances of the two screening tests."""
 
-    k: int
-    delta: float
-    epsilon: float
     delta_upper: float   # tolerance for the test at k + 3/4*delta*k, > delta/8
     delta_lower: float   # tolerance for the test at k - 3/4*delta*k, > delta/4
-    epsilon_round: float  # per-test failure budget
-    max_rounds: int
+    epsilon_round: float  # per-test failure budget, epsilon / (max_rounds + 1)
+    max_rounds: int      # candidates drawn at most, ceil(32 / delta^2)
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,11 @@ class SelectOutcome:
 def select_params(k: int, delta: float, epsilon: float) -> SelectParams:
     check_integer("target rank", k, 1)
     check_unit(delta=delta, epsilon=epsilon)
-    max_rounds = math.ceil(32.0 / delta**2)
+    try:
+        max_rounds = math.ceil(32.0 / delta**2)
+    except (OverflowError, ZeroDivisionError):  # the budget is infinite, or delta**2 is 0
+        raise InvalidParameterError(f"delta {delta} leaves no finite round budget "
+                                    f"32 / delta^2") from None
     # split the failure budget over every test plus the final acceptance
     epsilon_round = epsilon / (max_rounds + 1)
     delta_upper = (delta / 4.0) / (1.0 + 0.75 * delta)
@@ -56,9 +58,6 @@ def select_params(k: int, delta: float, epsilon: float) -> SelectParams:
     assert delta_upper > delta / 8.0
     assert delta_lower > delta / 4.0
     return SelectParams(
-        k=k,
-        delta=delta,
-        epsilon=epsilon,
         delta_upper=delta_upper,
         delta_lower=delta_lower,
         epsilon_round=epsilon_round,

@@ -22,6 +22,7 @@ from gtorder import (
     approximate_select,
     derive_params,
     draw_candidate,
+    exact_rank,
     make_instance,
     min_find,
     rank_at_most,
@@ -111,8 +112,8 @@ def rng():
     return np.random.default_rng(0)
 
 
-def raises_before_any_query(oracle, call):
-    with pytest.raises(InvalidParameterError):
+def raises_before_any_query(oracle, call, match=None):
+    with pytest.raises(InvalidParameterError, match=match):
         call()
     assert oracle.ledger.total == 0
 
@@ -148,7 +149,7 @@ def test_instances_need_an_integer_size(build, n):
         build(n, 0)
 
 
-@pytest.mark.parametrize("call", [lambda i: i.rank_of(1.0), lambda i: i.rank_of(True),
+@pytest.mark.parametrize("call", [lambda i: exact_rank(i, 1.0), lambda i: exact_rank(i, True),
                                   lambda i: i.element_with_rank(2.0),
                                   lambda i: i.element_with_rank(N + 1)])
 def test_instance_lookups_need_integers(call):
@@ -178,6 +179,28 @@ def test_delta_and_epsilon_outside_0_1_are_rejected_everywhere(oracle, name, bad
     raises_before_any_query(oracle, lambda: BAND_CALLS[name](oracle, delta, epsilon))
 
 
+# in (0,1) but too small for a finite trial count or round budget: delta**2
+# is 0 at 1e-300, and the count overflows a float at 1e-160
+@pytest.mark.parametrize("name", ["derive_params", "rank_at_most", "approximate_rank",
+                                  "select_params", "approximate_select"])
+@pytest.mark.parametrize("delta", [1e-300, 1e-160])
+def test_delta_too_small_for_a_finite_count_is_rejected(oracle, name, delta):
+    raises_before_any_query(oracle, lambda: BAND_CALLS[name](oracle, delta, 0.2), match="delta")
+
+
+@pytest.mark.parametrize("name", ["derive_params", "rank_at_most"])
+def test_epsilon_too_small_for_a_finite_count_is_rejected(oracle, name):
+    # ln(1/epsilon) is infinite
+    raises_before_any_query(oracle, lambda: BAND_CALLS[name](oracle, 0.5, 5e-324),
+                            match="epsilon")
+
+
+def test_run_experiment_rejects_a_delta_too_small_for_a_finite_count():
+    config = ExperimentConfig("testle", N, 2, 0, r=4.0, delta=1e-300, epsilon=0.2)
+    with pytest.raises(InvalidParameterError, match="delta"):
+        run_experiment(config)
+
+
 @pytest.mark.parametrize("bad", NOT_TARGETS)
 def test_testle_target_rank_has_one_rule(oracle, bad):
     raises_before_any_query(oracle, lambda: rank_at_most(oracle, 3, bad, 0.5, 0.2, rng()))
@@ -201,6 +224,11 @@ def test_draw_candidate_rejects_delta_outside_0_1(oracle, bad):
     dict(algorithm="rank", n=16, x_rank=True, delta=0.5, epsilon=0.2),
     dict(algorithm="testle", n=16, r=4.0, x_rank=2.0, delta=0.5, epsilon=0.2),
     dict(algorithm="testle", n=16, r=math.nan, delta=0.5, epsilon=0.2),
+    # a config holds plain numbers, but a float is still no integer, a
+    # Fraction too large for a float stays a Fraction, and np.bool_ no bool
+    dict(algorithm="minfind", n=np.float64(16.0)),
+    dict(algorithm="testle", n=16, r=Fraction(10**400), delta=0.5, epsilon=0.2),
+    dict(algorithm="minfind", n=16, fixed_instance=np.bool_(True)),
     # a field the algorithm does not take
     dict(algorithm="minfind", n=16, delta=0.5),
     dict(algorithm="rank", n=16, k=3, delta=0.5, epsilon=0.2),

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,15 +271,21 @@ class TestReports:
         assert payload["config"]["algorithm"] == "minfind"
 
     # a numpy field once raised TypeError in render_json after the run,
-    # and a numpy target or tolerance wrote success as "True" in the CSV
+    # a numpy target or tolerance wrote success as "True" in the CSV, a
+    # float32 one wrote its short repr (10.1) rather than the value the
+    # run used, and a Fraction target wrote 7/2 and failed render_json
     @pytest.mark.parametrize("fields", [
         dict(seed=np.uint64(5)), dict(seed=np.int64(-3)),
         dict(algorithm="testle", r=np.float32(4.0), delta=np.float64(0.5), epsilon=0.2),
-        dict(algorithm="select", n=64, k=np.int64(8), delta=np.float32(0.5), epsilon=0.25)])
+        dict(algorithm="select", n=64, k=np.int64(8), delta=np.float32(0.5), epsilon=0.25),
+        dict(algorithm="testle", r=np.float32(10.1), delta=np.float32(0.3), epsilon=0.2),
+        dict(algorithm="testle", r=Fraction(7, 2), delta=0.5, epsilon=0.2)])
     def test_numpy_fields_report_as_python_numbers(self, fields):
         config = small_config(trials=3, **fields)
-        plain = small_config(trials=3, **{name: value.item() if isinstance(value, np.generic)
-                                          else value for name, value in fields.items()})
+        plain = small_config(trials=3, **{
+            name: value.item() if isinstance(value, np.generic)
+            else float(value) if isinstance(value, Fraction) else value
+            for name, value in fields.items()})
         reports, summary = run_experiment(config)
         plain_reports, plain_summary = run_experiment(plain)
         assert render_json(config, reports, summary) == render_json(plain, plain_reports,

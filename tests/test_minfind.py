@@ -300,7 +300,7 @@ class TestSharedSwapCore:
             below = swap(oracle, ids, x, np.random.default_rng(2))
             assert instance.ranks[below] <= instance.ranks[x]
             outcome = min_find_among(oracle, ids, np.random.default_rng(2))
-            assert instance.rank_of(outcome.element) == 1
+            assert exact_rank(instance, outcome.element) == 1
             assert (ids == kept).all() and ids.dtype == dtype
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 65, 300, 1000])

@@ -9,7 +9,7 @@ from gtorder.stats import chi_square_uniformity
 
 def test_single_element_has_rank_one():
     instance = make_instance(1, seed=12345)
-    assert instance.rank_of(0) == 1
+    assert exact_rank(instance, 0) == 1
 
 
 def test_same_seed_same_instance():
@@ -70,6 +70,6 @@ def test_rank_of_fixed_element_is_uniform_across_seeds():
     n = 1000
     counts = [0] * n
     for seed in range(100_000):
-        counts[make_instance(n, seed).rank_of(0) - 1] += 1
+        counts[exact_rank(make_instance(n, seed), 0) - 1] += 1
     result = chi_square_uniformity(counts)
     assert result.passed, f"chi-square {result.statistic:.1f} >= {result.critical:.1f}"

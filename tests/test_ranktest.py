@@ -82,6 +82,8 @@ class TestDeriveParams:
     def test_trial_count_clamps_to_one(self):
         p = derive_params(100, 10, delta=0.5, epsilon=0.999999)
         assert p.trials == 1
+        # ln(1/epsilon) stays positive up to the largest float below 1
+        assert derive_params(100, 10, 0.999, math.nextafter(1.0, 0.0)).trials == 1
 
     def test_padding_kicks_in_for_awkward_targets(self):
         p = derive_params(1000, 130.0, delta=0.1, epsilon=0.1)
