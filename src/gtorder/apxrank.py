@@ -8,11 +8,13 @@ bound to m + 1 (not m) so the search always terminates; the band around
 m still covers m + 1.
 
 Below rank 1/delta the band is under one rank wide, so there "rank <= m"
-is asked at target m + 1/2, as ``rank_at_most`` does for the targets it
-reverses: at target m, rank m sits inside the test's band and mostly
-tests no, one step too far.  Above it that step stays in the band, and
-target m keeps the rows about one id narrower than the padding of
-m + 1/2 makes them.
+is asked at target m + 1/2: at target m, rank m sits inside the test's
+band and mostly tests no, one step too far.  Above it that step stays in
+the band, and target m keeps the rows about one id narrower than the
+padding of m + 1/2 makes them.  Above n/2, ``rank_at_most`` tests m at
+its mirror n - m + 1, where rank m sits at the center of the test's band
+and now and then tests no.  The step up to m + 1 leaves the band where
+delta * (n - m - 1) < 1, so there m + 1/2 is asked too.
 """
 
 from __future__ import annotations
@@ -71,8 +73,10 @@ def approximate_rank(oracle: GroupTestOracle, x: int, delta: float, epsilon: flo
     per_call_epsilon = epsilon / levels
 
     def decide(m: int) -> bool:
-        target = m + 0.5 if delta * m < 1 and m + 0.5 <= n / 2 else m  # module docstring
-        return rank_at_most(counting, x, target, delta, per_call_epsilon, rng).answer
+        # the half steps at either end (module docstring)
+        half = delta * m < 1 if 2 * m < n else 2 * m > n and delta * (n - m - 1) < 1
+        return rank_at_most(counting, x, m + 0.5 if half else m, delta, per_call_epsilon,
+                            rng).answer
 
     rank, calls = binary_rank_search(n, decide)
     return RankEstimate(rank=rank, calls=calls, ledger=counting.ledger)

@@ -39,8 +39,8 @@ that follow them.
 
 ``rank_at_most`` chooses its frame once and runs one block loop in it.
 A target r >= n/2 + 1/2 is tested under the reversed order, where the
-rank of x becomes n - rank(x) + 1, at n - r + 1/2 (the half step keeps
-an exact decision boundary for integer targets), and the answer is
+rank of x becomes n - rank(x) + 1, at its mirror n - r + 1 (at most
+n/2), the center of its guarantee band there, and the answer is
 negated; any other target is tested directly at min(r, n/2).
 """
 
@@ -100,6 +100,24 @@ def derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPar
         return _derive_params.__wrapped__(n, r, delta, epsilon)
 
 
+def trial_count(delta: float, epsilon: float) -> int:
+    """The group tests of a full threshold test at delta and epsilon in
+    (0,1), ceil(8e^2 ln(1/epsilon) / delta^2): at least 1, as epsilon < 1.
+
+    Raises InvalidParameterError naming both above 2**32, the most trials
+    a config may ask (``harness.validate_config``): a finite count can
+    still run practically forever.
+    """
+    try:
+        trials = math.ceil(8.0 * math.e**2 * math.log(1.0 / epsilon) / delta**2)
+    except (OverflowError, ZeroDivisionError):  # the count is infinite, or delta**2 is 0
+        trials = math.inf
+    if trials > 2**32:
+        raise InvalidParameterError(f"delta {delta} and epsilon {epsilon} ask for more than "
+                                    f"2**32 trials, 8e^2 ln(1/epsilon) / delta^2")
+    return trials
+
+
 @functools.lru_cache(maxsize=256, typed=True)
 def _derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestParams:
     check_integer("universe size", n, 1)
@@ -114,11 +132,7 @@ def _derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPa
     except OverflowError:  # n_eff / r is infinite
         raise InvalidParameterError(f"target rank {r} is too small for n={n}: "
                                     f"a row of n_eff / r ids cannot be drawn") from None
-    try:  # at least 1, as 0 < epsilon < 1
-        trials = math.ceil(8.0 * math.e**2 * math.log(1.0 / epsilon) / delta**2)
-    except (OverflowError, ZeroDivisionError):  # the count is infinite, or delta**2 is 0
-        raise InvalidParameterError(f"delta {delta} and epsilon {epsilon} leave no finite "
-                                    f"trial count 8e^2 ln(1/epsilon) / delta^2") from None
+    trials = trial_count(delta, epsilon)
     p_low = 1.0 - ((n_eff - (r - delta * r)) / n_eff) ** sample_size
     p_high = 1.0 - ((n_eff - (r + delta * r)) / n_eff) ** sample_size
     return RankTestParams(
@@ -138,22 +152,30 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
 
     Inside that band either answer is acceptable.  Costs at most
     ``params.trials`` group tests: the test stops at the first row block
-    after which no further row could change its answer.
+    after which no further row could change its answer.  Above n/2 the
+    test's own band, delta * (n - r + 1), is wider than this one, so
+    within a rank of n at delta near 1 the bound can fail: at n = 1024,
+    r = n - 1, delta = 0.99 and epsilon = 0.1 the exact error at rank n is
+    about 0.16.
     """
     n = oracle.size
     check_integer("element id", x, 0, n - 1)
     check_open("target rank", r, 0, n)
     counting = CountingOracle(oracle)
-    # rank(x) <= r iff not (reversed rank(x) <= n - r + 1/2): the half
-    # step centers the reversed target between the integer ranks on
-    # either side of the decision boundary, which keeps the guarantee
-    # band honest at the extremes (an integer target n - r would sit
-    # exactly on a rank and bias the edge case).  A target in
-    # (n/2, n/2 + 1/2) separates the same integer ranks as n/2 itself,
-    # which the direct frame can test.
+    # Under the reversed order x's rank becomes n - rank(x) + 1, so
+    # rank(x) <= r iff not (reversed rank(x) <= n - r), and the guarantee
+    # band delta * (n - r) around r becomes one around the mirror
+    # n - r + 1.  The test runs at that mirror, centered in the band as
+    # the direct test is at r: a target a rank or half a rank below it
+    # (n - r, n - r + 1/2) answers the band's upper edge wrong most of the
+    # time where the band is about one rank wide, as the positive rate is
+    # concave in the rank.  The mirror's rows, ceil(n / (n - r + 1)) ids,
+    # are also no wider than theirs.  A mirror above n/2 (r below
+    # n/2 + 1) is capped at n/2, which still separates rank floor(r) from
+    # the rank above it.
     flip = r >= n / 2 + 0.5
     view = reversed_view(counting) if flip else counting
-    params = derive_params(n, n - r + 0.5 if flip else min(r, n / 2), delta, epsilon)
+    params = derive_params(n, min(n - r + 1 if flip else r, n / 2), delta, epsilon)
     trials, width = params.trials, params.sample_size
     # blocks of at most _BLOCK_IDS ids, or of one row each when a row
     # alone is wider

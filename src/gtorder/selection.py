@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidParameterError, check_integer, check_unit
 from .minfind import min_find_among
 from .oracle import CountingOracle, GroupTestOracle, QueryLedger, reversed_view
-from .ranktest import rank_at_most
+from .ranktest import rank_at_most, trial_count
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,18 @@ def select_params(k: int, delta: float, epsilon: float) -> SelectParams:
     try:
         max_rounds = math.ceil(32.0 / delta**2)
     except (OverflowError, ZeroDivisionError):  # the budget is infinite, or delta**2 is 0
-        raise InvalidParameterError(f"delta {delta} leaves no finite round budget "
-                                    f"32 / delta^2") from None
+        max_rounds = math.inf
     # split the failure budget over every test plus the final acceptance
     epsilon_round = epsilon / (max_rounds + 1)
     delta_upper = (delta / 4.0) / (1.0 + 0.75 * delta)
+    # The upper screen, at the smaller tolerance, asks the most trials:
+    # over 100 times max_rounds, so this bounds the rounds too, and an
+    # epsilon_round that underflows to 0 asks infinitely many.
+    try:
+        trial_count(delta_upper, epsilon_round)
+    except InvalidParameterError:
+        raise InvalidParameterError(f"delta {delta} and epsilon {epsilon} ask for more than "
+                                    f"2**32 trials per screen") from None
     delta_lower = (delta / 4.0) / (1.0 - 0.75 * delta)
     assert delta_upper > delta / 8.0
     assert delta_lower > delta / 4.0

@@ -581,8 +581,8 @@ def check_reproducibility(seed: int) -> tuple[bool, str]:
 
 # --- 13. a curtailed threshold test answers as the full test ------------------
 
-# 381 rows in three blocks at either target: 200-id rows at r = 5 (163 +
-# 163 + 55 rows) and, reversed, 223-id rows at r = 996 (146 + 146 + 89)
+# 381 rows of 200 ids in three blocks (163 + 163 + 55 rows) at either
+# target: r = 5, and r = 996, which runs reversed at its mirror 5
 CURTAIL_N = 1000
 CURTAIL_TARGETS = (5.0, 996.0)
 CURTAIL_DELTA, CURTAIL_EPSILON = 0.5, 0.2
@@ -596,7 +596,7 @@ def _full_test(oracle: GroupTestOracle, x: int, r: float,
     reversed, and the rows per block."""
     n = oracle.size
     reverse = r >= n / 2 + 0.5
-    params = derive_params(n, n - r + 0.5 if reverse else r, CURTAIL_DELTA, CURTAIL_EPSILON)
+    params = derive_params(n, n - r + 1 if reverse else r, CURTAIL_DELTA, CURTAIL_EPSILON)
     view = reversed_view(oracle) if reverse else oracle
     step = max(1, _BLOCK_IDS // params.sample_size)
     hits, states = [], []

@@ -89,6 +89,21 @@ class TestApproximateRank:
         margin = 3 * np.sqrt(0.1 * 0.9 / runs)
         assert hits / runs >= 0.9 - margin
 
+    def test_top_ranks_are_not_pushed_out_of_their_band(self):
+        # within 1/delta + 1 of the top a step up from the true rank leaves
+        # the band; asking m rather than m + 1/2 there missed 5 of these
+        # 300 estimates
+        rng = np.random.default_rng(5)
+        n, delta, epsilon = 256, 0.3, 0.1
+        misses = 0
+        for rank in range(n - 4, n + 1):
+            for seed in range(60):
+                instance = make_instance(n, seed)
+                x = instance.element_with_rank(rank)
+                estimate = approximate_rank(InstanceOracle(instance), x, delta, epsilon, rng)
+                misses += abs(rank - estimate.rank) > delta * min(estimate.rank, n - estimate.rank)
+        assert misses <= 2
+
     def test_per_step_band_violations_stay_within_budget(self):
         # instrument each midpoint decision against the true rank
         rng = np.random.default_rng(4)

@@ -179,24 +179,36 @@ def test_delta_and_epsilon_outside_0_1_are_rejected_everywhere(oracle, name, bad
     raises_before_any_query(oracle, lambda: BAND_CALLS[name](oracle, delta, epsilon))
 
 
-# in (0,1) but too small for a finite trial count or round budget: delta**2
-# is 0 at 1e-300, and the count overflows a float at 1e-160
+# in (0,1) but too small for a trial count or round budget of at most
+# 2**32: delta**2 is 0 at 1e-300, the count overflows a float at 1e-160,
+# and at 1e-12 it is finite but about 1e26
 @pytest.mark.parametrize("name", ["derive_params", "rank_at_most", "approximate_rank",
                                   "select_params", "approximate_select"])
-@pytest.mark.parametrize("delta", [1e-300, 1e-160])
+@pytest.mark.parametrize("delta", [1e-300, 1e-160, 1e-12])
 def test_delta_too_small_for_a_finite_count_is_rejected(oracle, name, delta):
     raises_before_any_query(oracle, lambda: BAND_CALLS[name](oracle, delta, 0.2), match="delta")
 
 
-@pytest.mark.parametrize("name", ["derive_params", "rank_at_most"])
+@pytest.mark.parametrize("name", ["derive_params", "rank_at_most", "select_params",
+                                  "approximate_select"])
 def test_epsilon_too_small_for_a_finite_count_is_rejected(oracle, name):
-    # ln(1/epsilon) is infinite
+    # ln(1/epsilon) is infinite, and selection's per-test budget
+    # epsilon / (max_rounds + 1) underflows to 0
     raises_before_any_query(oracle, lambda: BAND_CALLS[name](oracle, 0.5, 5e-324),
-                            match="epsilon")
+                            match="epsilon 5e-324")
 
 
-def test_run_experiment_rejects_a_delta_too_small_for_a_finite_count():
-    config = ExperimentConfig("testle", N, 2, 0, r=4.0, delta=1e-300, epsilon=0.2)
+def test_a_selection_whose_screens_ask_too_many_trials_is_rejected():
+    # 32 / delta^2 rounds fit, but each screen would ask about 2e10
+    # trials; at k = 2 of 4096 a candidate is min-found, with queries
+    big = CountingOracle(InstanceOracle(make_instance(4096, 0)))
+    raises_before_any_query(big, lambda: approximate_select(big, 4096, 2, 1e-3, 0.2, rng()),
+                            match="delta 0.001 and epsilon 0.2")
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-12])
+def test_run_experiment_rejects_a_delta_too_small_for_a_finite_count(delta):
+    config = ExperimentConfig("testle", N, 2, 0, r=4.0, delta=delta, epsilon=0.2)
     with pytest.raises(InvalidParameterError, match="delta"):
         run_experiment(config)
 

@@ -181,7 +181,7 @@ GOLDEN_CSV_SHA256 = {
                                 delta=0.5, epsilon=0.2),
                            "911eea40ae3294fa999ffd385a61d1c7f948691ebba4e2d698b76fc79377e255"),
     "rank": (dict(algorithm="rank", n=64, trials=5, delta=0.4, epsilon=0.2),
-             "113d076572cc0b0cbd7d182e750b6516fc060773f298ac6f890f4b7b8631a70a"),
+             "b178c639913e5705cd25d995c932b028cd2fd18b36fa642ef0bffae4436399a6"),
     "select_low_target": (dict(algorithm="select", n=150, trials=3, k=30,
                                delta=0.8, epsilon=0.3),
                           "6816e573b50128c6d815598fc34d9b673dd853b84d6d53c3c852ac2f0dcd6ded"),

@@ -43,7 +43,7 @@ def one_draw(oracle, x, r, delta, epsilon, seed, block_ids=None):
     answer, with the state of a generator that drew just those blocks."""
     n = oracle.size
     reverse = r >= n / 2 + 0.5
-    p = derive_params(n, n - r + 0.5 if reverse else min(r, n / 2), delta, epsilon)
+    p = derive_params(n, min(n - r + 1 if reverse else r, n / 2), delta, epsilon)
     samples = np.random.default_rng(seed).integers(0, p.n_eff, size=(p.trials, p.sample_size))
     test = (reversed_view(oracle) if reverse else oracle).test
     counts = np.cumsum([test(x, [v for v in row if v < n], False) for row in samples.tolist()])
@@ -243,6 +243,26 @@ class TestRankAtMost:
         assert (outcome.answer, outcome.positives, outcome.ledger) == expected[:3]
         assert rng.bit_generator.state == expected.state
 
+    def test_reversed_targets_run_at_the_mirror(self):
+        # the executed target shows in the outcome's params
+        n = 1024
+        oracle = InstanceOracle(make_instance(n, seed=13))
+        rng = np.random.default_rng(14)
+
+        def executed(r):
+            return rank_at_most(oracle, 0, r, 0.3, 0.1, rng).params
+
+        p = executed(768)
+        assert (p.sample_size, p.n_eff) == (4, 1028)  # at the half step 256.5: 5 and 1028
+        for r in range(n // 2 + 1, n):
+            p = executed(r)
+            assert p == derive_params(n, n - r + 1, 0.3, 0.1), r
+            # no row wider than at n - r, nor at the half step
+            assert p.sample_size <= derive_params(n, n - r, 0.3, 0.1).sample_size, r
+            assert p.sample_size <= derive_params(n, n - r + 0.5, 0.3, 0.1).sample_size, r
+        assert executed(1023.5) == derive_params(n, 1.5, 0.3, 0.1)
+        assert executed(512.75) == derive_params(n, 512, 0.3, 0.1)  # the mirror 512.25, capped
+
     def test_parameter_validation(self):
         oracle = InstanceOracle(make_instance(10, seed=0))
         rng = np.random.default_rng(0)
@@ -254,6 +274,63 @@ class TestRankAtMost:
             rank_at_most(oracle, 0, 10, 0.5, 0.1, rng)  # r must stay below n
         with pytest.raises(InvalidParameterError):
             rank_at_most(oracle, 0, 3, 1.5, 0.1, rng)
+
+
+def binomial_tail(trials, p, start, step):
+    """P(X = start) + P(X = start + step) + ... for X ~ Binomial(trials, p)
+    and step -1 (the lower tail) or 1 (the upper tail): the pmf at start
+    from ``math.lgamma``, then term by term until the rest is negligible."""
+    if not 0 <= start <= trials:
+        return 0.0
+    if p == 1.0:  # every row is positive
+        return float(step > 0 or start == trials)
+    log_term = (math.lgamma(trials + 1) - math.lgamma(start + 1)
+                - math.lgamma(trials - start + 1)
+                + start * math.log(p) + (trials - start) * math.log1p(-p))
+    total, k = 0.0, start
+    while True:
+        term = math.exp(log_term)
+        total += term
+        if not 0 <= k + step <= trials:
+            return total
+        # the pmf ratio from k to k + step, which only falls further out
+        ratio = ((trials - k) * p / ((k + 1) * (1 - p)) if step > 0
+                 else k * (1 - p) / ((trials - k + 1) * p))
+        if ratio < 1 and term * ratio / (1 - ratio) <= 1e-16 * total:
+            return total
+        log_term += math.log(ratio)
+        k += step
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("delta, epsilon", [(0.3, 0.1), (0.9, 0.1), (0.5, 0.2)])
+def test_reversed_tests_keep_the_error_bound_at_the_band_edges(n, delta, epsilon):
+    # The exact chance of a wrong answer at the nearest ranks outside the
+    # band delta * (n - r), for every integer target r above n/2, from the
+    # params of the test executed: the reversed test answers "rank <= r"
+    # iff more than floor(p_mid * trials) of its rows are positive, at the
+    # rate of reversed rank n - rank + 1.  Curtailment never changes an
+    # answer.  A target one rank or half a rank below the mirror fails
+    # here: n - r answers rank r + 1 wrong about 97% of the time at delta
+    # 0.5, r = n - 2 (a band of exactly one rank), and n - r + 1/2 rank n
+    # about 66% at delta 0.9, r = n - 1.
+    oracle = InstanceOracle(make_instance(n, seed=15))
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for r in range(n // 2 + 1, n):
+        p = rank_at_most(oracle, 0, r, delta, epsilon, rng).params
+        limit = math.floor(p.p_mid * p.trials)
+
+        def rate(rank):
+            return 1.0 - ((p.n_eff - (n - rank + 1)) / p.n_eff) ** p.sample_size
+
+        band = delta * (n - r)
+        low, high = math.floor(r - band), math.ceil(r + band)
+        if low >= 1:  # must answer yes
+            worst = max(worst, binomial_tail(p.trials, rate(low), limit, -1))
+        if high <= n:  # must answer no
+            worst = max(worst, binomial_tail(p.trials, rate(high), limit + 1, 1))
+    assert worst <= epsilon
 
 
 # universe sizes of the curtailment property, each with one reference
