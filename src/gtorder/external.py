@@ -57,11 +57,16 @@ true/false: a round ends at each id that satisfies the test against u
 and every id before it, a record of the order.  The reply is those ends
 as canonical decimals, strictly increasing and one space apart, or an
 empty line if a record only ties (a repeated id) or there is none.  The
-server answers the whole walk at once; the ledger counts ceil(log2 m) +
-1 tests a round, so a min-finding run is two lines, its first condition
-test and its walk.  The ``WALK`` feature of ``INIT`` names this op pair,
-so a server whose full session has other ops names other features, and
-the client then falls back to a basic session.
+server answers the whole walk at once, the run's first condition test
+included; the ledger counts that test and ceil(log2 m) + 1 tests a
+round, so a min-finding run is one line.  Only after an empty reply
+does the client ask one ``L``/``R`` line over the same ids: ``N`` means
+no id beats u, and the walk has no end, ``Y`` that a record tied and
+the walk broke.  That line is the walk's counted first test, so a run
+whose start is the extreme is two lines.  The ``WALK`` feature of
+``INIT`` names this op pair, so a server whose full session has other
+ops names other features, and the client then falls back to a basic
+session.
 
 Worked examples, for n = 1024 ids where id i has rank i + 1 (``>`` marks
 a client line, ``<`` the server's reply)::
@@ -80,6 +85,10 @@ a client line, ``<`` the server's reply)::
     < 2
     > WR 9 3 ff0300000500000002000000
     < 1 2
+    > WR 0 3 0100000002000000ff030000
+    <
+    > R 0 3 0100000002000000ff030000
+    < N
     > INIT 1024
     < OK
     > R 5 2 1023 9
@@ -91,10 +100,11 @@ The client offers the full session while n <= 2**31, so that every id and
 every padded id it sends fits 32 bits, and the basic one otherwise.  A
 server that answers the full offer with ``ERR`` is sent ``INIT <n>``.  In
 a basic session the client asks a batch one ``L``/``R`` line per row, and
-a walk one per level and per round's last test, with the answers and
-ledgers of a full session.  Any other ``INIT`` reply (``OK`` with some of
-the features, say) raises OracleProtocolError: a server that agreed
-``HEX`` alone would read decimal ids as hex.
+a walk one for its first test and then one per level and per round's
+last test, with the answers and ledgers of a full session.  Any other
+``INIT`` reply (``OK`` with some of the features, say) raises
+OracleProtocolError: a server that agreed ``HEX`` alone would read
+decimal ids as hex.
 
 The client checks every query before it writes a line, in both sessions:
 a bad subject, padded size or id raises OracleRejectedError, as the
@@ -382,8 +392,12 @@ class ExternalOracle(GroupTestOracle):
         line = f"{'BL' if left else 'BR'} {u} {n_eff} {count} {width} {_hex_token(rows)}"
         return self._ask(line, _batch_answer, count)
 
-    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int] | None:
         arr = self._checked(_checked_descent, u, arr)
         if not self._full:
             return super().walk(u, arr, left)
-        return self._ask(self._line("WL" if left else "WR", u, arr), _walk_answer, arr.size)
+        ends = self._ask(self._line("WL" if left else "WR", u, arr), _walk_answer, arr.size)
+        if ends:
+            return ends
+        # no end: the walk's first test tells no id beating u from a tie
+        return None if self._ask(self._line("L" if left else "R", u, arr), _test_answer) else []

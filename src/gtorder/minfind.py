@@ -14,17 +14,20 @@ one ``test`` call, and moves into whichever half must contain an element
 below x.  The element returned is the one holding the smallest shuffled
 position among those below x, which is uniform over them.
 
-A min-finding run shuffles once and walks that one order.  After the
-first condition test answers yes, it shuffles ``rest``, the collection
-without x; each round descends over all of ``rest`` to p, the first
-position below x, and swaps x into that slot.  Every id up to p is then
-above the new x, and the order after p, never read, is still uniformly
-shuffled given the run, so each round moves as a fresh ``swap`` would.
-Each descent spans all n - 1 ids: a run of ``iterations`` rounds costs
-exactly iterations * (ceil(log2(n-1)) + 1) + 1 tests.  All rounds are
-one ``walk(x, rest, False)`` call, answered from one gather in process,
-with one ``WR`` line in a full session, and level by level by any other
-oracle, each level and test one query either way.
+A min-finding run shuffles once and walks that one order.  It shuffles
+``rest``, the collection without x; each round descends over all of
+``rest`` to p, the first position below x, and swaps x into that slot.
+Every id up to p is then above the new x, and the order after p, never
+read, is still uniformly shuffled given the run, so each round moves as
+a fresh ``swap`` would.  Each descent spans all n - 1 ids: a run of
+``iterations`` rounds costs exactly iterations * (ceil(log2(n-1)) + 1) +
+1 tests, the 1 being its first condition test.  The whole run is one
+``walk(x, rest, False)`` call, first condition test included: answered
+from one gather in process, with one ``WR`` line in a full session (and
+one ``R`` line more when nothing lies below the start), and test by test
+by any other oracle, each level and test one query either way.  When
+nothing lies below the start the run puts the generator back to its
+state before the shuffle, so its stream is as if it had never shuffled.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ def swap(oracle: GroupTestOracle, A, x: int, rng: np.random.Generator) -> int:
 def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) -> MinFindOutcome:
     """Find the minimum of an explicit collection of distinct ids.
 
-    Draws a uniform start, and after a first condition test that answers
-    yes one shuffle of the other ids, whose order every round walks on
-    (module docstring).  ``elements`` itself is never written.
+    Draws a uniform start and one shuffle of the other ids, whose order
+    every round walks on (module docstring); if the start is the minimum
+    the generator ends as it was right after the start draw.
+    ``elements`` itself is never written.
     """
     arr, _ = _id_array(elements, 1)
     if arr.size == 0:
@@ -76,10 +80,11 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
     x = int(arr[idx])
     rest = np.concatenate((arr[:idx], arr[idx + 1 :]))
     ends = []
-    if rest.size and counting.test(x, rest, False):
+    if rest.size:
+        state = rng.bit_generator.state
         rng.shuffle(rest)
         ends = counting.walk(x, rest, False)
-        if not ends:
+        if ends is None:
             # on a consistent oracle only a twin of some candidate breaks a walk
             values, counts = np.unique(arr, return_counts=True)
             repeated = values[counts > 1]
@@ -87,7 +92,10 @@ def min_find_among(oracle: GroupTestOracle, elements, rng: np.random.Generator) 
                 raise InvalidParameterError(
                     f"the collection repeats ids {repeated[:10].tolist()}")
             raise RuntimeError("oracle answers are inconsistent with a total order")
-        x = int(rest[ends[-1]])
+        if ends:
+            x = int(rest[ends[-1]])
+        else:
+            rng.bit_generator.state = state  # the start is the minimum: the shuffle is unread
     return MinFindOutcome(element=x, iterations=len(ends), ledger=counting.ledger)
 
 

@@ -33,16 +33,20 @@ level on the occupied left half of the current range, ceil(log2 m) in
 all, so it ends at the first position whose id satisfies the test, or
 at m - 1 if none does.  :func:`_descend` asks the levels one at a time.
 
-``walk(u, arr, left)`` is a whole min-finding run over one order: each
-round descends over arr to its end p, tests w = arr[p] against the other
-ids plus the subject, and swaps the subject into slot p of a private
-copy, w becoming the subject, while that test answers true.  It returns
-the rounds' ends, which strictly increase: the records of the order that
-beat u.  A round that ends at or before the one before it (a repeated
-id, a first round with no hit, or an inconsistent oracle) breaks the
-walk, which then returns no end.  The base class asks each round level
-by level and then its test; :class:`InstanceOracle` finds every end from
-one gather, and the line protocol's ``WL``/``WR`` op in one line.
+``walk(u, arr, left)`` is a whole min-finding run over one order.  Its
+first test asks whether any id of arr satisfies the test against u; if
+none does the walk returns ``[]``, at a cost of that one query.  Else
+each round descends over arr to its end p, tests w = arr[p] against the
+other ids plus the subject, and swaps the subject into slot p of a
+private copy, w becoming the subject, while that test answers true.  It
+then returns the rounds' ends, which strictly increase: the records of
+the order that beat u, at a cost of 1 + rounds * (ceil(log2 m) + 1)
+queries.  A round that ends at or before the one before it (a record
+that ties, from a repeated id, or an inconsistent oracle) breaks the
+walk, which then returns ``None``.  The base class asks the first test
+and then each round level by level and its test; :class:`InstanceOracle`
+finds every end from one gather, and the line protocol's ``WL``/``WR``
+op in one line.
 
 Adapters compose around a base oracle:
 
@@ -92,15 +96,19 @@ class GroupTestOracle(ABC):
         return np.fromiter((self.test(u, row[row < size], left) for row in rows),
                            dtype=bool, count=len(rows))
 
-    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
-        """Where the rounds of a walk over ``arr`` from u end (module docstring):
-        ceil(log2 m) + 1 tests a round, asked as :func:`_descend`'s and one more."""
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int] | None:
+        """Where the rounds of a walk over ``arr`` from u end, ``[]`` if no id
+        beats u, ``None`` if the walk breaks (module docstring): its first
+        test, then ceil(log2 m) + 1 tests a round, asked as
+        :func:`_descend`'s and one more."""
         arr = _checked_descent(u, arr, self.size).astype(np.int64)  # the copy it swaps in
         ends: list[int] = []
+        if not self.test(u, arr, left):
+            return ends
         while True:
             p = _descend(self, u, arr, left)
             if ends and p <= ends[-1]:
-                return []
+                return None
             ends.append(p)
             w = int(arr[p])
             if not self.test(w, np.append(np.delete(arr, p), u), left):
@@ -249,15 +257,16 @@ class InstanceOracle(GroupTestOracle):
         (np.greater_equal if left else np.less_equal)(ranks, ranks[u], out=hit[: self.size])
         return hit[rows] @ np.ones(rows.shape[1], dtype=np.float32) > 0
 
-    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
-        # a round ends at each record beating u; a tie (a repeated id), or none, breaks it
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int] | None:
+        # a round ends at each record beating u, and none means the first
+        # test answers no; a record that ties (a repeated id) breaks the walk
         found = self._ranks[_checked_descent(u, arr, self.size)]
         ru = self._ranks[u]
         compare, extreme = (np.greater_equal, np.maximum) if left else (np.less_equal, np.minimum)
         ends = ((found == extreme.accumulate(found)) & compare(found, ru)).nonzero()[0]
         record = found[ends]
-        sound = ends.size and record[0] != ru and (record[1:] != record[:-1]).all()
-        return ends.tolist() if sound else []
+        sound = not ends.size or (record[0] != ru and (record[1:] != record[:-1]).all())
+        return ends.tolist() if sound else None
 
 
 class CountingOracle(GroupTestOracle):
@@ -286,10 +295,11 @@ class CountingOracle(GroupTestOracle):
         self._count(left, len(rows))
         return answers
 
-    # a walk's round is a descent and one test, however they are answered
-    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
+    # a walk is its first test and then a descent and one test a round,
+    # however they are answered; a broken walk counts its first test
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int] | None:
         ends = self._inner.walk(u, arr, left)
-        self._count(left, len(ends) * ((len(arr) - 1).bit_length() + 1))
+        self._count(left, 1 + len(ends or ()) * ((len(arr) - 1).bit_length() + 1))
         return ends
 
 
@@ -306,7 +316,7 @@ class _ReversedOracle(GroupTestOracle):
     def test_batch(self, u: int, rows: np.ndarray, n_eff: int, left: bool) -> np.ndarray:
         return self._inner.test_batch(u, rows, n_eff, not left)
 
-    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int]:
+    def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int] | None:
         return self._inner.walk(u, arr, not left)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .apxrank import approximate_rank
 from .external import ExternalOracle
 from .harness import ExperimentConfig, render_csv, run_experiment
-from .minfind import max_find, min_find, swap
+from .minfind import max_find, min_find, min_find_among, swap
 from .oracle import CountingOracle, GroupTestOracle, InstanceOracle, QueryLedger, reversed_view
 from .order import TotalOrderInstance, exact_rank, make_instance
 from .ranktest import _BLOCK_IDS, derive_params, rank_at_most
@@ -149,10 +149,11 @@ class _PerQueryOracle(GroupTestOracle):
 def check_swap_query_count(seed: int) -> tuple[bool, str]:
     """Every swap costs exactly ceil(log2(n-1)) tests for n in 3..1025."""
     # swap asks its levels one single test at a time.  min_find's walk is
-    # answered from one gather and charged ceil(log2 m) + 1 a round by
-    # formula, so each run is also replayed from the same generator state
-    # with every level and test asked and counted one by one; both must
-    # give the same element, rounds, ledger and generator state.
+    # answered from one gather and charged its first test and ceil(log2 m)
+    # + 1 a round by formula, so each run is also replayed from the same
+    # generator state with that first test and every level and test asked
+    # and counted one by one; both must give the same element, rounds,
+    # ledger and generator state, whether or not the start is the minimum.
     rng = _rng(seed, 2)
     seeds = _seed_stream(rng)
     bad = []
@@ -506,6 +507,7 @@ EXTERNAL_BATCHES = 100
 # walk sizes: one id (no descent test), a power of two, neither, all but u
 EXTERNAL_WALK_SIZES = (1, 2, 64, 100, EXTERNAL_N - 1)
 EXTERNAL_WALKS_PER_SIZE = 20
+EXTERNAL_SUBSET = 16  # the ids of the min_find_among runs
 
 
 @_check()
@@ -533,24 +535,49 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
             for left in (True, False):
                 mismatches += not np.array_equal(remote.test_batch(u, rows, n_eff, left),
                                                  builtin.test_batch(u, rows, n_eff, left))
-        # walks over ids other than u; one that no id beats breaks
+        # walks over ids other than u, some of which no id beats
         for m in EXTERNAL_WALK_SIZES:
             for _ in range(EXTERNAL_WALKS_PER_SIZE):
                 u = int(rng.integers(0, EXTERNAL_N))
                 arr = rng.permutation(np.delete(np.arange(EXTERNAL_N), u))[:m]
                 for left in (True, False):
                     mismatches += remote.walk(u, arr, left) != builtin.walk(u, arr, left)
-        # whole runs: the same element and ledger as the builtin run at the same seed
+        # whole runs: the same element, ledger and next draw as the builtin
+        # run at the same seed.  Two more start at the extreme, so each
+        # sends an empty WR/WL reply, then its one R/L line, and must end
+        # with no round and the generator as its start draw left it: a
+        # min_find_among run with the subset's minimum moved to where its
+        # seed starts, and a max_find run at a seed that starts at the top
         run_seed = int(rng.integers(0, 2**63))
-        for find in (min_find, max_find):
-            runs = [find(oracle, EXTERNAL_N, np.random.default_rng(run_seed))
-                    for oracle in (remote, builtin)]
-            mismatches += runs[0] != runs[1]
+        subset = rng.choice(EXTERNAL_N, size=EXTERNAL_SUBSET, replace=False)
+        start = int(np.random.default_rng(run_seed).integers(EXTERNAL_SUBSET))
+        lowest = int(np.argmin(instance.ranks[subset]))
+        subset[[start, lowest]] = subset[[lowest, start]]
+        top = instance.element_with_rank(EXTERNAL_N)
+        top_seed = next(s for s in _seed_stream(rng)
+                        if np.random.default_rng(s).integers(EXTERNAL_N) == top)
+        for find, among, draw_seed, extreme_size in (
+                (min_find, EXTERNAL_N, run_seed, None), (max_find, EXTERNAL_N, run_seed, None),
+                (min_find_among, subset, run_seed, EXTERNAL_SUBSET),
+                (max_find, EXTERNAL_N, top_seed, EXTERNAL_N)):
+            runs = []
+            for oracle in (remote, builtin):
+                draws = np.random.default_rng(draw_seed)
+                runs.append((find(oracle, among, draws), draws.integers(2**63)))
+            bad = runs[0] != runs[1]
+            if extreme_size is not None:
+                after_start = np.random.default_rng(draw_seed)
+                after_start.integers(extreme_size)
+                bad = (bad or runs[0][0].iterations > 0
+                       or runs[0][1] != after_start.integers(2**63))
+            mismatches += bad
+    # the single tests, batches and walks, then four runs
     compared = (EXTERNAL_QUERIES + 2 * EXTERNAL_BATCHES
-                + 2 * len(EXTERNAL_WALK_SIZES) * EXTERNAL_WALKS_PER_SIZE + 2)
+                + 2 * len(EXTERNAL_WALK_SIZES) * EXTERNAL_WALKS_PER_SIZE + 4)
     return mismatches == 0, (
         f"{compared - mismatches}/{compared} protocol answers (single tests, batches, "
-        f"walks, a min_find and a max_find run) match the builtin oracle at "
+        f"walks, a min_find and a max_find run, and a min_find_among and a max_find run "
+        f"that start at the extreme) match the builtin oracle, generator included, at "
         f"n={EXTERNAL_N}")
 
 
@@ -672,7 +699,8 @@ class _SwapRanks(InstanceOracle):
 
     def walk(self, u, arr, left):
         ends = super().walk(u, arr, left)
-        self.moves += self.instance.ranks[np.asarray(arr)[ends]].tolist()
+        if ends:  # neither a start at the minimum nor a broken walk moves
+            self.moves += self.instance.ranks[np.asarray(arr)[ends]].tolist()
         return ends
 
 

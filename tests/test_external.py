@@ -467,14 +467,23 @@ class TestWalkOp:
         asked = CountingOracle(builtin)
         per_level = _PerQueryOracle(asked)
         rng = np.random.default_rng(9)
-        walks = rows_sent = 0
+        walks = endless = rows_sent = 0
         with ExternalOracle(command, n) as remote:
-            for find in (min_find, max_find):
-                runs = [find(oracle, n, np.random.default_rng(3))
+            # seed 3 starts above the extreme, so a full session sends the
+            # run's walk line alone; 25 starts min_find at the minimum and 9
+            # max_find at the maximum, so the empty walk reply is followed
+            # by the walk's first test
+            for find, start, run_ops in ((min_find, 3, ["WR"]), (max_find, 3, ["WL"]),
+                                         (min_find, 25, ["WR", "R"]), (max_find, 9, ["WL", "L"])):
+                sent = len(ops_received(log))
+                runs = [find(oracle, n, np.random.default_rng(start))
                         for oracle in (remote, builtin, per_level)]
                 assert runs[0] == runs[1] == runs[2]
-                # a first condition test, then one walk if it answered yes
-                walks += runs[0].iterations > 0
+                assert (runs[0].iterations == 0) == (len(run_ops) == 2)
+                if full:
+                    assert ops_received(log)[sent:] == run_ops
+                walks += 1
+                endless += not runs[0].iterations
             for m in (1, 2, 5, 8, 39):
                 u, arr = int(rng.integers(n)), rng.permutation(n)[:m]
                 for left in (True, False):
@@ -483,6 +492,7 @@ class TestWalkOp:
                     assert ends[0] == ends[1] == per_level.walk(u, arr, left)
                     assert counting[0].ledger == counting[1].ledger
                     walks += 1
+                    endless += not ends[0]
             rows = rng.integers(0, n + 2, size=(3, 4))
             for left in (True, False):
                 assert (remote.test_batch(3, rows, n + 2, left).tolist()
@@ -497,13 +507,13 @@ class TestWalkOp:
         assert all(id_tokens_fit(line, full) for line in lines)
         queries = [op for op in ops if op != "INIT"]
         if full:
-            # one line per run's first condition test, per walk, a run's
-            # or an explicit one over one id or more, and per batch; none
-            # per round, level or row
-            assert queries.count("L") + queries.count("R") == 2
+            # one line per walk, a run's or an explicit one over one id
+            # or more, one more per walk with no end (its first test), and
+            # one per batch; none per round, level or row
+            assert queries.count("L") + queries.count("R") == endless
             assert queries.count("WL") + queries.count("WR") == walks
             assert queries.count("BL") == queries.count("BR") == 1
-            assert len(queries) == 2 + walks + 2
+            assert len(queries) == walks + endless + 2
         else:
             assert not {"BL", "BR", "WL", "WR"} & set(queries)
             assert queries.count("L") + queries.count("R") == asked.ledger.total + rows_sent
@@ -526,8 +536,9 @@ class TestWalkOp:
                                           f"the collection repeats ids [{low}]")
         queries = [line for line in log.read_text().splitlines() if not line.startswith("INIT")]
         if full:
-            # the first condition test, and one walk that breaks at the twin
-            assert [line.split()[0] for line in queries] == ["R", "WR"]
+            # one walk that breaks at the twin, then its first test, which
+            # tells the break from a start no id beats
+            assert [line.split()[0] for line in queries] == ["WR", "R"]
         else:
             # the rounds up to the twin, not n + 1 of them
             assert len(queries) < 20 * ((n - 1).bit_length() + 1)
@@ -561,8 +572,9 @@ class TestWalkOp:
                 remote.walk(3, arr, False)
             for u, left, ids in ((4, False, arr), (3, True, arr), (3, True, arr[:1])):
                 assert remote.walk(u, ids, left) == builtin.walk(u, ids, left)
-        # one id asks one test, so it is a line too
-        assert ops_received(log) == ["INIT", "WR", "WR", "WL", "WL"]
+        # a walk over one id is a line too, and one whose reply has no end
+        # asks its first test after it
+        assert ops_received(log) == ["INIT", "WR", "WR", "WL", "WL", "L"]
 
     # swap's descent has no op of its own: each session asks its levels as
     # single tests, the full one with HEX ids
@@ -1161,7 +1173,8 @@ def builtin_reply(line):
             return "".join("Y" if hit else "N" for hit in hits)
         u, _, *ids = numbers
         if op in ("WL", "WR"):
-            return " ".join(map(str, oracle.walk(u, np.array(ids, dtype=np.int64), left)))
+            # no end and a broken walk both reply an empty line
+            return " ".join(map(str, oracle.walk(u, np.array(ids, dtype=np.int64), left) or ()))
         return "Y" if oracle.test(u, ids, left) else "N"
     except InvalidParameterError:
         return None
@@ -1185,7 +1198,7 @@ def test_serve_walk_ends_where_the_builtin_walk_does(line):
     op, u, _, *ids = line.split()
     builtin = InstanceOracle(make_instance(FUZZ_N, 5))
     ends = builtin.walk(int(u), np.array(ids, dtype=np.int64), op == "WL")
-    assert served(HEX_INIT, hexed(line))[1] == " ".join(map(str, ends))
+    assert served(HEX_INIT, hexed(line))[1] == " ".join(map(str, ends or ()))
 
 
 def documented_exchanges():
@@ -1193,8 +1206,9 @@ def documented_exchanges():
     of gtorder.external: the lines quoted as the client's and the replies
     quoted after them."""
     quoted = [line.strip() for line in external.__doc__.splitlines()]
+    # a bare "<" quotes an empty reply
     return ([line[2:] for line in quoted if line.startswith("> ")],
-            [line[2:] for line in quoted if line.startswith("< ")])
+            [line[2:] for line in quoted if line.startswith("< ") or line == "<"])
 
 
 def test_documented_examples_are_what_serve_answers():
@@ -1214,8 +1228,9 @@ def test_documented_full_session_lines_are_what_the_client_writes(tmp_path):
         remote.walk(5, np.array([1, 2, 1023]), False)
         remote.walk(5, np.array([1, 2, 1023]), True)
         remote.walk(9, np.array([1023, 5, 2]), False)
+        remote.walk(0, np.array([1, 2, 1023]), False)
     received = log.read_text().splitlines()
-    assert received == sent[:len(received)] and len(received) == 7
+    assert received == sent[:len(received)] and len(received) == 9
 
 
 # replies the client must parse: answers, near misses and noise

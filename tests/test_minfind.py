@@ -1,6 +1,7 @@
 """Tests for Las Vegas min/max finding and the swap descent."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from gtorder import (
     GroupTestOracle,
     InstanceOracle,
     InvalidParameterError,
+    QueryLedger,
     exact_rank,
     make_instance,
     max_find,
     min_find,
     min_find_among,
+    reversed_view,
     swap,
 )
 from gtorder.oracle import _descend
@@ -117,7 +120,7 @@ class TestMinFind:
     @pytest.mark.parametrize("n", [1000, 16000])
     def test_a_twin_of_the_minimum_raises_after_one_walk(self, n):
         # the walk breaks at the round that finds the twin, so the run
-        # asks one condition test and one walk, not n + 1 rounds
+        # asks one walk, not n + 1 rounds
         instance = make_instance(n, seed=n)
         low = instance.element_with_rank(1)
         elements = np.append(np.arange(n), low)
@@ -136,7 +139,7 @@ class TestMinFind:
             calls.clear()
             with pytest.raises(InvalidParameterError, match=f"repeats ids \\[{low}\\]"):
                 min_find_among(Logged(instance), elements, np.random.default_rng(seed))
-            assert calls == ["test", "walk"]
+            assert calls == ["walk"]
 
     def test_an_inconsistent_oracle_is_named(self):
         # every test answers yes: the walk's second round ends where its
@@ -305,15 +308,27 @@ class TestSharedSwapCore:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 65, 300, 1000])
     def test_min_find_matches_a_loop_of_public_swaps(self, n):
-        for seed in range(10):
-            oracle = InstanceOracle(make_instance(n, seed))
-            rng = np.random.default_rng([n, seed])
-            twin = copy.deepcopy(rng)
-            outcome = min_find(oracle, n, rng)
-            element, iterations, ledger = min_find_by_one_order(oracle, n, twin)
-            assert (outcome.element, outcome.iterations, outcome.ledger) == (
-                element, iterations, ledger)
-            assert rng.bit_generator.state == twin.bit_generator.state
+        # max_find is the loop on the reversed view, its ledger in the
+        # caller's frame.  Each last run's seed starts at the extreme, where
+        # the loop never shuffles: the generator ends right after the start draw
+        for find in (min_find, max_find):
+            extreme = make_instance(n, 0).element_with_rank(1 if find is min_find else n)
+            at_extreme = next([n, s] for s in itertools.count(10)
+                              if np.random.default_rng([n, s]).integers(n) == extreme)
+            for instance_seed, run_seed in [*((seed, [n, seed]) for seed in range(10)),
+                                            (0, at_extreme)]:
+                oracle = InstanceOracle(make_instance(n, instance_seed))
+                rng = np.random.default_rng(run_seed)
+                twin = copy.deepcopy(rng)
+                outcome = find(oracle, n, rng)
+                view = oracle if find is min_find else reversed_view(oracle)
+                element, iterations, ledger = min_find_by_one_order(view, n, twin)
+                if find is max_find:
+                    ledger = QueryLedger(ledger.right_count, ledger.left_count)
+                assert (outcome.element, outcome.iterations, outcome.ledger) == (
+                    element, iterations, ledger)
+                assert rng.bit_generator.state == twin.bit_generator.state
+            assert outcome.element == extreme and outcome.iterations == 0
 
 
 class TestOneCallPerRun:
@@ -343,9 +358,17 @@ class TestOneCallPerRun:
                 calls.append("walk")
                 return super().walk(u, arr, left)
 
-        outcome = min_find(Logged(make_instance(300, 4)), 300, np.random.default_rng(4))
+        instance = make_instance(300, 4)
+        outcome = min_find(Logged(instance), 300, np.random.default_rng(4))
         assert outcome.iterations >= 2
-        assert calls == ["test", "walk"]
+        assert calls == ["walk"]
+        # a start at the minimum is the walk's first test answering no
+        calls.clear()
+        seed = next(s for s in range(10_000)
+                    if np.random.default_rng(s).integers(300) == instance.element_with_rank(1))
+        outcome = min_find(Logged(instance), 300, np.random.default_rng(seed))
+        assert outcome.iterations == 0 and outcome.ledger == QueryLedger(0, 1)
+        assert calls == ["walk"]
 
 
 class RecordingOracle(InstanceOracle):

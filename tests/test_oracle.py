@@ -418,19 +418,22 @@ class TestDummySlots:
 
 def walk_reference(ranks, rank_u, left):
     """What ``walk`` answers for ids of ranks ``ranks`` and a subject of
-    rank ``rank_u``, round by round: the first position p satisfying the
-    test, else m - 1; the test of the id at p against the others and the
-    subject; then the subject in slot p and that id the subject.  No end
-    once a round ends at or before the one before it."""
+    rank ``rank_u``: no end if no id satisfies the test, else round by
+    round the first position p satisfying the test, else m - 1; the test
+    of the id at p against the others and the subject; then the subject
+    in slot p and that id the subject.  None once a round ends at or
+    before the one before it."""
     def hit(rank, against):
         return rank >= against if left else rank <= against
 
     ranks, ends = list(ranks), []
+    if not any(hit(rank, rank_u) for rank in ranks):
+        return ends
     while True:
         hits = [hit(rank, rank_u) for rank in ranks]
         p = hits.index(True) if any(hits) else len(ranks) - 1
         if ends and p <= ends[-1]:
-            return []
+            return None
         ends.append(p)
         others = ranks[:p] + ranks[p + 1:] + [rank_u]
         if not any(hit(rank, ranks[p]) for rank in others):
@@ -794,9 +797,10 @@ def walk_queries(draw, n):
 
 
 class TestWalk:
-    """``walk`` is round after round of the per-level descent of
-    ``_descend``, the test of w = arr[p] against the other ids and the
-    subject, and a swap, at ceil(log2 m) + 1 tests a round."""
+    """``walk`` is a first test of u against every id and, if it answers
+    yes, round after round of the per-level descent of ``_descend``, the
+    test of w = arr[p] against the other ids and the subject, and a swap,
+    at 1 + rounds * (ceil(log2 m) + 1) tests."""
 
     @pytest.mark.parametrize("view", ["instance", "reversed", "test_only", "full", "basic"])
     @given(data=st.data())
@@ -813,8 +817,8 @@ class TestWalk:
         assert expected == walk_ends(builtin.instance.ranks, u, arr, frame)
         counting = CountingOracle(oracle)
         ends = counting.walk(u, arr, left)
-        assert ends == expected and all(type(p) is int for p in ends)
-        tests = len(ends) * ((len(arr) - 1).bit_length() + 1)
+        assert ends == expected and all(type(p) is int for p in ends or ())
+        tests = 1 + len(ends or ()) * ((len(arr) - 1).bit_length() + 1)
         assert counting.ledger == (QueryLedger(tests, 0) if left else QueryLedger(0, tests))
 
     @pytest.mark.parametrize("m", [4095, 4096])
@@ -847,9 +851,10 @@ class TestWalk:
                 arr = np.random.default_rng(m).permutation(np.delete(np.arange(40), u))[:m]
                 ends = oracle.walk(u, arr, left)
                 assert ends
-                # each round's levels ask its subject, its last test the id at its end
+                # the first test asks u; each round's levels ask its
+                # subject, its last test the id at its end
                 subjects = [u, *(int(arr[p]) for p in ends)]
-                assert oracle.asked == [
+                assert oracle.asked == [(u, left)] + [
                     asked for now, after in zip(subjects, subjects[1:])
                     for asked in [(now, left)] * (m - 1).bit_length() + [(after, left)]]
                 oracle.asked.clear()
@@ -861,22 +866,29 @@ class TestWalk:
         rounds = [len(InstanceOracle(instance).walk(u, arr, left)) for left in (True, False)]
         assert all(rounds)
         per_round = (9 - 1).bit_length() + 1
-        for remote, ops in ((remote24, ["WL", "WR"]),
-                            (basic24, ["L"] * rounds[0] * per_round
-                             + ["R"] * rounds[1] * per_round)):
+        # from either end of the order no id beats u: a full session asks
+        # the first test after the empty walk reply, a basic one asks it alone
+        low, high = instance.element_with_rank(1), instance.element_with_rank(24)
+        ends = [np.delete(np.arange(24), v)[:9] for v in (high, low)]
+        for remote, ops in ((remote24, ["WL", "WR", "WL", "L", "WR", "R"]),
+                            (basic24, ["L"] * (1 + rounds[0] * per_round)
+                             + ["R"] * (1 + rounds[1] * per_round) + ["L", "R"])):
             lines = []
             exchange = remote._exchange
             remote._exchange = lambda line: lines.append(line) or exchange(line)
             try:
                 for left in (True, False):
                     remote.walk(u, arr, left)
+                assert remote.walk(high, ends[0], True) == remote.walk(low, ends[1], False) == []
             finally:
                 del remote._exchange
             assert [line.split()[0] for line in lines] == ops
 
     def test_a_basic_session_sends_the_lines_of_round_by_round_min_finding(self, basic24):
         # the L/R lines of eight fixed-seed runs, byte for byte as the
-        # client sent them when every round was its own call
+        # client sent them when every round was its own call, but for each
+        # run's first condition test, which lists the same ids in the
+        # walk's shuffled order
         lines = []
         exchange = basic24._exchange
         basic24._exchange = lambda line: lines.append(line) or exchange(line)
@@ -888,7 +900,7 @@ class TestWalk:
             del basic24._exchange
         assert len(lines) == 170
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "3ce4190e607d937fce1accfc3d3f4477300bed0516cefdc5ee933fabb0a86945")
+            "30ca9a2d9c34360fd468fa64adefe19a4504f2a6b4d719b1d3fc9d73d5280516")
 
     @pytest.mark.parametrize("view", ["direct", "reversed", "stacked"])
     def test_one_call_walk_matches_the_per_level_walk(self, view):
@@ -911,24 +923,34 @@ class TestWalk:
                     ends = top.walk(u, arr, left)
                     assert all(type(p) is int for p in ends)
                     assert ends == per_level.walk(u, arr, left) == walk_ends(ranks, u, arr, left)
-                    # a sound walk asks a descent and a test a round; one
-                    # that breaks asks its first round and the next descent
-                    spent = len(ends) * (levels + 1) if ends else 2 * levels + 1
-                    assert asked.ledger.total - before == spent
+                    # a walk asks its first test, then a descent and a test a round
+                    assert asked.ledger.total - before == 1 + len(ends) * (levels + 1)
                     rounds += len(ends)
-                # the fused ledgers charge a descent and a test a round
-                assert all(counting.ledger.total == rounds * (levels + 1) for counting in fused)
+                    if not ends:
+                        # no id satisfies the test: a descent asked alone
+                        # ends at the last position after its levels
+                        before = asked.ledger.total
+                        assert _descend(per_level, u, arr, left) == m - 1
+                        assert asked.ledger.total - before == levels
+                # the fused ledgers charge the same for each of the two walks
+                assert all(counting.ledger.total == 2 + rounds * (levels + 1)
+                           for counting in fused)
 
-    def test_a_walk_from_a_subject_no_id_beats_breaks_at_no_cost(self):
+    def test_a_walk_from_a_subject_no_id_beats_costs_its_first_test(self):
         for m in (1, 2, 3, 5, 64, 65, 4096):
             instance, u, arr = next(descent_cases(m))  # u above every id of arr
-            for oracle in (InstanceOracle(instance), PerRowOracle(InstanceOracle(instance))):
+            asked = CountingOracle(InstanceOracle(instance))
+            for oracle in (InstanceOracle(instance), PerRowOracle(asked)):
                 counting = CountingOracle(oracle)
                 assert counting.walk(u, arr, True) == []
-                assert counting.ledger.total == 0
-                # its first round's descent ends at the last position
+                assert counting.ledger == QueryLedger(1, 0)
+                # its first round's descent, asked alone, ends at the last position
+                before = counting.ledger.left_count
                 assert _descend(counting, u, arr, True) == m - 1
-                assert counting.ledger.left_count == (m - 1).bit_length()
+                assert counting.ledger.left_count - before == (m - 1).bit_length()
+            # the per-level walk asked its one test and no descent, the
+            # descent its levels
+            assert asked.ledger == QueryLedger(1 + (m - 1).bit_length(), 0)
 
     def test_single_id_ends_at_zero_without_a_descent_test(self):
         instance = make_instance(4, seed=0)
@@ -938,10 +960,11 @@ class TestWalk:
             assert _descend(oracle, top, np.array([bottom]), False) == 0
             assert _descend(oracle, bottom, np.array([top]), True) == 0
         assert fused.ledger.total == asked.ledger.total == 0
-        # the test after the descent is the one test a round over one id asks
+        # the first test and the test after the descent are the two tests
+        # a walk of one round over one id asks
         for oracle in (fused, PerRowOracle(asked)):
             assert oracle.walk(top, np.array([bottom]), False) == [0]
-        assert fused.ledger.total == asked.ledger.total == 1
+        assert fused.ledger.total == asked.ledger.total == 2
 
     @pytest.mark.parametrize("path", ["instance", "per_level", "test_only", "reversed", "full"])
     def test_validation(self, path, remote24):
