@@ -23,7 +23,7 @@ whatever its trial count, and the blocks stay in cache.  The blocks
 consume the generator exactly as one (trials x sample_size) draw does.
 
 A test stops at the first block after which its answer is fixed.  With
-limit = floor(p_mid * trials), positives > limit fixes "rank > r", and
+its decision line limit, positives > limit fixes "rank > r", and
 positives + (rows not yet asked) <= limit fixes "rank <= r"; the blocks
 after that are neither drawn nor asked.  The answer is always the one
 the full test would give on the same rows, since no value of the rows
@@ -37,11 +37,11 @@ block, so the block size is part of the query count: changing
 ``_BLOCK_IDS`` changes the ledgers of multi-block tests and the draws
 that follow them.
 
-``rank_at_most`` chooses its frame once and runs one block loop in it.
-A target r >= n/2 + 1/2 is tested under the reversed order, where the
-rank of x becomes n - rank(x) + 1, at its mirror n - r + 1 (at most
-n/2), the center of its guarantee band there, and the answer is
-negated; any other target is tested directly at min(r, n/2).
+``derive_params`` chooses the frame, and ``rank_at_most`` runs one
+block loop in it.  A target r >= n/2 + 1/2 is tested under the reversed
+order, where the rank of x becomes n - rank(x) + 1, at its mirror
+n - r + 1 (at most n/2), the center of its guarantee band there, and the
+answer is negated; any other target is tested directly at min(r, n/2).
 """
 
 from __future__ import annotations
@@ -66,15 +66,17 @@ _BLOCK_IDS = 1 << 15
 
 @dataclass(frozen=True)
 class RankTestParams:
-    """What one threshold test derives from (n, r, delta, epsilon), for the
-    target r it executes: at most n/2, as ``rank_at_most`` reverses above."""
+    """The threshold test ``rank_at_most`` runs for (n, r, delta, epsilon):
+    its frame, and the sampling and decision line at the target t it
+    executes, r or its mirror, at most n/2 (module docstring)."""
 
-    n_eff: int          # universe size after dummy padding, a multiple of ceil(r)
-    sample_size: int    # ids drawn per trial, ceil(n_eff / r) >= 2
+    reversed: bool      # run under the reversed order, its answer negated
+    n_eff: int          # universe size after dummy padding, a multiple of ceil(t)
+    sample_size: int    # ids drawn per trial, ceil(n_eff / t) >= 2
     trials: int         # group tests of a full test; a curtailed one asks fewer
-    p_low: float        # positive-rate bound when rank <= r - delta*r
-    p_high: float       # positive-rate bound when rank >= r + delta*r
-    p_mid: float        # decision threshold (midpoint of the two bounds)
+    p_low: float        # positive-rate bound when rank <= t - delta*t
+    p_high: float       # positive-rate bound when rank >= t + delta*t
+    limit: int          # the most positives of "rank <= t": floor(midpoint * trials)
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,9 @@ class RankTestOutcome:
 
 
 def derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestParams:
-    """Compute padding, sample size, trial count and decision thresholds.
+    """Compute the frame, padding, sample size, trial count and decision
+    line of the threshold test for any target r in (0, n).
 
-    Requires 0 < r <= n/2; callers handle larger targets via reversal.
     Fractional targets arise from selection and are allowed: the sample
     size rounds up, which only widens the separation between p_low and
     p_high.  Results are memoized per argument values and types; the
@@ -123,25 +125,38 @@ def _derive_params(n: int, r: float, delta: float, epsilon: float) -> RankTestPa
     check_integer("universe size", n, 1)
     check_unit(delta=delta, epsilon=epsilon)
     check_open("target rank", r, 0, n)
-    if r > n / 2:
-        raise InvalidParameterError(f"target rank {r} outside (0, n/2] for n={n}")
-    divisor = math.ceil(r)
+    # Under the reversed order x's rank becomes n - rank(x) + 1, so
+    # rank(x) <= r iff not (reversed rank(x) <= n - r), and the guarantee
+    # band delta * (n - r) around r becomes one around the mirror
+    # n - r + 1.  The test runs at that mirror, centered in the band as
+    # the direct test is at r: a target a rank or half a rank below it
+    # (n - r, n - r + 1/2) answers the band's upper edge wrong most of the
+    # time where the band is about one rank wide, as the positive rate is
+    # concave in the rank.  The mirror's rows, ceil(n / (n - r + 1)) ids,
+    # are also no wider than theirs.  A mirror above n/2 (r below
+    # n/2 + 1) is capped at n/2; for even n that centers the test on rank
+    # n/2 + 1, above the band, where the bound fails (exact error 0.95 at
+    # rank 3 for n = 4, r = 2.5, delta = 0.3, epsilon = 0.2).
+    flip = r >= n / 2 + 0.5
+    t = min(n - r + 1 if flip else r, n / 2)
+    divisor = math.ceil(t)
     n_eff = divisor * ((n + divisor - 1) // divisor)
     try:
-        sample_size = math.ceil(n_eff / r)  # at least 2, as r <= n/2 <= n_eff/2
-    except OverflowError:  # n_eff / r is infinite
+        sample_size = math.ceil(n_eff / t)  # at least 2, as t <= n/2 <= n_eff/2
+    except OverflowError:  # n_eff / t is infinite, so t = r is tiny
         raise InvalidParameterError(f"target rank {r} is too small for n={n}: "
                                     f"a row of n_eff / r ids cannot be drawn") from None
     trials = trial_count(delta, epsilon)
-    p_low = 1.0 - ((n_eff - (r - delta * r)) / n_eff) ** sample_size
-    p_high = 1.0 - ((n_eff - (r + delta * r)) / n_eff) ** sample_size
+    p_low = 1.0 - ((n_eff - (t - delta * t)) / n_eff) ** sample_size
+    p_high = 1.0 - ((n_eff - (t + delta * t)) / n_eff) ** sample_size
     return RankTestParams(
+        reversed=flip,
         n_eff=n_eff,
         sample_size=sample_size,
         trials=trials,
         p_low=p_low,
         p_high=p_high,
-        p_mid=0.5 * (p_low + p_high),
+        limit=math.floor(0.5 * (p_low + p_high) * trials),
     )
 
 
@@ -158,29 +173,14 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
     r = n - 1, delta = 0.99 and epsilon = 0.1 the exact error at rank n is
     about 0.16.
     """
-    n = oracle.size
-    check_integer("element id", x, 0, n - 1)
-    check_open("target rank", r, 0, n)
+    check_integer("element id", x, 0, oracle.size - 1)
+    params = derive_params(oracle.size, r, delta, epsilon)
     counting = CountingOracle(oracle)
-    # Under the reversed order x's rank becomes n - rank(x) + 1, so
-    # rank(x) <= r iff not (reversed rank(x) <= n - r), and the guarantee
-    # band delta * (n - r) around r becomes one around the mirror
-    # n - r + 1.  The test runs at that mirror, centered in the band as
-    # the direct test is at r: a target a rank or half a rank below it
-    # (n - r, n - r + 1/2) answers the band's upper edge wrong most of the
-    # time where the band is about one rank wide, as the positive rate is
-    # concave in the rank.  The mirror's rows, ceil(n / (n - r + 1)) ids,
-    # are also no wider than theirs.  A mirror above n/2 (r below
-    # n/2 + 1) is capped at n/2, which still separates rank floor(r) from
-    # the rank above it.
-    flip = r >= n / 2 + 0.5
-    view = reversed_view(counting) if flip else counting
-    params = derive_params(n, min(n - r + 1 if flip else r, n / 2), delta, epsilon)
-    trials, width = params.trials, params.sample_size
+    view = reversed_view(counting) if params.reversed else counting
+    trials, width, limit = params.trials, params.sample_size, params.limit
     # blocks of at most _BLOCK_IDS ids, or of one row each when a row
     # alone is wider
     step = max(1, _BLOCK_IDS // width)
-    limit = math.floor(params.p_mid * trials)
     positives = 0
     for start in range(0, trials, step):
         rows = rng.integers(0, params.n_eff, size=(min(step, trials - start), width))
@@ -190,5 +190,5 @@ def rank_at_most(oracle: GroupTestOracle, x: int, r: float, delta: float,
         # stop once no later row can change the answer (module docstring)
         if positives > limit or positives + trials - start - len(rows) <= limit:
             break
-    return RankTestOutcome(answer=(positives <= limit) != flip, positives=positives,
-                           params=params, ledger=counting.ledger)
+    return RankTestOutcome(answer=(positives <= limit) != params.reversed,
+                           positives=positives, params=params, ledger=counting.ledger)

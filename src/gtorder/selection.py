@@ -120,13 +120,12 @@ def approximate_select(oracle: GroupTestOracle, n: int, k: int, delta: float,
     lower_target = k - 0.75 * delta * k
     for round_index in range(1, params.max_rounds + 1):
         x = draw_candidate(work, n, k, delta / 2.0, rng)
-        below_upper = rank_at_most(work, x, upper_target, params.delta_upper,
-                                   params.epsilon_round, rng)
-        if not below_upper.answer:
+        # every rank is at most n, so an upper target at or above n needs no test
+        if upper_target < n and not rank_at_most(work, x, upper_target, params.delta_upper,
+                                                 params.epsilon_round, rng).answer:
             continue
-        below_lower = rank_at_most(work, x, lower_target, params.delta_lower,
-                                   params.epsilon_round, rng)
-        if not below_lower.answer:
+        if not rank_at_most(work, x, lower_target, params.delta_lower,
+                            params.epsilon_round, rng).answer:
             return SelectOutcome(found=True, element=x, rounds_used=round_index,
                                  ledger=counting.ledger)
     return SelectOutcome(found=False, element=None, rounds_used=params.max_rounds,

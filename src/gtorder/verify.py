@@ -34,7 +34,7 @@ from .harness import ExperimentConfig, render_csv, run_experiment
 from .minfind import max_find, min_find, min_find_among, swap
 from .oracle import CountingOracle, GroupTestOracle, InstanceOracle, QueryLedger, reversed_view
 from .order import TotalOrderInstance, exact_rank, make_instance
-from .ranktest import _BLOCK_IDS, derive_params, rank_at_most
+from .ranktest import _BLOCK_IDS, RankTestParams, derive_params, rank_at_most
 from .selection import approximate_select, draw_candidate
 from .stats import binomial_margin, chi_square_fit, chi_square_uniformity
 
@@ -615,16 +615,13 @@ CURTAIL_TARGETS = (5.0, 996.0)
 CURTAIL_DELTA, CURTAIL_EPSILON = 0.5, 0.2
 
 
-def _full_test(oracle: GroupTestOracle, x: int, r: float,
-               rng: np.random.Generator) -> tuple[bool, np.ndarray, list, bool, int]:
-    """The full threshold test ``rank_at_most(oracle, x, r, ...)`` curtails,
-    drawn from ``rng`` in the same blocks: its answer, the positives after
-    each row, the generator state after each block, whether it runs
-    reversed, and the rows per block."""
-    n = oracle.size
-    reverse = r >= n / 2 + 0.5
-    params = derive_params(n, n - r + 1 if reverse else r, CURTAIL_DELTA, CURTAIL_EPSILON)
-    view = reversed_view(oracle) if reverse else oracle
+def _full_test(oracle: GroupTestOracle, x: int, params: RankTestParams,
+               rng: np.random.Generator) -> tuple[bool, np.ndarray, list, int]:
+    """The full threshold test a ``rank_at_most`` of plan ``params``
+    curtails, drawn from ``rng`` in the same blocks: its answer, the
+    positives after each row, the generator state after each block, and
+    the rows per block."""
+    view = reversed_view(oracle) if params.reversed else oracle
     step = max(1, _BLOCK_IDS // params.sample_size)
     hits, states = [], []
     for start in range(0, params.trials, step):
@@ -633,8 +630,7 @@ def _full_test(oracle: GroupTestOracle, x: int, r: float,
         hits.append(view.test_batch(x, rows, params.n_eff, False))
         states.append(rng.bit_generator.state)
     counts = np.cumsum(np.concatenate(hits))
-    answer = bool(counts[-1] <= params.p_mid * params.trials) != reverse
-    return answer, counts, states, reverse, step
+    return bool(counts[-1] <= params.limit) != params.reversed, counts, states, step
 
 
 @_check()
@@ -644,7 +640,7 @@ def check_threshold_curtailment(seed: int) -> tuple[bool, str]:
     block boundary at or after the row that fixed it."""
     # Each test is replayed in full from a copy of the generator; the row
     # that fixed the answer is the first after which the positives exceed
-    # the threshold, or cannot reach it with every row left positive.
+    # the decision line, or cannot pass it with every row left positive.
     rng = _rng(seed, 13)
     instance = make_instance(CURTAIL_N, next(_seed_stream(rng)))
     oracle = InstanceOracle(instance)
@@ -652,20 +648,19 @@ def check_threshold_curtailment(seed: int) -> tuple[bool, str]:
     blocks_asked = collections.Counter()
     asked_total = full_total = 0
     for r in CURTAIL_TARGETS:
+        params = derive_params(CURTAIL_N, r, CURTAIL_DELTA, CURTAIL_EPSILON)
+        trials, limit = params.trials, params.limit
+        left = trials - np.arange(1, trials + 1)
         for rank in range(1, CURTAIL_N + 1):
             x = instance.element_with_rank(rank)
-            answer, counts, states, reverse, step = _full_test(oracle, x, r, copy.deepcopy(rng))
+            answer, counts, states, step = _full_test(oracle, x, params, copy.deepcopy(rng))
             outcome = rank_at_most(oracle, x, r, CURTAIL_DELTA, CURTAIL_EPSILON, rng)
-            trials = outcome.params.trials
-            threshold = outcome.params.p_mid * trials
-            left = trials - np.arange(1, trials + 1)
-            decided = 1 + int(np.flatnonzero((counts > threshold)
-                                             | (counts + left <= threshold))[0])
+            decided = 1 + int(np.flatnonzero((counts > limit) | (counts + left <= limit))[0])
             blocks = -(-decided // step)
             asked = min(trials, blocks * step)
-            ledger = QueryLedger(asked, 0) if reverse else QueryLedger(0, asked)
+            ledger = QueryLedger(asked, 0) if params.reversed else QueryLedger(0, asked)
             # asked <= trials, so a matching ledger never exceeds the full test
-            if (outcome.answer != answer or outcome.ledger != ledger
+            if (outcome.params != params or outcome.answer != answer or outcome.ledger != ledger
                     or outcome.positives != counts[asked - 1]
                     or rng.bit_generator.state != states[blocks - 1]):
                 bad.append((r, rank, outcome.answer, answer, outcome.ledger.total, asked))

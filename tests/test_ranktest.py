@@ -5,6 +5,7 @@ import logging
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,24 +43,22 @@ def one_draw(oracle, x, r, delta, epsilon, seed, block_ids=None):
     up to the first block boundary at or after the row that fixed that
     answer, with the state of a generator that drew just those blocks."""
     n = oracle.size
-    reverse = r >= n / 2 + 0.5
-    p = derive_params(n, min(n - r + 1 if reverse else r, n / 2), delta, epsilon)
+    p = derive_params(n, r, delta, epsilon)
     samples = np.random.default_rng(seed).integers(0, p.n_eff, size=(p.trials, p.sample_size))
-    test = (reversed_view(oracle) if reverse else oracle).test
+    test = (reversed_view(oracle) if p.reversed else oracle).test
     counts = np.cumsum([test(x, [v for v in row if v < n], False) for row in samples.tolist()])
-    threshold = p.p_mid * p.trials
-    answer = bool(counts[-1] <= threshold) != reverse
-    # the first row after which the positives exceed the threshold, or
-    # cannot reach it with every row left positive
+    answer = bool(counts[-1] <= p.limit) != p.reversed
+    # the first row after which the positives exceed the decision line,
+    # or cannot pass it with every row left positive
     left = np.arange(p.trials - 1, -1, -1)
-    decided = 1 + np.flatnonzero((counts > threshold) | (counts + left <= threshold))[0]
+    decided = 1 + np.flatnonzero((counts > p.limit) | (counts + left <= p.limit))[0]
     step = max(1, (block_ids or ranktest._BLOCK_IDS) // p.sample_size)
     asked = min(p.trials, -(-decided // step) * step)
     blocks = [min(step, asked - start) for start in range(0, asked, step)]
     rng = np.random.default_rng(seed)
     for rows in blocks:
         rng.integers(0, p.n_eff, size=(rows, p.sample_size))
-    ledger = QueryLedger(asked, 0) if reverse else QueryLedger(0, asked)
+    ledger = QueryLedger(asked, 0) if p.reversed else QueryLedger(0, asked)
     return Expected(answer, int(counts[asked - 1]), ledger, rng.bit_generator.state,
                     blocks, p.trials)
 
@@ -73,7 +72,8 @@ class TestDeriveParams:
         assert p.p_high == pytest.approx(1 - 0.85**10)
         assert p.p_low == pytest.approx(0.40126, abs=1e-5)
         assert p.p_high == pytest.approx(0.80313, abs=1e-5)
-        assert p.p_mid == pytest.approx(0.60220, abs=1e-5)
+        assert p.limit == math.floor(0.60220 * 545) == 328
+        assert not p.reversed
 
     def test_trial_count_formula(self):
         p = derive_params(100, 10, delta=0.5, epsilon=0.1)
@@ -98,15 +98,19 @@ class TestDeriveParams:
     def test_fractional_targets_allowed(self):
         p = derive_params(2, 0.625, delta=0.2, epsilon=0.1)
         assert p.sample_size == max(2, math.ceil(2 / 0.625))
-        assert 0 < p.p_low < p.p_mid < p.p_high < 1
+        assert 0 < p.p_low < p.p_high < 1
+        assert p.p_low * p.trials < p.limit < p.p_high * p.trials
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
             derive_params(0, 1, 0.5, 0.1)
         with pytest.raises(InvalidParameterError):
             derive_params(100, 0, 0.5, 0.1)
+        # above n/2 the plan is the reversed test at the mirror 100 - 51 + 1
+        assert derive_params(100, 51, 0.5, 0.1) == replace(derive_params(100, 50, 0.5, 0.1),
+                                                           reversed=True)
         with pytest.raises(InvalidParameterError):
-            derive_params(100, 51, 0.5, 0.1)  # callers reverse above n/2
+            derive_params(100, 100, 0.5, 0.1)
         with pytest.raises(InvalidParameterError):
             derive_params(100, 10, 0.0, 0.1)
         with pytest.raises(InvalidParameterError):
@@ -244,13 +248,14 @@ class TestRankAtMost:
         assert rng.bit_generator.state == expected.state
 
     def test_reversed_targets_run_at_the_mirror(self):
-        # the executed target shows in the outcome's params
+        # the executed target shows in the plan: the direct plan there,
+        # reversed
         n = 1024
-        oracle = InstanceOracle(make_instance(n, seed=13))
-        rng = np.random.default_rng(14)
 
         def executed(r):
-            return rank_at_most(oracle, 0, r, 0.3, 0.1, rng).params
+            p = derive_params(n, r, 0.3, 0.1)
+            assert p.reversed, r
+            return replace(p, reversed=False)
 
         p = executed(768)
         assert (p.sample_size, p.n_eff) == (4, 1028)  # at the half step 256.5: 5 and 1028
@@ -262,6 +267,17 @@ class TestRankAtMost:
             assert p.sample_size <= derive_params(n, n - r + 0.5, 0.3, 0.1).sample_size, r
         assert executed(1023.5) == derive_params(n, 1.5, 0.3, 0.1)
         assert executed(512.75) == derive_params(n, 512, 0.3, 0.1)  # the mirror 512.25, capped
+        # below n/2 + 1/2 the target runs directly, capped at n/2
+        assert derive_params(n, 512.25, 0.3, 0.1) == derive_params(n, 512, 0.3, 0.1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+    def test_runs_the_plan_derive_params_returns(self, n):
+        # every integer and quarter-step target, on both sides of n/2
+        oracle = InstanceOracle(make_instance(n, seed=n))
+        rng = np.random.default_rng(n)
+        for r in np.arange(1, 4 * n) / 4:
+            assert rank_at_most(oracle, 0, r, 0.9, 0.5, rng).params == derive_params(
+                n, r, 0.9, 0.5), r
 
     def test_parameter_validation(self):
         oracle = InstanceOracle(make_instance(10, seed=0))
@@ -302,35 +318,61 @@ def binomial_tail(trials, p, start, step):
         k += step
 
 
+def reversed_rate(p, n, rank):
+    """The positive rate of one row of the reversed plan p at the element
+    of the given rank, whose reversed rank is n - rank + 1."""
+    return 1.0 - ((p.n_eff - (n - rank + 1)) / p.n_eff) ** p.sample_size
+
+
 @pytest.mark.parametrize("n", [64, 1024])
 @pytest.mark.parametrize("delta, epsilon", [(0.3, 0.1), (0.9, 0.1), (0.5, 0.2)])
 def test_reversed_tests_keep_the_error_bound_at_the_band_edges(n, delta, epsilon):
     # The exact chance of a wrong answer at the nearest ranks outside the
     # band delta * (n - r), for every integer target r above n/2, from the
-    # params of the test executed: the reversed test answers "rank <= r"
-    # iff more than floor(p_mid * trials) of its rows are positive, at the
-    # rate of reversed rank n - rank + 1.  Curtailment never changes an
+    # plan of the test executed: the reversed test answers "rank <= r"
+    # iff more than limit of its rows are positive, at the rate of
+    # reversed rank n - rank + 1.  Curtailment never changes an
     # answer.  A target one rank or half a rank below the mirror fails
     # here: n - r answers rank r + 1 wrong about 97% of the time at delta
     # 0.5, r = n - 2 (a band of exactly one rank), and n - r + 1/2 rank n
     # about 66% at delta 0.9, r = n - 1.
-    oracle = InstanceOracle(make_instance(n, seed=15))
-    rng = np.random.default_rng(16)
     worst = 0.0
     for r in range(n // 2 + 1, n):
-        p = rank_at_most(oracle, 0, r, delta, epsilon, rng).params
-        limit = math.floor(p.p_mid * p.trials)
-
-        def rate(rank):
-            return 1.0 - ((p.n_eff - (n - rank + 1)) / p.n_eff) ** p.sample_size
-
+        p = derive_params(n, r, delta, epsilon)
+        assert p.reversed, r
         band = delta * (n - r)
         low, high = math.floor(r - band), math.ceil(r + band)
         if low >= 1:  # must answer yes
-            worst = max(worst, binomial_tail(p.trials, rate(low), limit, -1))
+            worst = max(worst, binomial_tail(p.trials, reversed_rate(p, n, low), p.limit, -1))
         if high <= n:  # must answer no
-            worst = max(worst, binomial_tail(p.trials, rate(high), limit + 1, 1))
+            worst = max(worst, binomial_tail(p.trials, reversed_rate(p, n, high), p.limit + 1, 1))
     assert worst <= epsilon
+
+
+# (n, r, delta): even n, r in [n/2 + 1/2, n/2 + 1), at epsilon 0.2
+EVEN_MIDDLE_CASES = [(2, 1.5, 0.5), (4, 2.5, 0.3), (6, 3.5, 0.15), (10, 5.5, 0.1),
+                     (1000, 500.5, 0.0009)]
+
+
+@pytest.mark.parametrize("n, r, delta", EVEN_MIDDLE_CASES)
+def test_even_n_middle_targets_run_at_the_capped_mirror(n, r, delta):
+    # the mirror n - r + 1 lies above n/2, so the reversed test runs at
+    # n/2, where rank n/2 + 1 (reversed rank n/2) sits at its center;
+    # yet that rank lies above the band, so the test must answer no
+    p = derive_params(n, r, delta, 0.2)
+    assert p == replace(derive_params(n, n // 2, delta, 0.2), reversed=True)
+    assert n // 2 + 1 > r + delta * min(r, n - r)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the capped mirror n/2 centers the reversed test on rank n/2 + 1")
+@pytest.mark.parametrize("n, r, delta", EVEN_MIDDLE_CASES)
+def test_even_n_middle_targets_keep_the_error_bound(n, r, delta):
+    # the exact chance that the test answers yes at rank n/2 + 1: about
+    # 0.998, 0.955, 0.806, 0.716 and 0.502 for these cases
+    p = derive_params(n, r, delta, 0.2)
+    error = binomial_tail(p.trials, reversed_rate(p, n, n // 2 + 1), p.limit + 1, 1)
+    assert error <= 0.2
 
 
 # universe sizes of the curtailment property, each with one reference

@@ -10,6 +10,7 @@ from gtorder import (
     InstanceOracle,
     InvalidParameterError,
     approximate_select,
+    derive_params,
     draw_candidate,
     exact_rank,
     make_instance,
@@ -134,6 +135,25 @@ class TestApproximateSelect:
                 returned += 1
                 assert exact_rank(instance, outcome.element) == 1
         assert returned > 0
+
+    def test_small_universes_run_every_target(self):
+        # the upper screen's target k + 3/4*delta*k reaches n at n = 1,
+        # at n = 3 with k = 2 and delta >= 2/3, and at n = 5 with k = 3
+        # and delta >= 8/9; every rank is at most n, so that screen is
+        # skipped, and a run at n = 1 asks the lower screen alone
+        for n in range(1, 12):
+            oracle = InstanceOracle(make_instance(n, seed=n))
+            for k in range(1, n + 1):
+                for delta in (0.3, 0.5, 0.7, 0.9, 0.99):
+                    rng = np.random.default_rng(k)
+                    outcome = approximate_select(oracle, n, k, delta, 0.3, rng)
+                    assert outcome.found == (outcome.element is not None)
+                    if n == 1:
+                        p = select_params(1, delta, 0.3)
+                        lower = derive_params(1, 1 - 0.75 * delta, p.delta_lower,
+                                              p.epsilon_round)
+                        assert (outcome.element, outcome.rounds_used) == (0, 1)
+                        assert outcome.ledger.total <= lower.trials
 
     def test_ledger_matches_external_count(self):
         instance = make_instance(200, seed=5)
