@@ -8,24 +8,33 @@ never taken from the algorithm under test.  Trials can run in a worker
 pool; reports are assembled in trial order either way.
 
 Trial t's generator is ``default_rng(SeedSequence(entropy=(seed mod
-2**64, t, 1)))`` and its instance seed the first 64-bit word of the same
-with a last entropy word of 0.  Those hashes are computed for a chunk of
-trials at a time in one vectorized numpy pass (``_state_words``), and
-each generator is built straight from its words.  The pass is
-SeedSequence's own hash, with its constants taken from
+2**64, t, 1)))``, its instance seed the first 64-bit word of the same
+with a last entropy word of 0, and its instance's generator
+``default_rng(instance seed)``.  Those hashes are computed for a chunk
+of trials at a time in two vectorized numpy passes (``_state_words``):
+one derives every trial's generator words and instance seed, the next
+the instance generators' words from those seeds.  Each generator is then
+built straight from its words, with no SeedSequence object per trial.
+Each pass is SeedSequence's own hash, with its constants taken from
 ``oracle_server``, on the entropy words numpy would read: the seed's one
 or two 32-bit words, t's one word (``validate_config`` keeps t below
-2**32) and the lane's.  That is at most four words, all of which go into
-SeedSequence's pool of four, and uint32 arithmetic wraps as its C code
-does, so every generator, instance and report is bit for bit what the
-per-trial SeedSequence objects gave.
+2**32) and the lane's, or an instance seed's one or two words.  That is
+at most four words, all of which go into SeedSequence's pool of four, so
+padding them with zero words changes no hash, and uint32 arithmetic
+wraps as its C code does, so every generator, instance and report is bit
+for bit what the per-trial SeedSequence objects gave.  A fixed-instance
+config hashes no instance seeds: it builds its one instance once and
+its trials share it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import multiprocessing
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 from io import StringIO
@@ -43,7 +52,7 @@ from .minfind import max_find, min_find
 from .oracle import GroupTestOracle, InstanceOracle
 from .oracle_server import (_INIT_A, _INIT_B, _MASK32, _MASK64, _MIX_MULT_L, _MIX_MULT_R,
                             _MULT_A, _MULT_B, _POOL_SIZE, _XSHIFT)
-from .order import exact_rank, make_instance
+from .order import TotalOrderInstance, exact_rank, make_instance
 from .ranktest import rank_at_most
 from .selection import approximate_select
 
@@ -172,9 +181,12 @@ def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.nd
 # for each other word; the state is 2 * _POOL_SIZE hashes of the pool
 _XOR_A, _MUL_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
 _ENTROPY_HASH = (_XOR_A[:_POOL_SIZE], _MUL_A[:_POOL_SIZE])
-_SOURCE_HASH = [(_XOR_A[i:i + _POOL_SIZE - 1], _MUL_A[i:i + _POOL_SIZE - 1])
-                for i in range(_POOL_SIZE, _POOL_SIZE * _POOL_SIZE, _POOL_SIZE - 1)]
-_OTHER_WORDS = [[i for i in range(_POOL_SIZE) if i != src] for src in range(_POOL_SIZE)]
+# one (_POOL_SIZE, 1) column pair per source word, whose own row, 0, is a
+# placeholder: the source word mixes into the others only
+_SOURCE_HASH = [tuple(np.insert(column[start:start + _POOL_SIZE - 1], src, 0, axis=0)
+                      for column in (_XOR_A, _MUL_A))
+                for src, start in enumerate(range(_POOL_SIZE, _POOL_SIZE * _POOL_SIZE,
+                                                  _POOL_SIZE - 1))]
 _STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 _MIX_L, _MIX_R, _SHIFT = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R), np.uint32(_XSHIFT)
 # the last entropy word of a trial's generator, and of its instance seed
@@ -195,24 +207,30 @@ def _state_words(entropy: np.ndarray) -> np.ndarray:
     e of a (_POOL_SIZE, m) uint32 array of entropy words padded with zeros,
     which is exact when no entropy has more words than the pool: (m, 4)."""
     pool = _hash(entropy, _ENTROPY_HASH)
-    for src, dst in enumerate(_OTHER_WORDS):
-        mixed = pool[dst] * _MIX_L
-        mixed -= _hash(pool[src], _SOURCE_HASH[src]) * _MIX_R
+    for src, constants in enumerate(_SOURCE_HASH):
+        # every word mixes in a hash of the source word, which is put back:
+        # a whole-array op and a row copy cost less than fancy indexing
+        mixed = pool * _MIX_L
+        mixed -= _hash(pool[src], constants) * _MIX_R
         mixed ^= mixed >> _SHIFT
-        pool[dst] = mixed
+        mixed[src] = pool[src]
+        pool = mixed
     state = _hash(np.concatenate((pool, pool)), _STATE_HASH)
     # SeedSequence reads its 32-bit words as little-endian 64-bit ones
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def _trial_seeds(config: ExperimentConfig) -> Iterator[tuple[np.ndarray, int]]:
-    """Each trial's generator words and instance seed, in trial order, hashed
-    a chunk of trials at a time (module docstring); a fixed-instance config
-    hashes no instance lane."""
+def _trial_seeds(config: ExperimentConfig) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Each trial's generator words and its fresh instance's generator
+    words, in trial order, hashed a chunk of trials at a time (module
+    docstring).  A config whose trials build no fresh instance, a
+    fixed-instance or an external one, hashes no instance lane and
+    yields None for them."""
     seed = config.seed & _MASK64
     seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
     k = len(seed_words)
-    lanes = _LANES[:1] if config.fixed_instance else _LANES
+    fresh = not config.fixed_instance and config.oracle == "builtin"
+    lanes = _LANES if fresh else _LANES[:1]
     for first in range(0, config.trials, _SEED_CHUNK):
         trials = np.arange(first, min(first + _SEED_CHUNK, config.trials), dtype=np.uint32)
         m = trials.size
@@ -221,8 +239,20 @@ def _trial_seeds(config: ExperimentConfig) -> Iterator[tuple[np.ndarray, int]]:
         entropy[k] = trials
         entropy[k + 1] = lanes
         words = _state_words(entropy.reshape(_POOL_SIZE, -1))
-        instance_seeds = [config.seed] * m if config.fixed_instance else words[m:, 0].tolist()
-        yield from zip(words[:m], instance_seeds)
+        if fresh:
+            yield from zip(words[:m], _instance_words(words[m:, 0]))
+        else:
+            yield from zip(words, itertools.repeat(None))
+
+
+def _instance_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, uint64)`` for each uint64 s of
+    ``seeds``: the entropy of s is its low and high 32-bit words, or its
+    low one alone below 2**32, which the zero padding makes the same."""
+    entropy = np.zeros((_POOL_SIZE, seeds.size), dtype=np.uint32)
+    entropy[0] = seeds & np.uint64(_MASK32)
+    entropy[1] = seeds >> np.uint64(32)
+    return _state_words(entropy)
 
 
 def _success(config: ExperimentConfig, outcome, true_rank: int) -> bool:
@@ -242,17 +272,19 @@ def _success(config: ExperimentConfig, outcome, true_rank: int) -> bool:
     return abs(true_rank - config.k) <= delta * min(config.k, n - config.k)
 
 
-def _run_trial(config: ExperimentConfig, trial: int, words: np.ndarray, instance_seed: int,
+def _run_trial(config: ExperimentConfig, trial: int, words: np.ndarray,
+               instance: TotalOrderInstance | np.ndarray | None,
                oracle: Optional[GroupTestOracle] = None) -> TrialReport:
-    """Run one trial, with the generator its ``_trial_seeds`` words seed, on
-    the given oracle or on the instance of ``instance_seed``, which also
-    scores the result.  Behind an external oracle the hidden order lives
-    in the server, so true ranks and success flags stay empty.
+    """Run one trial, with the generator its ``_trial_seeds`` words seed,
+    on the given oracle or on ``instance``, which also scores the result:
+    a fixed instance, or the generator words of a fresh one.  Behind an
+    external oracle the hidden order lives in the server, so true ranks
+    and success flags stay empty.
     """
     rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
-    instance = None
     if oracle is None:
-        instance = make_instance(config.n, instance_seed)
+        if isinstance(instance, np.ndarray):
+            instance = make_instance(config.n, _SeedWords(instance))
         oracle = InstanceOracle(instance)
     algorithm, n = config.algorithm, config.n
     est_rank = rounds = None
@@ -313,14 +345,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialReport], dict]:
     if config.oracle.startswith("cmd:"):
         # exclusive-use oracle: one worker, one shared server process
         with ExternalOracle(config.oracle[4:], config.n) as oracle:
-            reports = [_run_trial(config, t, words, s, oracle) for t, (words, s) in seeds]
-    elif config.workers > 1 and config.trials > 1:
+            reports = [_run_trial(config, t, words, None, oracle) for t, (words, _) in seeds]
+        return reports, summarize(config, reports)
+    # instances are immutable, so the trials of a fixed-instance config
+    # share one; a worker pool gets it once per chunk of trials, pickled
+    fixed = make_instance(config.n, config.seed) if config.fixed_instance else None
+    args = ((config, t, words, fixed if instance is None else instance)
+            for t, (words, instance) in seeds)
+    if config.workers > 1 and config.trials > 1:
         with multiprocessing.Pool(config.workers) as pool:
             chunk = max(1, config.trials // (config.workers * 4))
-            args = [(config, t, words, s) for t, (words, s) in seeds]
             reports = pool.starmap(_run_trial, args, chunksize=chunk)
     else:
-        reports = [_run_trial(config, t, words, s) for t, (words, s) in seeds]
+        reports = list(itertools.starmap(_run_trial, args))
     return reports, summarize(config, reports)
 
 
@@ -362,18 +399,29 @@ def write_report(config: ExperimentConfig, reports: Sequence[TrialReport],
                  summary: dict, fmt: str = "csv",
                  path: Optional[str] = None) -> None:
     """Emit the report as CSV (schema-fixed columns) or JSON, to ``path``
-    or, without one, to standard output."""
+    or, without one, to standard output.
+
+    An existing regular file is rewritten in place, then cut to the
+    report's length: truncating it on open, as ``open(path, "w")`` does,
+    costs far more on ext4 than writing the file, and benchmark and
+    scripted runs rewrite the same paths.  Any other path, a pipe,
+    ``/dev/stdout`` or ``/dev/null``, is written as it is.  A new file
+    gets ``open(path, "w")``'s mode.
+    """
     if fmt == "csv":
         text = render_csv(config, reports)
     elif fmt == "json":
         text = render_json(config, reports, summary)
     else:
         raise InvalidParameterError(f"unknown report format {fmt!r}")
-    if path is not None:
-        try:
-            with open(path, "w", encoding="ascii") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-    else:
+    if path is None:
         sys.stdout.write(text)
+        return
+    data = text.encode("ascii")
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            handle.write(data)
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate(len(data))
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc

@@ -46,7 +46,9 @@ that ties, from a repeated id, or an inconsistent oracle) breaks the
 walk, which then returns ``None``.  The base class asks the first test
 and then each round level by level and its test; :class:`InstanceOracle`
 finds every end from one gather, and the line protocol's ``WL``/``WR``
-op in one line.
+op in one line.  The last record is the first extreme of the order, so
+:class:`InstanceOracle` scans for records only up to it, and past it
+only for a tie of it.
 
 Adapters compose around a base oracle:
 
@@ -259,14 +261,29 @@ class InstanceOracle(GroupTestOracle):
 
     def walk(self, u: int, arr: np.ndarray, left: bool) -> list[int] | None:
         # a round ends at each record beating u, and none means the first
-        # test answers no; a record that ties (a repeated id) breaks the walk
+        # test answers no; a record that ties (a repeated id) breaks the
+        # walk.  No record lies past the first extreme but a tie of it, so
+        # the scan stops there and checks the rest for that tie alone
         found = self._ranks[_checked_descent(u, arr, self.size)]
-        ru = self._ranks[u]
-        compare, extreme = (np.greater_equal, np.maximum) if left else (np.less_equal, np.minimum)
-        ends = ((found == extreme.accumulate(found)) & compare(found, ru)).nonzero()[0]
-        record = found[ends]
-        sound = not ends.size or (record[0] != ru and (record[1:] != record[:-1]).all())
-        return ends.tolist() if sound else None
+        ru = int(self._ranks[u])
+        if left:
+            extreme, last = np.maximum, int(found.argmax())
+        else:
+            extreme, last = np.minimum, int(found.argmin())
+        top = int(found[last])
+        if top < ru if left else top > ru:
+            return []
+        head = found[: last + 1]
+        records = (head == extreme.accumulate(head)).nonzero()[0]
+        # the records only rise (fall), so those beating u are the last ones
+        values = head[records].tolist()
+        first = 0
+        while values[first] < ru if left else values[first] > ru:
+            first += 1
+        values = values[first:]
+        sound = (values[0] != ru and len(set(values)) == len(values)
+                 and not np.count_nonzero(found[last + 1:] == top))
+        return records[first:].tolist() if sound else None
 
 
 class CountingOracle(GroupTestOracle):

@@ -11,6 +11,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import check_integer
 
@@ -27,16 +28,21 @@ class TotalOrderInstance:
         return int(np.nonzero(self.ranks == r)[0][0])
 
 
-def make_instance(n: int, seed: int) -> TotalOrderInstance:
+def make_instance(n: int, seed: int | ISeedSequence) -> TotalOrderInstance:
     """Create a uniformly random total order on n elements.
 
     The order is a pure function of the seed: the same (n, seed) pair
     always yields the same instance.  Seeds are taken modulo 2**64, so
-    any integer, Python or numpy, signed included, is usable.
+    any integer, Python or numpy, signed included, is usable.  The seed
+    may also be a numpy ``SeedSequence`` (any ``ISeedSequence``), as
+    ``np.random.default_rng`` takes one: an integer seed gives the
+    instance of ``SeedSequence(seed)``.
     """
     check_integer("n", n, 1)
-    rng = np.random.default_rng(operator.index(seed) & 0xFFFFFFFFFFFFFFFF)
-    ranks = rng.permutation(n) + 1
+    if not isinstance(seed, ISeedSequence):
+        seed = operator.index(seed) & 0xFFFFFFFFFFFFFFFF
+    ranks = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    ranks += 1
     return TotalOrderInstance(n=n, ranks=ranks)
 
 

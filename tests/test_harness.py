@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -92,6 +94,47 @@ class TestRunExperiment:
         assert render_csv(config, a) == render_csv(config, b)
 
 
+# sha256 of render_csv for fixed-instance configs at seed 5: the reports
+# that building the instance anew for every trial gives
+FIXED_INSTANCE_CSV_SHA256 = {
+    "minfind": (dict(algorithm="minfind", n=64, trials=20),
+                "2bc988883c459301b3122c1314fbb92a9f5b35e66e15f8163b8d78eee8662989"),
+    "maxfind_pool": (dict(algorithm="maxfind", n=64, trials=20, workers=2),
+                     "6ac54e1ffd538886b1ddcd07b182160aa2533eecc8198d7e840ca5d804ffc2e1"),
+    "testle": (dict(algorithm="testle", n=200, trials=10, r=50, delta=0.5, epsilon=0.2,
+                    x_rank=40),
+               "859bb6a7fcae39c5d3137025049ce75c636c2e54422512b7b7d1f1edf2c1b677"),
+    "rank_pool": (dict(algorithm="rank", n=64, trials=5, delta=0.4, epsilon=0.2, workers=2),
+                  "aae02b78c228ac9ae52d78c95e88e192a592608d14ec2b8394e685ff4d9be56a"),
+    "select": (dict(algorithm="select", n=150, trials=3, k=30, delta=0.8, epsilon=0.3),
+               "afe352f29dd535ff5d58d9be7de9f690c9fe338115acd5967e117561f2bd6135"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_INSTANCE_CSV_SHA256))
+def test_fixed_instance_is_built_once_per_config(name, monkeypatch):
+    """The trials of a fixed-instance config share one instance, built in
+    this process: a pool's forked workers never build one."""
+    fields, digest = FIXED_INSTANCE_CSV_SHA256[name]
+    config = ExperimentConfig(seed=5, fixed_instance=True, **fields)
+    calls, parent = [], os.getpid()
+    build = harness.make_instance
+
+    def counted(n, seed):
+        assert os.getpid() == parent, "a worker built the fixed instance"
+        calls.append((n, seed))
+        return build(n, seed)
+
+    monkeypatch.setattr(harness, "make_instance", counted)
+    reports, _ = run_experiment(config)
+    assert calls == [(config.n, 5)]
+    assert hashlib.sha256(render_csv(config, reports).encode()).hexdigest() == digest
+
+
+def reference_server(n, seed):
+    return f"cmd:{sys.executable} -m gtorder.oracle_server --n {n} --seed {seed}"
+
+
 class TestTrialSeeds:
     """The one-pass seeding against numpy's per-trial SeedSequence."""
 
@@ -99,24 +142,46 @@ class TestTrialSeeds:
     def test_bit_for_bit_numpy_seed_sequences(self, seed):
         entropy = seed & (2**64 - 1)
         seeds = harness._trial_seeds(small_config(trials=300, seed=seed))
-        for t, (words, instance_seed) in enumerate(seeds):
+        for t, (words, instance_words) in enumerate(seeds):
             reference = np.random.SeedSequence(entropy=(entropy, t, 1))
             assert np.array_equal(words, reference.generate_state(4, np.uint64))
             rng = np.random.Generator(np.random.PCG64(harness._SeedWords(words)))
             assert rng.bit_generator.state == np.random.default_rng(reference).bit_generator.state
             instance = np.random.SeedSequence(entropy=(entropy, t, 0))
-            assert instance_seed == int(instance.generate_state(1, np.uint64)[0])
+            instance_seed = int(instance.generate_state(1, np.uint64)[0])
+            assert np.array_equal(instance_words, np.random.SeedSequence(
+                instance_seed).generate_state(4, np.uint64))
+
+    # below 2**32 an instance seed's entropy is one word, not two
+    @pytest.mark.parametrize("seeds", [[0, 1, 2**32 - 1], [2**32, 2**63 + 5, 2**64 - 1],
+                                       [0, 2**64 - 1, 1, 2**32, 2**32 - 1]])
+    def test_instance_words_pad_short_entropy_exactly(self, seeds):
+        words = harness._instance_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4)
+        for seed, row in zip(seeds, words):
+            reference = np.random.SeedSequence(seed)
+            assert np.array_equal(row, reference.generate_state(4, np.uint64))
+            assert np.array_equal(make_instance(50, harness._SeedWords(row)).ranks,
+                                  make_instance(50, seed).ranks)
 
     def test_fixed_instance_hashes_no_instance_lane(self, monkeypatch):
+        """A fixed-instance or external config builds no fresh instance,
+        so it hashes no instance lane."""
         columns = []
         state_words = harness._state_words
         monkeypatch.setattr(harness, "_state_words",
                             lambda entropy: columns.append(entropy.shape[1]) or state_words(entropy))
         fresh = list(harness._trial_seeds(small_config(trials=7)))
-        fixed = list(harness._trial_seeds(small_config(trials=7, fixed_instance=True)))
         assert columns == [14, 7]
-        assert [s for _, s in fixed] == [1] * 7
-        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(fresh, fixed))
+        columns.clear()
+        server = reference_server(16, 1)
+        others = [list(harness._trial_seeds(small_config(trials=7, **fields)))
+                  for fields in (dict(fixed_instance=True), dict(oracle=server),
+                                 dict(fixed_instance=True, oracle=server))]
+        assert columns == [7, 7, 7]
+        for seeds in others:
+            assert [s for _, s in seeds] == [None] * 7
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(fresh, seeds))
 
     def test_large_configs_are_seeded_a_chunk_at_a_time(self, monkeypatch):
         columns = []
@@ -126,7 +191,7 @@ class TestTrialSeeds:
         seeds = harness._trial_seeds(small_config(trials=10**9))
         chunk = harness._SEED_CHUNK
         first = list(itertools.islice(seeds, chunk + 1))
-        assert columns == [2 * chunk, 2 * chunk]
+        assert columns == [2 * chunk, chunk, 2 * chunk, chunk]
         last, _ = first[-1]
         reference = np.random.SeedSequence(entropy=(1, chunk, 1)).generate_state(4, np.uint64)
         assert np.array_equal(last, reference)
@@ -162,10 +227,6 @@ class TestTrialSeeds:
         for trials in (2**32 + 1, 2**40):
             with pytest.raises(InvalidParameterError, match="trials"):
                 validate_config(small_config(trials=trials))
-
-
-def reference_server(n, seed):
-    return f"cmd:{sys.executable} -m gtorder.oracle_server --n {n} --seed {seed}"
 
 
 # sha256 of render_csv at seed 0.  Reports must stay byte-identical from
@@ -298,6 +359,38 @@ class TestReports:
         path = tmp_path / "out.csv"
         write_report(config, reports, summary, fmt="csv", path=str(path))
         assert path.read_text().splitlines()[0] == CSV_COLUMNS
+
+    def test_rewritten_report_holds_exactly_its_own_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        for trials, fmt in ((20, "json"), (20, "csv"), (2, "csv"), (5, "json")):
+            config = small_config(trials=trials)
+            reports, summary = run_experiment(config)
+            write_report(config, reports, summary, fmt=fmt, path=str(path))
+            render = render_csv(config, reports) if fmt == "csv" else render_json(
+                config, reports, summary)
+            assert path.read_bytes() == render.encode()
+
+    def test_new_report_gets_the_mode_open_gives(self, tmp_path):
+        config = small_config(trials=1)
+        reports, summary = run_experiment(config)
+        with open(tmp_path / "by_open.csv", "w"):
+            pass
+        write_report(config, reports, summary, path=str(tmp_path / "report.csv"))
+        assert ((tmp_path / "report.csv").stat().st_mode
+                == (tmp_path / "by_open.csv").stat().st_mode)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_to_dev_stdout_is_written(self, fmt):
+        """Through the console script, so standard output is a pipe that
+        cannot be truncated, as in a shell pipeline; with ``--out`` the
+        summary lines follow the report."""
+        command = [sys.executable, "-m", "gtorder", "minfind", "--n", "16", "--trials", "2",
+                   "--seed", "1", "--format", fmt]
+        plain = subprocess.run(command, capture_output=True, check=True)
+        to_path = subprocess.run([*command, "--out", "/dev/stdout"], capture_output=True,
+                                 check=True)
+        report, summary = to_path.stdout.split(b"\nalgorithm: minfind\n")
+        assert report + b"\n" == plain.stdout and summary.startswith(b"n: 16\n")
 
     def test_write_report_bad_path_has_context(self):
         config = small_config(trials=1)

@@ -993,6 +993,65 @@ class TestWalk:
             assert counting.ledger.total == 0
 
 
+def walk_by_rank(u_rank, arr_ranks, left):
+    """The builtin walk and the reference walk over the ids of the given
+    ranks, in an instance of n = 12."""
+    oracle = oracle_of(12, seed=12)
+    ranks = oracle.instance.ranks
+    by_rank = {int(rank): v for v, rank in enumerate(ranks)}
+    u, arr = by_rank[u_rank], np.array([by_rank[rank] for rank in arr_ranks])
+    return oracle.walk(u, arr, left), walk_ends(ranks, u, arr, left)
+
+
+class TestInstanceWalk:
+    """:class:`InstanceOracle` scans a walk for records only up to the
+    first extreme of the order, and past it only for a tie of that
+    extreme, and still answers as the reference walk does."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_random_orders(self, m):
+        # ids other than u, then ones that may hold u, then repeats
+        n = m + 3
+        oracle = oracle_of(n, seed=m)
+        ranks = oracle.instance.ranks
+        rng = np.random.default_rng(m)
+        for u in range(n):
+            others = np.delete(np.arange(n), u)
+            for arr in [*(rng.permutation(others)[:m] for _ in range(30)),
+                        *(rng.permutation(n)[:m] for _ in range(30)),
+                        *(rng.integers(0, n, m) for _ in range(30))]:
+                for left in (True, False):
+                    assert oracle.walk(u, arr, left) == walk_ends(ranks, u, arr, left)
+                    assert reversed_view(oracle).walk(u, arr, left) == walk_ends(
+                        ranks, u, arr, not left)
+
+    # (subject's rank, ranks of arr, left, ends): records up to the extreme
+    # of arr, a subject inside arr, and repeats on either side of the extreme
+    CASES = {
+        "records_up_to_the_extreme": (10, [7, 9, 3, 5, 1, 2, 4], False, [0, 2, 4]),
+        "left_records": (2, [3, 1, 6, 5, 11, 8], True, [0, 2, 4]),
+        "no_id_beats_the_subject": (1, [7, 9, 3], False, []),
+        "subject_inside_is_the_extreme": (3, [7, 3, 5], False, None),
+        "subject_inside_beaten": (7, [9, 7, 5, 2], False, None),
+        "subject_inside_not_beaten": (3, [7, 5, 3, 4], False, None),
+        "tie_of_a_record_before_the_extreme": (10, [5, 5, 1], False, None),
+        "tie_of_a_record_later_before_the_extreme": (10, [6, 4, 8, 4, 2, 1], False, None),
+        "tie_of_the_extreme_after_it": (10, [5, 1, 3, 1], False, None),
+        "tie_of_the_extreme_at_the_end": (1, [4, 12, 2, 12], True, None),
+        "tie_of_a_non_record_after_the_extreme": (10, [5, 1, 3, 3], False, [0, 1]),
+        "one_id": (5, [4], False, [0]),
+        "one_id_not_beating": (5, [6], False, []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constructed_orders(self, case):
+        u_rank, arr_ranks, left, ends = self.CASES[case]
+        assert walk_by_rank(u_rank, arr_ranks, left) == (ends, ends)
+        # the mirrored order: the same walk in the other direction
+        mirrored = walk_by_rank(13 - u_rank, [13 - rank for rank in arr_ranks], not left)
+        assert mirrored == (ends, ends)
+
+
 # integer dtypes that are not int64: other widths, both byte orders, unsigned
 ODD_DTYPES = [">i8", ">i4", "<i2", "u1", "u8"]
 

@@ -18,6 +18,16 @@ def test_same_seed_same_instance():
     assert np.array_equal(a.ranks, b.ranks)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255, 256, 1000, 4096])
+def test_seed_sequence_seed_gives_the_integer_seeds_instance(n):
+    drawn = np.random.default_rng(n).integers(0, 2**64, 4, dtype=np.uint64).tolist()
+    for seed in [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, *range(2, 40, 7), *drawn]:
+        ranks = make_instance(n, seed).ranks
+        assert np.array_equal(make_instance(n, np.random.SeedSequence(seed)).ranks, ranks)
+        reference = np.random.default_rng(seed).permutation(n) + 1
+        assert np.array_equal(ranks, reference) and ranks.dtype == reference.dtype
+
+
 def test_different_seeds_differ_eventually():
     ranks = {tuple(make_instance(6, seed=s).ranks) for s in range(20)}
     assert len(ranks) > 1
