@@ -7,6 +7,7 @@ usage errors (argparse's default).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
@@ -88,6 +89,16 @@ def _run_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 1 if failures else 0
 
 
+def _names_stdout(path: str) -> bool:
+    """Whether ``path`` is the file standard output writes to.  A report
+    written there through a file of its own starts at offset 0, and the
+    summary printed after it would overwrite its first bytes."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError, AttributeError):
+        return False  # a path that does not exist yet, or no stdout descriptor
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -96,7 +107,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = _experiment_config(args)
     try:
         reports, summary = run_experiment(config)
-        write_report(config, reports, summary, fmt=args.format, path=args.out)
+        path = None if args.out is not None and _names_stdout(args.out) else args.out
+        write_report(config, reports, summary, fmt=args.format, path=path)
     except InvalidParameterError as exc:
         parser.error(str(exc))
     except (OracleError, OSError) as exc:

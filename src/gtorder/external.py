@@ -30,8 +30,8 @@ HEX token in a full one:
                                     server -> one "Y"/"N" per row    (full only)
     client -> "BR <u> <n_eff> <rows> <width> <ids>"
                                     server -> one "Y"/"N" per row    (full only)
-    client -> "WL <u> <m> <ids>"    server -> "<p1> ... <pk>"       (full only)
-    client -> "WR <u> <m> <ids>"    server -> "<p1> ... <pk>"       (full only)
+    client -> "WL <u> <m> <ids>"    server -> "<p1> ... <pk>", "N" or ""  (full only)
+    client -> "WR <u> <m> <ids>"    server -> "<p1> ... <pk>", "N" or ""  (full only)
 
 ``L`` asks the left test (u <=_Q V), ``R`` the right test (V <=_Q u), and
 ``m`` is the number of ids.  Ids are 0-based.  ``u``, ``m``, ``n_eff``,
@@ -55,18 +55,15 @@ non-adaptive tests, such as the trials of a threshold test.
 ``m >= 1`` ids from u, as ``GroupTestOracle.walk`` does with ``left``
 true/false: a round ends at each id that satisfies the test against u
 and every id before it, a record of the order.  The reply is those ends
-as canonical decimals, strictly increasing and one space apart, or an
-empty line if a record only ties (a repeated id) or there is none.  The
+as canonical decimals, strictly increasing and one space apart; ``N``
+if no id beats u, the walk's first test answering no; or an empty line
+if a record only ties (a repeated id), which breaks the walk.  The
 server answers the whole walk at once, the run's first condition test
 included; the ledger counts that test and ceil(log2 m) + 1 tests a
-round, so a min-finding run is one line.  Only after an empty reply
-does the client ask one ``L``/``R`` line over the same ids: ``N`` means
-no id beats u, and the walk has no end, ``Y`` that a record tied and
-the walk broke.  That line is the walk's counted first test, so a run
-whose start is the extreme is two lines.  The ``WALK`` feature of
-``INIT`` names this op pair, so a server whose full session has other
-ops names other features, and the client then falls back to a basic
-session.
+round, so a min-finding run is one line, whatever its outcome.  The
+``WALK`` feature of ``INIT`` names this op pair, so a server whose full
+session has other ops names other features, and the client then falls
+back to a basic session.
 
 Worked examples, for n = 1024 ids where id i has rank i + 1 (``>`` marks
 a client line, ``<`` the server's reply)::
@@ -86,9 +83,9 @@ a client line, ``<`` the server's reply)::
     > WR 9 3 ff0300000500000002000000
     < 1 2
     > WR 0 3 0100000002000000ff030000
-    <
-    > R 0 3 0100000002000000ff030000
     < N
+    > WR 5 3 050000000100000002000000
+    <
     > INIT 1024
     < OK
     > R 5 2 1023 9
@@ -116,11 +113,11 @@ answers False without a line.
 Protocol violations surface as exceptions, never as false answers:
 a reply of ``ERR`` raises OracleRejectedError (an OracleError and an
 InvalidParameterError), any other unexpected reply (a batch reply of the
-wrong length, or a ``WL``/``WR`` reply that is not canonical decimals
-of strictly increasing positions in 0..m-1, one space apart) raises
-OracleProtocolError, a missing reply (or a query the server does not
-read) raises OracleTimeoutError, and a command that cannot be started
-raises OracleSpawnError.  After a timeout or a
+wrong length, one with whitespace around it, or a ``WL``/``WR`` reply that
+is not ``N``, empty, or canonical decimals of strictly increasing positions
+in 0..m-1, one space apart) raises OracleProtocolError, a missing reply (or
+a query the server does not read) raises OracleTimeoutError, and a command
+that cannot be started raises OracleSpawnError.  After a timeout or a
 protocol error the stream can no longer be matched to its queries (a late
 reply would answer the next one), so every later query raises
 OracleProtocolError; an ``ERR`` reply leaves the session usable, and the
@@ -212,11 +209,16 @@ def _batch_answer(reply: str, count: int) -> np.ndarray:
     raise _reply_error(reply)
 
 
-def _walk_answer(reply: str, m: int) -> list[int]:
+def _walk_answer(reply: str, m: int) -> list[int] | None:
     """Where the rounds of a walk over ``m`` ids end: canonical ASCII decimals of
-    strictly increasing positions in 0..m-1, one space apart, or none."""
+    strictly increasing positions in 0..m-1, one space apart; ``N`` for none,
+    and None for an empty line, a broken walk."""
+    if not reply:
+        return None
+    if reply == "N":
+        return []
     ends = [-1]
-    for position in reply.split(" ") if reply else ():
+    for position in reply.split(" "):
         # the length bound keeps int() off positions longer than it parses
         if not (position.isascii() and position.isdigit() and len(position) <= len(str(m))
                 and ends[-1] < int(position) < m and str(int(position)) == position):
@@ -349,7 +351,7 @@ class ExternalOracle(GroupTestOracle):
                 raise OracleProtocolError("oracle process closed its output")
             self._buffer += chunk
         line, _, self._buffer = self._buffer.partition(b"\n")
-        return line.decode("ascii", errors="replace").strip()
+        return line.decode("ascii", errors="replace")
 
     def _ask(self, line: str, parse, *args):
         """Send ``line`` and return ``parse(reply, *args)``; a reply that is
@@ -396,8 +398,4 @@ class ExternalOracle(GroupTestOracle):
         arr = self._checked(_checked_descent, u, arr)
         if not self._full:
             return super().walk(u, arr, left)
-        ends = self._ask(self._line("WL" if left else "WR", u, arr), _walk_answer, arr.size)
-        if ends:
-            return ends
-        # no end: the walk's first test tells no id beating u from a tie
-        return None if self._ask(self._line("L" if left else "R", u, arr), _test_answer) else []
+        return self._ask(self._line("WL" if left else "WR", u, arr), _walk_answer, arr.size)

@@ -23,8 +23,8 @@ a fresh ``swap`` would.  Each descent spans all n - 1 ids: a run of
 ``iterations`` rounds costs exactly iterations * (ceil(log2(n-1)) + 1) +
 1 tests, the 1 being its first condition test.  The whole run is one
 ``walk(x, rest, False)`` call, first condition test included: answered
-from one gather in process, with one ``WR`` line in a full session (and
-one ``R`` line more when nothing lies below the start), and test by test
+from one gather in process, with one ``WR`` line in a full session
+(wherever it starts), and test by test
 by any other oracle, each level and test one query either way.  When
 nothing lies below the start the run puts the generator back to its
 state before the shuffle, so its stream is as if it had never shuffled.

@@ -13,10 +13,11 @@ all the ids against the bound in one big-int test over the line's 32-bit
 words (an id-by-id check past bounds of 2**31).  Then it scans the ids
 in order: ``L`` and ``R`` stop at the first that satisfies the test,
 each row of ``BL`` or ``BR`` at its own first hit, and ``WL`` and ``WR``
-read every id once, noting each new record.  The scans read one table
-per direction, built at its first query and kept until EOF: the ranks
-for the left test, their negations for the right one, each padded with n
-dummy sentinels.  A basic session checks its decimal ids one by one.
+read every id once, noting each new record (``N`` if none beats u, an
+empty line at one that ties).  The scans read one table per direction,
+built at its first query and kept until EOF: the ranks for the left
+test, their negations for the right one, each padded with n dummy
+sentinels.  A basic session checks its decimal ids one by one.
 
 The server imports no numpy, which would cost most of its start-up time.
 ``instance_ranks`` rebuilds ``make_instance``'s ranks in pure Python by
@@ -275,7 +276,7 @@ def _answer_test(line: str, table: list[int], n: int, full: bool) -> str:
 
 def _answer_walk(line: str, table: list[int], n: int) -> str:
     """The reply to one ``WL``/``WR`` line of a full session: each
-    record that beats u, or nothing when the walk breaks."""
+    record that beats u, ``N`` if none does, or nothing if the walk breaks."""
     operands = _operands(line, n, True)
     if isinstance(operands, str):
         return operands
@@ -290,7 +291,7 @@ def _answer_walk(line: str, table: list[int], n: int) -> str:
                 return ""  # a repeated id: the next round would end here again
             ends.append(str(p))
             key = value
-    return " ".join(ends)  # no end at all breaks the walk too
+    return " ".join(ends) or "N"
 
 
 def _answer_batch(line: str, table: list[int], n: int) -> str:

@@ -520,6 +520,7 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
     command = [sys.executable, "-m", "gtorder.oracle_server",
                "--n", str(EXTERNAL_N), "--seed", str(instance_seed)]
     mismatches = 0
+    broken_sizes = [m for m in EXTERNAL_WALK_SIZES if m > 1]
     with ExternalOracle(command, EXTERNAL_N) as remote:
         for _ in range(EXTERNAL_QUERIES):
             u = int(rng.integers(0, EXTERNAL_N))
@@ -544,8 +545,8 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
                     mismatches += remote.walk(u, arr, left) != builtin.walk(u, arr, left)
         # whole runs: the same element, ledger and next draw as the builtin
         # run at the same seed.  Two more start at the extreme, so each
-        # sends an empty WR/WL reply, then its one R/L line, and must end
-        # with no round and the generator as its start draw left it: a
+        # gets an N reply to its one WR/WL line, and must end with no
+        # round and the generator as its start draw left it: a
         # min_find_among run with the subset's minimum moved to where its
         # seed starts, and a max_find run at a seed that starts at the top
         run_seed = int(rng.integers(0, 2**63))
@@ -571,14 +572,28 @@ def check_external_conformance(seed: int) -> tuple[bool, str]:
                 bad = (bad or runs[0][0].iterations > 0
                        or runs[0][1] != after_start.integers(2**63))
             mismatches += bad
-    # the single tests, batches and walks, then four runs
+        # walks that break, which both oracles must answer None: over ids
+        # whose first is u, and over ids that repeat their extreme after
+        # it, from a u the extreme beats
+        for m in broken_sizes:
+            for left in (True, False):
+                top = instance.element_with_rank(EXTERNAL_N if left else 1)
+                u = int(rng.choice(np.delete(np.arange(EXTERNAL_N), top)))
+                from_u = np.append(u, rng.permutation(np.delete(np.arange(EXTERNAL_N), u))[:m - 1])
+                others = rng.permutation(np.setdiff1d(np.arange(EXTERNAL_N), (u, top)))[:m - 2]
+                twin = np.append(np.insert(others, int(rng.integers(m - 1)), top), top)
+                for arr in (from_u, twin):
+                    answers = remote.walk(u, arr, left), builtin.walk(u, arr, left)
+                    mismatches += answers != (None, None)
+    # the single tests, batches and walks, four runs, then the broken walks
     compared = (EXTERNAL_QUERIES + 2 * EXTERNAL_BATCHES
-                + 2 * len(EXTERNAL_WALK_SIZES) * EXTERNAL_WALKS_PER_SIZE + 4)
+                + 2 * len(EXTERNAL_WALK_SIZES) * EXTERNAL_WALKS_PER_SIZE + 4
+                + 4 * len(broken_sizes))
     return mismatches == 0, (
         f"{compared - mismatches}/{compared} protocol answers (single tests, batches, "
-        f"walks, a min_find and a max_find run, and a min_find_among and a max_find run "
-        f"that start at the extreme) match the builtin oracle, generator included, at "
-        f"n={EXTERNAL_N}")
+        f"walks, a min_find and a max_find run, a min_find_among and a max_find run "
+        f"that start at the extreme, and walks that break) match the builtin oracle, "
+        f"generator included, at n={EXTERNAL_N}")
 
 
 # --- 12. byte-identical reruns -----------------------------------------------

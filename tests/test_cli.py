@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import subprocess
 import sys
 from dataclasses import fields
 
@@ -31,6 +32,23 @@ def test_out_file_and_summary(tmp_path, capsys):
     assert code == 0
     assert path.read_text().splitlines()[0] == CSV_COLUMNS
     assert "success_rate: 1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out", ["/dev/stdout", "the same file"])
+def test_report_to_the_file_stdout_writes_comes_before_the_summary(tmp_path, out):
+    # stdout redirected to a regular file, as the shell's "> out.txt" does:
+    # a report written through a second open file would start at offset 0
+    # too, and the summary printed after it would overwrite its first bytes
+    command = [sys.executable, "-m", "gtorder", "minfind", "--n", "16", "--trials", "2",
+               "--seed", "1"]
+    plain = subprocess.run(command, capture_output=True, check=True).stdout
+    path = tmp_path / "out.txt"
+    with open(path, "wb") as stdout:
+        subprocess.run([*command, "--out", str(path) if out == "the same file" else out],
+                       stdout=stdout, check=True)
+    text = path.read_bytes()
+    assert text.startswith(plain)
+    assert text[len(plain):].startswith(b"algorithm: minfind\nn: 16\n")
 
 
 def test_json_format(capsys):

@@ -467,32 +467,39 @@ class TestWalkOp:
         asked = CountingOracle(builtin)
         per_level = _PerQueryOracle(asked)
         rng = np.random.default_rng(9)
-        walks = endless = rows_sent = 0
+        walks = rows_sent = 0
+        outcomes = set()
         with ExternalOracle(command, n) as remote:
-            # seed 3 starts above the extreme, so a full session sends the
-            # run's walk line alone; 25 starts min_find at the minimum and 9
-            # max_find at the maximum, so the empty walk reply is followed
-            # by the walk's first test
-            for find, start, run_ops in ((min_find, 3, ["WR"]), (max_find, 3, ["WL"]),
-                                         (min_find, 25, ["WR", "R"]), (max_find, 9, ["WL", "L"])):
+            # seed 3 starts above the extreme; 25 starts min_find at the
+            # minimum and 9 max_find at the maximum, so no id beats the start
+            for find, start, at_extreme, op in ((min_find, 3, False, "WR"),
+                                                (max_find, 3, False, "WL"),
+                                                (min_find, 25, True, "WR"),
+                                                (max_find, 9, True, "WL")):
                 sent = len(ops_received(log))
                 runs = [find(oracle, n, np.random.default_rng(start))
                         for oracle in (remote, builtin, per_level)]
                 assert runs[0] == runs[1] == runs[2]
-                assert (runs[0].iterations == 0) == (len(run_ops) == 2)
+                assert (runs[0].iterations == 0) == at_extreme
                 if full:
-                    assert ops_received(log)[sent:] == run_ops
+                    assert ops_received(log)[sent:] == [op]
                 walks += 1
-                endless += not runs[0].iterations
             for m in (1, 2, 5, 8, 39):
                 u, arr = int(rng.integers(n)), rng.permutation(n)[:m]
-                for left in (True, False):
-                    counting = [CountingOracle(oracle) for oracle in (remote, builtin)]
-                    ends = [oracle.walk(u, arr, left) for oracle in counting]
-                    assert ends[0] == ends[1] == per_level.walk(u, arr, left)
-                    assert counting[0].ledger == counting[1].ledger
-                    walks += 1
-                    endless += not ends[0]
+                # the same number of ids from u itself, which ties u and so
+                # breaks the walk
+                for ids in (arr, np.append(u, arr[:m - 1])):
+                    for left in (True, False):
+                        sent = len(ops_received(log))
+                        counting = [CountingOracle(oracle) for oracle in (remote, builtin)]
+                        ends = [oracle.walk(u, ids, left) for oracle in counting]
+                        assert ends[0] == ends[1] == per_level.walk(u, ids, left)
+                        assert counting[0].ledger == counting[1].ledger
+                        if full:
+                            assert ops_received(log)[sent:] == ["WL" if left else "WR"]
+                        walks += 1
+                        outcomes.add("broken" if ends[0] is None else "ends" if ends[0]
+                                     else "none")
             rows = rng.integers(0, n + 2, size=(3, 4))
             for left in (True, False):
                 assert (remote.test_batch(3, rows, n + 2, left).tolist()
@@ -506,14 +513,14 @@ class TestWalkOp:
         lines = [line for line in log.read_text().splitlines() if not line.startswith("INIT")]
         assert all(id_tokens_fit(line, full) for line in lines)
         queries = [op for op in ops if op != "INIT"]
+        assert outcomes == {"ends", "none", "broken"}
         if full:
-            # one line per walk, a run's or an explicit one over one id
-            # or more, one more per walk with no end (its first test), and
-            # one per batch; none per round, level or row
-            assert queries.count("L") + queries.count("R") == endless
+            # one line per walk, a run's or an explicit one over one id or
+            # more, whatever its outcome, and one per batch; none per
+            # round, level or row
             assert queries.count("WL") + queries.count("WR") == walks
             assert queries.count("BL") == queries.count("BR") == 1
-            assert len(queries) == walks + endless + 2
+            assert len(queries) == walks + 2
         else:
             assert not {"BL", "BR", "WL", "WR"} & set(queries)
             assert queries.count("L") + queries.count("R") == asked.ledger.total + rows_sent
@@ -536,16 +543,15 @@ class TestWalkOp:
                                           f"the collection repeats ids [{low}]")
         queries = [line for line in log.read_text().splitlines() if not line.startswith("INIT")]
         if full:
-            # one walk that breaks at the twin, then its first test, which
-            # tells the break from a start no id beats
-            assert [line.split()[0] for line in queries] == ["WR", "R"]
+            # one walk that breaks at the twin
+            assert [line.split()[0] for line in queries] == ["WR"]
         else:
             # the rounds up to the twin, not n + 1 of them
             assert len(queries) < 20 * ((n - 1).bit_length() + 1)
 
     @pytest.mark.parametrize("reply", ["8", "03", "0  1", "1 0", "0 0", "2 1", "0 8", "0 1 1",
-                                       "0 Y", "0 N", "Y", "N", "-0", "-1", "+3", "3.0", "0x3",
-                                       "1\t2", "1,2", "\u0663", "OK"])
+                                       "0 Y", "0 N", "Y", "N ", "n", "NN", "-0", "-1", "+3",
+                                       "3.0", "0x3", "1\t2", "1,2", "\u0663", "OK"])
     def test_malformed_walk_reply_ends_the_session(self, tmp_path, reply):
         command, _ = filtered_server(tmp_path, 8, 0, f"""
             if line.startswith("W"):
@@ -572,9 +578,8 @@ class TestWalkOp:
                 remote.walk(3, arr, False)
             for u, left, ids in ((4, False, arr), (3, True, arr), (3, True, arr[:1])):
                 assert remote.walk(u, ids, left) == builtin.walk(u, ids, left)
-        # a walk over one id is a line too, and one whose reply has no end
-        # asks its first test after it
-        assert ops_received(log) == ["INIT", "WR", "WR", "WL", "WL", "L"]
+        # a walk over one id is one line too, as is one whose reply has no end
+        assert ops_received(log) == ["INIT", "WR", "WR", "WL", "WL"]
 
     # swap's descent has no op of its own: each session asks its levels as
     # single tests, the full one with HEX ids
@@ -929,7 +934,8 @@ def well_formed(line, reply, full=False):
     if parts[0] in ("BL", "BR"):
         return reply != "" and set(reply) <= {"Y", "N"} and len(reply) == int(parts[3])
     if parts[0] in ("WL", "WR"):
-        ends = reply.split(" ") if reply else []
+        # N for no end, an empty line for a broken walk
+        ends = reply.split(" ") if reply not in ("", "N") else []
         return (all(end.isdigit() and str(int(end)) == end for end in ends)
                 and [int(end) for end in ends] == sorted(set(map(int, ends)))
                 and all(int(end) < int(parts[2]) for end in ends))
@@ -1156,6 +1162,12 @@ def decimal_queries(draw):
     return " ".join(map(str, [op, *head, *ids]))
 
 
+def walk_reply(ends):
+    """The reply to a walk whose rounds end at ``ends``: ``N`` when there is
+    none, and an empty line when the walk breaks."""
+    return "" if ends is None else " ".join(map(str, ends)) or "N"
+
+
 def builtin_reply(line):
     """The builtin oracle's answer to a decimal query line, in the reply's
     text, or None when it rejects the line (or a server must: a batch
@@ -1173,8 +1185,7 @@ def builtin_reply(line):
             return "".join("Y" if hit else "N" for hit in hits)
         u, _, *ids = numbers
         if op in ("WL", "WR"):
-            # no end and a broken walk both reply an empty line
-            return " ".join(map(str, oracle.walk(u, np.array(ids, dtype=np.int64), left) or ()))
+            return walk_reply(oracle.walk(u, np.array(ids, dtype=np.int64), left))
         return "Y" if oracle.test(u, ids, left) else "N"
     except InvalidParameterError:
         return None
@@ -1198,7 +1209,7 @@ def test_serve_walk_ends_where_the_builtin_walk_does(line):
     op, u, _, *ids = line.split()
     builtin = InstanceOracle(make_instance(FUZZ_N, 5))
     ends = builtin.walk(int(u), np.array(ids, dtype=np.int64), op == "WL")
-    assert served(HEX_INIT, hexed(line))[1] == " ".join(map(str, ends or ()))
+    assert served(HEX_INIT, hexed(line))[1] == walk_reply(ends)
 
 
 def documented_exchanges():
@@ -1228,7 +1239,8 @@ def test_documented_full_session_lines_are_what_the_client_writes(tmp_path):
         remote.walk(5, np.array([1, 2, 1023]), False)
         remote.walk(5, np.array([1, 2, 1023]), True)
         remote.walk(9, np.array([1023, 5, 2]), False)
-        remote.walk(0, np.array([1, 2, 1023]), False)
+        assert remote.walk(0, np.array([1, 2, 1023]), False) == []
+        assert remote.walk(5, np.array([5, 1, 2]), False) is None
     received = log.read_text().splitlines()
     assert received == sent[:len(received)] and len(received) == 9
 
@@ -1240,7 +1252,8 @@ REPLIES = st.one_of(
                      "OK", "OK BATCH", "OK WALK", "OK BATCH WALK", "OK WALK BATCH",
                      "OK BATCH BATCH", "OK  BATCH", "OK RESTART", "OK BATCH WALK HEX",
                      "OK HEX", "OK BATCH HEX", "OK HEX BATCH", "OK WALK HEX", "OK WALK BATCH HEX",
-                     "OK BATCH WALK HEX HEX", "OK BATCH DESCENT HEX", "9" * 5000, "", "0 Y", "0 N", "3 N", "8 Y",
+                     "OK BATCH WALK HEX HEX", "OK BATCH DESCENT HEX", "9" * 5000, "", "N ", " N",
+                     "NN", "n", "N N", "0 Y", "0 N", "3 N", "8 Y",
                      "03 Y", "0  Y", " 0 Y", "0 Y ", "0 y", "0 YN", "0\tY", "-0 N", "ERR 0 Y",
                      "0 1", "1 0", "0 0", "0 2 5", "01 2", "0  1", "0 1 ", " 0 1", "2 8",
                      "1 2 3 4 5 6 7 8", "0\t1", "0 -1", "ERR 0 1"]),
@@ -1274,12 +1287,14 @@ def test_reply_parsers_answer_only_well_formed_replies(reply, size, offer):
     else:
         assert batch == error
     # a walk: canonical positions below size, strictly increasing, one
-    # space apart, or none
-    tokens = reply.split(" ") if reply else []
+    # space apart; exactly N for none, and only the empty line for a
+    # broken walk
+    tokens = reply.split(" ")
     ends = [int(token) if token.isascii() and token.isdigit() and len(token) <= len(str(size))
             else -1 for token in tokens]
     walk = (ends if all(str(end) == token for end, token in zip(ends, tokens))
             and ends == sorted(set(ends)) and all(0 <= end < size for end in ends) else error)
+    walk = {"N": [], "": None}.get(reply, walk)
     assert parsed(_walk_answer, reply, size) == walk
     # OK agrees a basic session, and the full one only answers its offer
     agreed = {"OK": False, "OK BATCH WALK HEX": True if offer != "INIT 8" else OracleProtocolError}

@@ -866,11 +866,11 @@ class TestWalk:
         rounds = [len(InstanceOracle(instance).walk(u, arr, left)) for left in (True, False)]
         assert all(rounds)
         per_round = (9 - 1).bit_length() + 1
-        # from either end of the order no id beats u: a full session asks
-        # the first test after the empty walk reply, a basic one asks it alone
+        # from either end of the order no id beats u: a full session sends
+        # the walk line alone, a basic one asks the first test alone
         low, high = instance.element_with_rank(1), instance.element_with_rank(24)
         ends = [np.delete(np.arange(24), v)[:9] for v in (high, low)]
-        for remote, ops in ((remote24, ["WL", "WR", "WL", "L", "WR", "R"]),
+        for remote, ops in ((remote24, ["WL", "WR", "WL", "WR"]),
                             (basic24, ["L"] * (1 + rounds[0] * per_round)
                              + ["R"] * (1 + rounds[1] * per_round) + ["L", "R"])):
             lines = []

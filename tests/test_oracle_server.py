@@ -158,24 +158,28 @@ def brute_force_reply(ranks, op, u, ids, n_eff, width):
         return "".join("Y" if any(hits[at:at + width]) else "N"
                        for at in range(0, len(hits), width))
     if op in ("WL", "WR"):
-        return " ".join(map(str, walk_ends(ranks, u, ids, op == "WL")))
+        ends = walk_ends(ranks, u, ids, op == "WL")
+        return "" if ends is None else " ".join(map(str, ends)) or "N"
     return "Y" if any(hits) else "N"
 
 
 def walk_ends(ranks, u, ids, left):
     """Where the rounds of a walk over ``ids`` from u end, round by round:
     a descent to the first id that satisfies the test, a test of that id
-    w against the rest and the subject, and a swap; no end when a round
-    ends at or before the one before it."""
+    w against the rest and the subject, and a swap; none when no id
+    satisfies the first test, and None when a round ends at or before
+    the one before it."""
     def hit(v, subject):
         return ranks[v] >= ranks[subject] if left else ranks[v] <= ranks[subject]
 
     ids, ends = list(ids), []
+    if not any(hit(v, u) for v in ids):
+        return ends
     while True:
         hits = [hit(v, u) for v in ids]
-        p = hits.index(True) if any(hits) else len(ids) - 1
+        p = hits.index(True)  # the test before this round found a hit
         if ends and p <= ends[-1]:
-            return []
+            return None
         ends.append(p)
         w = ids[p]
         if not any(hit(v, w) for v in ids[:p] + ids[p + 1:] + [u]):
