@@ -1,13 +1,15 @@
 """Approximate selection: repeated candidate sampling plus verification.
 
-Each round draws a candidate whose rank lands in the target band with
-probability at least delta^2/4, then screens it with two threshold
-tests: accept x iff the evidence says rank(x) <= k + 3/4*delta*k and not
-rank(x) <= k - 3/4*delta*k.  The round budget makes the overall return
-probability at least 1/2, and the per-test failure budget makes a
-returned element a delta-approximation of the k-th order statistic with
-probability at least 1 - epsilon.  Coming back empty-handed is a
-legitimate outcome, not an error.
+``select_params`` derives the plan that ``approximate_select`` runs.  A
+target k above n/2 runs reversed, at k' = n - k + 1.  Each round draws a
+candidate (``draw_candidate``: the minimum of ceil(n/k) uniform draws
+for k up to (1 - e^-delta)*n/2, else one uniform element), then asks the
+plan's screens in order: it accepts x iff the evidence says rank(x) <=
+k + 3/4*delta*k and not rank(x) <= k - 3/4*delta*k.  Every rank is at
+most n, so the plan leaves out the upper screen when its target reaches
+n.  The round budget makes the return probability at least 1/2, and the
+per-test failure budget splits epsilon over every test a run may ask.
+Coming back empty-handed is a legitimate outcome, not an error.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from .ranktest import rank_at_most, trial_count
 
 @dataclass(frozen=True)
 class SelectParams:
-    """What selection derives from (k, delta, epsilon): the round budget and
-    the tolerances of the two screening tests."""
+    """The plan ``approximate_select`` executes for (n, k, delta, epsilon)."""
 
-    delta_upper: float   # tolerance for the test at k + 3/4*delta*k, > delta/8
-    delta_lower: float   # tolerance for the test at k - 3/4*delta*k, > delta/4
+    reversed: bool        # k > n/2: run under the reversed order
+    k: int                # the executed target rank: k, or n - k + 1 when reversed
+    max_rounds: int       # candidates drawn at most, ceil(32 / delta^2)
     epsilon_round: float  # per-test failure budget, epsilon / (max_rounds + 1)
-    max_rounds: int      # candidates drawn at most, ceil(32 / delta^2)
+    # (target, tolerance, passing answer) of each screen, in the order asked
+    screens: tuple[tuple[float, float, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -43,33 +46,38 @@ class SelectOutcome:
     ledger: QueryLedger
 
 
-def select_params(k: int, delta: float, epsilon: float) -> SelectParams:
-    check_integer("target rank", k, 1)
+def select_params(n: int, k: int, delta: float, epsilon: float) -> SelectParams:
+    """The frame, round budget and screens of a selection of rank k among n.
+
+    The upper screen asks rank(x) <= k + 3/4*delta*k at tolerance
+    (delta/4) / (1 + 3/4*delta) > delta/8 and passes on yes; the lower
+    asks rank(x) <= k - 3/4*delta*k at (delta/4) / (1 - 3/4*delta) >
+    delta/4 and passes on no.
+    """
+    check_integer("universe size", n, 1)
+    check_integer("target rank", k, 1, n)
     check_unit(delta=delta, epsilon=epsilon)
+    reversed_ = k > n / 2
+    k = n - k + 1 if reversed_ else k
     try:
         max_rounds = math.ceil(32.0 / delta**2)
     except (OverflowError, ZeroDivisionError):  # the budget is infinite, or delta**2 is 0
         max_rounds = math.inf
     # split the failure budget over every test plus the final acceptance
     epsilon_round = epsilon / (max_rounds + 1)
-    delta_upper = (delta / 4.0) / (1.0 + 0.75 * delta)
+    upper = (k + 0.75 * delta * k, (delta / 4.0) / (1.0 + 0.75 * delta), True)
     # The upper screen, at the smaller tolerance, asks the most trials:
     # over 100 times max_rounds, so this bounds the rounds too, and an
     # epsilon_round that underflows to 0 asks infinitely many.
     try:
-        trial_count(delta_upper, epsilon_round)
+        trial_count(upper[1], epsilon_round)
     except InvalidParameterError:
         raise InvalidParameterError(f"delta {delta} and epsilon {epsilon} ask for more than "
                                     f"2**32 trials per screen") from None
-    delta_lower = (delta / 4.0) / (1.0 - 0.75 * delta)
-    assert delta_upper > delta / 8.0
-    assert delta_lower > delta / 4.0
-    return SelectParams(
-        delta_upper=delta_upper,
-        delta_lower=delta_lower,
-        epsilon_round=epsilon_round,
-        max_rounds=max_rounds,
-    )
+    lower = (k - 0.75 * delta * k, (delta / 4.0) / (1.0 - 0.75 * delta), False)
+    return SelectParams(reversed=reversed_, k=k, max_rounds=max_rounds,
+                        epsilon_round=epsilon_round,
+                        screens=(upper, lower) if upper[0] < n else (lower,))
 
 
 def draw_candidate(oracle: GroupTestOracle, n: int, k: int, delta: float,
@@ -101,32 +109,23 @@ def approximate_select(oracle: GroupTestOracle, n: int, k: int, delta: float,
                        epsilon: float, rng: np.random.Generator) -> SelectOutcome:
     """Find an element x with |rank(x) - k| <= delta * min(k, n - k).
 
-    Returns an element with probability at least 1/2; conditioned on
-    returning one, it satisfies the band with probability at least
-    1 - epsilon.  Targets above n/2 run under the reversed order with
-    k replaced by n - k + 1; the run counts before it reverses, so its
-    ledger holds the left and right tests ``oracle`` answered.  n must be
+    Returns an element with probability at least 1/2; for k <= n/2 it is
+    in the band with probability at least 1 - epsilon given a return.
+    Above n/2 the reversed screens are built for the band delta*k' at
+    k' = n - k + 1, not delta*(k' - 1), and at large delta that bound
+    fails: at n = 1000, k = 999, delta = 0.9, epsilon = 0.1 and seed 11,
+    141 of 200 returns were out of band (ROADMAP item 26).  The ledger
+    holds the left and right tests ``oracle`` answered.  n must be
     ``oracle.size``: the screens rank x in the whole universe.
     """
     if n != oracle.size:
         raise InvalidParameterError(f"universe size {n} is not the oracle's size {oracle.size}")
-    check_integer("target rank", k, 1, n)
-    counting = work = CountingOracle(oracle)
-    if k > n / 2:
-        work = reversed_view(counting)
-        k = n - k + 1
-    params = select_params(k, delta, epsilon)
-    upper_target = k + 0.75 * delta * k
-    lower_target = k - 0.75 * delta * k
-    for round_index in range(1, params.max_rounds + 1):
-        x = draw_candidate(work, n, k, delta / 2.0, rng)
-        # every rank is at most n, so an upper target at or above n needs no test
-        if upper_target < n and not rank_at_most(work, x, upper_target, params.delta_upper,
-                                                 params.epsilon_round, rng).answer:
-            continue
-        if not rank_at_most(work, x, lower_target, params.delta_lower,
-                            params.epsilon_round, rng).answer:
-            return SelectOutcome(found=True, element=x, rounds_used=round_index,
-                                 ledger=counting.ledger)
-    return SelectOutcome(found=False, element=None, rounds_used=params.max_rounds,
-                         ledger=counting.ledger)
+    plan = select_params(n, k, delta, epsilon)
+    counting = CountingOracle(oracle)
+    work = reversed_view(counting) if plan.reversed else counting
+    for round_index in range(1, plan.max_rounds + 1):
+        x = draw_candidate(work, n, plan.k, delta / 2.0, rng)
+        if all(rank_at_most(work, x, target, tolerance, plan.epsilon_round, rng).answer == passing
+               for target, tolerance, passing in plan.screens):
+            return SelectOutcome(True, x, round_index, counting.ledger)
+    return SelectOutcome(False, None, plan.max_rounds, counting.ledger)

@@ -35,7 +35,7 @@ from .minfind import max_find, min_find, min_find_among, swap
 from .oracle import CountingOracle, GroupTestOracle, InstanceOracle, QueryLedger, reversed_view
 from .order import TotalOrderInstance, exact_rank, make_instance
 from .ranktest import _BLOCK_IDS, RankTestParams, derive_params, rank_at_most
-from .selection import approximate_select, draw_candidate
+from .selection import draw_candidate, select_params
 from .stats import binomial_margin, chi_square_fit, chi_square_uniformity
 
 
@@ -400,7 +400,7 @@ SELECT_TIME_LIMIT = 600.0
 @_check(time_limit=SELECT_TIME_LIMIT)
 def check_apxselect_theorem(seed: int) -> tuple[bool, str]:
     """Selection returns often enough and returned ranks respect the band."""
-    max_rounds = int(np.ceil(32.0 / SELECT_DELTA**2))
+    max_rounds = select_params(SELECT_N, SELECT_K, SELECT_DELTA, SELECT_EPSILON).max_rounds
     config = ExperimentConfig(algorithm="select", n=SELECT_N, trials=SELECT_RUNS, seed=seed,
                               k=SELECT_K, delta=SELECT_DELTA, epsilon=SELECT_EPSILON)
     reports, summary = run_experiment(config)

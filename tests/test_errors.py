@@ -125,6 +125,9 @@ BAD_INTEGER_CALLS = {
     "approximate_select k=2.5": lambda o: approximate_select(o, N, 2.5, 0.5, 0.2, rng()),
     "approximate_select k=True": lambda o: approximate_select(o, N, True, 0.5, 0.2, rng()),
     "approximate_select n=16.0": lambda o: approximate_select(o, 16.0, 2, 0.5, 0.2, rng()),
+    "select_params n=0": lambda o: select_params(0, 1, 0.5, 0.2),
+    "select_params n=2.5": lambda o: select_params(2.5, 2, 0.5, 0.2),
+    "select_params k>n": lambda o: select_params(N, N + 1, 0.5, 0.2),
     "draw_candidate k=2.5": lambda o: draw_candidate(o, N, 2.5, 0.5, rng()),
     "draw_candidate k=True": lambda o: draw_candidate(o, N, True, 0.5, rng()),
     "rank_at_most x=1.0": lambda o: rank_at_most(o, 1.0, 4, 0.5, 0.2, rng()),
@@ -164,7 +167,7 @@ BAND_CALLS = {
     "approximate_rank": lambda o, d, e: approximate_rank(o, 3, d, e, rng()),
     "approximate_rank n=1": lambda o, d, e: approximate_rank(
         CountingOracle(InstanceOracle(make_instance(1, 0))), 0, d, e, rng()),
-    "select_params": lambda o, d, e: select_params(4, d, e),
+    "select_params": lambda o, d, e: select_params(N, 4, d, e),
     "approximate_select": lambda o, d, e: approximate_select(o, N, 4, d, e, rng()),
     "validate_config": lambda o, d, e: validate_config(ExperimentConfig(
         "rank", N, 1, 0, delta=d, epsilon=e)),

@@ -505,9 +505,9 @@ class TestBlocks:
         # the upper screen of approximate_select at n = 1000, k = 100,
         # delta = 0.9, epsilon = 0.1: 19709 rows of 7 ids, about 2.3 MiB
         # of ids and gathers if asked in one block
-        params = select_params(100, 0.9, 0.1)
-        outcome, peak = self.traced_peak(1000, 100, 167.5, params.delta_upper,
-                                         params.epsilon_round)
+        plan = select_params(1000, 100, 0.9, 0.1)
+        target, tolerance, _ = plan.screens[0]
+        outcome, peak = self.traced_peak(1000, 100, target, tolerance, plan.epsilon_round)
         assert (outcome.params.trials, outcome.params.sample_size) == (19709, 7)
         assert outcome.answer
         assert peak < 2**20

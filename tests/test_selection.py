@@ -18,34 +18,50 @@ from gtorder import (
     reversed_view,
     select_params,
 )
+from gtorder.harness import ExperimentConfig, run_experiment
 from gtorder.stats import binomial_margin
 
 
 class TestSelectParams:
     def test_worked_round_budget(self):
-        p = select_params(100, delta=0.5, epsilon=0.1)
+        p = select_params(1000, 100, delta=0.5, epsilon=0.1)
         assert p.max_rounds == 128
         assert p.epsilon_round == pytest.approx(0.1 / 129)
 
     def test_worked_tolerances(self):
-        p = select_params(100, delta=0.4, epsilon=0.1)
-        assert p.delta_upper == pytest.approx(0.1 / 1.3)
-        assert p.delta_lower == pytest.approx(0.1 / 0.7)
+        p = select_params(1000, 100, delta=0.4, epsilon=0.1)
+        (upper, upper_tolerance, upper_passes), (lower, lower_tolerance, lower_passes) = p.screens
+        assert (upper, upper_passes, lower, lower_passes) == (pytest.approx(130), True,
+                                                              pytest.approx(70), False)
+        assert upper_tolerance == pytest.approx(0.1 / 1.3)
+        assert lower_tolerance == pytest.approx(0.1 / 0.7)
 
     def test_tolerance_lower_bounds_across_deltas(self):
         for delta in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
-            p = select_params(10, delta=delta, epsilon=0.2)
-            assert p.delta_upper > delta / 8
-            assert p.delta_lower > delta / 4
+            p = select_params(100, 10, delta=delta, epsilon=0.2)
+            (_, upper_tolerance, _), (_, lower_tolerance, _) = p.screens
+            assert upper_tolerance > delta / 8
+            assert lower_tolerance > delta / 4
             assert p.epsilon_round * (p.max_rounds + 1) <= 0.2 + 1e-12
+
+    def test_worked_frames(self):
+        # k > n/2 runs reversed at n - k + 1; an upper target at or above
+        # n leaves its screen out (3 + 2.025 at n = 5, 2 + 1.05 at n = 3)
+        cases = {(200, 100, 0.8): (False, 100, 2), (200, 160, 0.8): (True, 41, 2),
+                 (5, 3, 0.9): (True, 3, 1), (3, 2, 0.7): (True, 2, 1), (1, 1, 0.5): (True, 1, 1),
+                 (5, 3, 0.5): (True, 3, 2)}
+        for (n, k, delta), (reversed_, executed_k, screens) in cases.items():
+            p = select_params(n, k, delta, 0.3)
+            assert (p.reversed, p.k, len(p.screens)) == (reversed_, executed_k, screens)
+            assert p.screens[-1][2] is False
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            select_params(0, 0.5, 0.1)
+            select_params(10, 0, 0.5, 0.1)
         with pytest.raises(InvalidParameterError):
-            select_params(3, 0.0, 0.1)
+            select_params(10, 3, 0.0, 0.1)
         with pytest.raises(InvalidParameterError):
-            select_params(3, 0.5, 1.0)
+            select_params(10, 3, 0.5, 1.0)
 
 
 class TestDrawCandidate:
@@ -122,7 +138,7 @@ class TestApproximateSelect:
         outcome = approximate_select(oracle, 50, 10, 0.9, 0.5, rng)
         assert outcome.found is False
         assert outcome.element is None
-        assert outcome.rounds_used == math.ceil(32 / 0.9**2)
+        assert outcome.rounds_used == select_params(50, 10, 0.9, 0.5).max_rounds == 40
 
     def test_two_element_band_collapses_to_exact(self):
         # |rank - 1| <= 0.5*min(1,1) forces rank exactly 1
@@ -149,9 +165,9 @@ class TestApproximateSelect:
                     outcome = approximate_select(oracle, n, k, delta, 0.3, rng)
                     assert outcome.found == (outcome.element is not None)
                     if n == 1:
-                        p = select_params(1, delta, 0.3)
-                        lower = derive_params(1, 1 - 0.75 * delta, p.delta_lower,
-                                              p.epsilon_round)
+                        plan = select_params(1, 1, delta, 0.3)
+                        (target, tolerance, _), = plan.screens
+                        lower = derive_params(1, target, tolerance, plan.epsilon_round)
                         assert (outcome.element, outcome.rounds_used) == (0, 1)
                         assert outcome.ledger.total <= lower.trials
 
@@ -162,6 +178,49 @@ class TestApproximateSelect:
         outcome = approximate_select(outer, 200, 40, 0.8, 0.5, rng)
         assert outcome.ledger.total == outer.ledger.total
         assert outcome.ledger.left_count == outer.ledger.left_count
+
+    # (n, k, delta, screens in the plan): the direct frame, the reversed
+    # frame, a reversed frame whose upper screen is left out, and n = 1
+    @pytest.mark.parametrize("n, k, delta, screens", [(200, 40, 0.8, 2), (200, 160, 0.8, 2),
+                                                      (5, 3, 0.9, 1), (1, 1, 0.5, 1)])
+    def test_the_loop_runs_the_plan(self, monkeypatch, n, k, delta, screens):
+        import gtorder.selection as selection_module
+
+        plan = select_params(n, k, delta, 0.3)
+        assert len(plan.screens) == screens
+        real_draw, real_test = draw_candidate, rank_at_most
+        draws, rounds = [], []
+
+        def draw(oracle, n, k, delta, rng):
+            draws.append((n, k, delta))
+            rounds.append([])
+            return real_draw(oracle, n, k, delta, rng)
+
+        def test(oracle, x, r, delta, epsilon, rng):
+            outcome = real_test(oracle, x, r, delta, epsilon, rng)
+            rounds[-1].append((r, delta, epsilon, outcome.answer))
+            return outcome
+
+        monkeypatch.setattr(selection_module, "draw_candidate", draw)
+        monkeypatch.setattr(selection_module, "rank_at_most", test)
+        rng = np.random.default_rng(7)
+        for seed in range(4):
+            draws.clear()
+            rounds.clear()
+            outer = CountingOracle(InstanceOracle(make_instance(n, seed)))
+            outcome = approximate_select(outer, n, k, delta, 0.3, rng)
+            assert draws == [(n, plan.k, delta / 2)] * outcome.rounds_used
+            for index, calls in enumerate(rounds):
+                asked = [(r, tolerance, epsilon) for r, tolerance, epsilon, _ in calls]
+                assert asked == [(target, tolerance, plan.epsilon_round)
+                                 for target, tolerance, _ in plan.screens[:len(calls)]]
+                passed = [answer == screen[2] for (*_, answer), screen in zip(calls, plan.screens)]
+                # every screen but the last asked passed, and the round
+                # accepted iff it asked and passed them all
+                assert all(passed[:-1])
+                accepted = passed[-1] and len(calls) == len(plan.screens)
+                assert accepted == (outcome.found and index == len(rounds) - 1)
+            assert outcome.ledger == outer.ledger
 
     def test_small_scale_guarantee(self):
         rng = np.random.default_rng(3)
@@ -213,19 +272,15 @@ class TestApproximateSelect:
         # candidates inside half the band should pass both screening
         # tests; candidates far outside should fail at least one
         n, k, delta, epsilon = 200, 40, 0.8, 0.5
-        params = select_params(k, delta, epsilon)
-        hi = k + 0.75 * delta * k
-        lo = k - 0.75 * delta * k
+        plan = select_params(n, k, delta, epsilon)
         instance = make_instance(n, seed=6)
         oracle = InstanceOracle(instance)
         rng = np.random.default_rng(6)
 
         def accepted(x):
-            if not rank_at_most(oracle, x, hi, params.delta_upper,
-                                params.epsilon_round, rng).answer:
-                return False
-            return not rank_at_most(oracle, x, lo, params.delta_lower,
-                                    params.epsilon_round, rng).answer
+            return all(rank_at_most(oracle, x, target, tolerance, plan.epsilon_round,
+                                    rng).answer == passing
+                       for target, tolerance, passing in plan.screens)
 
         good_ranks = range(int(k - delta / 2 * k) + 1, int(k + delta / 2 * k))
         good = [accepted(instance.element_with_rank(r)) for r in good_ranks]
@@ -256,3 +311,18 @@ class TestApproximateSelect:
                 approximate_select(oracle, n, 50, 0.5, 0.1, rng)
         # the candidate draw ranks within 0..n-1 and keeps n < size
         assert 0 <= draw_candidate(oracle, 500, 50, 0.5, rng) < 500
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="selection's screens above n/2 are built for delta*k', not "
+                          "delta*(k' - 1) (ROADMAP item 26)")
+@pytest.mark.parametrize("n, k, delta, epsilon, trials", [(5, 3, 0.9, 0.3, 2000),
+                                                          (1000, 999, 0.9, 0.1, 30)])
+def test_high_targets_keep_the_band_at_large_delta(n, k, delta, epsilon, trials):
+    # the share of returned elements out of the band: about 0.40 at
+    # n = 5 and 0.7 at n = 1000
+    config = ExperimentConfig(algorithm="select", n=n, trials=trials, seed=0, k=k,
+                              delta=delta, epsilon=epsilon)
+    returned = [r for r in run_experiment(config)[0] if r.result_id is not None]
+    out_of_band = sum(not r.success for r in returned) / len(returned)
+    assert out_of_band <= epsilon + binomial_margin(len(returned), epsilon, 3.0)
