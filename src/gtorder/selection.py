@@ -7,9 +7,13 @@ for k up to (1 - e^-delta)*n/2, else one uniform element), then asks the
 plan's screens in order: it accepts x iff the evidence says rank(x) <=
 k + 3/4*delta*k and not rank(x) <= k - 3/4*delta*k.  Every rank is at
 most n, so the plan leaves out the upper screen when its target reaches
-n.  The round budget makes the return probability at least 1/2, and the
-per-test failure budget splits epsilon over every test a run may ask.
-Coming back empty-handed is a legitimate outcome, not an error.
+n.  On the min-of-draws branch the lower screen is asked first: it is
+the cheaper test and the likelier to reject, so it has the lower cost
+per rejection; the uniform branch asks the upper screen first.  The
+order moves the ledger, not the law of any outcome.  The round budget
+makes the return probability at least 1/2, and the per-test failure
+budget splits epsilon over every test a run may ask.  Coming back
+empty-handed is a legitimate outcome, not an error.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ class SelectParams:
 
     reversed: bool        # k > n/2: run under the reversed order
     k: int                # the executed target rank: k, or n - k + 1 when reversed
+    min_branch: bool      # the candidate is the minimum of ceil(n/k) draws, not one draw
     max_rounds: int       # candidates drawn at most, ceil(32 / delta^2)
     epsilon_round: float  # per-test failure budget, epsilon / (max_rounds + 1)
     # (target, tolerance, passing answer) of each screen, in the order asked
@@ -47,18 +52,38 @@ class SelectOutcome:
 
 
 def select_params(n: int, k: int, delta: float, epsilon: float) -> SelectParams:
-    """The frame, round budget and screens of a selection of rank k among n.
+    """The frame, candidate branch, round budget and screens of a
+    selection of rank k among n.
 
     The upper screen asks rank(x) <= k + 3/4*delta*k at tolerance
     (delta/4) / (1 + 3/4*delta) > delta/8 and passes on yes; the lower
     asks rank(x) <= k - 3/4*delta*k at (delta/4) / (1 - 3/4*delta) >
     delta/4 and passes on no.
+
+    A round stops at its first failing screen, so the cheapest order
+    asks first the screen with the lowest cost per rejection (Simon and
+    Kadane, Artificial Intelligence 6, 1975).  On the min-of-draws
+    branch that is the lower screen: at n = 1000, k = 100, delta = 0.9 it
+    asks at most 742 rows of 32 ids against the upper's 19,709 rows of
+    7, and rejected about 22% of 3,000 drawn candidates against 17%.
+    On the uniform branch neither order wins everywhere, so the upper
+    screen stays first.
+
+    The order does not change the law of any outcome.  Each screen draws
+    its own rows, so given x the two answers are independent, each with
+    the probability this plan fixes, and a round accepts iff both pass.
+    The epsilon split already covers every test a run may ask.  So the
+    return probability, the in-band probability given a return and the
+    law of the rounds used are the same in either order; only the ledger
+    and the generator stream at a fixed seed move.
     """
     check_integer("universe size", n, 1)
     check_integer("target rank", k, 1, n)
     check_unit(delta=delta, epsilon=epsilon)
     reversed_ = k > n / 2
     k = n - k + 1 if reversed_ else k
+    # the branch draw_candidate takes at the delta approximate_select passes it
+    min_branch = _min_branch(n, k, delta / 2.0)
     try:
         max_rounds = math.ceil(32.0 / delta**2)
     except (OverflowError, ZeroDivisionError):  # the budget is infinite, or delta**2 is 0
@@ -75,9 +100,17 @@ def select_params(n: int, k: int, delta: float, epsilon: float) -> SelectParams:
         raise InvalidParameterError(f"delta {delta} and epsilon {epsilon} ask for more than "
                                     f"2**32 trials per screen") from None
     lower = (k - 0.75 * delta * k, (delta / 4.0) / (1.0 - 0.75 * delta), False)
-    return SelectParams(reversed=reversed_, k=k, max_rounds=max_rounds,
-                        epsilon_round=epsilon_round,
-                        screens=(upper, lower) if upper[0] < n else (lower,))
+    if upper[0] >= n:
+        screens = (lower,)
+    else:
+        screens = (lower, upper) if min_branch else (upper, lower)
+    return SelectParams(reversed=reversed_, k=k, min_branch=min_branch, max_rounds=max_rounds,
+                        epsilon_round=epsilon_round, screens=screens)
+
+
+def _min_branch(n: int, k: int, delta: float) -> bool:
+    """Whether ``draw_candidate`` takes the minimum of ceil(n/k) draws."""
+    return k <= (1.0 - math.exp(-2.0 * delta)) * n / 2.0
 
 
 def draw_candidate(oracle: GroupTestOracle, n: int, k: int, delta: float,
@@ -93,7 +126,7 @@ def draw_candidate(oracle: GroupTestOracle, n: int, k: int, delta: float,
     check_integer("universe size", n, 1, oracle.size)
     check_integer("target rank", k, 1, (n + 1) // 2)
     check_unit(delta=delta)
-    if k <= (1.0 - math.exp(-2.0 * delta)) * n / 2.0:
+    if _min_branch(n, k, delta):
         n_eff = k * ((n + k - 1) // k)
         draws = n_eff // k
         while True:
@@ -114,7 +147,11 @@ def approximate_select(oracle: GroupTestOracle, n: int, k: int, delta: float,
     Above n/2 the reversed screens are built for the band delta*k' at
     k' = n - k + 1, not delta*(k' - 1), and at large delta that bound
     fails: at n = 1000, k = 999, delta = 0.9, epsilon = 0.1 and seed 11,
-    141 of 200 returns were out of band (ROADMAP item 26).  The ledger
+    141 of 200 returns were out of band (ROADMAP item 26).  Each round
+    asks the plan's screens in order and stops at the first failure: the
+    lower screen first on the min-of-draws branch, where it has the lower
+    cost per rejection, and the upper first on the uniform branch; the
+    order moves the ledger, not the law of any outcome.  The ledger
     holds the left and right tests ``oracle`` answered.  n must be
     ``oracle.size``: the screens rank x in the whole universe.
     """

@@ -107,7 +107,7 @@ FIXED_INSTANCE_CSV_SHA256 = {
     "rank_pool": (dict(algorithm="rank", n=64, trials=5, delta=0.4, epsilon=0.2, workers=2),
                   "aae02b78c228ac9ae52d78c95e88e192a592608d14ec2b8394e685ff4d9be56a"),
     "select": (dict(algorithm="select", n=150, trials=3, k=30, delta=0.8, epsilon=0.3),
-               "afe352f29dd535ff5d58d9be7de9f690c9fe338115acd5967e117561f2bd6135"),
+               "2411111692b23c326abc0a17f8dee3843e12da44f6603a2a4fafe171523801b2"),
 }
 
 
@@ -245,10 +245,18 @@ GOLDEN_CSV_SHA256 = {
              "b178c639913e5705cd25d995c932b028cd2fd18b36fa642ef0bffae4436399a6"),
     "select_low_target": (dict(algorithm="select", n=150, trials=3, k=30,
                                delta=0.8, epsilon=0.3),
-                          "6816e573b50128c6d815598fc34d9b673dd853b84d6d53c3c852ac2f0dcd6ded"),
+                          "fac65ece21b6653a25f611a4f035fa7fbc26fada415cfca6ee97695eeb9ba9d9"),
     "select_high_target": (dict(algorithm="select", n=150, trials=3, k=120,
                                 delta=0.8, epsilon=0.3),
-                           "17f5bda282b27ec92dae26539e416eca7b1ab659a651a2934103f5b1f9b6940d"),
+                           "8acb4e1d3719e1d895b19d578a7ffc04a1f492bfd8514feadfde157a6c405d06"),
+    # two uniform-branch selections that reject candidates, so they pin
+    # that branch's screen order (upper first)
+    "select_uniform_low_target": (dict(algorithm="select", n=150, trials=3, k=60,
+                                       delta=0.8, epsilon=0.3),
+                                  "d99021d67b8fc0c273a339dc79502ae88927f54be9f2a4f2668f0f0d6e11e6dd"),
+    "select_uniform_high_target": (dict(algorithm="select", n=150, trials=3, k=100,
+                                        delta=0.8, epsilon=0.3),
+                                   "7fa251373eb9c7fab2641d45249fd12b5b2ed4b2e399c20a86b3551f4723a410"),
     "external_maxfind": (dict(algorithm="maxfind", n=32, trials=5, fixed_instance=True,
                               oracle=reference_server(32, 0)),
                          "3af1588e3a03f253be6b832aca8eebc187d3acc4b85496dfb756cad332385824"),

@@ -506,7 +506,7 @@ class TestBlocks:
         # delta = 0.9, epsilon = 0.1: 19709 rows of 7 ids, about 2.3 MiB
         # of ids and gathers if asked in one block
         plan = select_params(1000, 100, 0.9, 0.1)
-        target, tolerance, _ = plan.screens[0]
+        target, tolerance, _ = next(screen for screen in plan.screens if screen[2])
         outcome, peak = self.traced_peak(1000, 100, target, tolerance, plan.epsilon_round)
         assert (outcome.params.trials, outcome.params.sample_size) == (19709, 7)
         assert outcome.answer

@@ -1,5 +1,6 @@
 """Tests for candidate sampling and the approximate selection loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,13 @@ from gtorder.harness import ExperimentConfig, run_experiment
 from gtorder.stats import binomial_margin
 
 
+def screen(plan, passing):
+    """The plan's screen that passes on ``passing``: the upper one on yes,
+    the lower one on no."""
+    (found,) = [s for s in plan.screens if s[2] is passing]
+    return found
+
+
 class TestSelectParams:
     def test_worked_round_budget(self):
         p = select_params(1000, 100, delta=0.5, epsilon=0.1)
@@ -30,16 +38,16 @@ class TestSelectParams:
 
     def test_worked_tolerances(self):
         p = select_params(1000, 100, delta=0.4, epsilon=0.1)
-        (upper, upper_tolerance, upper_passes), (lower, lower_tolerance, lower_passes) = p.screens
-        assert (upper, upper_passes, lower, lower_passes) == (pytest.approx(130), True,
-                                                              pytest.approx(70), False)
+        upper, upper_tolerance, _ = screen(p, True)
+        lower, lower_tolerance, _ = screen(p, False)
+        assert (upper, lower) == (pytest.approx(130), pytest.approx(70))
         assert upper_tolerance == pytest.approx(0.1 / 1.3)
         assert lower_tolerance == pytest.approx(0.1 / 0.7)
 
     def test_tolerance_lower_bounds_across_deltas(self):
         for delta in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
             p = select_params(100, 10, delta=delta, epsilon=0.2)
-            (_, upper_tolerance, _), (_, lower_tolerance, _) = p.screens
+            upper_tolerance, lower_tolerance = screen(p, True)[1], screen(p, False)[1]
             assert upper_tolerance > delta / 8
             assert lower_tolerance > delta / 4
             assert p.epsilon_round * (p.max_rounds + 1) <= 0.2 + 1e-12
@@ -53,7 +61,36 @@ class TestSelectParams:
         for (n, k, delta), (reversed_, executed_k, screens) in cases.items():
             p = select_params(n, k, delta, 0.3)
             assert (p.reversed, p.k, len(p.screens)) == (reversed_, executed_k, screens)
-            assert p.screens[-1][2] is False
+            screen(p, False)  # the lower screen is in every plan
+
+    def test_screen_order_follows_the_branch(self):
+        # lower screen first exactly on the min-of-draws branch, when the
+        # upper screen is asked at all; and the plan's branch is the one
+        # draw_candidate takes at (n, plan.k, delta / 2): only the min
+        # branch spends queries
+        rng = np.random.default_rng(0)
+        seen = set()
+        for n in (1, 3, 5, 11, 150, 1000):
+            oracle = InstanceOracle(make_instance(n, seed=n))
+            for k in sorted({1, 2, n // 10, n // 4, n // 2, (n + 1) // 2, n - n // 4, n}):
+                if not 1 <= k <= n:
+                    continue
+                for delta in (0.3, 0.5, 0.7, 0.9, 0.99):
+                    p = select_params(n, k, delta, 0.3)
+                    upper_asked = p.k + 0.75 * delta * p.k < n
+                    order = [passing for *_, passing in p.screens]
+                    if not upper_asked:
+                        assert order == [False]
+                    else:
+                        assert order == ([False, True] if p.min_branch else [True, False])
+                    counting = CountingOracle(oracle)
+                    for _ in range(20):
+                        draw_candidate(counting, n, p.k, delta / 2, rng)
+                    assert (counting.ledger.total > 0) == p.min_branch, (n, k, delta)
+                    seen.add((p.reversed, p.min_branch, upper_asked))
+        # every frame, branch and screen count the rule covers
+        assert {(False, True, True), (True, True, True), (False, False, True),
+                (True, False, True), (True, False, False)} <= seen
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -221,6 +258,41 @@ class TestApproximateSelect:
                 accepted = passed[-1] and len(calls) == len(plan.screens)
                 assert accepted == (outcome.found and index == len(rounds) - 1)
             assert outcome.ledger == outer.ledger
+
+    def test_screen_order_keeps_the_law(self, monkeypatch):
+        # the same min-branch config with its screens asked in each order,
+        # at one round a run, so the return rate is a round's acceptance
+        # probability, which fixes the law of the rounds used; both orders
+        # run the same seeds, so each run's candidate is the same
+        import gtorder.selection as selection_module
+
+        n, k, delta, epsilon, runs = 200, 20, 0.8, 0.3, 1000
+        planned = select_params(n, k, delta, epsilon)
+        assert planned.min_branch and [s[2] for s in planned.screens] == [False, True]
+        stats = {}
+        for name, flip in (("lower first", False), ("upper first", True)):
+            def plan(*args):
+                p = select_params(*args)
+                return dataclasses.replace(p, max_rounds=1,
+                                           screens=p.screens[::-1] if flip else p.screens)
+
+            monkeypatch.setattr(selection_module, "select_params", plan)
+            returned = in_band = queries = 0
+            for seed in range(runs):
+                instance = make_instance(n, seed)
+                outcome = approximate_select(InstanceOracle(instance), n, k, delta, epsilon,
+                                             np.random.default_rng(seed))
+                queries += outcome.ledger.total
+                if outcome.found:
+                    returned += 1
+                    in_band += abs(exact_rank(instance, outcome.element) - k) <= delta * k
+            stats[name] = (returned, in_band, queries)
+        (r1, b1, q1), (r2, b2, q2) = stats["lower first"], stats["upper first"]
+        for (x1, m1), (x2, m2) in (((r1, runs), (r2, runs)), ((b1, r1), (b2, r2))):
+            p = (x1 + x2) / (m1 + m2)
+            se = math.sqrt(max(p * (1 - p), 1e-9) * (1 / m1 + 1 / m2))
+            assert abs(x1 / m1 - x2 / m2) <= 3 * se, stats
+        assert q1 < q2, stats
 
     def test_small_scale_guarantee(self):
         rng = np.random.default_rng(3)
